@@ -296,7 +296,11 @@ def cmd_verify(args) -> Tuple[str, int]:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="finsetrep", description=__doc__)
-    default_trunc = int(os.environ.get(DEFAULT_TRUNC_ENV, "6"))
+    env_trunc = os.environ.get(DEFAULT_TRUNC_ENV, "6")
+    try:
+        default_trunc = int(env_trunc)
+    except ValueError:
+        raise CliError(f"{DEFAULT_TRUNC_ENV} must be an integer, got {env_trunc!r}") from None
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -350,9 +354,8 @@ def build_parser() -> _Parser:
 def main(argv: Optional[List[str]] = None) -> int:
     from .oracle import OracleError
 
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         result = args.func(args)
     except CliError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

@@ -194,17 +194,6 @@ def simple_dim(label: SimpleLabel, t: int) -> int:
     return simple_eval(label, t).dim()
 
 
-def all_simple_labels(max_degree: int) -> List[SimpleLabel]:
-    """k_0, then Lambda_bar(n) and the C(lam) in degree order."""
-    labels = [SimpleLabel.K0()]
-    for n in range(0, max_degree + 1):
-        labels.append(SimpleLabel.L(n))
-        for lam in partitions_of(n):
-            if n > 0 and lam != one_column(n):
-                labels.append(SimpleLabel.C(lam))
-    return labels
-
-
 def lambda_pfin_eval(l: int, t: int) -> IrrDecomposition:
     """Class of the l-th exterior power of the standard degree-one
     projective on a t-set: its two composition factors combined."""

@@ -6,9 +6,11 @@ partitions.  The key operations are Day convolution (degreewise induction
 product), the pointwise product, the alternating sign series S(k), the hook
 series H(k), and the convolution inverse of - (.) triv.
 
-Sign convention: S(k) = sum_{t >= 0} (-1)^t [sgn_{k+t}].  This is the
-convention forced by S(k) + S(k+1) = [sgn_k] and by S(k)(k) = [sgn_k];
-see the decisions ledger for the discrepancy it resolves.
+Sign convention: S(k) = sum_{t >= 0} (-1)^t [sgn_{k+t}], the sign taken
+relative to the starting degree k.  The alternating sign is what makes
+S(k) + S(k+1) telescope to a single term, and requiring that term and the
+degree-k part S(k)(k) to be +[sgn_k] rather than -[sgn_k] fixes the overall
+sign; a sign (-1)^n by absolute degree n would not telescope.
 """
 
 from __future__ import annotations

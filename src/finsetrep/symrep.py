@@ -1,6 +1,7 @@
 """Exact character theory of symmetric groups.
 
-Everything is computed over the rationals: character tables by the
+Everything is computed exactly, in Python integers over one common
+denominator where values are rational: character tables by the
 Murnaghan-Nakayama recursion, inner products and decompositions into
 irreducibles, induction products over Young subgroups (the degreewise Day
 convolution), pointwise (Kronecker) products, sign twists, and the joint
@@ -10,21 +11,30 @@ sets.  Convention: the partition (1^n) indexes the sign representation.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
-from typing import Dict, Iterable, Tuple
+from math import comb, factorial, lcm
+from operator import mul
+from typing import Dict, Iterable, NamedTuple, Tuple
 
 import numpy as np
 
 from .partitions import Partition, one_column, one_row, partitions_of
 
+
+class _Table(NamedTuple):
+    """Character data of one S_n; every sequence runs in partitions_of(n) order."""
+
+    chars: Dict[Tuple[Partition, Partition], int]  # chi_lam(mu), keyed (lam, mu)
+    sizes: Tuple[int, ...]  # class sizes |C_mu| = n!/z_mu
+    rows: Dict[Partition, Tuple[int, ...]]  # lam -> (chi_lam(mu) for each mu)
+
+
 _DEGREE_BOUND = 12
 _table_lock = threading.Lock()
-_table_cache: Dict[int, Dict[Tuple[Partition, Partition], int]] = {}
+_table_cache: Dict[int, _Table] = {}
 
 
 class DegreeBoundError(ValueError):
@@ -86,24 +96,33 @@ def _mn_value(lam: Partition, mu: Partition) -> int:
     return total
 
 
-def character_table(n: int) -> Dict[Tuple[Partition, Partition], int]:
-    """chi_lam(mu) for all lam, mu |- n.  First orthogonality holds exactly."""
+def _table(n: int) -> _Table:
+    """The cached character data of S_n; checks the degree bound on every call."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > _DEGREE_BOUND:
         raise DegreeBoundError(f"degree {n} exceeds configured bound {_DEGREE_BOUND}")
     with _table_lock:
-        if n not in _table_cache:
+        table = _table_cache.get(n)
+        if table is None:
             parts = partitions_of(n)
-            _table_cache[n] = {
-                (lam, mu): _mn_value(lam, mu) for lam in parts for mu in parts
-            }
-        return _table_cache[n]
+            rows = {lam: tuple(_mn_value(lam, mu) for mu in parts) for lam in parts}
+            table = _table_cache[n] = _Table(
+                {(lam, mu): v for lam, row in rows.items() for mu, v in zip(parts, row)},
+                tuple(class_size(mu) for mu in parts),
+                rows,
+            )
+        return table
+
+
+def character_table(n: int) -> Dict[Tuple[Partition, Partition], int]:
+    """chi_lam(mu) for all lam, mu |- n.  First orthogonality holds exactly."""
+    return _table(n).chars
 
 
 def irr_dim(lam: Partition) -> int:
-    """dim S_lam = chi_lam(1^n)."""
-    return character_table(lam.size)[(lam, one_column(lam.size))]
+    """dim S_lam = chi_lam(1^n); (1^n) is the last cycle type."""
+    return _table(lam.size).rows[lam][-1]
 
 
 @dataclass(frozen=True)
@@ -214,32 +233,50 @@ def sign_class(n: int) -> IrrDecomposition:
     return IrrDecomposition.irreducible(one_column(n))
 
 
+def _class_values(dec: IrrDecomposition) -> Tuple[Dict[Partition, int], int]:
+    """The class function sum_lam m_lam chi_lam of dec as integer numerators
+    by cycle type, over the common denominator of the m_lam."""
+    table = _table(dec.n)
+    den = lcm(*(m.denominator for m in dec.mults.values()))
+    acc = [0] * len(table.sizes)
+    for lam, m in dec.mults.items():
+        a = m.numerator * (den // m.denominator)
+        acc = [x + a * chi for x, chi in zip(acc, table.rows[lam])]
+    return dict(zip(partitions_of(dec.n), acc)), den
+
+
 def reconstruct(dec: IrrDecomposition) -> ClassFunction:
     """Class function of a virtual decomposition."""
-    table = character_table(dec.n)
-    values = {}
-    for mu in partitions_of(dec.n):
-        values[mu] = Fraction(
-            sum(m * table[(lam, mu)] for lam, m in dec.mults.items())
-        )
-    return ClassFunction(dec.n, values)
+    values, den = _class_values(dec)
+    return ClassFunction(dec.n, {mu: Fraction(x, den) for mu, x in values.items()})
 
 
 def decompose(f: ClassFunction) -> IrrDecomposition:
     """Inner-product decomposition <f, chi_lam> over all lam |- n.
 
+    Writing f = a/den over the common denominator of its values,
+    <f, chi_lam> = sum_mu |C_mu| a_mu chi_lam(mu) / (n! den): one integer
+    dot product per lam against the weights |C_mu| a_mu, divided once.
+    That is p(n)^2 integer multiply-adds and p(n) divisions.
+
     Negative or non-integral multiplicities are legal (virtual classes) and
-    are reported via IrrDecomposition.is_virtual rather than as an error.
+    are reported via IrrDecomposition.is_virtual rather than as an error;
+    an integral multiplicity is an int, any other a Fraction.
     """
     n = f.n
-    table = character_table(n)
-    order = factorial(n)
+    table = _table(n)
+    vals = [f.values[mu] for mu in partitions_of(n)]
+    den = lcm(*(v.denominator for v in vals))
+    weights = [
+        z * v.numerator * (den // v.denominator) for z, v in zip(table.sizes, vals)
+    ]
+    order = factorial(n) * den
     mults = {}
-    for lam in partitions_of(n):
-        val = sum(class_size(mu) * f(mu) * table[(lam, mu)] for mu in partitions_of(n))
-        val = Fraction(val, order)
-        if val:
-            mults[lam] = int(val) if val.denominator == 1 else val
+    for lam, row in table.rows.items():
+        num = sum(map(mul, row, weights))
+        if num:
+            q, r = divmod(num, order)
+            mults[lam] = Fraction(num, order) if r else q
     return IrrDecomposition(n, mults)
 
 
@@ -263,11 +300,10 @@ def induction_product(a: IrrDecomposition, b: IrrDecomposition) -> IrrDecomposit
     m, n = a.n, b.n
     if m + n > _DEGREE_BOUND:
         raise DegreeBoundError(f"degree {m + n} exceeds bound {_DEGREE_BOUND}")
-    fa, fb = reconstruct(a), reconstruct(b)
+    (fa, den_a), (fb, den_b) = _class_values(a), _class_values(b)
     values = {}
     for gamma in partitions_of(m + n):
-        z_gamma = centralizer_order(gamma)
-        total = Fraction(0)
+        total = 0
         for alpha_parts, ways in _split_multiset(gamma.parts, m).items():
             alpha = Partition(tuple(sorted(alpha_parts, reverse=True)))
             beta_list = list(gamma.parts)
@@ -277,9 +313,9 @@ def induction_product(a: IrrDecomposition, b: IrrDecomposition) -> IrrDecomposit
             # ways counts distinct cycle-subsets realizing alpha; converting
             # to the z-weighted formula: sum over subsets equals
             # z_gamma/(z_alpha*z_beta) summed over distinct (alpha, beta).
-            total += ways * fa(alpha) * fb(beta)
+            total += ways * fa[alpha] * fb[beta]
         # ways-accounting above already equals z_gamma/(z_alpha z_beta):
-        values[gamma] = total
+        values[gamma] = Fraction(total, den_a * den_b)
     return decompose(ClassFunction(m + n, values))
 
 
@@ -393,27 +429,24 @@ def enumerated_character(
     """
     if t**s > 500_000:
         raise ValueError(f"enumeration of {t}^{s} maps refused")
-    rows = list(itertools.product(range(t), repeat=s))
-    maps = np.array(rows, dtype=np.int64).reshape(len(rows), s)
-    keep = np.ones(len(maps), dtype=bool)
-    for i, row in enumerate(rows):
-        if surjective_only and len(set(row)) != t:
-            keep[i] = False
-        if injective_only and len(set(row)) != len(row):
-            keep[i] = False
-    maps = maps[keep]
+    # column j holds the images of map j, the maps in lexicographic order
+    images = np.indices((t,) * s, dtype=np.int64).reshape(s, t**s)
+    if surjective_only or injective_only:
+        ordered = np.sort(images, axis=0)
+        distinct = (ordered[1:] != ordered[:-1]).sum(axis=0) + (s > 0)
+        keep = np.ones(images.shape[1], dtype=bool)
+        if surjective_only:
+            keep &= distinct == t
+        if injective_only:
+            keep &= distinct == s
+        images = images[:, keep]
     values = {}
     for alpha in partitions_of(s):
-        sigma = np.array(representative(alpha), dtype=np.int64)
+        # fixed iff f o sigma == tau o f
+        lhs = images[np.array(representative(alpha), dtype=np.int64)]
         for beta in partitions_of(t):
             tau = np.array(representative(beta), dtype=np.int64)
-            if s == 0:
-                values[(alpha, beta)] = len(maps)
-                continue
-            # fixed iff f o sigma == tau o f
-            lhs = maps[:, sigma]
-            rhs = tau[maps]
-            values[(alpha, beta)] = int(np.all(lhs == rhs, axis=1).sum())
+            values[(alpha, beta)] = int(np.all(lhs == tau[images], axis=0).sum())
     return JointClassFunction(s, t, values)
 
 
@@ -439,40 +472,34 @@ def perm_character_maps(
 def joint_decompose(
     joint: JointClassFunction,
 ) -> Dict[Tuple[Partition, Partition], int]:
-    """Decompose a joint character into sum of S_alpha (x) S_beta."""
+    """Decompose a joint character into a sum of S_lam (x) S_mu.
+
+    The multiplicity of (lam, mu) is
+    sum_{a,b} |C_a| |C_b| J(a,b) chi_lam(a) chi_mu(b) / (s! t!), the (lam, mu)
+    entry of X_s W X_t^T with W[a][b] = |C_a| |C_b| J(a,b) and X the
+    character tables.  Two integer matrix products cost
+    p(s)^2 p(t) + p(s) p(t)^2 multiply-adds; each entry is divided once.
+    Raises AssertionError if a multiplicity is not an integer.
+    """
     s, t = joint.s, joint.t
-    table_s, table_t = character_table(s), character_table(t)
+    table_s, table_t = _table(s), _table(t)
+    # columns of W, one per right cycle type b
+    w_cols = [
+        [za * zb * joint.values[(a, b)] for a, za in zip(partitions_of(s), table_s.sizes)]
+        for b, zb in zip(partitions_of(t), table_t.sizes)
+    ]
     order = factorial(s) * factorial(t)
     out = {}
-    for lam in partitions_of(s):
-        for mu in partitions_of(t):
-            val = sum(
-                class_size(a)
-                * class_size(b)
-                * joint.values[(a, b)]
-                * table_s[(lam, a)]
-                * table_t[(mu, b)]
-                for a in partitions_of(s)
-                for b in partitions_of(t)
-            )
-            val = Fraction(val, order)
-            if val:
-                if val.denominator != 1:
+    for lam, row_s in table_s.rows.items():
+        left = [sum(map(mul, row_s, col)) for col in w_cols]  # row lam of X_s W
+        for mu, row_t in table_t.rows.items():
+            num = sum(map(mul, left, row_t))
+            if num:
+                q, r = divmod(num, order)
+                if r:
                     raise AssertionError("joint character is not a genuine character")
-                out[(lam, mu)] = int(val)
+                out[(lam, mu)] = q
     return out
-
-
-def contract_left_sign(
-    bimod: Dict[Tuple[Partition, Partition], int], k: int, t: int
-) -> IrrDecomposition:
-    """Multiplicity-space class sgn_k (x)_{S_k} M for a (S_k, S_t)-bimodule
-    given by irreducible bidecomposition: keep terms with left factor (1^k)."""
-    mults = {}
-    for (lam, mu), c in bimod.items():
-        if lam == one_column(k):
-            mults[mu] = mults.get(mu, 0) + c
-    return IrrDecomposition(t, mults)
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +512,13 @@ def schur_dim(lam: Partition, m: int) -> int:
     t = lam.size
     if t == 0:
         return 1
-    table = character_table(t)
+    table = _table(t)
     val = sum(
-        class_size(mu) * table[(lam, mu)] * m ** len(mu) for mu in partitions_of(t)
+        z * chi * m ** len(mu)
+        for z, chi, mu in zip(table.sizes, table.rows[lam], partitions_of(t))
     )
-    dim = Fraction(val, factorial(t))
-    assert dim.denominator == 1
-    dim = int(dim)
+    dim, rem = divmod(val, factorial(t))
+    assert rem == 0
     if t <= 6 and m <= 7:
         assert dim == _ssyt_count(lam, m), (lam, m)
     return dim

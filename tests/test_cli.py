@@ -123,6 +123,14 @@ def test_env_default_truncation(capsys, monkeypatch):
     assert json.loads(out)["trunc"] == 5
 
 
+def test_env_default_truncation_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("FINSETREP_TRUNC", "abc")
+    code, out, err = run_cli(capsys, "groth", "--identity", "W")
+    assert code == 1
+    assert out == ""
+    assert "FINSETREP_TRUNC" in json.loads(err)["error"]
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "finsetrep.cli", "simple-eval", "k0", "--t", "0"],

@@ -90,6 +90,160 @@ def test_degree_bound_is_enforced_and_configurable():
         sr.set_degree_bound(old)
 
 
+def test_degree_bound_holds_for_cached_tables():
+    n = 6
+    f = sr.reconstruct(sr.trivial_class(n))
+    sr.decompose(f)  # the table of degree n is now cached
+    old = sr.degree_bound()
+    try:
+        sr.set_degree_bound(n - 1)
+        with pytest.raises(sr.DegreeBoundError):
+            sr.character_table(n)
+        with pytest.raises(sr.DegreeBoundError):
+            sr.decompose(f)
+        with pytest.raises(sr.DegreeBoundError):
+            sr.joint_decompose(sr.all_maps_character(n, 1))
+    finally:
+        sr.set_degree_bound(old)
+
+
+def _decompose_by_fractions(f):
+    """<f, chi_lam> summed term by term in Fractions: the reference for the
+    integer path."""
+    table = sr.character_table(f.n)
+    out = {}
+    for lam in partitions_of(f.n):
+        val = Fraction(0)
+        for mu in partitions_of(f.n):
+            val += sr.class_size(mu) * f(mu) * table[(lam, mu)]
+        val /= factorial(f.n)
+        if val:
+            out[lam] = int(val) if val.denominator == 1 else val
+    return out
+
+
+def test_decompose_rational_class_functions_exact():
+    rng = random.Random(3)
+    for n in range(9):
+        parts = partitions_of(n)
+        for _ in range(4):
+            # arbitrary rational values: non-integral and negative multiplicities
+            f = sr.ClassFunction(
+                n, {mu: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for mu in parts}
+            )
+            got = sr.decompose(f)
+            want = _decompose_by_fractions(f)
+            assert got.mults == want
+            assert {lam: type(m) for lam, m in got.mults.items()} == {
+                lam: type(m) for lam, m in want.items()
+            }
+            # a virtual class with mixed int and Fraction multiplicities
+            mults = {lam: rng.choice([-2, 3, Fraction(-5, 3), Fraction(1, 4)]) for lam in parts}
+            dec = sr.IrrDecomposition(n, mults)
+            back = sr.decompose(sr.reconstruct(dec))
+            assert back == dec
+            for lam, m in back.mults.items():
+                assert type(m) is (int if m == int(m) else Fraction)
+    half = sr.decompose(
+        sr.ClassFunction(2, {Partition((1, 1)): Fraction(1), Partition((2,)): Fraction(0)})
+    )
+    assert half.mults == {Partition((2,)): Fraction(1, 2), Partition((1, 1)): Fraction(1, 2)}
+    assert half.is_virtual
+
+
+def _joint_decompose_by_quadruple_sum(joint):
+    """The multiplicity of every (lam, mu) as one sum over both cycle types."""
+    s, t = joint.s, joint.t
+    table_s, table_t = sr.character_table(s), sr.character_table(t)
+    out = {}
+    for lam in partitions_of(s):
+        for mu in partitions_of(t):
+            val = sum(
+                sr.class_size(a)
+                * sr.class_size(b)
+                * joint.value(a, b)
+                * table_s[(lam, a)]
+                * table_t[(mu, b)]
+                for a in partitions_of(s)
+                for b in partitions_of(t)
+            )
+            val = Fraction(val, factorial(s) * factorial(t))
+            if val:
+                out[(lam, mu)] = val
+    return out
+
+
+def test_joint_decompose_matches_quadruple_sum():
+    rng = random.Random(9)
+    for s in range(6):
+        for t in range(6):
+            table_s, table_t = sr.character_table(s), sr.character_table(t)
+            # a random virtual bimodule character: sum c chi_lam (x) chi_mu
+            coeffs = {
+                (lam, mu): rng.randint(-2, 2)
+                for lam in partitions_of(s)
+                for mu in partitions_of(t)
+            }
+            values = {
+                (a, b): sum(
+                    c * table_s[(lam, a)] * table_t[(mu, b)]
+                    for (lam, mu), c in coeffs.items()
+                )
+                for a in partitions_of(s)
+                for b in partitions_of(t)
+            }
+            joints = [
+                sr.all_maps_character(s, t),
+                sr.surjections_character(s, t),
+                sr.JointClassFunction(s, t, values),
+            ]
+            for joint in joints:
+                got = sr.joint_decompose(joint)
+                assert got == _joint_decompose_by_quadruple_sum(joint), (s, t)
+                assert all(type(c) is int for c in got.values())
+            assert got == {key: c for key, c in coeffs.items() if c}
+    # the regular character of S_2 on the left only: multiplicities 1/2
+    half = sr.JointClassFunction(
+        2, 0, {(Partition((1, 1)), Partition(())): 1, (Partition((2,)), Partition(())): 0}
+    )
+    with pytest.raises(AssertionError):
+        sr.joint_decompose(half)
+
+
+def _count_fixed_maps(s, t, keep):
+    """Fixed maps among those passing keep, by looping over every map and
+    every pair of representatives."""
+    values = {}
+    maps = [f for f in itertools.product(range(t), repeat=s) if keep(f)]
+    for alpha in partitions_of(s):
+        sigma = sr.representative(alpha)
+        for beta in partitions_of(t):
+            tau = sr.representative(beta)
+            values[(alpha, beta)] = sum(
+                all(f[sigma[i]] == tau[f[i]] for i in range(s)) for f in maps
+            )
+    return values
+
+
+def test_enumerated_character_against_brute_force():
+    cases = [(0, t) for t in range(4)] + [(s, 0) for s in range(4)]
+    cases += [(s, t) for s in range(1, 5) for t in range(1, 5)]
+    for s, t in cases:
+        for surj, inj in [(False, False), (True, False), (False, True), (True, True)]:
+            got = sr.enumerated_character(s, t, surjective_only=surj, injective_only=inj)
+            want = _count_fixed_maps(
+                s,
+                t,
+                lambda f: (not surj or len(set(f)) == t) and (not inj or len(set(f)) == s),
+            )
+            assert got.values == want, (s, t, surj, inj)
+    assert sr.enumerated_character(0, 0, True).total() == 1
+    assert sr.enumerated_character(0, 3, False).total() == 1
+    assert sr.enumerated_character(0, 3, True).total() == 0
+    assert sr.enumerated_character(3, 0, False).total() == 0
+    assert sr.enumerated_character(3, 4, False, injective_only=True).total() == 24
+
+
 def test_decompose_reconstruct_round_trip():
     rng = random.Random(11)
     for n in range(9):
