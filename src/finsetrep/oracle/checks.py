@@ -194,14 +194,14 @@ def verify_right_aug(n: int, t: int, N: int) -> Report:
         D = n + 1
         w_expansion = _pbar_generator_in_pfin(n)
         p = res.dimension
-        Pmat = linalg.RationalMatrix(res._P().tolist()) if p else None
+        Pmat = linalg.RationalMatrix(res._P.tolist()) if p else None
         columns = []
         surjective_flags = []
+        index = {tup: i for i, tup in enumerate(itertools.product(range(D), repeat=t))}
         for alpha in itertools.product(range(n), repeat=t):
             vec = [Fraction(0)] * (D**t)
             for tup, sign in w_expansion.items():
-                img = tuple(tup[alpha[i]] for i in range(t))
-                vec[_tuple_index(img, D)] += sign
+                vec[index[tuple(tup[alpha[i]] for i in range(t))]] += sign
             if p:
                 columns.append(Pmat.solve(vec))
             else:
@@ -231,13 +231,6 @@ def verify_right_aug(n: int, t: int, N: int) -> Report:
         ok = ok and ok_kernel and rank_ok
     return Report("realize_right_aug", {"n": n, "t": t, "N": N}, expected,
                   details, ok)
-
-
-def _tuple_index(tup: Tuple[int, ...], base: int) -> int:
-    idx = 0
-    for v in tup:
-        idx = idx * base + v
-    return idx
 
 
 def _pbar_generator_in_pfin(n: int) -> Dict[Tuple[int, ...], int]:
@@ -294,14 +287,14 @@ def hom_from_lambda_bar(F: TruncatedFunctor, s: int, cross_check: bool = True) -
     # well-definedness: relation span at s+1 must map into relation span
     for piv, row, _ in cb1.rows:
         col = {c: Fraction(v) for c, v in row.items()}
-        img = _sp_apply(M, col)
+        img = M.apply_sparse(col)
         residual, _ = cb2.reduce(img)
         if residual:
             raise OracleError("sigma map does not descend to coinvariants")
 
     cols = []
     for j in free1:
-        img = _sp_apply(M, {j: Fraction(1)})
+        img = M.apply_sparse({j: Fraction(1)})
         cols.append(project(img))
     mat = linalg.RationalMatrix.from_columns(cols) if cols else linalg.RationalMatrix.zero(len(free2), 0)
     dim = len(free1) - (mat.rank() if cols else 0)
@@ -313,20 +306,6 @@ def hom_from_lambda_bar(F: TruncatedFunctor, s: int, cross_check: bool = True) -
                 f"kernel method gives {dim}, direct solve gives {direct}"
             )
     return dim
-
-
-def _sp_apply(m: SpMat, col: Dict[int, Fraction]) -> Dict[int, Fraction]:
-    out: Dict[int, Fraction] = {}
-    for r, c, v in zip(m.rows, m.cols, m.vals):
-        cv = col.get(int(c))
-        if cv:
-            k = int(r)
-            nv = out.get(k, Fraction(0)) + Fraction(int(v), m.den) * cv
-            if nv:
-                out[k] = nv
-            elif k in out:
-                del out[k]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -384,28 +363,21 @@ def verify_lambda_complex(N: int) -> Report:
                 ok = False
                 details[f"d2_{t}_{m}"] = "nonzero composite"
                 continue
-            rank_t = linalg.rank(_sp_rows(d_t)) if d_t.m and d_t.n else 0
-            rank_t1 = linalg.rank(_sp_rows(d_t1)) if d_t1.m and d_t1.n else 0
+            rank_t = linalg.rank(d_t.int_rows()) if d_t.m and d_t.n else 0
+            rank_t1 = linalg.rank(d_t1.int_rows()) if d_t1.m and d_t1.n else 0
             ker = comb(m, t) - rank_t
             if ker != rank_t1:
                 ok = False
                 details[f"exactness_{t}_{m}"] = {"kernel": ker, "image": rank_t1}
         # cokernel at the end: k -> k_0
         d1 = boundaries[1][m]
-        rank1 = linalg.rank(_sp_rows(d1)) if d1.m and d1.n else 0
+        rank1 = linalg.rank(d1.int_rows()) if d1.m and d1.n else 0
         coker = 1 - rank1
         expected = 1 if m == 0 else 0
         if coker != expected:
             ok = False
             details[f"coker_{m}"] = coker
     return Report("lambda_complex", {"N": N}, "exact", details or "exact", ok)
-
-
-def _sp_rows(m: SpMat) -> List[List[int]]:
-    out = [[0] * m.n for _ in range(m.m)]
-    for r, c, v in zip(m.rows, m.cols, m.vals):
-        out[int(r)][int(c)] = int(v)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +445,7 @@ def verify_refine_surjection(n: int, N: int) -> Report:
         if inj_dim == 0:
             continue
         proj = _pfin_to_kfi_matrix(n, t)
+        index = {tup: i for i, tup in enumerate(itertools.product(range(t), repeat=n))}
         cols = []
         for x0 in range(t):
             for y in itertools.product([v for v in range(t) if v != x0], repeat=n - 1):
@@ -483,7 +456,7 @@ def verify_refine_surjection(n: int, N: int) -> Report:
                     tup = (x0,) + tuple(
                         x0 if i in T else y[i] for i in range(n - 1)
                     )
-                    vec[_tuple_index(tup, t)] += (-1) ** len(T)
+                    vec[index[tup]] += (-1) ** len(T)
                 cols.append(vec)
         image = [
             [sum(proj[r][i] * col[i] for i in range(len(col))) for col in cols]
@@ -505,6 +478,7 @@ def verify_almost_surjectivity(n: int, N: int) -> Report:
         if inj_dim == 0:
             continue
         proj = _pfin_to_kfi_matrix(n, t)
+        index = {tup: i for i, tup in enumerate(itertools.product(range(t), repeat=n))}
         cols = []
         if t >= 1:
             base = 0
@@ -514,7 +488,7 @@ def verify_almost_surjectivity(n: int, N: int) -> Report:
                     itertools.combinations(range(n), r) for r in range(n + 1)
                 ):
                     tup = tuple(base if i in T else y[i] for i in range(n))
-                    vec[_tuple_index(tup, t)] += (-1) ** len(T)
+                    vec[index[tup]] += (-1) ** len(T)
                 cols.append(vec)
         image = [
             [sum(proj[r][i] * col[i] for i in range(len(col))) for col in cols]

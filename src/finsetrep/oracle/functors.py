@@ -17,7 +17,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,10 +40,10 @@ class OracleError(RuntimeError):
 class SpMat:
     """Sparse integer matrix with one global denominator."""
 
-    __slots__ = ("m", "n", "rows", "cols", "vals", "den", "_cidx")
+    __slots__ = ("m", "n", "rows", "cols", "vals", "den", "_cidx", "_runs")
 
     def __init__(self, m, n, rows, cols, vals, den=1):
-        self._cidx = None
+        self._cidx = self._runs = None
         self.m, self.n = int(m), int(n)
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)
         cols = np.asarray(cols, dtype=np.int64).reshape(-1)
@@ -64,8 +65,6 @@ class SpMat:
         self._normalize()
 
     def _normalize(self):
-        from math import gcd
-
         if self.den < 0:
             self.den = -self.den
             self.vals = -self.vals
@@ -89,21 +88,8 @@ class SpMat:
         return cls(n, n, idx, idx, np.ones(n, dtype=np.int64))
 
     @classmethod
-    def from_colmap(cls, m, n, col_to_row, signs=None):
-        """One entry per column: col j -> row col_to_row[j] (-1 = zero)."""
-        cols = [j for j in range(n) if col_to_row[j] >= 0]
-        rows = [col_to_row[j] for j in cols]
-        vals = [1] * len(cols) if signs is None else [signs[j] for j in cols]
-        return cls(m, n, rows, cols, vals)
-
-    @classmethod
     def from_sparse_columns(cls, m, columns: Sequence[Dict[int, Fraction]]):
-        from math import lcm
-
-        den = 1
-        for col in columns:
-            for v in col.values():
-                den = lcm(den, Fraction(v).denominator)
+        den = lcm(*(Fraction(v).denominator for col in columns for v in col.values()))
         rows, cols, vals = [], [], []
         for j, col in enumerate(columns):
             for i, v in col.items():
@@ -125,33 +111,59 @@ class SpMat:
         """Integer part of self @ X for dense int64 X (ignore self.den)."""
         out = np.zeros((self.m,) + X.shape[1:], dtype=np.int64)
         if self.nnz:
+            if self._runs is None:
+                # entries are sorted by row, so each row's run is one reduceat slice
+                starts = np.flatnonzero(np.diff(self.rows, prepend=-1))
+                self._runs = (starts, self.rows[starts])
+            starts, run_rows = self._runs
             contrib = self.vals.reshape((-1,) + (1,) * (X.ndim - 1)) * X[self.cols]
-            np.add.at(out, self.rows, contrib)
+            out[run_rows] = np.add.reduceat(contrib, starts, axis=0)
             if out.size and np.abs(out).max() > MAX_ABS_GUARD:
                 raise OracleError("integer magnitude guard tripped in apply")
         return out
 
-    def apply_vec(self, v: np.ndarray) -> np.ndarray:
-        return self.apply_dense(v.reshape(-1, 1)).reshape(-1)
+    def _colindex(self) -> Dict[int, List[Tuple[int, int]]]:
+        """Column -> [(row, value)], built once per matrix."""
+        if self._cidx is None:
+            self._cidx = {}
+            for r, c, v in zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist()):
+                self._cidx.setdefault(c, []).append((r, v))
+        return self._cidx
+
+    def apply_sparse(self, col: Dict[int, Fraction]) -> Dict[int, Fraction]:
+        """self @ col for a sparse column (exact; includes self.den)."""
+        idx = self._colindex()
+        out: Dict[int, Fraction] = {}
+        for c, cv in col.items():
+            for r, v in idx.get(c, ()):
+                nv = out.get(r, Fraction(0)) + Fraction(v, self.den) * cv
+                if nv:
+                    out[r] = nv
+                elif r in out:
+                    del out[r]
+        return out
+
+    def int_rows(self) -> List[List[int]]:
+        """Dense integer rows of self * den."""
+        out = [[0] * self.n for _ in range(self.m)]
+        for r, c, v in zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist()):
+            out[r][c] = v
+        return out
 
     def compose(self, other: "SpMat") -> "SpMat":
         assert self.n == other.m, (self.shape, other.shape)
-        self_cols: Dict[int, List[Tuple[int, int]]] = {}
-        for r, c, v in zip(self.rows, self.cols, self.vals):
-            self_cols.setdefault(int(c), []).append((int(r), int(v)))
+        self_cols = self._colindex()
         acc: Dict[Tuple[int, int], int] = {}
-        for r, c, v in zip(other.rows, other.cols, other.vals):
-            for rr, vv in self_cols.get(int(r), ()):
-                key = (rr, int(c))
-                acc[key] = acc.get(key, 0) + vv * int(v)
+        for r, c, v in zip(other.rows.tolist(), other.cols.tolist(), other.vals.tolist()):
+            for rr, vv in self_cols.get(r, ()):
+                key = (rr, c)
+                acc[key] = acc.get(key, 0) + vv * v
         rows = [k[0] for k, v in acc.items() if v]
         cols = [k[1] for k, v in acc.items() if v]
         vals = [v for v in acc.values() if v]
         return SpMat(self.m, other.n, rows, cols, vals, self.den * other.den)
 
     def __add__(self, other: "SpMat") -> "SpMat":
-        from math import lcm
-
         assert self.shape == other.shape
         big = lcm(self.den, other.den)
         rows = np.concatenate([self.rows, other.rows])
@@ -170,24 +182,8 @@ class SpMat:
         mask = self.rows == self.cols
         return Fraction(int(self.vals[mask].sum()), self.den)
 
-    def column_sparse(self, j: int) -> Dict[int, Fraction]:
-        mask = self.cols == j
-        return {
-            int(r): Fraction(int(v), self.den)
-            for r, v in zip(self.rows[mask], self.vals[mask])
-        }
-
-    def column_intvec(self, j: int) -> Tuple[np.ndarray, int]:
-        out = np.zeros(self.m, dtype=np.int64)
-        mask = self.cols == j
-        out[self.rows[mask]] = self.vals[mask]
-        return out, self.den
-
     def to_fraction_rows(self) -> List[List[Fraction]]:
-        out = [[Fraction(0)] * self.n for _ in range(self.m)]
-        for r, c, v in zip(self.rows, self.cols, self.vals):
-            out[int(r)][int(c)] = Fraction(int(v), self.den)
-        return out
+        return [[Fraction(v, self.den) for v in row] for row in self.int_rows()]
 
     def is_zero(self) -> bool:
         return self.nnz == 0
@@ -375,20 +371,79 @@ def _check_truncation(N: int) -> None:
         raise OracleError("truncation below 2 leaves nothing to check")
 
 
-def _tuple_index(tup: Tuple[int, ...], base: int) -> int:
-    idx = 0
-    for v in tup:
-        idx = idx * base + v
-    return idx
+Terms = List[Tuple[Tuple[int, ...], int]]
 
 
-def _monomial_action(n: int, g: Tuple[int, ...], s: int, t: int) -> SpMat:
-    """Action of a set map on tuple bases by value-wise application."""
-    cmap = [
-        _tuple_index(tuple(g[v] for v in tup), t)
-        for tup in itertools.product(range(s), repeat=n)
-    ]
-    return SpMat.from_colmap(t**n, s**n, cmap)
+def _functor_from_action(
+    N: int,
+    bases: List[List[Tuple[int, ...]]],
+    action: Callable[[Tuple[int, ...], Tuple[int, ...]], Terms],
+    gen: Optional[Tuple[int, Tuple[int, ...]]],
+    name: str,
+    outer_n: int = 0,
+) -> TruncatedFunctor:
+    """The functor with basis bases[t] at size t, on which a set map g
+    sends the basis tuple tup to the signed tuples action(g, tup); tuples
+    outside the target basis count as zero.  With outer_n > 0 the basis
+    tuples are tensor positions, permuted by the outer transpositions.
+    gen is the generating basis tuple with its size, if any."""
+    index = [{tup: i for i, tup in enumerate(basis)} for basis in bases]
+    dims = [len(basis) for basis in bases]
+
+    def matrix(s: int, t: int, images: Callable[[Tuple[int, ...]], Terms]) -> SpMat:
+        rows, cols, vals = [], [], []
+        for j, tup in enumerate(bases[s]):
+            for img, sign in images(tup):
+                i = index[t].get(img)
+                if i is not None:
+                    rows.append(i)
+                    cols.append(j)
+                    vals.append(sign)
+        return SpMat(dims[t], dims[s], rows, cols, vals)
+
+    F = TruncatedFunctor(N, dims, {}, [], name=name, outer_n=outer_n)
+    gen_maps = {"inc": _inc_map, "fold": _fold_map, "tau": _tau_map}
+    for key in F.gen_keys():
+        g = gen_maps[key[0]](*key[1:])
+        F.act[key] = matrix(*F.gen_src_dst(key), lambda tup: action(g, tup))
+    for i in range(1, outer_n):
+        for t in range(N + 1):
+            F.outer_act[(i, t)] = matrix(
+                t, t, lambda tup: [(tup[: i - 1] + (tup[i], tup[i - 1]) + tup[i + 1 :], 1)]
+            )
+    if gen is not None:
+        d, tup = gen
+        col = np.zeros(dims[d], dtype=np.int64)
+        col[index[d][tup]] = 1
+        F.generators.append((d, col))
+    return F
+
+
+def _values(g: Tuple[int, ...], tup: Tuple[int, ...]) -> Terms:
+    """A set map applied value by value."""
+    return [(tuple(g[v] for v in tup), 1)]
+
+
+def _differences(g: Tuple[int, ...], tup: Tuple[int, ...]) -> Terms:
+    """Expansion of the product over y in tup of ([g(y)] - [g(0)]), in the
+    difference basis with base point 0 (so [0] = 0)."""
+    terms: Terms = [((), 1)]
+    for y in tup:
+        image = [(p + (g[y],), sign) for p, sign in terms] if g[y] else []
+        base = [(p + (g[0],), -sign) for p, sign in terms] if g[0] else []
+        terms = image + base
+    return terms
+
+
+def _wedge(terms: Terms) -> Terms:
+    """Tensor terms read in the exterior power: sorted with the sign of the
+    sorting permutation, zero on repeated entries."""
+    out = []
+    for tup, sign in terms:
+        sorted_tup, s = _sort_sign(tup)
+        if sorted_tup is not None:
+            out.append((sorted_tup, sign * s))
+    return out
 
 
 def build_pfin(n: int, N: int) -> TruncatedFunctor:
@@ -396,124 +451,38 @@ def build_pfin(n: int, N: int) -> TruncatedFunctor:
 
     Outer action: place permutations of the n tensor positions."""
     _check_truncation(N)
-    dims = [t**n for t in range(N + 1)]
-    act: Dict[GenKey, SpMat] = {}
-    for t in range(N):
-        act[("inc", t)] = _monomial_action(n, _inc_map(t), t, t + 1)
-    for t in range(1, N):
-        act[("fold", t)] = _monomial_action(n, _fold_map(t), t + 1, t)
-    for t in range(2, N + 1):
-        for i in range(1, t):
-            act[("tau", t, i)] = _monomial_action(n, _tau_map(t, i), t, t)
-
-    outer_act: Dict[Tuple[int, int], SpMat] = {}
-    for i in range(1, n):
-        for t in range(N + 1):
-            cmap = []
-            for tup in itertools.product(range(t), repeat=n):
-                lst = list(tup)
-                lst[i - 1], lst[i] = lst[i], lst[i - 1]
-                cmap.append(_tuple_index(tuple(lst), t))
-            outer_act[(i, t)] = SpMat.from_colmap(t**n, t**n, cmap)
-
-    gens = []
-    if n <= N:
-        col = np.zeros(dims[n], dtype=np.int64)
-        col[_tuple_index(tuple(range(n)), n)] = 1
-        gens.append((n, col))
-    else:
+    if n > N:
         raise OracleError(f"pfin({n}) needs N >= {n}")
-    return TruncatedFunctor(
-        N, dims, act, gens, name=f"pfin({n})", outer_n=n, outer_act=outer_act
-    )
-
-
-def _constlike(N: int, dims: List[int], gen_degree: int, name: str) -> TruncatedFunctor:
-    act: Dict[GenKey, SpMat] = {}
-
-    def mat(ds, dt):
-        if ds and dt:
-            return SpMat.identity(1)
-        return SpMat.zeros(dt, ds)
-
-    for t in range(N):
-        act[("inc", t)] = mat(dims[t], dims[t + 1])
-    for t in range(1, N):
-        act[("fold", t)] = mat(dims[t + 1], dims[t])
-    for t in range(2, N + 1):
-        for i in range(1, t):
-            act[("tau", t, i)] = mat(dims[t], dims[t])
-    return TruncatedFunctor(
-        N, dims, act, [(gen_degree, np.array([1], dtype=np.int64))], name=name
+    bases = [list(itertools.product(range(t), repeat=n)) for t in range(N + 1)]
+    return _functor_from_action(
+        N, bases, _values, (n, tuple(range(n))), f"pfin({n})", outer_n=n
     )
 
 
 def build_k0(N: int) -> TruncatedFunctor:
     """The module supported on the empty set."""
     _check_truncation(N)
-    F = _constlike(N, [1] + [0] * N, 0, "k0")
-    # inc out of degree 0 must be zero even though both dims could be 1
-    F.act[("inc", 0)] = SpMat.zeros(F.dims[1], F.dims[0])
-    return F
+    return _functor_from_action(N, [[()]] + [[]] * N, _values, (0, ()), "k0")
 
 
 def build_const_k(N: int) -> TruncatedFunctor:
     """The constant module k."""
     _check_truncation(N)
-    return _constlike(N, [1] * (N + 1), 0, "k")
+    return _functor_from_action(N, [[()]] * (N + 1), _values, (0, ()), "k")
 
 
 def build_kbar(N: int) -> TruncatedFunctor:
     """The constant module restricted to nonempty sets."""
     _check_truncation(N)
-    return _constlike(N, [0] + [1] * N, 1, "kbar")
+    return _functor_from_action(N, [[]] + [[()]] * N, _values, (1, ()), "kbar")
 
 
 def build_kfi(n: int, N: int) -> TruncatedFunctor:
     """Injection module of degree n; non-injective composites act by 0."""
     _check_truncation(N)
-    bases: List[List[Tuple[int, ...]]] = []
-    index: List[Dict[Tuple[int, ...], int]] = []
-    for t in range(N + 1):
-        tuples = list(itertools.permutations(range(t), n))
-        bases.append(tuples)
-        index.append({p: i for i, p in enumerate(tuples)})
-    dims = [len(b) for b in bases]
-
-    def action(g: Tuple[int, ...], s: int, t: int) -> SpMat:
-        cmap = []
-        for tup in bases[s]:
-            img = tuple(g[v] for v in tup)
-            cmap.append(index[t].get(img, -1) if len(set(img)) == n else -1)
-        return SpMat.from_colmap(dims[t], dims[s], cmap)
-
-    act: Dict[GenKey, SpMat] = {}
-    for t in range(N):
-        act[("inc", t)] = action(_inc_map(t), t, t + 1)
-    for t in range(1, N):
-        act[("fold", t)] = action(_fold_map(t), t + 1, t)
-    for t in range(2, N + 1):
-        for i in range(1, t):
-            act[("tau", t, i)] = action(_tau_map(t, i), t, t)
-
-    outer_act: Dict[Tuple[int, int], SpMat] = {}
-    for i in range(1, n):
-        for t in range(N + 1):
-            cmap = []
-            for tup in bases[t]:
-                lst = list(tup)
-                lst[i - 1], lst[i] = lst[i], lst[i - 1]
-                cmap.append(index[t][tuple(lst)])
-            outer_act[(i, t)] = SpMat.from_colmap(dims[t], dims[t], cmap)
-
-    gens = []
-    if n <= N:
-        col = np.zeros(dims[n], dtype=np.int64)
-        col[index[n][tuple(range(n))]] = 1
-        gens.append((n, col))
-    return TruncatedFunctor(
-        N, dims, act, gens, name=f"kfi({n})", outer_n=n, outer_act=outer_act
-    )
+    bases = [list(itertools.permutations(range(t), n)) for t in range(N + 1)]
+    gen = (n, tuple(range(n))) if n <= N else None
+    return _functor_from_action(N, bases, _values, gen, f"kfi({n})", outer_n=n)
 
 
 def build_pbar_tensor(n: int, N: int) -> TruncatedFunctor:
@@ -525,78 +494,13 @@ def build_pbar_tensor(n: int, N: int) -> TruncatedFunctor:
         return build_kbar(N)
     if n + 1 > N:
         raise OracleError(f"pbar_tensor({n}) needs N >= {n + 1}")
-    dims = [(t - 1) ** n if t >= 1 else 0 for t in range(N + 1)]
-
-    def tindex(tup: Tuple[int, ...], t: int) -> int:
-        idx = 0
-        for v in tup:
-            idx = idx * (t - 1) + (v - 1)
-        return idx
-
-    def action(g: Tuple[int, ...], s: int, t: int) -> SpMat:
-        if s < 2 or t < 1:
-            return SpMat.zeros(dims[t], dims[s])
-        rows, cols, vals = [], [], []
-        g0 = g[0]
-        for tup in itertools.product(range(1, s), repeat=n):
-            j = tindex(tup, s)
-            terms: List[Tuple[Tuple[int, ...], int]] = [((), 1)]
-            for y in tup:
-                gy = g[y]
-                new_terms = []
-                for prefix, sign in terms:
-                    if gy != 0:
-                        new_terms.append((prefix + (gy,), sign))
-                    if g0 != 0:
-                        new_terms.append((prefix + (g0,), -sign))
-                terms = new_terms
-            for full, sign in terms:
-                rows.append(tindex(full, t))
-                cols.append(j)
-                vals.append(sign)
-        return SpMat(dims[t], dims[s], rows, cols, vals)
-
-    act: Dict[GenKey, SpMat] = {}
-    for t in range(N):
-        act[("inc", t)] = action(_inc_map(t), t, t + 1)
-    for t in range(1, N):
-        act[("fold", t)] = action(_fold_map(t), t + 1, t)
-    for t in range(2, N + 1):
-        for i in range(1, t):
-            act[("tau", t, i)] = action(_tau_map(t, i), t, t)
-
-    outer_act: Dict[Tuple[int, int], SpMat] = {}
-    for i in range(1, n):
-        for t in range(N + 1):
-            if dims[t] == 0:
-                outer_act[(i, t)] = SpMat.zeros(0, 0)
-                continue
-            cmap = []
-            for tup in itertools.product(range(1, t), repeat=n):
-                lst = list(tup)
-                lst[i - 1], lst[i] = lst[i], lst[i - 1]
-                cmap.append(tindex(tuple(lst), t))
-            outer_act[(i, t)] = SpMat.from_colmap(dims[t], dims[t], cmap)
-
-    col = np.zeros(dims[n + 1], dtype=np.int64)
-    col[tindex(tuple(range(1, n + 1)), n + 1)] = 1
-    return TruncatedFunctor(
-        N,
-        dims,
-        act,
-        [(n + 1, col)],
-        name=f"pbar({n})",
-        outer_n=n,
-        outer_act=outer_act,
-    )
+    bases = [list(itertools.product(range(1, t), repeat=n)) for t in range(N + 1)]
+    gen = (n + 1, tuple(range(1, n + 1)))
+    return _functor_from_action(N, bases, _differences, gen, f"pbar({n})", outer_n=n)
 
 
 # ---------------------------------------------------------------------------
 # Exterior powers (direct wedge-basis constructions)
-
-
-def _wedge_index(subsets: List[Tuple[int, ...]]) -> Dict[Tuple[int, ...], int]:
-    return {s: i for i, s in enumerate(subsets)}
 
 
 def _sort_sign(tup: Tuple[int, ...]) -> Tuple[Optional[Tuple[int, ...]], int]:
@@ -629,97 +533,29 @@ def build_lambda_pfin(k: int, N: int) -> TruncatedFunctor:
     _check_truncation(N)
     if k == 0:
         return build_const_k(N)
-    subsets = [list(itertools.combinations(range(t), k)) for t in range(N + 1)]
-    index = [_wedge_index(s) for s in subsets]
-    dims = [len(s) for s in subsets]
-
-    def action(g: Tuple[int, ...], s: int, t: int) -> SpMat:
-        cmap, signs = [], []
-        for S in subsets[s]:
-            img = tuple(g[v] for v in S)
-            sorted_img, sign = _sort_sign(img)
-            if sorted_img is None:
-                cmap.append(-1)
-                signs.append(0)
-            else:
-                cmap.append(index[t][sorted_img])
-                signs.append(sign)
-        return SpMat.from_colmap(dims[t], dims[s], cmap, signs)
-
-    act: Dict[GenKey, SpMat] = {}
-    for t in range(N):
-        act[("inc", t)] = action(_inc_map(t), t, t + 1)
-    for t in range(1, N):
-        act[("fold", t)] = action(_fold_map(t), t + 1, t)
-    for t in range(2, N + 1):
-        for i in range(1, t):
-            act[("tau", t, i)] = action(_tau_map(t, i), t, t)
-
-    gens = []
-    if k <= N:
-        col = np.zeros(dims[k], dtype=np.int64)
-        col[index[k][tuple(range(k))]] = 1
-        gens.append((k, col))
-    else:
+    if k > N:
         raise OracleError(f"lambda_pfin({k}) needs N >= {k}")
-    return TruncatedFunctor(N, dims, act, gens, name=f"lambda_pfin({k})")
+    bases = [list(itertools.combinations(range(t), k)) for t in range(N + 1)]
+    return _functor_from_action(
+        N, bases, lambda g, S: _wedge(_values(g, S)), (k, tuple(range(k))),
+        f"lambda_pfin({k})",
+    )
 
 
 def build_lambda_pbar(k: int, N: int) -> TruncatedFunctor:
     """k-th exterior power of the reduced projective, in wedge-difference
-    coordinates: basis at t is the k-subsets of {1..t-1}."""
+    coordinates: basis at t is the k-subsets of {1..t-1}, on which a set
+    map acts by the wedge over y in S of (e_{g(y)} - e_{g(0)}), e_0 = 0."""
     _check_truncation(N)
     if k == 0:
         return build_kbar(N)
     if k + 1 > N:
         raise OracleError(f"lambda_pbar({k}) needs N >= {k + 1}")
-    subsets = [
-        list(itertools.combinations(range(1, t), k)) if t >= 1 else []
-        for t in range(N + 1)
-    ]
-    index = [_wedge_index(s) for s in subsets]
-    dims = [len(s) for s in subsets]
-
-    def action(g: Tuple[int, ...], s: int, t: int) -> SpMat:
-        """Wedge over y in S of (e_{g(y)} - e_{g(0)}), with e_0 = 0.
-
-        The base-point term can survive in at most one factor, so the
-        expansion has at most 1 + k terms."""
-        if s < 1 or t < 1:
-            return SpMat.zeros(dims[t], dims[s])
-        rows, cols, vals = [], [], []
-        g0 = g[0]
-        for S in subsets[s]:
-            j = index[s][S]
-            imgs = tuple(g[y] for y in S)
-            candidates: List[Tuple[Tuple[int, ...], int]] = []
-            sorted_img, sign = _sort_sign(imgs)
-            if sorted_img is not None and 0 not in sorted_img:
-                candidates.append((sorted_img, sign))
-            if g0 != 0:
-                for pos in range(len(S)):
-                    repl = imgs[:pos] + (g0,) + imgs[pos + 1 :]
-                    sorted_r, sign_r = _sort_sign(repl)
-                    if sorted_r is not None and 0 not in sorted_r:
-                        candidates.append((sorted_r, -sign_r))
-            for tup, sg in candidates:
-                rows.append(index[t][tup])
-                cols.append(j)
-                vals.append(sg)
-        return SpMat(dims[t], dims[s], rows, cols, vals)
-
-    act: Dict[GenKey, SpMat] = {}
-    for t in range(N):
-        act[("inc", t)] = action(_inc_map(t), t, t + 1)
-    for t in range(1, N):
-        act[("fold", t)] = action(_fold_map(t), t + 1, t)
-    for t in range(2, N + 1):
-        for i in range(1, t):
-            act[("tau", t, i)] = action(_tau_map(t, i), t, t)
-
-    col = np.zeros(dims[k + 1], dtype=np.int64)
-    col[index[k + 1][tuple(range(1, k + 1))]] = 1
-    return TruncatedFunctor(N, dims, act, [(k + 1, col)], name=f"lambda_pbar({k})")
+    bases = [list(itertools.combinations(range(1, t), k)) for t in range(N + 1)]
+    return _functor_from_action(
+        N, bases, lambda g, S: _wedge(_differences(g, S)),
+        (k + 1, tuple(range(1, k + 1))), f"lambda_pbar({k})",
+    )
 
 
 def lambda_pbar_embedding(n: int, N: int) -> List[List[Dict[int, Fraction]]]:
@@ -731,17 +567,13 @@ def lambda_pbar_embedding(n: int, N: int) -> List[List[Dict[int, Fraction]]]:
     cols: List[List[Dict[int, Fraction]]] = []
     for t in range(N + 1):
         at_t: List[Dict[int, Fraction]] = []
-        if t >= 1:
-            for S in itertools.combinations(range(1, t), n):
-                col: Dict[int, Fraction] = {}
-                for perm in itertools.permutations(range(n)):
-                    tup = tuple(S[p] for p in perm)
-                    idx = 0
-                    for v in tup:
-                        idx = idx * (t - 1) + (v - 1)
-                    _, sign = _sort_sign(perm)
-                    col[idx] = col.get(idx, Fraction(0)) + sign
-                at_t.append(col)
+        index = {y: i for i, y in enumerate(itertools.product(range(1, t), repeat=n))}
+        for S in itertools.combinations(range(1, t), n):
+            col: Dict[int, Fraction] = {}
+            for perm in itertools.permutations(range(n)):
+                idx = index[tuple(S[p] for p in perm)]
+                col[idx] = col.get(idx, Fraction(0)) + _sort_sign(perm)[1]
+            at_t.append(col)
         cols.append(at_t)
     return cols
 
@@ -768,50 +600,38 @@ def quotient_functor(
         pivset = set(cb.pivots.keys())
         quot_coords.append([j for j in range(parent.dims[t]) if j not in pivset])
     dims = [len(q) for q in quot_coords]
+    lookups = [{c: i for i, c in enumerate(q)} for q in quot_coords]
 
     def project(t: int, vec: Dict[int, Fraction]) -> Dict[int, Fraction]:
         residual, _ = reducers[t].reduce(vec)
-        lookup = {c: i for i, c in enumerate(quot_coords[t])}
         out = {}
         for c, v in residual.items():
-            if c not in lookup:
+            if c not in lookups[t]:
                 raise OracleError(f"{name}: sub-span not stable at size {t}")
-            out[lookup[c]] = v
+            out[lookups[t][c]] = v
         return out
 
-    act: Dict[GenKey, SpMat] = {}
-    for key in parent.gen_keys():
-        s, t = parent.gen_src_dst(key)
-        pm = parent.act[key]
+    def induced(m: SpMat, s: int, t: int, what: str) -> SpMat:
         # stability check: images of sub columns must reduce to zero
         for col in sub_columns[s]:
-            img = _apply_sparse(pm, col)
-            residual, _ = reducers[t].reduce(img)
+            residual, _ = reducers[t].reduce(m.apply_sparse(col))
             if residual:
-                raise OracleError(f"{name}: subfunctor not stable under {key}")
-        cols = []
-        for j in quot_coords[s]:
-            img = _apply_sparse(pm, {j: Fraction(1)})
-            cols.append(project(t, img))
-        act[key] = SpMat.from_sparse_columns(dims[t], cols)
+                raise OracleError(f"{name}: subfunctor not {what}")
+        cols = [project(t, m.apply_sparse({j: Fraction(1)})) for j in quot_coords[s]]
+        return SpMat.from_sparse_columns(dims[t], cols)
 
+    act = {
+        key: induced(parent.act[key], *parent.gen_src_dst(key), f"stable under {key}")
+        for key in parent.gen_keys()
+    }
     gens = []
     for d, col in parent.generators:
         pc = project(d, linalg.sparse_from_dense(col))
         if pc:
-            vec, den = _sparse_to_intvec(pc, dims[d])
-            gens.append((d, vec))
-    outer_act: Dict[Tuple[int, int], SpMat] = {}
-    for (i, t), m in parent.outer_act.items():
-        for col in sub_columns[t]:
-            img = _apply_sparse(m, col)
-            residual, _ = reducers[t].reduce(img)
-            if residual:
-                raise OracleError(f"{name}: subfunctor not outer-stable")
-        cols = []
-        for j in quot_coords[t]:
-            cols.append(project(t, _apply_sparse(m, {j: Fraction(1)})))
-        outer_act[(i, t)] = SpMat.from_sparse_columns(dims[t], cols)
+            gens.append((d, _sparse_to_intvec(pc, dims[d])))
+    outer_act = {
+        (i, t): induced(m, t, t, "outer-stable") for (i, t), m in parent.outer_act.items()
+    }
     return TruncatedFunctor(
         parent.N,
         dims,
@@ -823,30 +643,13 @@ def quotient_functor(
     )
 
 
-def _apply_sparse(m: SpMat, col: Dict[int, Fraction]) -> Dict[int, Fraction]:
-    out: Dict[int, Fraction] = {}
-    for r, c, v in zip(m.rows, m.cols, m.vals):
-        cv = col.get(int(c))
-        if cv:
-            key = int(r)
-            nv = out.get(key, Fraction(0)) + Fraction(int(v), m.den) * cv
-            if nv:
-                out[key] = nv
-            elif key in out:
-                del out[key]
-    return out
-
-
-def _sparse_to_intvec(col: Dict[int, Fraction], dim: int) -> Tuple[np.ndarray, int]:
-    from math import lcm
-
-    den = 1
-    for v in col.values():
-        den = lcm(den, v.denominator)
+def _sparse_to_intvec(col: Dict[int, Fraction], dim: int) -> np.ndarray:
+    """Dense integer multiple of a sparse column (its denominators cleared)."""
+    den = lcm(*(v.denominator for v in col.values()))
     vec = np.zeros(dim, dtype=np.int64)
     for i, v in col.items():
         vec[i] = int(v * den)
-    return vec, den
+    return vec
 
 
 def kernel_functor(
@@ -877,38 +680,38 @@ def kernel_functor(
                 [[1 if i == j else 0 for i in range(F.dims[t])] for j in range(F.dims[t])]
             )
             continue
-        rows = [[0] * F.dims[t] for _ in range(G.dims[t])]
-        for r, c, v in zip(mats[t].rows, mats[t].cols, mats[t].vals):
-            rows[int(r)][int(c)] = int(v)
-        kernels.append(linalg.kernel_basis(rows, F.dims[t]))
-    reducers: List[linalg.ColumnBasis] = []
-    for t in range(F.N + 1):
-        cb = linalg.ColumnBasis(F.dims[t])
-        for col in kernels[t]:
-            cb.add(linalg.sparse_from_dense(col))
-        reducers.append(cb)
-    dims = [len(k) for k in kernels]
-
-    def restrict(m: SpMat, s: int, t: int) -> SpMat:
-        cols = []
-        for col in kernels[s]:
-            img = _apply_sparse(m, linalg.sparse_from_dense(col))
-            cols.append(reducers[t].expand(img))
-        return SpMat.from_sparse_columns(dims[t], cols)
-
-    act = {
-        key: restrict(F.act[key], *F.gen_src_dst(key)) for key in F.gen_keys()
-    }
+        kernels.append(linalg.kernel_basis(mats[t].int_rows(), F.dims[t]))
+    columns = [[linalg.sparse_from_dense(col) for col in k] for k in kernels]
     gens = []
     for t in range(F.N + 1):
-        for j in range(dims[t]):
-            col = np.zeros(dims[t], dtype=np.int64)
+        for j in range(len(kernels[t])):
+            col = np.zeros(len(kernels[t]), dtype=np.int64)
             col[j] = 1
             gens.append((t, col))
-    outer_act: Dict[Tuple[int, int], SpMat] = {}
-    if F.outer_n:
-        for (i, t), m in F.outer_act.items():
-            outer_act[(i, t)] = restrict(m, t, t)
+    reducers = [linalg.ColumnBasis(d) for d in F.dims]
+    for cb, cols in zip(reducers, columns):
+        for col in cols:
+            cb.add(col)
+    return _subfunctor(F, columns, reducers, gens, name)
+
+
+def _subfunctor(
+    F: TruncatedFunctor,
+    columns: List[List[Dict[int, Fraction]]],
+    reducers: List[linalg.ColumnBasis],
+    gens: List[Tuple[int, np.ndarray]],
+    name: str,
+) -> TruncatedFunctor:
+    """The subfunctor of F with basis columns[t] at size t; reducers[t]
+    expands vectors of their span in that basis."""
+    dims = [len(cols) for cols in columns]
+
+    def restrict(m: SpMat, s: int, t: int) -> SpMat:
+        cols = [reducers[t].expand(m.apply_sparse(col)) for col in columns[s]]
+        return SpMat.from_sparse_columns(dims[t], cols)
+
+    act = {key: restrict(F.act[key], *F.gen_src_dst(key)) for key in F.gen_keys()}
+    outer_act = {(i, t): restrict(m, t, t) for (i, t), m in F.outer_act.items()}
     return TruncatedFunctor(
         F.N, dims, act, gens, name=name, outer_n=F.outer_n, outer_act=outer_act
     )
@@ -928,11 +731,7 @@ def direct_sum(
     for key in summands[0].gen_keys():
         s, t = TruncatedFunctor.gen_src_dst(key)
         rows, cols, vals = [], [], []
-        den = 1
-        from math import lcm
-
-        for F in summands:
-            den = lcm(den, F.act[key].den)
+        den = lcm(*(F.act[key].den for F in summands))
         roff = coff = 0
         for F in summands:
             m = F.act[key]
@@ -958,12 +757,11 @@ def direct_sum(
         for i in range(1, outer_n):
             for t in range(N + 1):
                 rows, cols, vals = [], [], []
-                den = 1
-                from math import lcm
-
-                for idx, F in enumerate(summands):
-                    if outer_specs[idx] == "inherit":
-                        den = lcm(den, F.outer_act[(i, t)].den)
+                den = lcm(*(
+                    F.outer_act[(i, t)].den
+                    for F, spec in zip(summands, outer_specs)
+                    if spec == "inherit"
+                ))
                 roff = 0
                 for idx, F in enumerate(summands):
                     dt = F.dims[t]
@@ -1020,46 +818,22 @@ def isotypic_subfunctor(parent: TruncatedFunctor, lam: Partition) -> TruncatedFu
         cb = linalg.ColumnBasis(parent.dims[t])
         cols_t: List[Dict[int, Fraction]] = []
         for j in range(parent.dims[t]):
-            col = projs[t].column_sparse(j)
+            col = projs[t].apply_sparse({j: Fraction(1)})
             if col:
                 idx, _ = cb.add(col)
                 if idx is not None:
                     cols_t.append(col)
         reducers.append(cb)
         columns.append(cols_t)
-    dims = [len(c) for c in columns]
-
-    def restrict(key_mat: SpMat, s: int, t: int) -> SpMat:
-        cols = []
-        for col in columns[s]:
-            img = _apply_sparse(key_mat, col)
-            cols.append(reducers[t].expand(img))
-        return SpMat.from_sparse_columns(dims[t], cols)
-
-    act = {
-        key: restrict(parent.act[key], *parent.gen_src_dst(key))
-        for key in parent.gen_keys()
-    }
-    outer_act = {
-        (i, t): restrict(parent.outer_act[(i, t)], t, t)
-        for (i, t) in parent.outer_act
-    }
     gens = []
     for d, col in parent.generators:
-        img = _apply_sparse(projs[d], linalg.sparse_from_dense(col))
+        img = projs[d].apply_sparse(linalg.sparse_from_dense(col))
         if img:
-            vec, den = _sparse_to_intvec(reducers[d].expand(img), dims[d])
-            gens.append((d, vec))
-    if not gens and any(dims):
+            gens.append((d, _sparse_to_intvec(reducers[d].expand(img), len(columns[d]))))
+    if not gens and any(columns):
         raise OracleError("isotypic piece has no generator")
-    return TruncatedFunctor(
-        parent.N,
-        dims,
-        act,
-        gens,
-        name=f"{parent.name}[{','.join(map(str, lam))}]",
-        outer_n=parent.outer_n,
-        outer_act=outer_act,
+    return _subfunctor(
+        parent, columns, reducers, gens, f"{parent.name}[{','.join(map(str, lam))}]"
     )
 
 
@@ -1144,7 +918,7 @@ def sgn_coinvariant_reduction(F: TruncatedFunctor, t: int):
     for i in range(1, t):
         m = F.act[("tau", t, i)]
         for j in range(F.dims[t]):
-            col = m.column_sparse(j)
+            col = m.apply_sparse({j: Fraction(1)})
             col[j] = col.get(j, Fraction(0)) + 1
             col = {k: v for k, v in col.items() if v}
             if col:

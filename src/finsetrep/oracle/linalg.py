@@ -9,7 +9,7 @@ primitives, plus the RationalMatrix wrapper used in verification reports.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -19,10 +19,7 @@ Row = List[int]
 def _to_int_rows(rows: Sequence[Sequence]) -> List[Row]:
     out = []
     for row in rows:
-        den = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // gcd(den, x.denominator)
+        den = lcm(*(x.denominator for x in row if isinstance(x, Fraction)))
         out.append([int(x * den) for x in row])
     return out
 
@@ -100,9 +97,7 @@ def kernel_basis(rows: Sequence[Sequence], ncols: Optional[int] = None) -> List[
             row, pc = ech[i], pivots[i]
             s = sum(row[j] * x[j] for j in range(pc + 1, ncols) if x[j])
             x[pc] = -Fraction(s, row[pc])
-        den = 1
-        for v in x:
-            den = den * v.denominator // gcd(den, v.denominator)
+        den = lcm(*(v.denominator for v in x))
         basis.append(_row_gcd_reduce([int(v * den) for v in x]))
     return basis
 
@@ -173,9 +168,7 @@ class ColumnBasis:
         self.ncols += 1
         # choose pivot: smallest-magnitude entry for stability
         piv = min(residual, key=lambda c: (abs(residual[c]) != 1, abs(residual[c]), c))
-        den = 1
-        for v in residual.values():
-            den = den * v.denominator // gcd(den, v.denominator)
+        den = lcm(*(v.denominator for v in residual.values()))
         int_row = {j: int(v * den) for j, v in residual.items()}
         # expression: residual = den_scaled; vec = sum combo * cols + residual
         # so residual(row/den) = vec - sum combo*cols -> row = den*(e_idx - combo)
@@ -202,9 +195,7 @@ class ColumnBasis:
                         newex[j] = nv
                     elif j in newex:
                         del newex[j]
-                d = 1
-                for v in newrow.values():
-                    d = d * v.denominator // gcd(d, v.denominator)
+                d = lcm(*(v.denominator for v in newrow.values()))
                 self.rows[k] = (
                     p,
                     {j: int(v * d) for j, v in newrow.items()},
@@ -227,7 +218,7 @@ def sparse_from_dense(vec, den: int = 1) -> Dict[int, Fraction]:
 
 
 class RationalMatrix:
-    """Dense exact-rational matrix with rank/kernel/solve primitives."""
+    """Dense exact-rational matrix with rank and solve primitives."""
 
     def __init__(self, rows: Sequence[Sequence]):
         self.data = [[Fraction(x) for x in row] for row in rows]
@@ -242,62 +233,13 @@ class RationalMatrix:
         return cls([[0] * ncols for _ in range(nrows)])
 
     @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
     def from_columns(cls, cols: Sequence[Sequence]) -> "RationalMatrix":
         if not cols:
             return cls([])
         return cls([[col[i] for col in cols] for i in range(len(cols[0]))])
 
-    def column(self, j: int) -> List[Fraction]:
-        return [self.data[i][j] for i in range(self.nrows)]
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        assert self.ncols == other.nrows
-        ot = list(zip(*other.data)) if other.data else []
-        return RationalMatrix(
-            [
-                [sum(a * b for a, b in zip(row, col) if a and b) for col in ot]
-                for row in self.data
-            ]
-        )
-
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return RationalMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
-        )
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return RationalMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
-        )
-
-    def scale(self, c) -> "RationalMatrix":
-        return RationalMatrix([[c * x for x in row] for row in self.data])
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(list(zip(*self.data)) if self.data else [])
-
-    def is_zero(self) -> bool:
-        return all(all(x == 0 for x in row) for row in self.data)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalMatrix) and self.data == other.data
-
     def rank(self) -> int:
         return rank(self.data)
-
-    def kernel(self) -> List[List[int]]:
-        if self.ncols == 0:
-            return []
-        if self.nrows == 0:
-            return [
-                [1 if i == j else 0 for i in range(self.ncols)]
-                for j in range(self.ncols)
-            ]
-        return kernel_basis(self.data, self.ncols)
 
     def solve(self, rhs: Sequence) -> List[Fraction]:
         """One exact solution of self @ x = rhs, or ValueError."""

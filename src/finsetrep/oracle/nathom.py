@@ -27,32 +27,9 @@ import numpy as np
 from ..partitions import Partition, partitions_of
 from ..symrep import JointClassFunction, joint_decompose, representative
 from . import linalg
-from .functors import MAX_ABS_GUARD, OracleError, SpMat, TruncatedFunctor
+from .functors import MAX_ABS_GUARD, OracleError, TruncatedFunctor
 
 Path = Tuple  # ("gen", a) | ("step", genkey, parent_t, parent_idx)
-
-def _colindex(m: SpMat) -> Dict[int, List[Tuple[int, int]]]:
-    if m._cidx is None:
-        idx: Dict[int, List[Tuple[int, int]]] = {}
-        for r, c, v in zip(m.rows, m.cols, m.vals):
-            idx.setdefault(int(c), []).append((int(r), int(v)))
-        m._cidx = idx
-    return m._cidx
-
-
-def apply_sparse(m: SpMat, col: Dict[int, Fraction]) -> Dict[int, Fraction]:
-    """m @ col for a sparse column (exact; includes m's denominator)."""
-    out: Dict[int, Fraction] = {}
-    idx = _colindex(m)
-    for c, cv in col.items():
-        for r, v in idx.get(c, ()):
-            nv = out.get(r, Fraction(0)) + Fraction(v, m.den) * cv
-            if nv:
-                out[r] = nv
-            elif r in out:
-                del out[r]
-    return out
-
 
 @dataclass
 class SpanData:
@@ -89,15 +66,9 @@ def build_span(F: TruncatedFunctor) -> SpanData:
     for a, (d, col) in enumerate(F.generators):
         push(d, ("gen", a), linalg.sparse_from_dense(col))
 
-    moves_of: Dict[int, List[Tuple]] = {}
-    for t in range(N + 1):
-        moves: List[Tuple] = []
-        if t < N:
-            moves.append(("inc", t))
-        if t >= 2:
-            moves.append(("fold", t - 1))
-        moves.extend(("tau", t, i) for i in range(1, t))
-        moves_of[t] = moves
+    moves_of: Dict[int, List[Tuple]] = {t: [] for t in range(N + 1)}
+    for key in F.gen_keys():
+        moves_of[TruncatedFunctor.gen_src_dst(key)[0]].append(key)
 
     gen_used = [False] * len(F.generators)
     while heap:
@@ -116,7 +87,7 @@ def build_span(F: TruncatedFunctor) -> SpanData:
             _, t2 = TruncatedFunctor.gen_src_dst(key)
             if F.dims[t2] == 0:
                 continue
-            img = apply_sparse(F.act[key], vec)
+            img = F.act[key].apply_sparse(vec)
             if img:
                 push(t2, ("step", key, t, idx), img)
 
@@ -131,7 +102,7 @@ def build_span(F: TruncatedFunctor) -> SpanData:
     for key in F.gen_keys():
         s, t = TruncatedFunctor.gen_src_dst(key)
         span.gammas[key] = [
-            cbs[t].expand(apply_sparse(F.act[key], vecs[s][j]))
+            cbs[t].expand(F.act[key].apply_sparse(vecs[s][j]))
             for j in range(len(paths[s]))
         ]
     F.span_cache = span
@@ -150,6 +121,32 @@ def _imatmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A.astype(object) @ B.astype(object)
 
 
+def _span_value(
+    span: SpanData,
+    G: TruncatedFunctor,
+    blocks: Dict[int, Tuple[int, int]],
+    P: np.ndarray,
+    cache: Dict[Tuple[int, int], Tuple[np.ndarray, int]],
+    key: Tuple[int, int],
+) -> Tuple[np.ndarray, int]:
+    """Values on the span basis vector key = (size, index) of the candidate
+    solutions given by P's columns: G of the vector's path applied to the
+    rows of P holding its generator's values, as (int array, denominator).
+    cache holds a prefix of span.order and is extended along it to key."""
+    while key not in cache:
+        t, idx = span.order[len(cache)]
+        path = span.paths[t][idx]
+        if path[0] == "gen":
+            d, off = blocks[path[1]]
+            cache[(t, idx)] = (P[off : off + G.dims[d]].copy(), 1)
+        else:
+            _, gkey, pt, pidx = path
+            parr, pden = cache[(pt, pidx)]
+            m = G.act[gkey]
+            cache[(t, idx)] = (m.apply_dense(parr), pden * m.den)
+    return cache[key]
+
+
 class NatHomResult:
     """Solution space of natural transformations F -> G at truncation N."""
 
@@ -160,6 +157,11 @@ class NatHomResult:
         self.P_cols = P_cols
         # blocks: generator index -> (degree, offset), used generators only
         self.blocks = blocks
+        self._P = (
+            np.array(P_cols, dtype=np.int64).T
+            if P_cols
+            else np.zeros((self.n_v, 0), dtype=np.int64)
+        )
         self._vcache: Dict[Tuple[int, int], Tuple[np.ndarray, int]] = {}
 
     @property
@@ -170,125 +172,63 @@ class NatHomResult:
     def n_v(self) -> int:
         return sum(self.G.dims[d] for d, _ in self.blocks.values())
 
-    def _P(self) -> np.ndarray:
-        if not self.P_cols:
-            return np.zeros((self.n_v, 0), dtype=np.int64)
-        return np.array(self.P_cols, dtype=np.int64).T
+    def _image(self, k: int, t: int, combo: Dict[int, Fraction]) -> Dict[int, Fraction]:
+        """The k-th basis solution at size t applied to the vector with
+        span-basis expansion combo, as a sparse column of G(t)."""
+        out: Dict[int, Fraction] = {}
+        for bidx, coeff in combo.items():
+            arr, den = _span_value(
+                self.span, self.G, self.blocks, self._P, self._vcache, (t, bidx)
+            )
+            for i in np.flatnonzero(arr[:, k]).tolist():
+                out[i] = out.get(i, 0) + coeff * Fraction(int(arr[i, k]), den)
+        return {i: v for i, v in out.items() if v}
 
-    def _v(self, t: int, idx: int) -> Tuple[np.ndarray, int]:
-        key = (t, idx)
-        if key in self._vcache:
-            return self._vcache[key]
-        P = self._P()
-        # materialize along creation order to avoid deep recursion
-        for tt, ii in self.span.order:
-            k2 = (tt, ii)
-            if k2 in self._vcache:
-                continue
-            path = self.span.paths[tt][ii]
-            if path[0] == "gen":
-                d, off = self.blocks[path[1]]
-                self._vcache[k2] = (P[off : off + self.G.dims[d]].copy(), 1)
-            else:
-                _, gkey, pt, pidx = path
-                parr, pden = self._vcache[(pt, pidx)]
-                m = self.G.act[gkey]
-                self._vcache[k2] = (m.apply_dense(parr), pden * m.den)
-        return self._vcache[key]
+    def _columns(self, k: int, t: int) -> List[Dict[int, Fraction]]:
+        cb = self.span.cbs[t]
+        return [
+            self._image(k, t, cb.expand({c: Fraction(1)})) for c in range(self.F.dims[t])
+        ]
 
     def solution_matrix(self, k: int, t: int) -> linalg.RationalMatrix:
         """The t-component of the k-th basis solution, as an exact matrix."""
         dF, dG = self.F.dims[t], self.G.dims[t]
         if dF == 0 or dG == 0:
             return linalg.RationalMatrix.zero(dG, dF)
-        cb = self.span.cbs[t]
-        cols = []
-        for coord in range(dF):
-            combo = cb.expand({coord: Fraction(1)})
-            col = [Fraction(0)] * dG
-            for bidx, coeff in combo.items():
-                arr, den = self._v(t, bidx)
-                vec = arr[:, k]
-                for i in range(dG):
-                    if vec[i]:
-                        col[i] += coeff * Fraction(int(vec[i]), den)
-            cols.append(col)
-        return linalg.RationalMatrix.from_columns(cols)
-
-    def basis_matrices(self) -> List[List[linalg.RationalMatrix]]:
-        return [
-            [self.solution_matrix(k, t) for t in range(self.F.N + 1)]
-            for k in range(self.dimension)
-        ]
+        return linalg.RationalMatrix.from_columns(
+            [[col.get(i, 0) for i in range(dG)] for col in self._columns(k, t)]
+        )
 
     def verify(self) -> None:
         """Exact re-check that every basis solution is natural."""
         for k in range(self.dimension):
-            # columns of each eta_t, as Fraction lists
-            eta = {}
-            for t in range(self.F.N + 1):
-                mat = self.solution_matrix(k, t)
-                eta[t] = [mat.column(j) for j in range(self.F.dims[t])]
+            eta = [self._columns(k, t) for t in range(self.F.N + 1)]
             for key in self.F.gen_keys():
                 s, t = TruncatedFunctor.gen_src_dst(key)
-                Fg, Gg = self.F.act[key], self.G.act[key]
-                fidx, gidx = _colindex(Fg), _colindex(Gg)
                 for c in range(self.F.dims[s]):
-                    lhs = [Fraction(0)] * self.G.dims[t]
-                    for kk, fv in (
-                        (r, Fraction(v, Fg.den))
-                        for r, v in fidx.get(c, ())
-                    ):
-                        for i in range(self.G.dims[t]):
-                            if eta[t][kk][i]:
-                                lhs[i] += fv * eta[t][kk][i]
-                    rhs = [Fraction(0)] * self.G.dims[t]
-                    col = eta[s][c]
-                    for src in range(self.G.dims[s]):
-                        if col[src]:
-                            for r, v in gidx.get(src, ()):
-                                rhs[r] += Fraction(v, Gg.den) * col[src]
-                    if lhs != rhs:
+                    lhs: Dict[int, Fraction] = {}
+                    for j, fv in self.F.act[key].apply_sparse({c: Fraction(1)}).items():
+                        for i, v in eta[t][j].items():
+                            lhs[i] = lhs.get(i, 0) + fv * v
+                    rhs = self.G.act[key].apply_sparse(eta[s][c])
+                    if {i: v for i, v in lhs.items() if v} != rhs:
                         raise OracleError("solution fails naturality")
 
     # -- outer characters ---------------------------------------------------
 
     def _action_matrix(self, g: Tuple[int, ...], h: Tuple[int, ...]):
         p = self.dimension
-        n_v = self.n_v
-        Pmat = linalg.RationalMatrix(self._P().tolist())
-        stacked = [[Fraction(0)] * p for _ in range(n_v)]
+        stacked = [[Fraction(0)] * p for _ in range(self.n_v)]
         for a, (d, off) in self.blocks.items():
-            w = self.F.generators[a][1]
-            gw = self.F.outer_matrix(g, d)
-            vec = gw.apply_vec(np.asarray(w, dtype=np.int64))
-            combo = self.span.cbs[d].expand(
-                {i: Fraction(int(v), gw.den) for i, v in enumerate(vec) if v}
-            )
+            w = linalg.sparse_from_dense(self.F.generators[a][1])
+            combo = self.span.cbs[d].expand(self.F.outer_matrix(g, d).apply_sparse(w))
             hmat = self.G.outer_matrix(h, d)
-            hidx = _colindex(hmat)
-            dG = self.G.dims[d]
-            block = [[Fraction(0)] * p for _ in range(dG)]
-            for bidx, coeff in combo.items():
-                arr, den = self._v(d, bidx)
-                for i in range(dG):
-                    for kk in range(p):
-                        if arr[i, kk]:
-                            block[i][kk] += coeff * Fraction(int(arr[i, kk]), den)
-            # apply rho_G(h)
-            for c in range(dG):
-                row_has = any(block[c][kk] for kk in range(p))
-                if not row_has:
-                    continue
-                for r, v in hidx.get(c, ()):
-                    fv = Fraction(v, hmat.den)
-                    for kk in range(p):
-                        if block[c][kk]:
-                            stacked[off + r][kk] += fv * block[c][kk]
-        X_cols = []
-        for j in range(p):
-            rhs = [stacked[i][j] for i in range(n_v)]
-            X_cols.append(Pmat.solve(rhs))
+            for kk in range(p):
+                # apply rho_G(h) to the solution's value on g.w
+                for r, v in hmat.apply_sparse(self._image(kk, d, combo)).items():
+                    stacked[off + r][kk] += v
+        Pmat = linalg.RationalMatrix(self._P.tolist())
+        X_cols = [Pmat.solve([row[j] for row in stacked]) for j in range(p)]
         return linalg.RationalMatrix.from_columns(X_cols)
 
     def outer_character(self) -> JointClassFunction:
@@ -330,28 +270,6 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
     P = np.eye(n_v, dtype=np.int64)
     vcache: Dict[Tuple[int, int], Tuple[np.ndarray, int]] = {}
 
-    def v_col(t: int, idx: int) -> Tuple[np.ndarray, int]:
-        key = (t, idx)
-        got = vcache.get(key)
-        if got is not None:
-            return got
-        for tt, ii in span.order:
-            k2 = (tt, ii)
-            if k2 in vcache:
-                continue
-            path = span.paths[tt][ii]
-            if path[0] == "gen":
-                d, o = blocks[path[1]]
-                vcache[k2] = (P[o : o + G.dims[d]].copy(), 1)
-            else:
-                _, gkey, pt, pidx = path
-                parr, pden = vcache[(pt, pidx)]
-                m = G.act[gkey]
-                vcache[k2] = (m.apply_dense(parr), pden * m.den)
-            if k2 == key:
-                break
-        return vcache[key]
-
     def cut(kernel_rows: List[List[int]]):
         nonlocal P, vcache
         if not kernel_rows:
@@ -377,19 +295,16 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
         gammas = span.gammas[key]
         m = G.act[key]
         for j in range(len(span.paths[s])):
-            combo = gammas[j]
-            sarr, sden = v_col(s, j)
+            sarr, sden = _span_value(span, G, blocks, P, vcache, (s, j))
             rhs = m.apply_dense(sarr)
-            dens = [m.den * sden] + [
-                coeff.denominator * v_col(t, i)[1] for i, coeff in combo.items()
+            terms = [
+                (coeff, *_span_value(span, G, blocks, P, vcache, (t, i)))
+                for i, coeff in gammas[j].items()
             ]
-            L = 1
-            for d in dens:
-                L = lcm(L, d)
+            L = lcm(m.den * sden, *(c.denominator * den_i for c, _, den_i in terms))
             W = rhs * (-(L // (m.den * sden)))
             overflow = False
-            for i, coeff in combo.items():
-                arr_i, den_i = v_col(t, i)
+            for coeff, arr_i, den_i in terms:
                 scale = coeff.numerator * (L // (coeff.denominator * den_i))
                 if abs(scale) > MAX_ABS_GUARD:
                     overflow = True
@@ -398,8 +313,7 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
             if overflow or (W.size and np.abs(W).max() > MAX_ABS_GUARD):
                 # rebuild in exact object arithmetic
                 W = rhs.astype(object) * (-(L // (m.den * sden)))
-                for i, coeff in combo.items():
-                    arr_i, den_i = v_col(t, i)
+                for coeff, arr_i, den_i in terms:
                     scale = coeff.numerator * (L // (coeff.denominator * den_i))
                     W = W + arr_i.astype(object) * scale
             block = _gram(W)
@@ -442,10 +356,6 @@ def _as_int64(A: np.ndarray) -> np.ndarray:
     if mx > MAX_ABS_GUARD:
         raise OracleError("parameter magnitude guard tripped")
     return A.astype(np.int64)
-
-
-def nat_hom_dim(F: TruncatedFunctor, G: TruncatedFunctor) -> int:
-    return nat_hom(F, G).dimension
 
 
 def nat_hom_dense_dim(F: TruncatedFunctor, G: TruncatedFunctor) -> int:

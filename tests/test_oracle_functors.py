@@ -48,6 +48,9 @@ def test_functoriality_exhaustive_small():
         build_pbar_tensor(2, N),
         build_lambda_pfin(2, N),
         build_lambda_pbar(1, N),
+        build_lambda_pbar(2, N),
+        build_lambda_pfin(3, N),
+        build_const_k(N),
         build_kbar(N),
         build_k0(N),
         build_proj_cover(1, N),
@@ -58,10 +61,57 @@ def test_functoriality_exhaustive_small():
 
 def test_identity_maps_act_as_identity():
     N = 4
-    for F in [build_pfin(2, N), build_pbar_tensor(2, N), build_kfi(2, N)]:
+    for F in [
+        build_pfin(2, N),
+        build_pbar_tensor(2, N),
+        build_kfi(2, N),
+        build_lambda_pbar(2, N),
+        build_lambda_pfin(3, N),
+        build_const_k(N),
+    ]:
         for t in range(N + 1):
             m = map_matrix(F, tuple(range(t)), t, t)
             assert m.equals(SpMat.identity(F.dims[t]))
+
+
+def _dense_product(m, col):
+    rows = m.to_fraction_rows()
+    out = {i: sum(row[j] * v for j, v in col.items()) for i, row in enumerate(rows)}
+    return {i: v for i, v in out.items() if v}
+
+
+def test_apply_sparse_matches_dense_product():
+    # den != 1 and negative entries; row 0 cancels to zero on the input
+    m = SpMat(3, 4, [0, 0, 1, 1, 2, 2], [0, 1, 0, 2, 1, 3], [2, -3, 5, 4, -1, 7], den=6)
+    assert m.den == 6
+    col = {0: Fraction(3, 2), 1: Fraction(1), 2: Fraction(-5, 8)}
+    out = m.apply_sparse(col)
+    assert out == _dense_product(m, col)
+    assert out == {1: Fraction(5, 6), 2: Fraction(-1, 6)}
+    assert 0 not in out
+    # the cached column index gives the same answer on every call
+    assert m.apply_sparse(col) == out
+    assert m.apply_sparse({3: Fraction(6, 7)}) == _dense_product(m, {3: Fraction(6, 7)})
+    assert m.apply_sparse({}) == {}
+
+
+def test_apply_dense_edge_cases():
+    # repeated rows (three entries in row 0), empty rows 1 and 3; den is ignored
+    m = SpMat(4, 3, [0, 0, 0, 2, 2], [0, 1, 2, 0, 2], [1, -2, 3, 4, 5], den=3)
+    dense = np.array(m.int_rows(), dtype=np.int64)
+    X = np.arange(6, dtype=np.int64).reshape(3, 2) - 2
+    out = m.apply_dense(X)
+    assert out.dtype == np.int64 and out.shape == (4, 2)
+    assert (out == dense @ X).all()
+    assert (out[1] == 0).all() and (out[3] == 0).all()
+    v = np.array([1, -1, 2], dtype=np.int64)
+    assert (m.apply_dense(v) == dense @ v).all()
+    # zero-width input
+    assert m.apply_dense(np.zeros((3, 0), dtype=np.int64)).shape == (4, 0)
+    # no entries at all
+    z = SpMat.zeros(4, 3)
+    assert z.nnz == 0
+    assert (z.apply_dense(X) == np.zeros((4, 2), dtype=np.int64)).all()
 
 
 def test_pbar_basis_example():
