@@ -159,11 +159,8 @@ def _pi_image_span_check(n: int, t: int, M: List[List[int]], expected: int) -> b
     for x0 in range(t):
         for y in itertools.product([v for v in range(t) if v != x0], repeat=n):
             vec = [0] * dim
-            for T in itertools.chain.from_iterable(
-                itertools.combinations(range(n), r) for r in range(n + 1)
-            ):
-                tup = (x0,) + tuple(x0 if i in T else y[i] for i in range(n))
-                vec[index[tup]] += (-1) ** len(T)
+            for tup, c in _difference_product(x0, y).items():
+                vec[index[(x0,) + tup]] += c
             ecols.append(vec)
     if len(ecols) != expected:
         return False
@@ -171,6 +168,19 @@ def _pi_image_span_check(n: int, t: int, M: List[List[int]], expected: int) -> b
         return False
     joint = ecols + [ [M[i][j] for i in range(dim)] for j in range(dim) ]
     return linalg.rank(joint) == expected
+
+
+def _difference_product(x0: int, y: Tuple[int, ...]) -> Dict[Tuple[int, ...], int]:
+    """Expansion of the tensor product over i of ([y_i] - [x0]) in the
+    basis of tuples, as tuple -> coefficient."""
+    out: Dict[Tuple[int, ...], int] = {(): 1}
+    for v in y:
+        nxt: Dict[Tuple[int, ...], int] = {}
+        for tup, c in out.items():
+            for w, sign in ((v, c), (x0, -c)):
+                nxt[tup + (w,)] = nxt.get(tup + (w,), 0) + sign
+        out = nxt
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -192,28 +202,29 @@ def verify_right_aug(n: int, t: int, N: int) -> Report:
         # express each Yoneda morphism, restricted to the subfunctor, in the
         # solution parameter space
         D = n + 1
-        w_expansion = _pbar_generator_in_pfin(n)
+        # the generator of the reduced tensor power inside tuples over {0..n}
+        w_expansion = _difference_product(0, tuple(range(1, D)))
         p = res.dimension
-        Pmat = linalg.RationalMatrix(res._P.tolist()) if p else None
-        columns = []
+        vecs = []
         surjective_flags = []
         index = {tup: i for i, tup in enumerate(itertools.product(range(D), repeat=t))}
         for alpha in itertools.product(range(n), repeat=t):
-            vec = [Fraction(0)] * (D**t)
+            vec = [0] * (D**t)
             for tup, sign in w_expansion.items():
                 vec[index[tuple(tup[alpha[i]] for i in range(t))]] += sign
-            if p:
-                columns.append(Pmat.solve(vec))
-            else:
-                # zero hom space: the restriction must vanish outright
-                if any(vec):
-                    return Report(
-                        "realize_right_aug", {"n": n, "t": t, "N": N},
-                        expected, "nonzero restriction into a zero hom space",
-                        False,
-                    )
-                columns.append([])
+            vecs.append(vec)
             surjective_flags.append(len(set(alpha)) == n)
+        if p:
+            columns = linalg.solve(res._P.tolist(), vecs)
+        elif any(any(vec) for vec in vecs):
+            # zero hom space: the restriction must vanish outright
+            return Report(
+                "realize_right_aug", {"n": n, "t": t, "N": N},
+                expected, "nonzero restriction into a zero hom space",
+                False,
+            )
+        else:
+            columns = [[] for _ in vecs]
         n_maps = len(columns)
         coeff_rows = [[columns[j][i] for j in range(n_maps)] for i in range(p)]
         rank = linalg.rank(coeff_rows) if coeff_rows else 0
@@ -231,18 +242,6 @@ def verify_right_aug(n: int, t: int, N: int) -> Report:
         ok = ok and ok_kernel and rank_ok
     return Report("realize_right_aug", {"n": n, "t": t, "N": N}, expected,
                   details, ok)
-
-
-def _pbar_generator_in_pfin(n: int) -> Dict[Tuple[int, ...], int]:
-    """Expansion of the difference-tensor generator prod([i] - [0]) of the
-    reduced tensor power inside tuples over {0..n}."""
-    out: Dict[Tuple[int, ...], int] = {}
-    for T in itertools.chain.from_iterable(
-        itertools.combinations(range(n), r) for r in range(n + 1)
-    ):
-        tup = tuple(0 if i in T else i + 1 for i in range(n))
-        out[tup] = out.get(tup, 0) + (-1) ** len(T)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +291,8 @@ def hom_from_lambda_bar(F: TruncatedFunctor, s: int, cross_check: bool = True) -
         if residual:
             raise OracleError("sigma map does not descend to coinvariants")
 
-    cols = []
-    for j in free1:
-        img = M.apply_sparse({j: Fraction(1)})
-        cols.append(project(img))
-    mat = linalg.RationalMatrix.from_columns(cols) if cols else linalg.RationalMatrix.zero(len(free2), 0)
-    dim = len(free1) - (mat.rank() if cols else 0)
+    cols = [project(M.apply_sparse({j: Fraction(1)})) for j in free1]
+    dim = len(free1) - linalg.rank(cols)
     if cross_check:
         lam = build_lambda_pbar(s, F.N)
         direct = nat_hom(lam, F).dimension
@@ -438,6 +433,8 @@ def _pfin_to_kfi_matrix(n: int, t: int) -> List[List[int]]:
 def verify_refine_surjection(n: int, N: int) -> Report:
     """The split summand generated by [x0] (x) prod([y_i]-[x0]) surjects
     onto the injection module at every size <= N."""
+    if n < 1:
+        raise OracleError(f"refined surjectivity needs n >= 1, got {n}")
     ok = True
     details = {}
     for t in range(N + 1):
@@ -450,13 +447,8 @@ def verify_refine_surjection(n: int, N: int) -> Report:
         for x0 in range(t):
             for y in itertools.product([v for v in range(t) if v != x0], repeat=n - 1):
                 vec = [0] * (t**n)
-                for T in itertools.chain.from_iterable(
-                    itertools.combinations(range(n - 1), r) for r in range(n)
-                ):
-                    tup = (x0,) + tuple(
-                        x0 if i in T else y[i] for i in range(n - 1)
-                    )
-                    vec[index[tup]] += (-1) ** len(T)
+                for tup, c in _difference_product(x0, y).items():
+                    vec[index[(x0,) + tup]] += c
                 cols.append(vec)
         image = [
             [sum(proj[r][i] * col[i] for i in range(len(col))) for col in cols]
@@ -471,6 +463,8 @@ def verify_refine_surjection(n: int, N: int) -> Report:
 def verify_almost_surjectivity(n: int, N: int) -> Report:
     """The cokernel of (reduced tensor power -> injection module) has
     dimension C(t-1, n-1) at every size t."""
+    if n < 1:
+        raise OracleError(f"almost surjectivity needs n >= 1, got {n}")
     ok = True
     details = {}
     for t in range(N + 1):
@@ -480,16 +474,11 @@ def verify_almost_surjectivity(n: int, N: int) -> Report:
         proj = _pfin_to_kfi_matrix(n, t)
         index = {tup: i for i, tup in enumerate(itertools.product(range(t), repeat=n))}
         cols = []
-        if t >= 1:
-            base = 0
-            for y in itertools.product([v for v in range(t) if v != base], repeat=n):
-                vec = [0] * (t**n)
-                for T in itertools.chain.from_iterable(
-                    itertools.combinations(range(n), r) for r in range(n + 1)
-                ):
-                    tup = tuple(base if i in T else y[i] for i in range(n))
-                    vec[index[tup]] += (-1) ** len(T)
-                cols.append(vec)
+        for y in itertools.product(range(1, t), repeat=n):
+            vec = [0] * (t**n)
+            for tup, c in _difference_product(0, y).items():
+                vec[index[tup]] += c
+            cols.append(vec)
         image = [
             [sum(proj[r][i] * col[i] for i in range(len(col))) for col in cols]
             for r in range(inj_dim)

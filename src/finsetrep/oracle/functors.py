@@ -316,15 +316,17 @@ class TruncatedFunctor:
         return key[1], key[1]
 
     def perm_matrix(self, g: Tuple[int, ...], t: int) -> SpMat:
-        mat = SpMat.identity(self.dims[t])
-        for i in perm_word(g):
-            mat = self.act[("tau", t, i)].compose(mat)
-        return mat
+        return self._word_product(g, t, lambda i: self.act[("tau", t, i)])
 
     def outer_matrix(self, g: Tuple[int, ...], t: int) -> SpMat:
+        return self._word_product(g, t, lambda i: self.outer_act[(i, t)])
+
+    def _word_product(self, g: Tuple[int, ...], t: int, transposition) -> SpMat:
+        """Product along g's adjacent-transposition word of the matrices
+        transposition(i) acting at size t."""
         mat = SpMat.identity(self.dims[t])
         for i in perm_word(g):
-            mat = self.outer_act[(i, t)].compose(mat)
+            mat = transposition(i).compose(mat)
         return mat
 
     def check_functoriality(self, max_size: int = 4) -> None:
@@ -727,21 +729,7 @@ def direct_sum(
     action) or 'sign' (outer transpositions act by -1 on that summand)."""
     N = summands[0].N
     dims = [sum(F.dims[t] for F in summands) for t in range(N + 1)]
-    act: Dict[GenKey, SpMat] = {}
-    for key in summands[0].gen_keys():
-        s, t = TruncatedFunctor.gen_src_dst(key)
-        rows, cols, vals = [], [], []
-        den = lcm(*(F.act[key].den for F in summands))
-        roff = coff = 0
-        for F in summands:
-            m = F.act[key]
-            scale = den // m.den
-            rows.extend((m.rows + roff).tolist())
-            cols.extend((m.cols + coff).tolist())
-            vals.extend((m.vals * scale).tolist())
-            roff += F.dims[t]
-            coff += F.dims[s]
-        act[key] = SpMat(dims[t], dims[s], rows, cols, vals, den)
+    act = {key: _block_diagonal([F.act[key] for F in summands]) for key in summands[0].gen_keys()}
 
     gens = []
     offset_at = lambda idx, d: sum(F.dims[d] for F in summands[:idx])
@@ -756,29 +744,27 @@ def direct_sum(
     if outer_specs is not None:
         for i in range(1, outer_n):
             for t in range(N + 1):
-                rows, cols, vals = [], [], []
-                den = lcm(*(
-                    F.outer_act[(i, t)].den
+                outer_act[(i, t)] = _block_diagonal([
+                    SpMat.identity(F.dims[t]).scale(-1) if spec == "sign" else F.outer_act[(i, t)]
                     for F, spec in zip(summands, outer_specs)
-                    if spec == "inherit"
-                ))
-                roff = 0
-                for idx, F in enumerate(summands):
-                    dt = F.dims[t]
-                    if outer_specs[idx] == "sign":
-                        rows.extend(range(roff, roff + dt))
-                        cols.extend(range(roff, roff + dt))
-                        vals.extend([-den] * dt)
-                    else:
-                        m = F.outer_act[(i, t)]
-                        scale = den // m.den
-                        rows.extend((m.rows + roff).tolist())
-                        cols.extend((m.cols + roff).tolist())
-                        vals.extend((m.vals * scale).tolist())
-                    roff += dt
-                outer_act[(i, t)] = SpMat(dims[t], dims[t], rows, cols, vals, den)
+                ])
     return TruncatedFunctor(
         N, dims, act, gens, name=name, outer_n=outer_n, outer_act=outer_act
+    )
+
+
+def _block_diagonal(blocks: List[SpMat]) -> SpMat:
+    """The block-diagonal matrix with the given blocks, in order."""
+    den = lcm(*(b.den for b in blocks))
+    roff = np.cumsum([0] + [b.m for b in blocks])
+    coff = np.cumsum([0] + [b.n for b in blocks])
+    return SpMat(
+        roff[-1],
+        coff[-1],
+        np.concatenate([b.rows + r for b, r in zip(blocks, roff)]),
+        np.concatenate([b.cols + c for b, c in zip(blocks, coff)]),
+        np.concatenate([b.vals * (den // b.den) for b in blocks]),
+        den,
     )
 
 

@@ -2,8 +2,9 @@
 
 The workhorses are fraction-free integer echelon reduction and an
 incrementally maintained column basis (reduced echelon with expansion
-bookkeeping).  On top of them sit rank, right-kernel, and linear-solve
-primitives, plus the RationalMatrix wrapper used in verification reports.
+bookkeeping).  On top of them sit rank, right kernel and a linear solve
+for many right-hand sides at once; the kernel and the solve share one
+fraction-free back-substitution.
 """
 
 from __future__ import annotations
@@ -17,10 +18,17 @@ Row = List[int]
 
 
 def _to_int_rows(rows: Sequence[Sequence]) -> List[Row]:
+    """Fresh integer rows, each a positive multiple of the given row."""
     out = []
     for row in rows:
-        den = lcm(*(x.denominator for x in row if isinstance(x, Fraction)))
-        out.append([int(x * den) for x in row])
+        den = lcm(*[x.denominator for x in row if isinstance(x, Fraction)])
+        if den == 1:
+            out.append(list(map(int, row)))
+        else:
+            out.append([
+                x.numerator * (den // x.denominator) if isinstance(x, Fraction) else int(x) * den
+                for x in row
+            ])
     return out
 
 
@@ -41,7 +49,7 @@ def echelon(rows: Sequence[Sequence]):
     Returns (ech, pivots): integer rows in echelon form (zero rows dropped,
     each gcd-reduced) and their pivot column indices.
     """
-    work = [list(r) for r in _to_int_rows(rows)]
+    work = _to_int_rows(rows)
     ncols = len(work[0]) if work else 0
     ech: List[Row] = []
     pivots: List[int] = []
@@ -76,30 +84,56 @@ def echelon(rows: Sequence[Sequence]):
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    if not rows:
-        return 0
     return len(echelon(rows)[0])
 
 
+def _back_substitute(ech: List[Row], pivots: List[int], ncols: int, free: int):
+    """The x with ech x = 0, x[free] = 1 and every other non-pivot
+    coordinate 0, as (y, d): integers y and d > 0 with x = y / d."""
+    y = [0] * ncols
+    y[free] = d = 1
+    for row, pc in zip(reversed(ech), reversed(pivots)):
+        s = sum(a * b for a, b in zip(row[pc + 1 :], y[pc + 1 :]) if b)
+        if s:
+            r = row[pc]
+            g = gcd(s, r)
+            m = abs(r) // g
+            if m != 1:
+                y = [v * m for v in y]
+                d *= m
+            y[pc] = -(s // g) if r > 0 else s // g
+    return y, d
+
+
 def kernel_basis(rows: Sequence[Sequence], ncols: Optional[int] = None) -> List[Row]:
-    """Basis of the right kernel {x : M x = 0}, as integer vectors."""
-    if not rows:
-        return []
-    ncols = ncols if ncols is not None else len(rows[0])
+    """Basis of the right kernel {x : M x = 0}, as primitive integer vectors."""
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
     ech, pivots = echelon(rows)
     pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for i in range(len(ech) - 1, -1, -1):
-            row, pc = ech[i], pivots[i]
-            s = sum(row[j] * x[j] for j in range(pc + 1, ncols) if x[j])
-            x[pc] = -Fraction(s, row[pc])
-        den = lcm(*(v.denominator for v in x))
-        basis.append(_row_gcd_reduce([int(v * den) for v in x]))
-    return basis
+    return [
+        _row_gcd_reduce(_back_substitute(ech, pivots, ncols, f)[0])
+        for f in range(ncols)
+        if f not in pivot_set
+    ]
+
+
+def solve(rows: Sequence[Sequence], rhs_columns: Sequence[Sequence]) -> List[List[Fraction]]:
+    """One exact solution x of M x = b for every column b, with M given by
+    its rows (at least one), from one echelon of [M | B].  The free
+    unknowns are set to 0.  Raises ValueError if any b is outside M's
+    column span."""
+    n = len(rows[0]) if rows else 0
+    aug = [list(row) + [b[i] for b in rhs_columns] for i, row in enumerate(rows)]
+    ech, pivots = echelon(aug)
+    if pivots and pivots[-1] >= n:
+        raise ValueError("inconsistent system")
+    out = []
+    for c in range(len(rhs_columns)):
+        # x with M x + b = 0 is the kernel vector of [M | B] that is 1 at b
+        y, d = _back_substitute(ech, pivots, n + len(rhs_columns), n + c)
+        out.append([Fraction(-v, d) for v in y[:n]])
+    return out
 
 
 class ColumnBasis:
@@ -215,42 +249,3 @@ class ColumnBasis:
 
 def sparse_from_dense(vec, den: int = 1) -> Dict[int, Fraction]:
     return {i: Fraction(int(v), den) for i, v in enumerate(vec) if v}
-
-
-class RationalMatrix:
-    """Dense exact-rational matrix with rank and solve primitives."""
-
-    def __init__(self, rows: Sequence[Sequence]):
-        self.data = [[Fraction(x) for x in row] for row in rows]
-        self.nrows = len(self.data)
-        self.ncols = len(self.data[0]) if self.data else 0
-        for row in self.data:
-            if len(row) != self.ncols:
-                raise ValueError("ragged rows")
-
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        return cls([[0] * ncols for _ in range(nrows)])
-
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence]) -> "RationalMatrix":
-        if not cols:
-            return cls([])
-        return cls([[col[i] for col in cols] for i in range(len(cols[0]))])
-
-    def rank(self) -> int:
-        return rank(self.data)
-
-    def solve(self, rhs: Sequence) -> List[Fraction]:
-        """One exact solution of self @ x = rhs, or ValueError."""
-        aug = [list(row) + [rhs[i]] for i, row in enumerate(self.data)]
-        ech, pivots = echelon(aug)
-        n = self.ncols
-        if n in pivots:
-            raise ValueError("inconsistent system")
-        x = [Fraction(0)] * n
-        for i in range(len(ech) - 1, -1, -1):
-            row, pc = ech[i], pivots[i]
-            s = sum(row[j] * x[j] for j in range(pc + 1, n) if x[j])
-            x[pc] = Fraction(row[n] - s, row[pc])
-        return x

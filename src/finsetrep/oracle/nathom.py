@@ -27,9 +27,14 @@ import numpy as np
 from ..partitions import Partition, partitions_of
 from ..symrep import JointClassFunction, joint_decompose, representative
 from . import linalg
-from .functors import MAX_ABS_GUARD, OracleError, TruncatedFunctor
+from .functors import MAX_ABS_GUARD, OracleError, SpMat, TruncatedFunctor
 
 Path = Tuple  # ("gen", a) | ("step", genkey, parent_t, parent_idx)
+
+# An int64 array op is taken only when an a-priori bound on every partial
+# result is below this; otherwise it runs on Python ints.
+INT64_BOUND = 1 << 62
+
 
 @dataclass
 class SpanData:
@@ -116,7 +121,7 @@ def _imatmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if A.dtype == np.int64 and B.dtype == np.int64:
         amax = int(np.abs(A).max(initial=0))
         bmax = int(np.abs(B).max(initial=0))
-        if amax * bmax * A.shape[1] < (1 << 62):
+        if amax * bmax * A.shape[1] < INT64_BOUND:
             return A @ B
     return A.astype(object) @ B.astype(object)
 
@@ -190,14 +195,9 @@ class NatHomResult:
             self._image(k, t, cb.expand({c: Fraction(1)})) for c in range(self.F.dims[t])
         ]
 
-    def solution_matrix(self, k: int, t: int) -> linalg.RationalMatrix:
+    def solution_matrix(self, k: int, t: int) -> SpMat:
         """The t-component of the k-th basis solution, as an exact matrix."""
-        dF, dG = self.F.dims[t], self.G.dims[t]
-        if dF == 0 or dG == 0:
-            return linalg.RationalMatrix.zero(dG, dF)
-        return linalg.RationalMatrix.from_columns(
-            [[col.get(i, 0) for i in range(dG)] for col in self._columns(k, t)]
-        )
+        return SpMat.from_sparse_columns(self.G.dims[t], self._columns(k, t))
 
     def verify(self) -> None:
         """Exact re-check that every basis solution is natural."""
@@ -216,9 +216,12 @@ class NatHomResult:
 
     # -- outer characters ---------------------------------------------------
 
-    def _action_matrix(self, g: Tuple[int, ...], h: Tuple[int, ...]):
+    def _action_trace(self, g: Tuple[int, ...], h: Tuple[int, ...]) -> int:
+        """Trace of (g, h) acting on the solution space by eta |->
+        rho_G(h) eta rho_F(g), read off the parameter basis."""
         p = self.dimension
-        stacked = [[Fraction(0)] * p for _ in range(self.n_v)]
+        # acted[kk]: the generator values of the kk-th basis solution acted on
+        acted = [[Fraction(0)] * self.n_v for _ in range(p)]
         for a, (d, off) in self.blocks.items():
             w = linalg.sparse_from_dense(self.F.generators[a][1])
             combo = self.span.cbs[d].expand(self.F.outer_matrix(g, d).apply_sparse(w))
@@ -226,10 +229,12 @@ class NatHomResult:
             for kk in range(p):
                 # apply rho_G(h) to the solution's value on g.w
                 for r, v in hmat.apply_sparse(self._image(kk, d, combo)).items():
-                    stacked[off + r][kk] += v
-        Pmat = linalg.RationalMatrix(self._P.tolist())
-        X_cols = [Pmat.solve([row[j] for row in stacked]) for j in range(p)]
-        return linalg.RationalMatrix.from_columns(X_cols)
+                    acted[kk][off + r] += v
+        X = linalg.solve(self._P.tolist(), acted)
+        tr = sum((X[j][j] for j in range(p)), Fraction(0))
+        if tr.denominator != 1:
+            raise OracleError(f"non-integral outer character value {tr}")
+        return int(tr)
 
     def outer_character(self) -> JointClassFunction:
         s_deg = self.F.outer_n
@@ -239,13 +244,7 @@ class NatHomResult:
             g = representative(alpha)
             for beta in partitions_of(t_deg):
                 h = representative(beta)
-                if self.dimension == 0:
-                    values[(alpha, beta)] = 0
-                    continue
-                A = self._action_matrix(g, h)
-                tr = sum((A.data[i][i] for i in range(A.nrows)), Fraction(0))
-                assert tr.denominator == 1
-                values[(alpha, beta)] = int(tr)
+                values[(alpha, beta)] = self._action_trace(g, h) if self.dimension else 0
         return JointClassFunction(s_deg, t_deg, values)
 
     def outer_bimodule(self) -> Dict[Tuple[Partition, Partition], int]:
@@ -302,49 +301,32 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
                 for i, coeff in gammas[j].items()
             ]
             L = lcm(m.den * sden, *(c.denominator * den_i for c, _, den_i in terms))
-            W = rhs * (-(L // (m.den * sden)))
-            overflow = False
-            for coeff, arr_i, den_i in terms:
-                scale = coeff.numerator * (L // (coeff.denominator * den_i))
-                if abs(scale) > MAX_ABS_GUARD:
-                    overflow = True
-                    break
-                W = W + arr_i * scale
-            if overflow or (W.size and np.abs(W).max() > MAX_ABS_GUARD):
-                # rebuild in exact object arithmetic
-                W = rhs.astype(object) * (-(L // (m.den * sden)))
-                for coeff, arr_i, den_i in terms:
-                    scale = coeff.numerator * (L // (coeff.denominator * den_i))
-                    W = W + arr_i.astype(object) * scale
-            block = _gram(W)
+            scaled = [(rhs, -(L // (m.den * sden)))] + [
+                (arr_i, coeff.numerator * (L // (coeff.denominator * den_i)))
+                for coeff, arr_i, den_i in terms
+            ]
+            # W = sum of arr * scale; initial=1 also keeps every scale itself
+            # below the bound when its array is zero
+            bound = sum(int(np.abs(arr).max(initial=1)) * abs(sc) for arr, sc in scaled)
+            dtype = np.int64 if bound < INT64_BOUND else object
+            W = np.zeros(rhs.shape, dtype=dtype)
+            for arr, sc in scaled:
+                W += arr.astype(dtype, copy=False) * sc
+            block = _imatmul(W.T, W)
             gram = block if gram is None else _gram_add(gram, block)
-        if gram is None:
+        if gram is None or not gram.any():
             continue
-        gram_rows = [[int(x) for x in row] for row in np.atleast_2d(gram)]
-        if all(all(x == 0 for x in row) for row in gram_rows):
-            continue
-        ker = linalg.kernel_basis(gram_rows, p)
+        ker = linalg.kernel_basis(gram.tolist(), p)
         if len(ker) < p:
             cut(ker)
 
-    return NatHomResult(
-        F, G, span, [list(map(int, P[:, j])) for j in range(P.shape[1])], blocks
-    )
-
-
-def _gram(W: np.ndarray) -> np.ndarray:
-    if W.dtype == np.int64:
-        wmax = int(np.abs(W).max(initial=0))
-        if wmax * wmax * W.shape[0] < (1 << 62):
-            return W.T @ W
-        W = W.astype(object)
-    return W.T @ W
+    return NatHomResult(F, G, span, P.T.tolist(), blocks)
 
 
 def _gram_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.dtype == np.int64 and b.dtype == np.int64:
         amax = int(np.abs(a).max(initial=0)) + int(np.abs(b).max(initial=0))
-        if amax < (1 << 62):
+        if amax < INT64_BOUND:
             return a + b
     return a.astype(object) + b.astype(object)
 

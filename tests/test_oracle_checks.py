@@ -111,6 +111,15 @@ def test_refine_and_almost_surjectivity():
         assert verify_almost_surjectivity(n, 5).passed
 
 
+
+def test_refine_and_almost_surjectivity_reject_degree_zero():
+    from finsetrep.oracle import OracleError
+
+    for check in (verify_refine_surjection, verify_almost_surjectivity):
+        with pytest.raises(OracleError):
+            check(0, 5)
+
+
 def test_surjection_count():
     assert surjection_count(3, 2) == 6
     assert surjection_count(4, 4) == 24

@@ -92,6 +92,32 @@ def test_solution_basis_is_natural():
     r.verify()
     r2 = nat_hom(build_pbar_tensor(2, N), build_pbar_tensor(2, N))
     r2.verify()
+    # the solution matrices commute with every generator
+    F, G = r.F, r.G
+    for key in F.gen_keys():
+        s, t = F.gen_src_dst(key)
+        eta_s, eta_t = r.solution_matrix(0, s), r.solution_matrix(0, t)
+        assert eta_s.shape == (G.dims[s], F.dims[s])
+        assert eta_t.compose(F.act[key]).equals(G.act[key].compose(eta_s))
+
+
+def test_python_int_path_matches_int64_path(monkeypatch):
+    from finsetrep.oracle import nathom
+
+    N = 4
+    pairs = [
+        (build_pbar_tensor(2, N), build_pbar_tensor(2, N)),
+        (build_proj_cover(1, N), build_pfin(2, N)),
+    ]
+    fast = [nat_hom(F, G) for F, G in pairs]
+    # with a zero bound every product and sum runs on Python ints
+    monkeypatch.setattr(nathom, "INT64_BOUND", 0)
+    for (F, G), r in zip(pairs, fast):
+        slow = nat_hom(F, G)
+        assert r.dimension > 0
+        assert slow.dimension == r.dimension
+        assert slow.P_cols == r.P_cols
+        assert slow.outer_character().values == r.outer_character().values
 
 
 def test_stabilization_small():
