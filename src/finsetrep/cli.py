@@ -137,7 +137,7 @@ def cmd_multiplicities(args) -> str:
         with open(args.input) as fh:
             data = json.load(fh)
         F = fc.FBModuleData.from_json(data)
-    except (OSError, KeyError, ValueError) as exc:
+    except (AttributeError, OSError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad input file: {exc}")
     mults = fc.multiplicities(F)
     fc.check_multiplicity_dimensions(F, mults)

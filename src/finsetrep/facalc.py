@@ -306,9 +306,12 @@ class FBModuleData:
 
     @classmethod
     def from_json(cls, data: dict) -> "FBModuleData":
+        trunc, F0_dim = data["trunc"], data["F0_dim"]
+        if not (isinstance(trunc, int) and isinstance(F0_dim, int)):
+            raise TypeError("trunc and F0_dim must be integers")
         return cls(
-            data["trunc"],
-            data["F0_dim"],
+            trunc,
+            F0_dim,
             {
                 int(k): IrrDecomposition.from_json(d)
                 for k, d in data.get("degrees", {}).items()

@@ -28,6 +28,10 @@ from . import linalg
 
 MAX_ABS_GUARD = 1 << 55
 
+# An int64 array op is taken only when an a-priori bound on every partial
+# result is below this; otherwise it runs on Python ints or is refused.
+INT64_BOUND = 1 << 62
+
 
 class OracleError(RuntimeError):
     pass
@@ -110,15 +114,20 @@ class SpMat:
     def apply_dense(self, X: np.ndarray) -> np.ndarray:
         """Integer part of self @ X for dense int64 X (ignore self.den)."""
         out = np.zeros((self.m,) + X.shape[1:], dtype=np.int64)
-        if self.nnz:
+        if self.nnz and X.size:
             if self._runs is None:
                 # entries are sorted by row, so each row's run is one reduceat slice
                 starts = np.flatnonzero(np.diff(self.rows, prepend=-1))
-                self._runs = (starts, self.rows[starts])
-            starts, run_rows = self._runs
+                # |row sum| <= max|vals| * longest run * max|X|
+                longest = int(np.diff(starts, append=self.nnz).max())
+                row_bound = int(np.abs(self.vals).max()) * longest
+                self._runs = (starts, self.rows[starts], row_bound)
+            starts, run_rows, row_bound = self._runs
+            if row_bound * int(np.abs(X).max()) >= INT64_BOUND:
+                raise OracleError("apply would exceed the int64 bound")
             contrib = self.vals.reshape((-1,) + (1,) * (X.ndim - 1)) * X[self.cols]
             out[run_rows] = np.add.reduceat(contrib, starts, axis=0)
-            if out.size and np.abs(out).max() > MAX_ABS_GUARD:
+            if np.abs(out).max() > MAX_ABS_GUARD:
                 raise OracleError("integer magnitude guard tripped in apply")
         return out
 

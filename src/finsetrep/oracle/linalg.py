@@ -159,37 +159,25 @@ class ColumnBasis:
 
     def reduce(self, vec: Dict[int, Fraction]):
         """Return (residual sparse dict, combo dict over added columns)."""
-        r = dict(vec)
+        r = {j: v for j, v in vec.items() if v}
         combo: Dict[int, Fraction] = {}
-        # repeatedly clear coordinates that are pivots
-        changed = True
-        while changed:
-            changed = False
-            for coord in list(r.keys()):
-                val = r.get(coord)
-                if val is None:
-                    continue
-                if not val:
-                    del r[coord]
-                    continue
-                ridx = self.pivots.get(coord)
-                if ridx is None:
-                    continue
-                piv, row, expr = self.rows[ridx]
-                coeff = Fraction(r[coord], row[piv])
-                for j, v in row.items():
-                    nv = r.get(j, Fraction(0)) - coeff * v
-                    if nv:
-                        r[j] = nv
-                    elif j in r:
-                        del r[j]
-                for j, v in expr.items():
-                    nv = combo.get(j, Fraction(0)) + coeff * v
-                    if nv:
-                        combo[j] = nv
-                    elif j in combo:
-                        del combo[j]
-                changed = True
+        # add() keeps every row zero at every other row's pivot, so clearing
+        # one pivot leaves the others as they were: one pass clears them all
+        for coord in [c for c in r if c in self.pivots]:
+            piv, row, expr = self.rows[self.pivots[coord]]
+            coeff = Fraction(r[coord], row[piv])
+            for j, v in row.items():
+                nv = r.get(j, Fraction(0)) - coeff * v
+                if nv:
+                    r[j] = nv
+                elif j in r:
+                    del r[j]
+            for j, v in expr.items():
+                nv = combo.get(j, Fraction(0)) + coeff * v
+                if nv:
+                    combo[j] = nv
+                elif j in combo:
+                    del combo[j]
         return r, combo
 
     def add(self, vec: Dict[int, Fraction]):

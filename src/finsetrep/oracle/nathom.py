@@ -3,21 +3,23 @@
 A natural transformation out of a functor with declared module generators
 is determined by its values on those generators.  Once per source functor,
 a spanning basis of every value F(t) is built by closing the generators
-under the category's generator moves (span pass), along with the expansion
-of every move image in that basis.  Solving hom(F, G) is then linear
-algebra in the unknown generator values: each basis column corresponds to
-an explicit vector G(path)(v), and every generator move contributes exact
-linear constraints.  Constraints are folded into integer Gram matrices
-(x is in the kernel of sum W_i^T W_i iff W_i x = 0 for all i, valid over
-the rationals), and the parameter space is cut batch by batch so the large
-top-degree data is only built on an already-small parameter space.
+under the category's generator moves (span pass); the pass records the
+expansion of every move image in that basis as it reduces the image.
+Solving hom(F, G) is then linear algebra in the unknown generator values:
+each basis column corresponds to an explicit vector G(path)(v), and every
+generator move contributes exact linear constraints.  Constraints are
+folded into integer Gram matrices (x is in the kernel of sum W_i^T W_i iff
+W_i x = 0 for all i, valid over the rationals), and the parameter space is
+cut batch by batch so the large top-degree data is only built on an
+already-small parameter space; after each cut the span values are rebuilt
+from the new parameter basis.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Tuple
@@ -27,13 +29,9 @@ import numpy as np
 from ..partitions import Partition, partitions_of
 from ..symrep import JointClassFunction, joint_decompose, representative
 from . import linalg
-from .functors import MAX_ABS_GUARD, OracleError, SpMat, TruncatedFunctor
+from .functors import INT64_BOUND, MAX_ABS_GUARD, OracleError, SpMat, TruncatedFunctor
 
 Path = Tuple  # ("gen", a) | ("step", genkey, parent_t, parent_idx)
-
-# An int64 array op is taken only when an a-priori bound on every partial
-# result is below this; otherwise it runs on Python ints.
-INT64_BOUND = 1 << 62
 
 
 @dataclass
@@ -50,7 +48,7 @@ class SpanData:
     cbs: List[linalg.ColumnBasis]
     order: List[Tuple[int, int]]
     gen_used: List[bool]
-    gammas: Dict[Tuple, List[Dict[int, Fraction]]] = field(default_factory=dict)
+    gammas: Dict[Tuple, List[Dict[int, Fraction]]]
 
 
 def build_span(F: TruncatedFunctor) -> SpanData:
@@ -58,9 +56,9 @@ def build_span(F: TruncatedFunctor) -> SpanData:
         return F.span_cache
     N = F.N
     paths: List[List[Path]] = [[] for _ in range(N + 1)]
-    vecs: List[List[Dict[int, Fraction]]] = [[] for _ in range(N + 1)]
     cbs = [linalg.ColumnBasis(F.dims[t]) for t in range(N + 1)]
     order: List[Tuple[int, int]] = []
+    gammas: Dict[Tuple, List[Dict[int, Fraction]]] = {key: [] for key in F.gen_keys()}
 
     heap: List[Tuple[int, int, Path, Dict[int, Fraction]]] = []
     counter = itertools.count()
@@ -80,15 +78,20 @@ def build_span(F: TruncatedFunctor) -> SpanData:
         t, _, path, vec = heapq.heappop(heap)
         if not vec:
             continue
-        idx, _ = cbs[t].add(vec)
+        idx, combo = cbs[t].add(vec)
+        if path[0] == "step":
+            # the expansion of a move image is unique, so columns added
+            # later never change it
+            _, key, _, j = path
+            gammas[key][j] = combo if idx is None else {idx: Fraction(1)}
         if idx is None:
             continue
         if path[0] == "gen":
             gen_used[path[1]] = True
         paths[t].append(path)
-        vecs[t].append(vec)
         order.append((t, idx))
         for key in moves_of[t]:
+            gammas[key].append({})  # filled when the image is reduced; zero stays {}
             _, t2 = TruncatedFunctor.gen_src_dst(key)
             if F.dims[t2] == 0:
                 continue
@@ -103,15 +106,8 @@ def build_span(F: TruncatedFunctor) -> SpanData:
                 f"{F.dims[t]} dimensions at size {t}"
             )
 
-    span = SpanData(F, paths, cbs, order, gen_used)
-    for key in F.gen_keys():
-        s, t = TruncatedFunctor.gen_src_dst(key)
-        span.gammas[key] = [
-            cbs[t].expand(F.act[key].apply_sparse(vecs[s][j]))
-            for j in range(len(paths[s]))
-        ]
-    F.span_cache = span
-    return span
+    F.span_cache = SpanData(F, paths, cbs, order, gen_used, gammas)
+    return F.span_cache
 
 
 def _imatmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -268,17 +264,6 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
 
     P = np.eye(n_v, dtype=np.int64)
     vcache: Dict[Tuple[int, int], Tuple[np.ndarray, int]] = {}
-
-    def cut(kernel_rows: List[List[int]]):
-        nonlocal P, vcache
-        if not kernel_rows:
-            P = np.zeros((n_v, 0), dtype=np.int64)
-            vcache = {k: (a[:, :0], d) for k, (a, d) in vcache.items()}
-            return
-        K = np.array(kernel_rows, dtype=np.int64).T
-        P = _as_int64(_imatmul(P, K))
-        vcache = {k: (_as_int64(_imatmul(a, K)), d) for k, (a, d) in vcache.items()}
-
     keys = sorted(
         F.gen_keys(),
         key=lambda k: (max(TruncatedFunctor.gen_src_dst(k)), k[0] != "tau"),
@@ -318,7 +303,9 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
             continue
         ker = linalg.kernel_basis(gram.tolist(), p)
         if len(ker) < p:
-            cut(ker)
+            # cut: the span values are rebuilt from the new P on demand
+            P = _as_int64(_imatmul(P, np.array(ker, dtype=np.int64).reshape(-1, p).T))
+            vcache.clear()
 
     return NatHomResult(F, G, span, P.T.tolist(), blocks)
 

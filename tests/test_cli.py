@@ -88,6 +88,28 @@ def test_multiplicities_round_trip(tmp_path, capsys):
     assert set(out.splitlines()) == {"k0\t1", "L0\t1"}
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [],
+        {"trunc": "x", "F0_dim": 1,
+         "degrees": {"1": {"n": 1, "mults": [{"partition": [1], "mult": 1}]}}},
+        {"trunc": "x", "F0_dim": 1, "degrees": {}},
+        {"trunc": 2, "F0_dim": 1,
+         "degrees": {"1": {"n": 1, "mults": [{"partition": [1], "mult": "z"}]}}},
+        {"trunc": 2, "F0_dim": 1, "degrees": {"1": 5}},
+        {"trunc": 2, "F0_dim": 1, "degrees": 4},
+    ],
+)
+def test_multiplicities_bad_input_types_exit_1(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "multiplicities", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert "bad input file" in json.loads(err)["error"]
+
+
 def test_output_is_deterministic(capsys):
     outs = []
     for _ in range(2):

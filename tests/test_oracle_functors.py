@@ -114,6 +114,18 @@ def test_apply_dense_edge_cases():
     assert (z.apply_dense(X) == np.zeros((4, 2), dtype=np.int64)).all()
 
 
+def test_apply_dense_refuses_int64_wrap():
+    # 2**40 * 2**24 wraps to 0 in int64
+    with pytest.raises(OracleError):
+        SpMat(1, 1, [0], [0], [2**40]).apply_dense(np.array([[2**24]]))
+    # each product fits, but a row of 16 sums to 2**64, which wraps to 0
+    row = SpMat(1, 16, [0] * 16, range(16), [2**40] * 16)
+    with pytest.raises(OracleError):
+        row.apply_dense(np.full((16, 1), 2**20, dtype=np.int64))
+    # well inside the bound the product is exact
+    assert row.apply_dense(np.ones((16, 1), dtype=np.int64))[0, 0] == 2**44
+
+
 def test_pbar_basis_example():
     # the reduced projective has dimension 2 on a 3-set
     F = build_pbar_tensor(1, 4)

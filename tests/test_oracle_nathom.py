@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -13,9 +14,13 @@ from finsetrep.oracle import (
     build_pbar_tensor,
     build_pfin,
     build_proj_cover,
+    kernel_functor,
     nat_hom,
     nat_hom_dense_dim,
 )
+from finsetrep.oracle.functors import SpMat
+from finsetrep.oracle.linalg import sparse_from_dense
+from finsetrep.oracle.nathom import build_span
 
 
 def test_yoneda():
@@ -99,6 +104,54 @@ def test_solution_basis_is_natural():
         eta_s, eta_t = r.solution_matrix(0, s), r.solution_matrix(0, t)
         assert eta_s.shape == (G.dims[s], F.dims[s])
         assert eta_t.compose(F.act[key]).equals(G.act[key].compose(eta_s))
+
+
+def _replayed_span_vectors(span):
+    """Every span basis vector, rebuilt by replaying its construction path."""
+    F = span.F
+    vecs = {}
+    for t, idx in span.order:
+        path = span.paths[t][idx]
+        if path[0] == "gen":
+            vecs[(t, idx)] = sparse_from_dense(F.generators[path[1]][1])
+        else:
+            _, key, s, j = path
+            vecs[(t, idx)] = F.act[key].apply_sparse(vecs[(s, j)])
+    return vecs
+
+
+def test_span_pass_records_move_expansions():
+    N = 4
+    pfin1, k = build_pfin(1, N), build_const_k(N)
+    augmentation = [
+        SpMat(k.dims[t], pfin1.dims[t], [0] * pfin1.dims[t], range(pfin1.dims[t]),
+              [1] * pfin1.dims[t])
+        for t in range(N + 1)
+    ]
+    # every basis vector of the kernel is a generator, so most are redundant
+    aug_kernel = kernel_functor(pfin1, k, augmentation, "aug-kernel")
+    assert len(aug_kernel.generators) == sum(aug_kernel.dims) > 1
+    sources = [
+        build_pfin(2, N),
+        build_pbar_tensor(2, N),
+        build_proj_cover(2, N),
+        build_kfi(2, N),
+        build_lambda_pbar(2, N),
+        aug_kernel,
+    ]
+    for F in sources:
+        span = build_span(F)
+        vecs = _replayed_span_vectors(span)
+        assert len(vecs) == sum(F.dims), F.name
+        for (t, idx), v in vecs.items():
+            assert span.cbs[t].expand(v) == {idx: Fraction(1)}, (F.name, t, idx)
+        # reference: each move image expanded in the finished basis
+        for key in F.gen_keys():
+            s, t = F.gen_src_dst(key)
+            assert len(span.gammas[key]) == F.dims[s], (F.name, key)
+            for j in range(F.dims[s]):
+                ref = span.cbs[t].expand(F.act[key].apply_sparse(vecs[(s, j)]))
+                assert span.gammas[key][j] == ref, (F.name, key, j)
 
 
 def test_python_int_path_matches_int64_path(monkeypatch):
