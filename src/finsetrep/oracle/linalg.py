@@ -2,16 +2,20 @@
 
 The workhorses are fraction-free integer echelon reduction and an
 incrementally maintained column basis (reduced echelon with expansion
-bookkeeping).  On top of them sit rank, right kernel and a linear solve
-for many right-hand sides at once; the kernel and the solve share one
-fraction-free back-substitution.
+bookkeeping).  On top of them sit rank and a linear solve for many
+right-hand sides at once.  The right kernel is computed modulo word primes
+(vectorized int64 elimination), lifted by rational reconstruction and CRT,
+and returned only after an exact check that certifies it; imatmul takes
+exact integer matrix products on float64 BLAS under an a-priori bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import gcd, isqrt, lcm
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 
 Row = List[int]
@@ -106,16 +110,186 @@ def _back_substitute(ech: List[Row], pivots: List[int], ncols: int, free: int):
 
 
 def kernel_basis(rows: Sequence[Sequence], ncols: Optional[int] = None) -> List[Row]:
-    """Basis of the right kernel {x : M x = 0}, as primitive integer vectors."""
+    """Basis of the right kernel {x : M x = 0}, as primitive integer vectors.
+
+    The basis is the one read off the reduced echelon form of M over the
+    rationals: one vector per non-pivot column f, positive at f and zero at
+    every other non-pivot column.  It is computed mod word primes, lifted by
+    rational reconstruction (over more primes by CRT when that fails) and
+    returned only once the exact product M K is zero.
+
+    That check makes the answer exact.  A prime's rank is at most the rank
+    over Q, so its n - rank non-pivot columns bound the kernel dimension
+    from above; the lifted vectors are independent (each is 1 at its own
+    non-pivot column, 0 at the others), so, once all lie in the kernel, the
+    prime's rank is the true rank.  Each vector is also zero at every pivot
+    column right of its own f, so every non-pivot column of M lies in the
+    span of the pivot columns left of it: the prime's pivots are those over
+    Q, and the vectors are the basis above.  A prime whose rank or pivots
+    differ from Q's fails the check, and the next one is taken.
+    """
     if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    ech, pivots = echelon(rows)
+        ncols = len(rows[0]) if len(rows) else 0
+    if ncols == 0:
+        return []
+    M = _int_array(rows, ncols)
+    best = None  # (pivots, residues at the pivot rows, modulus)
+    for p in _primes():
+        R, pivots = _rref_mod((M % p).astype(np.int64), p)
+        residues = -R[:, _non_pivots(pivots, ncols)] % p
+        if best is not None and best[0] == pivots:
+            best = (pivots, _crt(best[1], best[2], residues, p), best[2] * p)
+        else:
+            # other pivots than the primes before: one side is unlucky, and
+            # the check rejects an unlucky prime, so start over from this one
+            best = (pivots, residues, p)
+        K = _lift(*best, ncols)
+        if K is not None and not imatmul(M, K).any():
+            return K.T.tolist()
+    raise ArithmeticError("kernel_basis ran out of word primes")
+
+
+# Float64 holds every integer of magnitude below 2**53 exactly.
+FLOAT_EXACT_BOUND = 1 << 53
+
+
+def imatmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Exact product of two integer arrays (int64 or object dtype).
+
+    It runs on float64 BLAS when max|A| * max|B| * inner < 2**53: every
+    product and every partial sum, in any order, is then an integer below
+    2**53, which float64 holds exactly.  Otherwise it runs on Python ints.
+    """
+    amax = int(np.abs(A).max(initial=0))
+    bmax = int(np.abs(B).max(initial=0))
+    if amax == 0 or bmax == 0:
+        return np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    if amax * bmax * A.shape[1] < FLOAT_EXACT_BOUND:
+        return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
+    return A.astype(object) @ B.astype(object)
+
+
+def gram(W: np.ndarray) -> np.ndarray:
+    """Exact W^T W of an integer array, under imatmul's bound.  One float64
+    copy of W serves as both factors, so BLAS takes the symmetric product."""
+    wmax = int(np.abs(W).max(initial=0))
+    if wmax * wmax * W.shape[0] < FLOAT_EXACT_BOUND:
+        Wf = W.astype(np.float64)
+        return (Wf.T @ Wf).astype(np.int64)
+    return imatmul(W.T, W)
+
+
+def _int_array(rows: Sequence[Sequence], ncols: int) -> np.ndarray:
+    """The rows cleared to integers, as an int64 array when they fit.  An
+    int64 array is taken as it is."""
+    if isinstance(rows, np.ndarray) and rows.dtype == np.int64:
+        return rows.reshape(-1, ncols)
+    int_rows = _to_int_rows(rows)
+    try:
+        return np.array(int_rows, dtype=np.int64).reshape(len(int_rows), ncols)
+    except OverflowError:
+        return np.array(int_rows, dtype=object).reshape(len(int_rows), ncols)
+
+
+def _is_prime(n: int) -> bool:
+    """Strong probable-prime test to the bases 2, 7, 61: exact below 4,759,123,141."""
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if a % n == 0 or x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes() -> Iterator[int]:
+    """The moduli of kernel_basis: the primes below 2**31, largest first.
+    Below 2**31 every product of two residues fits in int64."""
+    yield (1 << 31) - 1  # a Mersenne prime
+    yield from (n for n in range((1 << 31) - 3, 2, -2) if _is_prime(n))
+
+
+def _rref_mod(A: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
+    """Reduced row echelon form mod p of A (int64, entries in [0, p)):
+    its nonzero rows and their pivot columns."""
+    A = A.copy()
+    pivots: List[int] = []
+    for c in range(A.shape[1]):
+        r = len(pivots)
+        nz = np.flatnonzero(A[r:, c])
+        if not nz.size:
+            continue
+        if nz[0]:
+            A[[r, r + nz[0]]] = A[[r + nz[0], r]]
+        A[r, c:] = A[r, c:] * pow(int(A[r, c]), -1, p) % p
+        f = A[:, c].copy()
+        f[r] = 0
+        hit = np.flatnonzero(f)
+        A[hit, c:] = (A[hit, c:] - f[hit, None] * A[r, c:]) % p
+        pivots.append(c)
+        if r + 1 == A.shape[0]:
+            break
+    return A[: len(pivots)], pivots
+
+
+def _non_pivots(pivots: List[int], ncols: int) -> List[int]:
     pivot_set = set(pivots)
-    return [
-        _row_gcd_reduce(_back_substitute(ech, pivots, ncols, f)[0])
-        for f in range(ncols)
-        if f not in pivot_set
-    ]
+    return [j for j in range(ncols) if j not in pivot_set]
+
+
+def _crt(a: np.ndarray, m: int, b: np.ndarray, p: int) -> np.ndarray:
+    """The residues mod m * p that are a mod m and b mod p."""
+    a = a.astype(object)
+    return a + m * ((b.astype(object) - a) % p * pow(m, -1, p) % p)
+
+
+def _ratrecon(a: int, m: int) -> Optional[Tuple[int, int]]:
+    """(num, den) with num/den = a mod m, |num| and 0 < den at most
+    sqrt(m/2) (Wang's rational reconstruction), or None."""
+    bound = isqrt(m // 2)
+    r0, r1, t0, t1 = m, a % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _lift(pivots: List[int], residues: np.ndarray, m: int, ncols: int) -> Optional[np.ndarray]:
+    """The primitive integer kernel basis, as columns, whose entries at the
+    pivot rows are rationals with the given residues mod m; None when no
+    common denominator D <= sqrt(m/2) makes every entry times D a
+    symmetric residue of magnitude <= sqrt(m/2).  D grows by the
+    denominators that reconstruction finds."""
+    bound = isqrt(m // 2)
+    D = 1
+    while True:
+        # residues times D stay below m * D, which int64 holds below 2**62
+        dtype = np.int64 if m * D < 1 << 62 else object
+        b = residues.astype(dtype) * D % m
+        b[2 * b > m] -= m
+        large = np.flatnonzero(np.abs(b) > bound)
+        if not large.size:
+            break
+        frac = _ratrecon(int(b.flat[large[0]]), m)
+        if frac is None or D * frac[1] > bound:
+            return None
+        D *= frac[1]
+    nfree = residues.shape[1]
+    K = np.zeros((ncols, nfree), dtype=dtype)
+    K[pivots] = b
+    K[_non_pivots(pivots, ncols), np.arange(nfree)] = D
+    return K // np.gcd.reduce(K, axis=0)
 
 
 def solve(rows: Sequence[Sequence], rhs_columns: Sequence[Sequence]) -> List[List[Fraction]]:

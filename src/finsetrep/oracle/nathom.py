@@ -12,7 +12,11 @@ folded into integer Gram matrices (x is in the kernel of sum W_i^T W_i iff
 W_i x = 0 for all i, valid over the rationals), and the parameter space is
 cut batch by batch so the large top-degree data is only built on an
 already-small parameter space; after each cut the span values are rebuilt
-from the new parameter basis.
+from the new parameter basis.  The Gram products (linalg.gram) and the
+cuts (linalg.imatmul) run on float64 BLAS under an exactness bound, and
+each Gram's kernel through the certified modular linalg.kernel_basis.  Outer
+characters read each acted-on solution off p fixed independent rows of
+the parameter basis and check the other rows exactly.
 """
 
 from __future__ import annotations
@@ -110,18 +114,6 @@ def build_span(F: TruncatedFunctor) -> SpanData:
     return F.span_cache
 
 
-def _imatmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Exact matmul; int64 when provably safe, python ints otherwise."""
-    if A.size == 0 or B.size == 0:
-        return np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    if A.dtype == np.int64 and B.dtype == np.int64:
-        amax = int(np.abs(A).max(initial=0))
-        bmax = int(np.abs(B).max(initial=0))
-        if amax * bmax * A.shape[1] < INT64_BOUND:
-            return A @ B
-    return A.astype(object) @ B.astype(object)
-
-
 def _span_value(
     span: SpanData,
     G: TruncatedFunctor,
@@ -164,6 +156,7 @@ class NatHomResult:
             else np.zeros((self.n_v, 0), dtype=np.int64)
         )
         self._vcache: Dict[Tuple[int, int], Tuple[np.ndarray, int]] = {}
+        self._rinv = None
 
     @property
     def dimension(self) -> int:
@@ -216,8 +209,9 @@ class NatHomResult:
         """Trace of (g, h) acting on the solution space by eta |->
         rho_G(h) eta rho_F(g), read off the parameter basis."""
         p = self.dimension
-        # acted[kk]: the generator values of the kk-th basis solution acted on
-        acted = [[Fraction(0)] * self.n_v for _ in range(p)]
+        # (row, kk, value): the generator values of the kk-th basis solution
+        # acted on, one entry per nonzero
+        acted: List[Tuple[int, int, Fraction]] = []
         for a, (d, off) in self.blocks.items():
             w = linalg.sparse_from_dense(self.F.generators[a][1])
             combo = self.span.cbs[d].expand(self.F.outer_matrix(g, d).apply_sparse(w))
@@ -225,12 +219,33 @@ class NatHomResult:
             for kk in range(p):
                 # apply rho_G(h) to the solution's value on g.w
                 for r, v in hmat.apply_sparse(self._image(kk, d, combo)).items():
-                    acted[kk][off + r] += v
-        X = linalg.solve(self._P.tolist(), acted)
-        tr = sum((X[j][j] for j in range(p)), Fraction(0))
+                    acted.append((off + r, kk, v))
+        den = lcm(*(v.denominator for _, _, v in acted))
+        A = np.zeros((self.n_v, p), dtype=object)
+        for i, kk, v in acted:
+            A[i, kk] = v.numerator * (den // v.denominator)
+        # P X = acted with X = Y / (D * den): X is read off the rows I alone,
+        # and the other rows check that every acted solution is a solution
+        I, Q, D = self._row_inverse()
+        Y = linalg.imatmul(Q, A[I])
+        if not (linalg.imatmul(self._P, Y) == D * A).all():
+            raise OracleError("an acted-on solution leaves the solution space")
+        tr = Fraction(int(np.trace(Y)), D * den)
         if tr.denominator != 1:
             raise OracleError(f"non-integral outer character value {tr}")
         return int(tr)
+
+    def _row_inverse(self) -> Tuple[List[int], np.ndarray, int]:
+        """(I, Q, D): p rows I of P with P[I] invertible, and the integer
+        matrix Q = D * P[I]^-1 with D > 0; computed once per result."""
+        if self._rinv is None:
+            p = self.dimension
+            I = linalg.echelon(self._P.T.tolist())[1]
+            inv = linalg.solve(self._P[I].tolist(), np.eye(p, dtype=np.int64).tolist())
+            D = lcm(*(v.denominator for col in inv for v in col))
+            Q = np.array([[int(col[i] * D) for col in inv] for i in range(p)], dtype=object)
+            self._rinv = (I, Q, D)
+        return self._rinv
 
     def outer_character(self) -> JointClassFunction:
         s_deg = self.F.outer_n
@@ -297,14 +312,14 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
             W = np.zeros(rhs.shape, dtype=dtype)
             for arr, sc in scaled:
                 W += arr.astype(dtype, copy=False) * sc
-            block = _imatmul(W.T, W)
+            block = linalg.gram(W)
             gram = block if gram is None else _gram_add(gram, block)
         if gram is None or not gram.any():
             continue
-        ker = linalg.kernel_basis(gram.tolist(), p)
+        ker = linalg.kernel_basis(gram, p)
         if len(ker) < p:
             # cut: the span values are rebuilt from the new P on demand
-            P = _as_int64(_imatmul(P, np.array(ker, dtype=np.int64).reshape(-1, p).T))
+            P = _as_int64(linalg.imatmul(P, np.array(ker, dtype=np.int64).reshape(-1, p).T))
             vcache.clear()
 
     return NatHomResult(F, G, span, P.T.tolist(), blocks)

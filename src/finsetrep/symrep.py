@@ -215,10 +215,13 @@ class IrrDecomposition:
 
     @classmethod
     def from_json(cls, data: dict) -> "IrrDecomposition":
-        return cls(
-            data["n"],
-            {Partition(e["partition"]): e["mult"] for e in data["mults"]},
-        )
+        mults = {}
+        for e in data["mults"]:
+            m = e["mult"]
+            if not isinstance(m, int) or isinstance(m, bool):
+                raise TypeError(f"multiplicity {m!r} is not an integer")
+            mults[Partition(e["partition"])] = m
+        return cls(data["n"], mults)
 
     @classmethod
     def irreducible(cls, lam: Partition) -> "IrrDecomposition":

@@ -97,6 +97,12 @@ def test_multiplicities_round_trip(tmp_path, capsys):
         {"trunc": "x", "F0_dim": 1, "degrees": {}},
         {"trunc": 2, "F0_dim": 1,
          "degrees": {"1": {"n": 1, "mults": [{"partition": [1], "mult": "z"}]}}},
+        {"trunc": 2, "F0_dim": 1,
+         "degrees": {"1": {"n": 1, "mults": [{"partition": [1], "mult": None}]}}},
+        {"trunc": 2, "F0_dim": 1,
+         "degrees": {"1": {"n": 1, "mults": [{"partition": [1], "mult": 1.5}]}}},
+        {"trunc": 2, "F0_dim": 1,
+         "degrees": {"1": {"n": 1, "mults": [{"partition": [1], "mult": True}]}}},
         {"trunc": 2, "F0_dim": 1, "degrees": {"1": 5}},
         {"trunc": 2, "F0_dim": 1, "degrees": 4},
     ],

@@ -1,6 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
+import numpy as np
 import pytest
 
 from finsetrep.oracle import linalg
@@ -58,16 +61,151 @@ def test_echelon_and_rank_match_reference():
         assert _ref_rank(M + ech) == len(ech)
 
 
+def _ref_kernel(rows, n):
+    """The kernel basis read off the reduced echelon form over Fractions:
+    one primitive integer vector per non-pivot column f, positive at f and
+    zero at the other non-pivot columns."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        work[r] = [x / work[r][c] for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                q = work[i][c]
+                work[i] = [a - q * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+    out = []
+    for f in (j for j in range(n) if j not in pivots):
+        x = [Fraction(0)] * n
+        x[f] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            x[pc] = -work[i][f]
+        den = lcm(*(v.denominator for v in x))
+        y = [int(v * den) for v in x]
+        g = gcd(*y)
+        out.append([v // g for v in y])
+    return out
+
+
+def _counting(monkeypatch, primes):
+    """Make kernel_basis draw its moduli from primes; the returned list
+    records the ones it took."""
+    used = []
+
+    def source():
+        for p in primes:
+            used.append(p)
+            yield p
+
+    monkeypatch.setattr(linalg, "_primes", source)
+    return used
+
+
 def test_kernel_basis_matches_reference():
     for M, _ in _cases():
         n = len(M[0])
         ker = linalg.kernel_basis(M)
-        assert len(ker) == n - _ref_rank(M)
+        assert ker == _ref_kernel(M, n)
         for x in ker:
             assert all(isinstance(v, int) for v in x)
             assert not any(_matvec(M, x))
-        if ker:
-            assert _ref_rank(ker) == len(ker)
+
+
+def test_kernel_basis_of_rank_deficient_square_matrices():
+    rng = random.Random(99)
+    for trial in range(30):
+        n = rng.randint(2, 12)
+        M = _random_matrix(rng, n, n, rng.randint(0, n - 1), trial % 3 == 0)
+        assert linalg.kernel_basis(M) == _ref_kernel(M, n)
+        # an int64 array is taken as it is
+        int_rows = np.array(linalg._to_int_rows(M), dtype=np.int64)
+        assert linalg.kernel_basis(int_rows, n) == _ref_kernel(M, n)
+
+
+def test_kernel_basis_with_large_entries_takes_several_primes(monkeypatch):
+    rng = random.Random(2024)
+    primes = list(itertools.islice(linalg._primes(), 100))
+    for trial in range(6):
+        m, n = rng.randint(2, 6), rng.randint(3, 8)
+        r = rng.randint(1, min(m, n - 1))
+        A = [[rng.randint(-(1 << 40), 1 << 40) for _ in range(r)] for _ in range(m)]
+        B = [[rng.randint(-(1 << 40), 1 << 40) for _ in range(n)] for _ in range(r)]
+        M = [[sum(A[i][k] * B[k][j] for k in range(r)) for j in range(n)] for i in range(m)]
+        used = _counting(monkeypatch, primes)
+        assert linalg.kernel_basis(M) == _ref_kernel(M, n)
+        assert len(used) > 1
+
+
+def test_kernel_basis_survives_unlucky_primes(monkeypatch):
+    p0 = 101
+    word = list(itertools.islice(linalg._primes(), 10))
+    cases = [
+        # the rank drops mod p0: p0 sees one pivot, Q sees two
+        [[1, 2, 3], [2, 4, 6 + p0]],
+        # same rank mod p0, other pivots: p0 sees column 1 first
+        [[p0, 1]],
+        [[p0, 1, 0, 0], [0, 0, 1, 0], [3 * p0, 3, 2, 0]],
+    ]
+    for M in cases:
+        used = _counting(monkeypatch, [p0] + word)
+        assert linalg.kernel_basis(M) == _ref_kernel(M, len(M[0]))
+        assert used[:2] == [p0, word[0]]
+    # a lucky first prime that cannot reconstruct the large entry, then an
+    # unlucky one that starts the lift over, then lucky ones again
+    M = [[p0, 1, 0, 0], [0, 0, 1, (1 << 40) + 7]]
+    used = _counting(monkeypatch, [word[0], p0] + word[1:])
+    assert linalg.kernel_basis(M) == _ref_kernel(M, 4) == [[-1, p0, 0, 0], [0, 0, -(1 << 40) - 7, 1]]
+    assert used[:3] == [word[0], p0, word[1]]
+
+
+def test_imatmul_at_the_float_bound():
+    bound = linalg.FLOAT_EXACT_BOUND
+    # just below the bound: 2**53 - 1 = 6361 * 69431 * 20394401, on BLAS
+    A = np.array([[6361 * 69431]], dtype=np.int64)
+    B = np.array([[-20394401]], dtype=np.int64)
+    C = linalg.imatmul(A, B)
+    assert C.dtype == np.int64 and C.tolist() == [[-(bound - 1)]]
+    # at the bound the product 2**53 + 1, which float64 cannot hold, stays exact
+    A = np.array([[1 << 26, 1]], dtype=np.int64)
+    B = np.array([[1 << 27], [1]], dtype=np.int64)
+    C = linalg.imatmul(A, B)
+    assert C.dtype == object and C.tolist() == [[bound + 1]]
+    rng = random.Random(53)
+    for a_bits, b_bits, k in [(20, 30, 7), (26, 24, 8), (40, 12, 2), (1, 1, 5)]:
+        a, b = (1 << a_bits) - 1, (1 << b_bits) - 1
+        assert a * b * k < bound
+        for _ in range(5):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            A = [[rng.choice([a, -a, rng.randint(-a, a)]) for _ in range(k)] for _ in range(m)]
+            B = [[rng.choice([b, -b, rng.randint(-b, b)]) for _ in range(n)] for _ in range(k)]
+            ref = [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+            for dtype in (np.int64, object):
+                C = linalg.imatmul(np.array(A, dtype=dtype), np.array(B, dtype=dtype))
+                assert C.dtype == np.int64 and C.tolist() == ref
+            # doubling one factor crosses the bound: Python ints, still exact
+            B2 = [[2 * x for x in row] for row in B]
+            if a * 2 * b * k >= bound:
+                C = linalg.imatmul(np.array(A, dtype=np.int64), np.array(B2, dtype=np.int64))
+                assert C.dtype == object
+                assert C.tolist() == [[2 * x for x in row] for row in ref]
+    assert linalg.imatmul(np.zeros((2, 0), dtype=np.int64), np.zeros((0, 3), dtype=np.int64)).tolist() == [[0] * 3] * 2
+
+
+def test_gram_at_the_float_bound():
+    rng = random.Random(54)
+    # 2 * (2**26)**2 = 2**53: the bound itself, on Python ints
+    for w, rows, on_blas in [((1 << 26) - 1, 2, True), (1 << 26, 2, False), (1000, 50, True)]:
+        W = [[rng.choice([w, -w, rng.randint(-w, w)]) for _ in range(4)] for _ in range(rows)]
+        ref = [[sum(r[i] * r[j] for r in W) for j in range(4)] for i in range(4)]
+        G = linalg.gram(np.array(W, dtype=np.int64))
+        assert (G.dtype == np.int64) == on_blas
+        assert G.tolist() == ref
+    assert linalg.gram(np.zeros((0, 3), dtype=np.int64)).tolist() == [[0] * 3] * 3
 
 
 def test_solve_many_right_hand_sides():

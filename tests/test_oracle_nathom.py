@@ -77,6 +77,18 @@ def test_endo_pbar2_regular_bimodule_character():
     r.verify()
 
 
+def test_outer_character_rejects_a_basis_that_is_not_stable():
+    from finsetrep.oracle import OracleError
+    from finsetrep.oracle.nathom import NatHomResult
+
+    r = nat_hom(build_pbar_tensor(2, 4), build_pbar_tensor(2, 4))
+    # one of the two basis solutions alone: the transposition of the source
+    # moves it out of its own span
+    half = NatHomResult(r.F, r.G, r.span, r.P_cols[:1], r.blocks)
+    with pytest.raises(OracleError, match="leaves the solution space"):
+        half.outer_character()
+
+
 def test_simple_endomorphism_rings():
     for s in range(0, 3):
         L = build_lambda_pbar(s, 5)
@@ -155,7 +167,7 @@ def test_span_pass_records_move_expansions():
 
 
 def test_python_int_path_matches_int64_path(monkeypatch):
-    from finsetrep.oracle import nathom
+    from finsetrep.oracle import linalg, nathom
 
     N = 4
     pairs = [
@@ -163,8 +175,9 @@ def test_python_int_path_matches_int64_path(monkeypatch):
         (build_proj_cover(1, N), build_pfin(2, N)),
     ]
     fast = [nat_hom(F, G) for F, G in pairs]
-    # with a zero bound every product and sum runs on Python ints
+    # with zero bounds every product and sum runs on Python ints
     monkeypatch.setattr(nathom, "INT64_BOUND", 0)
+    monkeypatch.setattr(linalg, "FLOAT_EXACT_BOUND", 0)
     for (F, G), r in zip(pairs, fast):
         slow = nat_hom(F, G)
         assert r.dimension > 0
