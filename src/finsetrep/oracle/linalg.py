@@ -169,16 +169,6 @@ def imatmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A.astype(object) @ B.astype(object)
 
 
-def gram(W: np.ndarray) -> np.ndarray:
-    """Exact W^T W of an integer array, under imatmul's bound.  One float64
-    copy of W serves as both factors, so BLAS takes the symmetric product."""
-    wmax = int(np.abs(W).max(initial=0))
-    if wmax * wmax * W.shape[0] < FLOAT_EXACT_BOUND:
-        Wf = W.astype(np.float64)
-        return (Wf.T @ Wf).astype(np.int64)
-    return imatmul(W.T, W)
-
-
 def _int_array(rows: Sequence[Sequence], ncols: int) -> np.ndarray:
     """The rows cleared to integers, as an int64 array when they fit.  An
     int64 array is taken as it is."""

@@ -12,9 +12,9 @@ folded into integer Gram matrices (x is in the kernel of sum W_i^T W_i iff
 W_i x = 0 for all i, valid over the rationals), and the parameter space is
 cut batch by batch so the large top-degree data is only built on an
 already-small parameter space; after each cut the span values are rebuilt
-from the new parameter basis.  The Gram products (linalg.gram) and the
-cuts (linalg.imatmul) run on float64 BLAS under an exactness bound, and
-each Gram's kernel through the certified modular linalg.kernel_basis.  Outer
+from the new parameter basis.  The Gram products and the cuts
+(linalg.imatmul) run on float64 BLAS under an exactness bound, and each
+Gram's kernel through the certified modular linalg.kernel_basis.  Outer
 characters read each acted-on solution off p fixed independent rows of
 the parameter basis and check the other rows exactly.
 """
@@ -312,7 +312,7 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
             W = np.zeros(rhs.shape, dtype=dtype)
             for arr, sc in scaled:
                 W += arr.astype(dtype, copy=False) * sc
-            block = linalg.gram(W)
+            block = linalg.imatmul(W.T, W)
             gram = block if gram is None else _gram_add(gram, block)
         if gram is None or not gram.any():
             continue

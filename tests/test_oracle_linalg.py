@@ -196,18 +196,6 @@ def test_imatmul_at_the_float_bound():
     assert linalg.imatmul(np.zeros((2, 0), dtype=np.int64), np.zeros((0, 3), dtype=np.int64)).tolist() == [[0] * 3] * 2
 
 
-def test_gram_at_the_float_bound():
-    rng = random.Random(54)
-    # 2 * (2**26)**2 = 2**53: the bound itself, on Python ints
-    for w, rows, on_blas in [((1 << 26) - 1, 2, True), (1 << 26, 2, False), (1000, 50, True)]:
-        W = [[rng.choice([w, -w, rng.randint(-w, w)]) for _ in range(4)] for _ in range(rows)]
-        ref = [[sum(r[i] * r[j] for r in W) for j in range(4)] for i in range(4)]
-        G = linalg.gram(np.array(W, dtype=np.int64))
-        assert (G.dtype == np.int64) == on_blas
-        assert G.tolist() == ref
-    assert linalg.gram(np.zeros((0, 3), dtype=np.int64)).tolist() == [[0] * 3] * 3
-
-
 def test_solve_many_right_hand_sides():
     for M, rng in _cases():
         n = len(M[0])
