@@ -227,7 +227,7 @@ def verify_right_aug(n: int, t: int, N: int) -> Report:
             columns = [[] for _ in vecs]
         n_maps = len(columns)
         coeff_rows = [[columns[j][i] for j in range(n_maps)] for i in range(p)]
-        rank = linalg.rank(coeff_rows) if coeff_rows else 0
+        rank = linalg.rank(coeff_rows)
         ker_dim = n_maps - rank
         n_nonsurj = surjective_flags.count(False)
         ok_kernel = ker_dim == n_nonsurj
@@ -358,15 +358,15 @@ def verify_lambda_complex(N: int) -> Report:
                 ok = False
                 details[f"d2_{t}_{m}"] = "nonzero composite"
                 continue
-            rank_t = linalg.rank(d_t.int_rows()) if d_t.m and d_t.n else 0
-            rank_t1 = linalg.rank(d_t1.int_rows()) if d_t1.m and d_t1.n else 0
+            rank_t = linalg.rank(d_t.int_rows())
+            rank_t1 = linalg.rank(d_t1.int_rows())
             ker = comb(m, t) - rank_t
             if ker != rank_t1:
                 ok = False
                 details[f"exactness_{t}_{m}"] = {"kernel": ker, "image": rank_t1}
         # cokernel at the end: k -> k_0
         d1 = boundaries[1][m]
-        rank1 = linalg.rank(d1.int_rows()) if d1.m and d1.n else 0
+        rank1 = linalg.rank(d1.int_rows())
         coker = 1 - rank1
         expected = 1 if m == 0 else 0
         if coker != expected:
@@ -399,10 +399,7 @@ def verify_norm_map(n: int, N: int) -> Report:
                 comp = tuple(s[j[i]] for i in range(n))
                 row.append(1 if comp == tuple(range(n)) else 0)
             rows.append(row)
-        if not surjections:
-            kernel_dim = len(injections)
-        else:
-            kernel_dim = len(injections) - linalg.rank(rows)
+        kernel_dim = len(injections) - linalg.rank(rows)
         expected = comb(t - 1, n)
         if kernel_dim != expected:
             ok = False
@@ -483,7 +480,7 @@ def verify_almost_surjectivity(n: int, N: int) -> Report:
             [sum(proj[r][i] * col[i] for i in range(len(col))) for col in cols]
             for r in range(inj_dim)
         ]
-        rank = linalg.rank(image) if cols else 0
+        rank = linalg.rank(image)
         coker = inj_dim - rank
         expected = comb(t - 1, n - 1)
         details[f"t={t}"] = {"coker": coker, "expected": expected}

@@ -28,10 +28,6 @@ from . import linalg
 
 MAX_ABS_GUARD = 1 << 55
 
-# An int64 array op is taken only when an a-priori bound on every partial
-# result is below this; otherwise it runs on Python ints or is refused.
-INT64_BOUND = 1 << 62
-
 
 class OracleError(RuntimeError):
     pass
@@ -51,10 +47,11 @@ class SpMat:
         self.m, self.n = int(m), int(n)
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)
         cols = np.asarray(cols, dtype=np.int64).reshape(-1)
-        vals = np.asarray(vals, dtype=np.int64).reshape(-1)
+        vals = np.asarray(vals).reshape(-1)
+        if len(vals) and np.abs(vals).max() > MAX_ABS_GUARD:
+            raise OracleError("integer magnitude guard tripped")
+        vals = vals.astype(np.int64, copy=False)
         if len(vals):
-            if np.abs(vals).max() > MAX_ABS_GUARD:
-                raise OracleError("integer magnitude guard tripped")
             order = np.lexsort((cols, rows))
             rows, cols, vals = rows[order], cols[order], vals[order]
             keys = rows * (self.n + 1) + cols
@@ -112,23 +109,22 @@ class SpMat:
         return len(self.vals)
 
     def apply_dense(self, X: np.ndarray) -> np.ndarray:
-        """Integer part of self @ X for dense int64 X (ignore self.den)."""
-        out = np.zeros((self.m,) + X.shape[1:], dtype=np.int64)
-        if self.nnz and X.size:
-            if self._runs is None:
-                # entries are sorted by row, so each row's run is one reduceat slice
-                starts = np.flatnonzero(np.diff(self.rows, prepend=-1))
-                # |row sum| <= max|vals| * longest run * max|X|
-                longest = int(np.diff(starts, append=self.nnz).max())
-                row_bound = int(np.abs(self.vals).max()) * longest
-                self._runs = (starts, self.rows[starts], row_bound)
-            starts, run_rows, row_bound = self._runs
-            if row_bound * int(np.abs(X).max()) >= INT64_BOUND:
-                raise OracleError("apply would exceed the int64 bound")
-            contrib = self.vals.reshape((-1,) + (1,) * (X.ndim - 1)) * X[self.cols]
-            out[run_rows] = np.add.reduceat(contrib, starts, axis=0)
-            if np.abs(out).max() > MAX_ABS_GUARD:
-                raise OracleError("integer magnitude guard tripped in apply")
+        """Exact (self * den) @ X for a dense integer array X (ignore
+        self.den); int64 where the bound allows, Python ints otherwise."""
+        if not (self.nnz and X.size):
+            return np.zeros((self.m,) + X.shape[1:], dtype=np.int64)
+        if self._runs is None:
+            # entries are sorted by row, so each row's run is one reduceat slice
+            starts = np.flatnonzero(np.diff(self.rows, prepend=-1))
+            # |row sum| <= max|vals| * longest run * max|X|
+            longest = int(np.diff(starts, append=self.nnz).max())
+            row_bound = int(np.abs(self.vals).max()) * longest
+            self._runs = (starts, self.rows[starts], row_bound)
+        starts, run_rows, row_bound = self._runs
+        dtype = linalg.int_dtype(row_bound * int(np.abs(X).max()))
+        vals = self.vals.astype(dtype, copy=False).reshape((-1,) + (1,) * (X.ndim - 1))
+        out = np.zeros((self.m,) + X.shape[1:], dtype=dtype)
+        out[run_rows] = np.add.reduceat(vals * X[self.cols].astype(dtype, copy=False), starts, axis=0)
         return out
 
     def _colindex(self) -> Dict[int, List[Tuple[int, int]]]:
@@ -177,14 +173,15 @@ class SpMat:
         big = lcm(self.den, other.den)
         rows = np.concatenate([self.rows, other.rows])
         cols = np.concatenate([self.cols, other.cols])
-        vals = np.concatenate(
-            [self.vals * (big // self.den), other.vals * (big // other.den)]
-        )
+        vals = np.concatenate([
+            linalg.lincomb([(self.vals, big // self.den)]),
+            linalg.lincomb([(other.vals, big // other.den)]),
+        ])
         return SpMat(self.m, self.n, rows, cols, vals, big)
 
     def scale(self, num: int, den: int = 1) -> "SpMat":
         return SpMat(
-            self.m, self.n, self.rows, self.cols, self.vals * num, self.den * den
+            self.m, self.n, self.rows, self.cols, linalg.lincomb([(self.vals, num)]), self.den * den
         )
 
     def trace(self) -> Fraction:
@@ -670,7 +667,8 @@ def kernel_functor(
     name: str,
 ) -> TruncatedFunctor:
     """Kernel of a natural transformation F -> G given by one matrix per
-    set size.  Naturality of the map family is verified exactly; the
+    set size.  Naturality of the map family is verified exactly, and a
+    kernel that F's outer action does not preserve is refused; the
     kernel's module generators are taken to be all of its basis vectors
     (redundant generators are harmless downstream)."""
     if F.N != G.N:
@@ -681,17 +679,7 @@ def kernel_functor(
         rhs = G.act[key].compose(mats[s])
         if not lhs.equals(rhs):
             raise OracleError(f"{name}: the given map family is not natural")
-    kernels: List[List[List[int]]] = []
-    for t in range(F.N + 1):
-        if F.dims[t] == 0:
-            kernels.append([])
-            continue
-        if G.dims[t] == 0 or mats[t].is_zero():
-            kernels.append(
-                [[1 if i == j else 0 for i in range(F.dims[t])] for j in range(F.dims[t])]
-            )
-            continue
-        kernels.append(linalg.kernel_basis(mats[t].int_rows(), F.dims[t]))
+    kernels = [linalg.kernel_basis(mats[t].int_rows(), F.dims[t]) for t in range(F.N + 1)]
     columns = [[linalg.sparse_from_dense(col) for col in k] for k in kernels]
     gens = []
     for t in range(F.N + 1):
@@ -714,15 +702,20 @@ def _subfunctor(
     name: str,
 ) -> TruncatedFunctor:
     """The subfunctor of F with basis columns[t] at size t; reducers[t]
-    expands vectors of their span in that basis."""
+    expands vectors of their span in that basis.  The span must be stable
+    under F's generators and its outer action."""
     dims = [len(cols) for cols in columns]
 
-    def restrict(m: SpMat, s: int, t: int) -> SpMat:
-        cols = [reducers[t].expand(m.apply_sparse(col)) for col in columns[s]]
-        return SpMat.from_sparse_columns(dims[t], cols)
+    def restrict(m: SpMat, s: int, t: int, what: str) -> SpMat:
+        reduced = [reducers[t].reduce(m.apply_sparse(col)) for col in columns[s]]
+        if any(residual for residual, _ in reduced):
+            raise OracleError(f"{name}: the subspace is not stable under {what}")
+        return SpMat.from_sparse_columns(dims[t], [combo for _, combo in reduced])
 
-    act = {key: restrict(F.act[key], *F.gen_src_dst(key)) for key in F.gen_keys()}
-    outer_act = {(i, t): restrict(m, t, t) for (i, t), m in F.outer_act.items()}
+    act = {key: restrict(F.act[key], *F.gen_src_dst(key), str(key)) for key in F.gen_keys()}
+    outer_act = {
+        (i, t): restrict(m, t, t, "the outer action") for (i, t), m in F.outer_act.items()
+    }
     return TruncatedFunctor(
         F.N, dims, act, gens, name=name, outer_n=F.outer_n, outer_act=outer_act
     )
@@ -772,7 +765,7 @@ def _block_diagonal(blocks: List[SpMat]) -> SpMat:
         coff[-1],
         np.concatenate([b.rows + r for b, r in zip(blocks, roff)]),
         np.concatenate([b.cols + c for b, c in zip(blocks, coff)]),
-        np.concatenate([b.vals * (den // b.den) for b in blocks]),
+        np.concatenate([linalg.lincomb([(b.vals, den // b.den)]) for b in blocks]),
         den,
     )
 

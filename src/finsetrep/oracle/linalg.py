@@ -1,12 +1,14 @@
 """Exact dense linear algebra over the rationals.
 
-The workhorses are fraction-free integer echelon reduction and an
-incrementally maintained column basis (reduced echelon with expansion
-bookkeeping).  On top of them sit rank and a linear solve for many
-right-hand sides at once.  The right kernel is computed modulo word primes
-(vectorized int64 elimination), lifted by rational reconstruction and CRT,
-and returned only after an exact check that certifies it; imatmul takes
-exact integer matrix products on float64 BLAS under an a-priori bound.
+One engine answers every exact question about a matrix: its right kernel
+is computed modulo word primes (vectorized int64 elimination), lifted by
+rational reconstruction and CRT, and returned with its pivot columns only
+after an exact check that certifies both.  Rank, the choice of independent
+rows and a linear solve for many right-hand sides at once are read off it.
+One a-priori bound decides where integer arrays run on int64 and where on
+Python ints; imatmul takes exact integer matrix products on float64 BLAS
+under a bound of its own.  An incrementally maintained column basis
+(reduced echelon with expansion bookkeeping) serves the span pass.
 """
 
 from __future__ import annotations
@@ -21,92 +23,31 @@ import numpy as np
 Row = List[int]
 
 
-def _to_int_rows(rows: Sequence[Sequence]) -> List[Row]:
-    """Fresh integer rows, each a positive multiple of the given row."""
+def _to_int_rows(rows: Sequence[Sequence]) -> List[Sequence[int]]:
+    """Integer rows, each a positive multiple of the given row; a row
+    without Fractions is taken as it is."""
     out = []
     for row in rows:
+        if Fraction not in set(map(type, row)):
+            out.append(row)
+            continue
         den = lcm(*[x.denominator for x in row if isinstance(x, Fraction)])
-        if den == 1:
-            out.append(list(map(int, row)))
-        else:
-            out.append([
-                x.numerator * (den // x.denominator) if isinstance(x, Fraction) else int(x) * den
-                for x in row
-            ])
+        out.append([
+            x.numerator * (den // x.denominator) if isinstance(x, Fraction) else int(x) * den
+            for x in row
+        ])
     return out
 
 
-def _row_gcd_reduce(row: Row) -> Row:
-    g = 0
-    for x in row:
-        g = gcd(g, x)
-        if g == 1:
-            return row
-    if g > 1:
-        return [x // g for x in row]
-    return row
-
-
-def echelon(rows: Sequence[Sequence]):
-    """Integer echelon form by fraction-free elimination.
-
-    Returns (ech, pivots): integer rows in echelon form (zero rows dropped,
-    each gcd-reduced) and their pivot column indices.
-    """
-    work = _to_int_rows(rows)
-    ncols = len(work[0]) if work else 0
-    ech: List[Row] = []
-    pivots: List[int] = []
-    col = 0
-    while work and col < ncols:
-        best = None
-        for i, r in enumerate(work):
-            if r[col]:
-                if best is None or abs(r[col]) < abs(work[best][col]):
-                    best = i
-                    if abs(r[col]) == 1:
-                        break
-        if best is None:
-            col += 1
-            continue
-        piv_row = _row_gcd_reduce(work.pop(best))
-        p = piv_row[col]
-        new_work = []
-        for r in work:
-            if r[col]:
-                q = r[col]
-                nr = _row_gcd_reduce([p * a - q * b for a, b in zip(r, piv_row)])
-                if any(nr):
-                    new_work.append(nr)
-            elif any(r):
-                new_work.append(r)
-        work = new_work
-        ech.append(piv_row)
-        pivots.append(col)
-        col += 1
-    return ech, pivots
+def pivot_columns(rows: Sequence[Sequence]) -> List[int]:
+    """The pivot columns of the reduced echelon form of M over the
+    rationals: the first columns, left to right, independent of those
+    before them."""
+    return _kernel(int_array(rows, len(rows[0]) if len(rows) else 0))[0]
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(echelon(rows)[0])
-
-
-def _back_substitute(ech: List[Row], pivots: List[int], ncols: int, free: int):
-    """The x with ech x = 0, x[free] = 1 and every other non-pivot
-    coordinate 0, as (y, d): integers y and d > 0 with x = y / d."""
-    y = [0] * ncols
-    y[free] = d = 1
-    for row, pc in zip(reversed(ech), reversed(pivots)):
-        s = sum(a * b for a, b in zip(row[pc + 1 :], y[pc + 1 :]) if b)
-        if s:
-            r = row[pc]
-            g = gcd(s, r)
-            m = abs(r) // g
-            if m != 1:
-                y = [v * m for v in y]
-                d *= m
-            y[pc] = -(s // g) if r > 0 else s // g
-    return y, d
+    return len(pivot_columns(rows))
 
 
 def kernel_basis(rows: Sequence[Sequence], ncols: Optional[int] = None) -> List[Row]:
@@ -114,25 +55,44 @@ def kernel_basis(rows: Sequence[Sequence], ncols: Optional[int] = None) -> List[
 
     The basis is the one read off the reduced echelon form of M over the
     rationals: one vector per non-pivot column f, positive at f and zero at
-    every other non-pivot column.  It is computed mod word primes, lifted by
-    rational reconstruction (over more primes by CRT when that fails) and
-    returned only once the exact product M K is zero.
+    every other non-pivot column."""
+    if ncols is None:
+        ncols = len(rows[0]) if len(rows) else 0
+    return _kernel(int_array(rows, ncols))[1].T.tolist()
+
+
+def solve(rows: Sequence[Sequence], rhs_columns: Sequence[Sequence]) -> List[List[Fraction]]:
+    """One exact solution x of M x = b for every column b, with M given by
+    its rows (at least one): the one with every free unknown 0.  Raises
+    ValueError if any b is outside M's column span."""
+    n, k = (len(rows[0]) if len(rows) else 0), len(rhs_columns)
+    aug = [list(row) + [b[i] for b in rhs_columns] for i, row in enumerate(rows)]
+    pivots, K = _kernel(int_array(aug, n + k))
+    if pivots and pivots[-1] >= n:
+        raise ValueError("inconsistent system")
+    # x with M x = b_c is -y[:n] / y[n + c] for the kernel vector y of
+    # [M | B] read at column n + c: the last k vectors, in order
+    Y = K[:, K.shape[1] - k :].T.tolist()
+    return [[Fraction(-v, y[n + c]) for v in y[:n]] for c, y in enumerate(Y)]
+
+
+def _kernel(M: np.ndarray) -> Tuple[List[int], np.ndarray]:
+    """(pivots, K) for the integer matrix M: its pivot columns over Q and
+    its kernel basis as the columns of K.  They are computed mod word
+    primes, lifted by rational reconstruction (over more primes by CRT when
+    that fails) and returned only once the exact product M K is zero.
 
     That check makes the answer exact.  A prime's rank is at most the rank
     over Q, so its n - rank non-pivot columns bound the kernel dimension
-    from above; the lifted vectors are independent (each is 1 at its own
-    non-pivot column, 0 at the others), so, once all lie in the kernel, the
-    prime's rank is the true rank.  Each vector is also zero at every pivot
-    column right of its own f, so every non-pivot column of M lies in the
-    span of the pivot columns left of it: the prime's pivots are those over
-    Q, and the vectors are the basis above.  A prime whose rank or pivots
-    differ from Q's fails the check, and the next one is taken.
+    from above; the lifted vectors are independent (each is nonzero at its
+    own non-pivot column, 0 at the others), so, once all lie in the kernel,
+    the prime's rank is the true rank.  Each vector is also zero at every
+    pivot column right of its own f, so every non-pivot column of M lies in
+    the span of the pivot columns left of it: the prime's pivots are those
+    over Q, and the vectors are the basis above.  A prime whose rank or
+    pivots differ from Q's fails the check, and the next one is taken.
     """
-    if ncols is None:
-        ncols = len(rows[0]) if len(rows) else 0
-    if ncols == 0:
-        return []
-    M = _int_array(rows, ncols)
+    ncols = M.shape[1]
     best = None  # (pivots, residues at the pivot rows, modulus)
     for p in _primes():
         R, pivots = _rref_mod((M % p).astype(np.int64), p)
@@ -145,8 +105,33 @@ def kernel_basis(rows: Sequence[Sequence], ncols: Optional[int] = None) -> List[
             best = (pivots, residues, p)
         K = _lift(*best, ncols)
         if K is not None and not imatmul(M, K).any():
-            return K.T.tolist()
-    raise ArithmeticError("kernel_basis ran out of word primes")
+            return pivots, K
+    raise ArithmeticError("the modular kernel ran out of word primes")
+
+
+# An int64 array operation is taken only when an a-priori bound on every
+# partial result is below this; otherwise it runs on Python ints.
+INT64_BOUND = 1 << 62
+
+
+def int_dtype(bound: int):
+    """The dtype of integer arrays whose entries and partial results are
+    at most bound in magnitude: int64 below INT64_BOUND, Python ints above."""
+    return np.int64 if bound < INT64_BOUND else object
+
+
+def lincomb(terms: Sequence[Tuple[np.ndarray, int]]) -> np.ndarray:
+    """The exact sum of arr * scale over the (arr, scale) terms, integer
+    arrays of one shape and integer scales.  Its dtype follows the bound
+    sum of max|arr| * |scale|, with max|arr| counted as at least 1, so that
+    int64 is never taken for a scale that it cannot hold."""
+    dtype = int_dtype(sum(int(np.abs(arr).max(initial=1)) * abs(sc) for arr, sc in terms))
+    terms = [(arr.astype(dtype, copy=False), sc) for arr, sc in terms]
+    out = terms[0][0] * terms[0][1]
+    for arr, sc in terms[1:]:
+        # a unit scale adds in place, with no temporary (the Gram sums)
+        out += arr if sc == 1 else arr * sc
+    return out
 
 
 # Float64 holds every integer of magnitude below 2**53 exactly.
@@ -169,16 +154,18 @@ def imatmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A.astype(object) @ B.astype(object)
 
 
-def _int_array(rows: Sequence[Sequence], ncols: int) -> np.ndarray:
-    """The rows cleared to integers, as an int64 array when they fit.  An
-    int64 array is taken as it is."""
+def int_array(rows: Sequence[Sequence], ncols: int) -> np.ndarray:
+    """The rows cleared to integers, as an ncols-column array of the dtype
+    int_dtype gives for its largest entry.  An int64 array is taken as it is."""
     if isinstance(rows, np.ndarray) and rows.dtype == np.int64:
-        return rows.reshape(-1, ncols)
+        return rows.reshape(len(rows), ncols)
     int_rows = _to_int_rows(rows)
     try:
-        return np.array(int_rows, dtype=np.int64).reshape(len(int_rows), ncols)
-    except OverflowError:
-        return np.array(int_rows, dtype=object).reshape(len(int_rows), ncols)
+        A = np.array(int_rows, dtype=np.int64).reshape(len(int_rows), ncols)
+        bound = max(-int(A.min(initial=0)), int(A.max(initial=0)))
+    except OverflowError:  # an integer past int64
+        A, bound = np.array(int_rows, dtype=object).reshape(len(int_rows), ncols), INT64_BOUND
+    return A.astype(int_dtype(bound), copy=False)
 
 
 def _is_prime(n: int) -> bool:
@@ -264,8 +251,8 @@ def _lift(pivots: List[int], residues: np.ndarray, m: int, ncols: int) -> Option
     bound = isqrt(m // 2)
     D = 1
     while True:
-        # residues times D stay below m * D, which int64 holds below 2**62
-        dtype = np.int64 if m * D < 1 << 62 else object
+        # residues times D stay below m * D
+        dtype = int_dtype(m * D)
         b = residues.astype(dtype) * D % m
         b[2 * b > m] -= m
         large = np.flatnonzero(np.abs(b) > bound)
@@ -280,24 +267,6 @@ def _lift(pivots: List[int], residues: np.ndarray, m: int, ncols: int) -> Option
     K[pivots] = b
     K[_non_pivots(pivots, ncols), np.arange(nfree)] = D
     return K // np.gcd.reduce(K, axis=0)
-
-
-def solve(rows: Sequence[Sequence], rhs_columns: Sequence[Sequence]) -> List[List[Fraction]]:
-    """One exact solution x of M x = b for every column b, with M given by
-    its rows (at least one), from one echelon of [M | B].  The free
-    unknowns are set to 0.  Raises ValueError if any b is outside M's
-    column span."""
-    n = len(rows[0]) if rows else 0
-    aug = [list(row) + [b[i] for b in rhs_columns] for i, row in enumerate(rows)]
-    ech, pivots = echelon(aug)
-    if pivots and pivots[-1] >= n:
-        raise ValueError("inconsistent system")
-    out = []
-    for c in range(len(rhs_columns)):
-        # x with M x + b = 0 is the kernel vector of [M | B] that is 1 at b
-        y, d = _back_substitute(ech, pivots, n + len(rhs_columns), n + c)
-        out.append([Fraction(-v, d) for v in y[:n]])
-    return out
 
 
 class ColumnBasis:

@@ -14,9 +14,11 @@ cut batch by batch so the large top-degree data is only built on an
 already-small parameter space; after each cut the span values are rebuilt
 from the new parameter basis.  The Gram products and the cuts
 (linalg.imatmul) run on float64 BLAS under an exactness bound, and each
-Gram's kernel through the certified modular linalg.kernel_basis.  Outer
-characters read each acted-on solution off p fixed independent rows of
-the parameter basis and check the other rows exactly.
+Gram's kernel through the certified modular linalg.kernel_basis.  The
+span values, W and the Gram sums stay on int64 under linalg's a-priori
+bound and move to Python ints above it.  Outer characters read each
+acted-on solution off p independent rows of the parameter basis, which
+the same certified engine picks, and check the other rows exactly.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from ..partitions import Partition, partitions_of
 from ..symrep import JointClassFunction, joint_decompose, representative
 from . import linalg
-from .functors import INT64_BOUND, MAX_ABS_GUARD, OracleError, SpMat, TruncatedFunctor
+from .functors import OracleError, SpMat, TruncatedFunctor
 
 Path = Tuple  # ("gen", a) | ("step", genkey, parent_t, parent_idx)
 
@@ -150,11 +152,7 @@ class NatHomResult:
         self.P_cols = P_cols
         # blocks: generator index -> (degree, offset), used generators only
         self.blocks = blocks
-        self._P = (
-            np.array(P_cols, dtype=np.int64).T
-            if P_cols
-            else np.zeros((self.n_v, 0), dtype=np.int64)
-        )
+        self._P = linalg.int_array(P_cols, self.n_v).T
         self._vcache: Dict[Tuple[int, int], Tuple[np.ndarray, int]] = {}
         self._rinv = None
 
@@ -240,8 +238,8 @@ class NatHomResult:
         matrix Q = D * P[I]^-1 with D > 0; computed once per result."""
         if self._rinv is None:
             p = self.dimension
-            I = linalg.echelon(self._P.T.tolist())[1]
-            inv = linalg.solve(self._P[I].tolist(), np.eye(p, dtype=np.int64).tolist())
+            I = linalg.pivot_columns(self._P.T)
+            inv = linalg.solve(self._P[I], np.eye(p, dtype=np.int64).tolist())
             D = lcm(*(v.denominator for col in inv for v in col))
             Q = np.array([[int(col[i] * D) for col in inv] for i in range(p)], dtype=object)
             self._rinv = (I, Q, D)
@@ -305,41 +303,19 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
                 (arr_i, coeff.numerator * (L // (coeff.denominator * den_i)))
                 for coeff, arr_i, den_i in terms
             ]
-            # W = sum of arr * scale; initial=1 also keeps every scale itself
-            # below the bound when its array is zero
-            bound = sum(int(np.abs(arr).max(initial=1)) * abs(sc) for arr, sc in scaled)
-            dtype = np.int64 if bound < INT64_BOUND else object
-            W = np.zeros(rhs.shape, dtype=dtype)
-            for arr, sc in scaled:
-                W += arr.astype(dtype, copy=False) * sc
+            W = linalg.lincomb(scaled)
             block = linalg.imatmul(W.T, W)
-            gram = block if gram is None else _gram_add(gram, block)
+            gram = block if gram is None else linalg.lincomb([(gram, 1), (block, 1)])
         if gram is None or not gram.any():
             continue
         ker = linalg.kernel_basis(gram, p)
         if len(ker) < p:
             # cut: the span values are rebuilt from the new P on demand
-            P = _as_int64(linalg.imatmul(P, np.array(ker, dtype=np.int64).reshape(-1, p).T))
+            K = linalg.int_array(ker, p).T
+            P = linalg.int_array(linalg.imatmul(P, K), len(ker))
             vcache.clear()
 
     return NatHomResult(F, G, span, P.T.tolist(), blocks)
-
-
-def _gram_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.dtype == np.int64 and b.dtype == np.int64:
-        amax = int(np.abs(a).max(initial=0)) + int(np.abs(b).max(initial=0))
-        if amax < INT64_BOUND:
-            return a + b
-    return a.astype(object) + b.astype(object)
-
-
-def _as_int64(A: np.ndarray) -> np.ndarray:
-    if A.dtype == np.int64:
-        return A
-    mx = max((abs(int(x)) for x in A.flat), default=0)
-    if mx > MAX_ABS_GUARD:
-        raise OracleError("parameter magnitude guard tripped")
-    return A.astype(np.int64)
 
 
 def nat_hom_dense_dim(F: TruncatedFunctor, G: TruncatedFunctor) -> int:

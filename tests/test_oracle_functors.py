@@ -24,7 +24,7 @@ from finsetrep.oracle import (
     quotient_functor,
     sgn_coinvariant_dim,
 )
-from finsetrep.oracle.functors import SpMat, lambda_pbar_embedding
+from finsetrep.oracle.functors import SpMat, _block_diagonal, lambda_pbar_embedding
 
 
 def test_dimension_formulas():
@@ -114,16 +114,36 @@ def test_apply_dense_edge_cases():
     assert (z.apply_dense(X) == np.zeros((4, 2), dtype=np.int64)).all()
 
 
-def test_apply_dense_refuses_int64_wrap():
-    # 2**40 * 2**24 wraps to 0 in int64
-    with pytest.raises(OracleError):
-        SpMat(1, 1, [0], [0], [2**40]).apply_dense(np.array([[2**24]]))
-    # each product fits, but a row of 16 sums to 2**64, which wraps to 0
+def test_apply_dense_is_exact_past_int64():
+    # 2**40 * 2**24 would wrap to 0 in int64: it runs on Python ints
+    out = SpMat(1, 1, [0], [0], [2**40]).apply_dense(np.array([[2**24]]))
+    assert out.tolist() == [[2**64]]
+    # each product fits, but a row of 16 sums to 2**64
     row = SpMat(1, 16, [0] * 16, range(16), [2**40] * 16)
+    out = row.apply_dense(np.full((16, 1), 2**20, dtype=np.int64))
+    assert out.tolist() == [[2**64]]
+    # well inside the bound the product stays on int64
+    out = row.apply_dense(np.ones((16, 1), dtype=np.int64))
+    assert out.dtype == np.int64 and out[0, 0] == 2**44
+    # a Python-int input is taken as well
+    X = np.array([[2**70], [1]] + [[0]] * 14, dtype=object)
+    assert row.apply_dense(X).tolist() == [[2**110 + 2**40]]
+
+
+def test_spmat_sum_and_scale_do_not_wrap():
+    # the sum is (2**70 + 3) / (3 * 2**30), whose numerator no SpMat holds;
+    # int64 arithmetic would wrap 2**40 * 2**30 to 0
+    a, b = SpMat(1, 1, [0], [0], [2**40], den=3), SpMat(1, 1, [0], [0], [1], den=2**30)
     with pytest.raises(OracleError):
-        row.apply_dense(np.full((16, 1), 2**20, dtype=np.int64))
-    # well inside the bound the product is exact
-    assert row.apply_dense(np.ones((16, 1), dtype=np.int64))[0, 0] == 2**44
+        a + b
+    with pytest.raises(OracleError):
+        _block_diagonal([a, b])
+    with pytest.raises(OracleError):
+        SpMat(1, 1, [0], [0], [2**40]).scale(2**30)
+    # below the guard the answers are exact
+    s = SpMat(1, 1, [0], [0], [2**20], den=3) + SpMat(1, 1, [0], [0], [1], den=2**30)
+    assert s.trace() == Fraction(2**20, 3) + Fraction(1, 2**30)
+    assert SpMat(1, 1, [0], [0], [2**20]).scale(-(2**30), 7).trace() == Fraction(-(2**50), 7)
 
 
 def test_pbar_basis_example():
@@ -234,6 +254,17 @@ def test_kernel_functor_rejects_non_natural_maps():
     mats[2] = SpMat(1, 2, [0], [0], [1])
     with pytest.raises(OracleError):
         kernel_functor(F, G, mats, "broken")
+
+
+def test_kernel_functor_rejects_a_kernel_the_outer_action_moves():
+    from finsetrep.oracle import kernel_functor, nat_hom
+
+    # a natural map pfin(3) -> pfin(2) that does not commute with the outer
+    # S_3 action on the source's tensor positions
+    res = nat_hom(build_pfin(3, 5), build_pfin(2, 5))
+    mats = [res.solution_matrix(0, t) for t in range(6)]
+    with pytest.raises(OracleError, match="not stable under the outer action"):
+        kernel_functor(build_pfin(3, 5), build_pfin(2, 5), mats, "kernel")
 
 
 def test_sgn_coinvariant_dims():

@@ -49,22 +49,20 @@ def _cases():
         yield _random_matrix(rng, m, n, rng.randint(0, min(m, n)), trial % 2 == 1), rng
 
 
-def test_echelon_and_rank_match_reference():
+def test_rank_and_pivots_match_reference():
     for M, _ in _cases():
-        ech, pivots = linalg.echelon(M)
-        assert len(ech) == len(pivots) == linalg.rank(M) == _ref_rank(M)
-        assert pivots == sorted(set(pivots))
-        for row, pc in zip(ech, pivots):
-            assert all(isinstance(x, int) for x in row)
-            assert row[pc] and not any(row[:pc])
-        # the echelon rows span the row space of M
-        assert _ref_rank(M + ech) == len(ech)
+        pivots = linalg.pivot_columns(M)
+        assert len(pivots) == linalg.rank(M) == _ref_rank(M)
+        # each pivot column is independent of the columns before it, and
+        # every other column is not
+        for j in range(len(M[0])):
+            grows = _ref_rank([row[: j + 1] for row in M]) > _ref_rank([row[:j] for row in M])
+            assert grows == (j in pivots)
 
 
-def _ref_kernel(rows, n):
-    """The kernel basis read off the reduced echelon form over Fractions:
-    one primitive integer vector per non-pivot column f, positive at f and
-    zero at the other non-pivot columns."""
+def _ref_rref(rows, n):
+    """The reduced echelon form over Fractions of n-column rows, by
+    Gauss-Jordan elimination: (rows, pivot columns)."""
     work = [[Fraction(x) for x in row] for row in rows]
     pivots = []
     for c in range(n):
@@ -79,6 +77,14 @@ def _ref_kernel(rows, n):
                 q = work[i][c]
                 work[i] = [a - q * b for a, b in zip(work[i], work[r])]
         pivots.append(c)
+    return work, pivots
+
+
+def _ref_kernel(rows, n):
+    """The kernel basis read off the reduced echelon form over Fractions:
+    one primitive integer vector per non-pivot column f, positive at f and
+    zero at the other non-pivot columns."""
+    work, pivots = _ref_rref(rows, n)
     out = []
     for f in (j for j in range(n) if j not in pivots):
         x = [Fraction(0)] * n
@@ -196,6 +202,30 @@ def test_imatmul_at_the_float_bound():
     assert linalg.imatmul(np.zeros((2, 0), dtype=np.int64), np.zeros((0, 3), dtype=np.int64)).tolist() == [[0] * 3] * 2
 
 
+def test_lincomb_and_int_array_at_the_int64_bound():
+    bound = linalg.INT64_BOUND
+    small = np.array([[1, -2]], dtype=object)
+    big = np.array([[bound, 1]], dtype=object)
+    x = np.array([[3, 4]], dtype=np.int64)
+    # small values in an object array come back on int64
+    out = linalg.lincomb([(small, 3), (x, 1)])
+    assert out.dtype == np.int64 and out.tolist() == [[6, -2]]
+    out = linalg.lincomb([(x, -1), (small, 1)])
+    assert out.dtype == np.int64 and out.tolist() == [[-2, -6]]
+    # a bound at INT64_BOUND, in an entry or a scale, takes Python ints
+    assert linalg.lincomb([(x, 1), (big, 1)]).tolist() == [[bound + 3, 5]]
+    out = linalg.lincomb([(x, bound // 2)])
+    assert out.dtype == object and out.tolist() == [[3 * bound // 2, 2 * bound]]
+    # a zero array still counts its scale
+    assert linalg.lincomb([(np.zeros((1, 2), dtype=np.int64), 1 << 70)]).dtype == object
+    # the caller's arrays are left as they were
+    assert small.tolist() == [[1, -2]] and x.tolist() == [[3, 4]]
+    assert linalg.int_array([[bound - 1, -(bound - 1)]], 2).dtype == np.int64
+    for rows in ([[bound, 0]], [[0, -bound]], [[1 << 64, 0]], [[Fraction(1, 2), bound // 2]]):
+        A = linalg.int_array(rows, 2)
+        assert A.dtype == object and A.tolist() == linalg._to_int_rows(rows)
+
+
 def test_solve_many_right_hand_sides():
     for M, rng in _cases():
         n = len(M[0])
@@ -229,7 +259,8 @@ def test_solve_rejects_an_inconsistent_column():
 
 
 def test_empty_and_zero_column_inputs():
-    assert linalg.echelon([]) == ([], [])
+    assert linalg.pivot_columns([]) == []
+    assert linalg.pivot_columns([[0, 0], [0, 3]]) == [1]
     assert linalg.rank([]) == 0
     assert linalg.rank([[], []]) == 0
     assert linalg.rank([[0, 0], [0, 0]]) == 0
@@ -249,3 +280,39 @@ def test_mixed_int_and_fraction_rows():
     (x,) = linalg.kernel_basis(M)
     assert x == [-6, 1, 0]  # primitive, positive at its free coordinate
     assert linalg.solve(M, [[1, 2, 5]]) == [[Fraction(10, 3), 0, 1]]  # free unknown 0
+
+
+def _ref_solve(rows, b):
+    """The solution of M x = b with every free unknown 0, read off the
+    reduced echelon form of [M | b]; None when b is outside the span."""
+    n = len(rows[0])
+    work, pivots = _ref_rref([list(row) + [v] for row, v in zip(rows, b)], n + 1)
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for i, pc in enumerate(pivots):
+        x[pc] = work[i][n]
+    return x
+
+
+def test_rank_and_solve_match_fraction_references_on_int64_and_big_rows():
+    rng = random.Random(62)
+    checked = 0
+    for trial in range(24):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        M = _random_matrix(rng, m, n, rng.randint(0, min(m, n)), False)
+        if trial % 2:
+            # scale whole rows past 2**62: rank and solutions stay the same
+            M = [[x * rng.choice([1, (1 << 62) + 1, -(1 << 70)]) for x in row] for row in M]
+        B = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(3)]
+        B.append(_matvec(M, [rng.randint(-3, 3) for _ in range(n)]))
+        for rows in (M, np.array(M, dtype=object if trial % 2 else np.int64)):
+            assert linalg.rank(rows) == _ref_rank(M)
+            refs = [_ref_solve(M, b) for b in B]
+            good = [b for b, x in zip(B, refs) if x is not None]
+            assert linalg.solve(rows, good) == [x for x in refs if x is not None]
+            if len(good) < len(B):
+                with pytest.raises(ValueError):
+                    linalg.solve(rows, B)
+                checked += 1
+    assert checked > 5

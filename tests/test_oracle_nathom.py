@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 
 from finsetrep.partitions import Partition, partitions_of
@@ -167,7 +168,7 @@ def test_span_pass_records_move_expansions():
 
 
 def test_python_int_path_matches_int64_path(monkeypatch):
-    from finsetrep.oracle import linalg, nathom
+    from finsetrep.oracle import linalg
 
     N = 4
     pairs = [
@@ -175,8 +176,9 @@ def test_python_int_path_matches_int64_path(monkeypatch):
         (build_proj_cover(1, N), build_pfin(2, N)),
     ]
     fast = [nat_hom(F, G) for F, G in pairs]
-    # with zero bounds every product and sum runs on Python ints
-    monkeypatch.setattr(nathom, "INT64_BOUND", 0)
+    # with zero bounds every product and sum runs on Python ints: the sparse
+    # applies, W, the Gram sums, the kernel lifts and P itself
+    monkeypatch.setattr(linalg, "INT64_BOUND", 0)
     monkeypatch.setattr(linalg, "FLOAT_EXACT_BOUND", 0)
     for (F, G), r in zip(pairs, fast):
         slow = nat_hom(F, G)
@@ -184,6 +186,8 @@ def test_python_int_path_matches_int64_path(monkeypatch):
         assert slow.dimension == r.dimension
         assert slow.P_cols == r.P_cols
         assert slow.outer_character().values == r.outer_character().values
+        assert r._P.dtype == np.int64 and slow._P.dtype == object
+        assert {arr.dtype for arr, _ in slow._vcache.values()} == {np.dtype(object)}
 
 
 def test_stabilization_small():
