@@ -85,6 +85,8 @@ def _functor_from_descriptor(desc: str, N: int):
         n = int(num)
     except ValueError:
         raise CliError(f"bad functor descriptor {desc!r}")
+    if n < 0:
+        raise CliError(f"bad functor descriptor {desc!r}: the degree must be non-negative")
     builders = {
         "pfin": build_pfin,
         "pbar": build_pbar_tensor,
@@ -105,6 +107,8 @@ def _functor_from_descriptor(desc: str, N: int):
 def cmd_simple_eval(args) -> str:
     label = _simple_label_from_args(args.kind, args.arg)
     t = args.t
+    if t < 0:
+        raise CliError("--t must be non-negative")
     dec = fc.simple_eval(label, t)
     rows = [
         (t, display(lam), m)
@@ -161,6 +165,8 @@ def cmd_groth(args) -> str:
     N = args.trunc
     k = args.k
     name = args.identity
+    if k < 0:
+        raise CliError("--k must be non-negative")
     if name == "invert-triv":
         lhs = fg.invert_triv(fg.triv_class(N))
         rhs = fg.unit(N)
@@ -266,6 +272,8 @@ def _verify_suite(args) -> Tuple[List, int]:
             reports.append(Report("kfs_cross", {"N": min(N, 6)}, True, str(exc), False))
     else:
         raise CliError(f"unknown suite {args.suite!r}")
+    if not reports:
+        raise CliError(f"suite {suite!r} runs no check at --max-size {N}")
 
     failed = [r for r in reports if not r.passed]
     return reports, (2 if failed else 0)

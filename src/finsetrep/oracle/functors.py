@@ -148,6 +148,16 @@ class SpMat:
                     del out[r]
         return out
 
+    def apply_int(self, col: Dict[int, int]) -> Dict[int, int]:
+        """Exact (self * den) @ col for a sparse integer column (ignore
+        self.den), without its zero entries."""
+        idx = self._colindex()
+        out: Dict[int, int] = {}
+        for c, cv in col.items():
+            for r, v in idx.get(c, ()):
+                out[r] = out.get(r, 0) + v * cv
+        return {r: v for r, v in out.items() if v}
+
     def int_rows(self) -> List[List[int]]:
         """Dense integer rows of self * den."""
         out = [[0] * self.n for _ in range(self.m)]

@@ -8,7 +8,9 @@ rows and a linear solve for many right-hand sides at once are read off it.
 One a-priori bound decides where integer arrays run on int64 and where on
 Python ints; imatmul takes exact integer matrix products on float64 BLAS
 under a bound of its own.  An incrementally maintained column basis
-(reduced echelon with expansion bookkeeping) serves the span pass.
+(reduced echelon with expansion bookkeeping) reduces sparse vectors, in
+exact arithmetic (ColumnBasis) or mod a word prime for the span pass
+(ModColumnBasis).
 """
 
 from __future__ import annotations
@@ -189,8 +191,9 @@ def _is_prime(n: int) -> bool:
 
 
 def _primes() -> Iterator[int]:
-    """The moduli of kernel_basis: the primes below 2**31, largest first.
-    Below 2**31 every product of two residues fits in int64."""
+    """The moduli of kernel_basis and the span pass: the primes below
+    2**31, largest first.  Below 2**31 every product of two residues fits
+    in int64."""
     yield (1 << 31) - 1  # a Mersenne prime
     yield from (n for n in range((1 << 31) - 3, 2, -2) if _is_prime(n))
 
@@ -366,6 +369,61 @@ class ColumnBasis:
         if residual:
             raise ValueError("vector outside span")
         return combo
+
+
+class ModColumnBasis:
+    """ColumnBasis over GF(p): the same incrementally maintained reduced
+    echelon form with expansion bookkeeping, on residues in [0, p) (Python
+    ints), each row scaled to 1 at its pivot."""
+
+    __slots__ = ("p", "rows", "pivots")
+
+    def __init__(self, p: int):
+        self.p = p
+        # one row per added column: (sparse row, expression over column indices)
+        self.rows: List[Tuple[Dict[int, int], Dict[int, int]]] = []
+        self.pivots: Dict[int, int] = {}  # pivot coordinate -> row index
+
+    def add(self, vec: Dict[int, int]):
+        """Add a column of residues.  Returns (index, None) if independent
+        mod p (appended), or (None, combo) expressing it mod p over
+        previously added columns."""
+        p = self.p
+        r = dict(vec)
+        combo: Dict[int, int] = {}
+        # every row is zero at every other row's pivot: one pass clears them
+        for coord in [c for c in r if c in self.pivots]:
+            f = r[coord]
+            row, expr = self.rows[self.pivots[coord]]
+            _axpy(r, -f, row, p)
+            _axpy(combo, f, expr, p)
+        if not r:
+            return None, combo
+        idx = len(self.rows)
+        piv = min(r)
+        inv = pow(r[piv], -1, p)
+        row = {j: v * inv % p for j, v in r.items()}
+        # row = inv * (vec - sum combo * cols)
+        expr = {j: -v * inv % p for j, v in combo.items()}
+        expr[idx] = inv
+        for krow, kexpr in self.rows:
+            f = krow.get(piv)
+            if f:
+                _axpy(krow, -f, row, p)
+                _axpy(kexpr, -f, expr, p)
+        self.rows.append((row, expr))
+        self.pivots[piv] = idx
+        return idx, None
+
+
+def _axpy(y: Dict[int, int], a: int, x: Dict[int, int], p: int) -> None:
+    """y += a * x mod p in place, for sparse residue vectors."""
+    for j, v in x.items():
+        nv = (y.get(j, 0) + a * v) % p
+        if nv:
+            y[j] = nv
+        else:
+            y.pop(j, None)
 
 
 def sparse_from_dense(vec, den: int = 1) -> Dict[int, Fraction]:

@@ -5,6 +5,10 @@ is determined by its values on those generators.  Once per source functor,
 a spanning basis of every value F(t) is built by closing the generators
 under the category's generator moves (span pass); the pass records the
 expansion of every move image in that basis as it reduces the image.
+The pass runs modulo word primes: the basis is chosen mod p, the
+expansions are lifted to the rationals once, and every choice is then
+certified by an exact sparse check, so its answer is the exact pass's.
+Exact expansions of other vectors are computed per size, on demand.
 Solving hom(F, G) is then linear algebra in the unknown generator values:
 each basis column corresponds to an explicit vector G(path)(v), and every
 generator move contributes exact linear constraints.  Constraints are
@@ -25,9 +29,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -47,73 +51,200 @@ class SpanData:
 
     gen_used flags the declared generators that actually entered the
     basis; redundant generators (possible for kernel-style builders) are
-    absorbed into the span of the others and carry no free unknowns."""
+    absorbed into the span of the others and carry no free unknowns.
+    vecs holds the basis vectors themselves, vecs[t][idx] = (num, den)
+    for the vector num / den with num a sparse integer column; bases
+    caches the exact ColumnBasis of each size that expand() was asked for."""
 
     F: TruncatedFunctor
     paths: List[List[Path]]
-    cbs: List[linalg.ColumnBasis]
     order: List[Tuple[int, int]]
     gen_used: List[bool]
     gammas: Dict[Tuple, List[Dict[int, Fraction]]]
+    vecs: List[List[Tuple[Dict[int, int], int]]]
+    bases: Dict[int, linalg.ColumnBasis] = field(default_factory=dict)
+
+    def expand(self, t: int, vec: Dict[int, Fraction]) -> Dict[int, Fraction]:
+        """The exact expansion of a vector of F(t) in the basis at size t.
+        That size's ColumnBasis is built on first use."""
+        if t not in self.bases:
+            cb = linalg.ColumnBasis(self.F.dims[t])
+            for num, den in self.vecs[t]:
+                cb.add({i: Fraction(v, den) for i, v in num.items()})
+            self.bases[t] = cb
+        return self.bases[t].expand(vec)
 
 
 def build_span(F: TruncatedFunctor) -> SpanData:
+    """The span pass over F, run mod word primes and certified exactly.
+
+    Each prime replays the pass: the same heap traversal, with every
+    vector reduced in a ModColumnBasis.  A vector independent mod p is
+    independent over Q, so it is accepted over Q as well; the expansion
+    of every other vector (its residues, over more primes by CRT when
+    rational reconstruction fails) is lifted and checked exactly against
+    the columns before it.  Once every check holds, each choice of the
+    pass is the one exact arithmetic makes, so paths, order and the
+    expansions are those of an exact pass.  A prime whose choices differ
+    fails a check, and the next one is taken."""
     if F.span_cache is not None:
         return F.span_cache
+    best = None  # (choices, {path: (size, residues)}, modulus)
+    for p in linalg._primes():
+        run = _span_mod(F, p)
+        if run is None:
+            continue
+        choices, rejected = run
+        if best is not None and best[0] == choices:
+            m = best[2]
+            rejected = {
+                path: (t, _crt_combo(best[1][path][1], m, combo, p))
+                for path, (t, combo) in rejected.items()
+            }
+            best = (choices, rejected, m * p)
+        else:
+            # other choices than the primes before: one side is unlucky, and
+            # the check rejects an unlucky prime, so start over from this one
+            best = (choices, rejected, p)
+        span = _certified_span(F, *best)
+        if span is not None:
+            break
+    else:
+        raise ArithmeticError("the modular span pass ran out of word primes")
+    for t in range(F.N + 1):
+        if len(span.paths[t]) != F.dims[t]:
+            raise OracleError(
+                f"{F.name}: generators span only {len(span.paths[t])} of "
+                f"{F.dims[t]} dimensions at size {t}"
+            )
+    F.span_cache = span
+    return span
+
+
+def _span_mod(F: TruncatedFunctor, p: int):
+    """One span pass mod p: ((paths, order), rejected), where rejected maps
+    the path of every vector not accepted to its size and its expansion
+    mod p over the columns accepted before it (empty for a vector that is
+    zero mod p).  None when p divides a denominator of F's moves."""
+    if any(m.den % p == 0 for m in F.act.values()):
+        return None
     N = F.N
     paths: List[List[Path]] = [[] for _ in range(N + 1)]
-    cbs = [linalg.ColumnBasis(F.dims[t]) for t in range(N + 1)]
+    bases = [linalg.ModColumnBasis(p) for _ in range(N + 1)]
     order: List[Tuple[int, int]] = []
-    gammas: Dict[Tuple, List[Dict[int, Fraction]]] = {key: [] for key in F.gen_keys()}
+    rejected: Dict[Path, Tuple[int, Dict[int, int]]] = {}
 
-    heap: List[Tuple[int, int, Path, Dict[int, Fraction]]] = []
+    heap: List[Tuple[int, int, Path, Dict[int, int]]] = []
     counter = itertools.count()
-
-    def push(t: int, path: Path, vec: Dict[int, Fraction]):
-        heapq.heappush(heap, (t, next(counter), path, vec))
-
     for a, (d, col) in enumerate(F.generators):
-        push(d, ("gen", a), linalg.sparse_from_dense(col))
+        vec = {i: v % p for i, v in enumerate(col.tolist()) if v % p}
+        heapq.heappush(heap, (d, next(counter), ("gen", a), vec))
 
     moves_of: Dict[int, List[Tuple]] = {t: [] for t in range(N + 1)}
     for key in F.gen_keys():
         moves_of[TruncatedFunctor.gen_src_dst(key)[0]].append(key)
+    inverses = {key: pow(m.den, -1, p) for key, m in F.act.items()}
 
-    gen_used = [False] * len(F.generators)
     while heap:
         t, _, path, vec = heapq.heappop(heap)
-        if not vec:
-            continue
-        idx, combo = cbs[t].add(vec)
-        if path[0] == "step":
-            # the expansion of a move image is unique, so columns added
-            # later never change it
-            _, key, _, j = path
-            gammas[key][j] = combo if idx is None else {idx: Fraction(1)}
+        idx, combo = bases[t].add(vec)
         if idx is None:
+            rejected[path] = (t, combo)
             continue
-        if path[0] == "gen":
-            gen_used[path[1]] = True
         paths[t].append(path)
         order.append((t, idx))
         for key in moves_of[t]:
-            gammas[key].append({})  # filled when the image is reduced; zero stays {}
             _, t2 = TruncatedFunctor.gen_src_dst(key)
             if F.dims[t2] == 0:
                 continue
-            img = F.act[key].apply_sparse(vec)
+            inv = inverses[key]
+            img = {}
+            for i, v in F.act[key].apply_int(vec).items():
+                v = v * inv % p
+                if v:
+                    img[i] = v
+            step = ("step", key, t, idx)
             if img:
-                push(t2, ("step", key, t, idx), img)
+                heapq.heappush(heap, (t2, next(counter), step, img))
+            else:
+                rejected[step] = (t2, {})
+    return (paths, order), rejected
 
-    for t in range(N + 1):
-        if len(paths[t]) != F.dims[t]:
-            raise OracleError(
-                f"{F.name}: generators span only {len(paths[t])} of "
-                f"{F.dims[t]} dimensions at size {t}"
-            )
 
-    F.span_cache = SpanData(F, paths, cbs, order, gen_used, gammas)
-    return F.span_cache
+def _crt_combo(a: Dict[int, int], m: int, b: Dict[int, int], p: int) -> Dict[int, int]:
+    """The residues mod m * p that are a mod m and b mod p (sparse)."""
+    minv = pow(m, -1, p)
+    out = {}
+    for i in a.keys() | b.keys():
+        x, y = a.get(i, 0), b.get(i, 0)
+        v = x + m * ((y - x) * minv % p)
+        if v:
+            out[i] = v
+    return out
+
+
+def _certified_span(F: TruncatedFunctor, choices, rejected, m: int):
+    """The SpanData of the choices once every rejected vector's expansion,
+    lifted from its residues mod m, is checked exactly to write it as a
+    combination of the columns accepted before it; None otherwise."""
+    paths, order = choices
+    lifted: Dict[Path, Tuple[int, Dict[int, Fraction]]] = {}
+    for path, (t, combo) in rejected.items():
+        gamma = {}
+        for i, a in combo.items():
+            frac = linalg._ratrecon(a, m)
+            if frac is None:
+                return None
+            gamma[i] = Fraction(*frac)
+        lifted[path] = (t, gamma)
+
+    vecs: List[List[Tuple[Dict[int, int], int]]] = [[] for _ in range(F.N + 1)]
+    for t, idx in order:
+        vecs[t].append(_path_vector(F, paths[t][idx], vecs))
+    for path, (t, gamma) in lifted.items():
+        num, den = _path_vector(F, path, vecs)
+        if not _is_combination(num, den, gamma, vecs[t]):
+            return None
+
+    gammas: Dict[Tuple, List[Dict[int, Fraction]]] = {}
+    for key in F.gen_keys():
+        s, t = TruncatedFunctor.gen_src_dst(key)
+        gammas[key] = [lifted.get(("step", key, s, j), (t, {}))[1] for j in range(len(paths[s]))]
+    gen_used = [False] * len(F.generators)
+    for t in range(F.N + 1):
+        for idx, path in enumerate(paths[t]):
+            if path[0] == "step":
+                gammas[path[1]][path[3]] = {idx: Fraction(1)}
+            else:
+                gen_used[path[1]] = True
+    return SpanData(F, paths, order, gen_used, gammas, vecs)
+
+
+def _path_vector(F: TruncatedFunctor, path: Path, vecs) -> Tuple[Dict[int, int], int]:
+    """The vector a path builds, as (num, den), from the basis vectors."""
+    if path[0] == "gen":
+        col = F.generators[path[1]][1]
+        return {i: v for i, v in enumerate(col.tolist()) if v}, 1
+    _, key, s, j = path
+    num, den = vecs[s][j]
+    m = F.act[key]
+    num, den = m.apply_int(num), den * m.den
+    g = gcd(den, *num.values())
+    if g > 1:
+        num, den = {i: v // g for i, v in num.items()}, den // g
+    return num, den
+
+
+def _is_combination(num, den, gamma: Dict[int, Fraction], basis) -> bool:
+    """Whether num / den is exactly sum gamma[i] * basis[i]."""
+    L = lcm(den, *(g.denominator * basis[i][1] for i, g in gamma.items()))
+    acc = {r: -(L // den) * v for r, v in num.items()}
+    for i, g in gamma.items():
+        bnum, bden = basis[i]
+        scale = g.numerator * (L // (g.denominator * bden))
+        for r, v in bnum.items():
+            acc[r] = acc.get(r, 0) + scale * v
+    return not any(acc.values())
 
 
 def _span_value(
@@ -177,9 +308,9 @@ class NatHomResult:
         return {i: v for i, v in out.items() if v}
 
     def _columns(self, k: int, t: int) -> List[Dict[int, Fraction]]:
-        cb = self.span.cbs[t]
         return [
-            self._image(k, t, cb.expand({c: Fraction(1)})) for c in range(self.F.dims[t])
+            self._image(k, t, self.span.expand(t, {c: Fraction(1)}))
+            for c in range(self.F.dims[t])
         ]
 
     def solution_matrix(self, k: int, t: int) -> SpMat:
@@ -212,7 +343,7 @@ class NatHomResult:
         acted: List[Tuple[int, int, Fraction]] = []
         for a, (d, off) in self.blocks.items():
             w = linalg.sparse_from_dense(self.F.generators[a][1])
-            combo = self.span.cbs[d].expand(self.F.outer_matrix(g, d).apply_sparse(w))
+            combo = self.span.expand(d, self.F.outer_matrix(g, d).apply_sparse(w))
             hmat = self.G.outer_matrix(h, d)
             for kk in range(p):
                 # apply rho_G(h) to the solution's value on g.w

@@ -204,3 +204,18 @@ def test_criterion_11_multiplicities_formula_vs_oracle():
             total = sum(m * fc.simple_dim(lbl, t) for lbl, m in sym.items())
             assert total == F.dims[t], (F.name, t)
     report(11, True, f"five modules, factors and dims agree ({time.time()-t0:.0f}s)")
+
+
+def test_cartan_matrix_vs_oracle():
+    # beside the eleven criteria: the paper's hom spaces between the
+    # projective covers, and out of them into the tensor powers
+    t0 = time.time()
+    endo = fc.endo_projcover(3, 3)
+    into_pbar = fc.hom_projcover_pbar(3, 3)
+    for m in range(0, 4):
+        for n in range(0, 4):
+            for target, formula in ((proj_cover(n), endo), (pbar(n), into_pbar)):
+                got = {k: v for k, v in nat_hom(proj_cover(m), target).outer_bimodule().items() if v}
+                want = {k: v for k, v in fc.hom_entry(formula, m, n).items() if v}
+                assert got == want, (m, n, target.name, got, want)
+    report("cartan", True, f"hom(P_m, P_n) and hom(P_m, pbar(n)) agree, m,n<=3 ({time.time()-t0:.0f}s)")

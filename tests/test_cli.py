@@ -77,6 +77,28 @@ def test_invalid_inputs_exit_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["groth", "--identity", "W", "--k", "-1", "--trunc", "4"], "--k must be non-negative"),
+        (["simple-eval", "L", "2", "--t", "-1"], "--t must be non-negative"),
+        (["simple-eval", "C", "2,1", "--t", "-1"], "--t must be non-negative"),
+        (["verify", "--suite", "idempotent", "--max-size", "-1"], "runs no check"),
+        (["verify", "--suite", "right-aug", "--max-size", "1"], "runs no check"),
+        (["verify", "--suite", "pbar-hom", "--max-size", "1"], "runs no check"),
+        (["verify", "--suite", "norm-map", "--max-size", "0"], "runs no check"),
+        *(
+            (["hom", "--from", f"{family}:-1", "--to", "k", "--trunc", "3"], f"'{family}:-1'")
+            for family in ("pfin", "kfi", "pbar", "proj", "lambda", "lambdabar")
+        ),
+    ],
+)
+def test_negative_or_vacuous_arguments_exit_1(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert message in json.loads(err)["error"]
+
+
 def test_multiplicities_round_trip(tmp_path, capsys):
     data = fc.FBModuleData(
         5, 1, {k: sr.trivial_class(k) for k in range(1, 6)}

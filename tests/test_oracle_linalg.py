@@ -316,3 +316,32 @@ def test_rank_and_solve_match_fraction_references_on_int64_and_big_rows():
                     linalg.solve(rows, B)
                 checked += 1
     assert checked > 5
+
+
+def test_mod_column_basis_matches_column_basis():
+    p = next(linalg._primes())
+    rng = random.Random(31)
+    for dim in (1, 3, 6):
+        exact, mod = linalg.ColumnBasis(dim), linalg.ModColumnBasis(p)
+        added = []
+        for _ in range(4 * dim):
+            if added and rng.random() < 0.3:
+                # a combination of earlier columns
+                vec = {}
+                for col in rng.sample(added, min(2, len(added))):
+                    c = rng.choice([-1, 2])
+                    for i, v in col.items():
+                        vec[i] = vec.get(i, 0) + c * v
+            else:
+                # once dim columns are in, a fresh column has rational coefficients
+                vec = {i: rng.choice([-2, -1, 1, 3]) for i in rng.sample(range(dim), rng.randint(0, dim))}
+            vec = {i: v for i, v in vec.items() if v}
+            want = exact.add({i: Fraction(v) for i, v in vec.items()})
+            got = mod.add({i: v % p for i, v in vec.items()})
+            assert got[0] == want[0]
+            if want[0] is None:
+                assert got[1] == {j: c.numerator * pow(c.denominator, -1, p) % p
+                                  for j, c in want[1].items()}
+            else:
+                added.append(vec)
+        assert len(mod.rows) == len(added) == exact.ncols

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 from fractions import Fraction
 from math import factorial
 
@@ -19,7 +21,7 @@ from finsetrep.oracle import (
     nat_hom,
     nat_hom_dense_dim,
 )
-from finsetrep.oracle.functors import SpMat
+from finsetrep.oracle.functors import SpMat, direct_sum
 from finsetrep.oracle.linalg import sparse_from_dense
 from finsetrep.oracle.nathom import build_span
 
@@ -157,14 +159,68 @@ def test_span_pass_records_move_expansions():
         vecs = _replayed_span_vectors(span)
         assert len(vecs) == sum(F.dims), F.name
         for (t, idx), v in vecs.items():
-            assert span.cbs[t].expand(v) == {idx: Fraction(1)}, (F.name, t, idx)
+            assert span.expand(t, v) == {idx: Fraction(1)}, (F.name, t, idx)
         # reference: each move image expanded in the finished basis
         for key in F.gen_keys():
             s, t = F.gen_src_dst(key)
             assert len(span.gammas[key]) == F.dims[s], (F.name, key)
             for j in range(F.dims[s]):
-                ref = span.cbs[t].expand(F.act[key].apply_sparse(vecs[(s, j)]))
+                ref = span.expand(t, F.act[key].apply_sparse(vecs[(s, j)]))
                 assert span.gammas[key][j] == ref, (F.name, key, j)
+
+
+def _span_answer(span):
+    return span.paths, span.order, span.gen_used, span.gammas
+
+
+def test_span_pass_survives_unlucky_primes(monkeypatch):
+    from finsetrep.oracle import linalg
+
+    N, p0 = 4, 101
+    word = list(itertools.islice(linalg._primes(), 5))
+    # over Q the first two generators are independent and the third is not;
+    # mod p0 the first two coincide, so p0 accepts the third instead
+    unlucky = direct_sum([build_pfin(1, N), build_pfin(1, N)], "pfin(1)^2")
+    unlucky.generators = [(1, np.array(col)) for col in ([p0, 1], [0, 1], [1, 0])]
+    # a move with denominator p0, which p0 cannot invert
+    scaled = build_pfin(2, N)
+    scaled.act[("inc", 1)] = scaled.act[("inc", 1)].scale(1, p0)
+    cases = [
+        (unlucky, p0, [p0, word[0]]),
+        (scaled, p0, [p0, word[0]]),
+        # the right choices mod 7, but expansions of -1 read as 6 / 1: the
+        # lift fails its check, and the next prime is CRT-combined with 7
+        (build_pbar_tensor(3, N), 7, [7, word[0]]),
+    ]
+    for F, first, expected_primes in cases:
+        ref = _span_answer(build_span(dataclasses.replace(F, span_cache=None)))
+        used = []
+
+        def source():
+            for p in [first] + word:
+                used.append(p)
+                yield p
+
+        monkeypatch.setattr(linalg, "_primes", source)
+        assert _span_answer(build_span(F)) == ref, F.name
+        assert used == expected_primes, F.name
+        monkeypatch.undo()
+    assert unlucky.span_cache.gen_used == [True, True, False]
+
+
+def test_span_pass_reports_a_shortfall():
+    from finsetrep.oracle import OracleError
+
+    N = 4
+    k, k0 = build_const_k(N), build_k0(N)
+    zero = [SpMat.zeros(k0.dims[t], k.dims[t]) for t in range(N + 1)]
+    # every basis vector is a generator; without the one at size 0 nothing
+    # reaches size 0, since no generator move ends there
+    K = kernel_functor(k, k0, zero, "k-copy")
+    assert [d for d, _ in K.generators] == list(range(N + 1))
+    K.generators = K.generators[1:]
+    with pytest.raises(OracleError, match="generators span only 0 of 1 dimensions at size 0"):
+        build_span(K)
 
 
 def test_python_int_path_matches_int64_path(monkeypatch):
