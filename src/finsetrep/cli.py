@@ -240,6 +240,8 @@ def _verify_suite(args) -> Tuple[List, int]:
                     )
                 )
     elif suite == "groth":
+        if N < 1:
+            raise CliError(f"suite 'groth' checks no identity at --max-size {N}")
         for k in range(0, min(8, N - 1) + 1):
             ok = (
                 fg.series_S(k, N) + fg.series_S(k + 1, N) == fg.sgn_class(k, N)

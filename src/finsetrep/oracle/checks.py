@@ -27,6 +27,8 @@ from .functors import (
     OracleError,
     SpMat,
     TruncatedFunctor,
+    _check_truncation,
+    _residual_map,
     build_lambda_pbar,
     build_lambda_pfin,
     build_pbar_tensor,
@@ -270,28 +272,15 @@ def hom_from_lambda_bar(F: TruncatedFunctor, s: int, cross_check: bool = True) -
     if F.N < s + 2:
         raise OracleError("needs truncation >= s+2")
     cb1, free1 = sgn_coinvariant_reduction(F, s + 1)
-    cb2, free2 = sgn_coinvariant_reduction(F, s + 2)
-    look2 = {c: i for i, c in enumerate(free2)}
+    cb2, _ = sgn_coinvariant_reduction(F, s + 2)
+    proj2, _ = _residual_map(cb2)
     M = sigma_matrix(F, s + 1)
 
-    def project(col: Dict[int, Fraction]) -> List[Fraction]:
-        residual, _ = cb2.reduce(col)
-        out = [Fraction(0)] * len(free2)
-        for c, v in residual.items():
-            if c not in look2:
-                raise OracleError("sign-coinvariant reduction failed")
-            out[look2[c]] = v
-        return out
-
     # well-definedness: relation span at s+1 must map into relation span
-    for piv, row, _ in cb1.rows:
-        col = {c: Fraction(v) for c, v in row.items()}
-        img = M.apply_sparse(col)
-        residual, _ = cb2.reduce(img)
-        if residual:
-            raise OracleError("sigma map does not descend to coinvariants")
-
-    cols = [project(M.apply_sparse({j: Fraction(1)})) for j in free1]
+    relations = SpMat.from_sparse_columns(F.dims[s + 1], [row for _, row, _ in cb1.rows])
+    if not proj2.compose(M.compose(relations)).is_zero():
+        raise OracleError("sigma map does not descend to coinvariants")
+    cols = proj2.compose(M.compose(SpMat.unit_columns(F.dims[s + 1], free1))).int_rows()
     dim = len(free1) - linalg.rank(cols)
     if cross_check:
         lam = build_lambda_pbar(s, F.N)
@@ -332,6 +321,7 @@ def verify_lambda_complex(N: int) -> Report:
     """Exactness of the exterior-power complex at every set size <= N and
     every interior homological degree, with the point-supported module as
     the final cokernel."""
+    _check_truncation(N)
     boundaries = {}
     functors = {}
     for t in range(N + 1):

@@ -8,6 +8,16 @@ skeleton objects factors as a word in these, so naturality need only be
 imposed on generators (with exhaustive small-size functoriality checks as
 a safety net).
 
+Matrices are exact sparse integer matrices with one denominator (SpMat).
+Dense blocks of values are multiplied through them by apply_dense, which
+groups a matrix's rows by entry count once and then runs each group as one
+vectorized gather, multiply and sum.  Quotients and subfunctors are
+induced by sparse products: a ColumnBasis of the subspace at each size
+gives the residual projection pi_t along it and the expansion map E_t
+onto its basis, each one SpMat, so that a move m: s -> t induces pi_t m
+on the quotient and E_t m Sub_s on the subfunctor, and pi_t m Sub_s = 0
+certifies that the subspace is stable.
+
 Set elements are 0-indexed: the object of size t is {0, .., t-1}.
 """
 
@@ -40,10 +50,10 @@ class OracleError(RuntimeError):
 class SpMat:
     """Sparse integer matrix with one global denominator."""
 
-    __slots__ = ("m", "n", "rows", "cols", "vals", "den", "_cidx", "_runs")
+    __slots__ = ("m", "n", "rows", "cols", "vals", "den", "_cidx", "_bucketed")
 
     def __init__(self, m, n, rows, cols, vals, den=1):
-        self._cidx = self._runs = None
+        self._cidx = self._bucketed = None
         self.m, self.n = int(m), int(n)
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)
         cols = np.asarray(cols, dtype=np.int64).reshape(-1)
@@ -85,8 +95,13 @@ class SpMat:
 
     @classmethod
     def identity(cls, n):
-        idx = np.arange(n)
-        return cls(n, n, idx, idx, np.ones(n, dtype=np.int64))
+        return cls.unit_columns(n, range(n))
+
+    @classmethod
+    def unit_columns(cls, m, coords: Sequence[int]):
+        """The m x len(coords) matrix whose j-th column is the unit vector at
+        coords[j]: the inclusion of those coordinates."""
+        return cls(m, len(coords), coords, range(len(coords)), np.ones(len(coords), dtype=np.int64))
 
     @classmethod
     def from_sparse_columns(cls, m, columns: Sequence[Dict[int, Fraction]]):
@@ -110,22 +125,46 @@ class SpMat:
 
     def apply_dense(self, X: np.ndarray) -> np.ndarray:
         """Exact (self * den) @ X for a dense integer array X (ignore
-        self.den); int64 where the bound allows, Python ints otherwise."""
+        self.den); int64 where the bound allows, Python ints otherwise.
+
+        The rows are taken in buckets of equal entry count k: a bucket's
+        entries form an (r, k) block, so the bucket is one gather, multiply
+        and sum over its k axis (a plain gather and scale when k = 1)."""
         if not (self.nnz and X.size):
             return np.zeros((self.m,) + X.shape[1:], dtype=np.int64)
-        if self._runs is None:
-            # entries are sorted by row, so each row's run is one reduceat slice
-            starts = np.flatnonzero(np.diff(self.rows, prepend=-1))
-            # |row sum| <= max|vals| * longest run * max|X|
-            longest = int(np.diff(starts, append=self.nnz).max())
-            row_bound = int(np.abs(self.vals).max()) * longest
-            self._runs = (starts, self.rows[starts], row_bound)
-        starts, run_rows, row_bound = self._runs
+        if self._bucketed is None:
+            self._bucketed = self._buckets()
+        buckets, cols, vals, row_bound = self._bucketed
         dtype = linalg.int_dtype(row_bound * int(np.abs(X).max()))
-        vals = self.vals.astype(dtype, copy=False).reshape((-1,) + (1,) * (X.ndim - 1))
+        X = X.astype(dtype, copy=False)
+        vals = vals.astype(dtype, copy=False)
         out = np.zeros((self.m,) + X.shape[1:], dtype=dtype)
-        out[run_rows] = np.add.reduceat(vals * X[self.cols].astype(dtype, copy=False), starts, axis=0)
+        tail = (1,) * (X.ndim - 1)
+        for k, rows, lo, hi in buckets:
+            if k == 1:
+                out[rows] = vals[lo:hi].reshape((-1,) + tail) * X[cols[lo:hi]]
+            else:
+                v = vals[lo:hi].reshape((-1, k) + tail)
+                out[rows] = (v * X[cols[lo:hi].reshape(-1, k)]).sum(axis=1)
         return out
+
+    def _buckets(self):
+        """The row buckets of apply_dense, built once per matrix: (buckets,
+        cols, vals, row_bound) with cols and vals one copy of the entries in
+        bucket order and each bucket (k, its rows, its slice lo:hi of them)."""
+        k_of = np.bincount(self.rows)[self.rows]  # each entry's row length
+        # entries are sorted by row, so a stable sort by row length keeps
+        # each bucket's rows in order and each row's entries together
+        order = np.argsort(k_of, kind="stable")
+        k_of, rows = k_of[order], self.rows[order]
+        edges = [0] + (np.flatnonzero(np.diff(k_of)) + 1).tolist() + [self.nnz]
+        buckets = [
+            (int(k_of[lo]), rows[lo:hi:k_of[lo]].copy(), lo, hi)
+            for lo, hi in zip(edges[:-1], edges[1:])
+        ]
+        # |row sum| <= max|vals| * longest row * max|X|
+        row_bound = int(np.abs(self.vals).max()) * int(k_of[-1])
+        return buckets, self.cols[order], self.vals[order], row_bound
 
     def _colindex(self) -> Dict[int, List[Tuple[int, int]]]:
         """Column -> [(row, value)], built once per matrix."""
@@ -606,59 +645,47 @@ def quotient_functor(
     name: str,
 ) -> TruncatedFunctor:
     """Quotient of `parent` by the subfunctor spanned by the given sparse
-    columns (one list per set size).  Stability of the span under every
-    generator is verified exactly."""
-    reducers: List[linalg.ColumnBasis] = []
-    quot_coords: List[List[int]] = []
+    columns (one list per set size).  Its coordinates at size t are the
+    free coordinates of a ColumnBasis of the columns, and the basis's
+    residual map pi_t projects onto them: a move m: s -> t induces pi_t m
+    on the quotient coordinates of size s.  Stability of the span under
+    every generator, pi_t m Sub_s = 0, is verified exactly."""
+    projs, incs, subs = [], [], []
     for t in range(parent.N + 1):
         cb = linalg.ColumnBasis(parent.dims[t])
         for col in sub_columns[t]:
             cb.add(col)
-        reducers.append(cb)
-        pivset = set(cb.pivots.keys())
-        quot_coords.append([j for j in range(parent.dims[t]) if j not in pivset])
-    dims = [len(q) for q in quot_coords]
-    lookups = [{c: i for i, c in enumerate(q)} for q in quot_coords]
-
-    def project(t: int, vec: Dict[int, Fraction]) -> Dict[int, Fraction]:
-        residual, _ = reducers[t].reduce(vec)
-        out = {}
-        for c, v in residual.items():
-            if c not in lookups[t]:
-                raise OracleError(f"{name}: sub-span not stable at size {t}")
-            out[lookups[t][c]] = v
-        return out
-
-    def induced(m: SpMat, s: int, t: int, what: str) -> SpMat:
-        # stability check: images of sub columns must reduce to zero
-        for col in sub_columns[s]:
-            residual, _ = reducers[t].reduce(m.apply_sparse(col))
-            if residual:
-                raise OracleError(f"{name}: subfunctor not {what}")
-        cols = [project(t, m.apply_sparse({j: Fraction(1)})) for j in quot_coords[s]]
-        return SpMat.from_sparse_columns(dims[t], cols)
-
-    act = {
-        key: induced(parent.act[key], *parent.gen_src_dst(key), f"stable under {key}")
-        for key in parent.gen_keys()
-    }
+        proj, free = _residual_map(cb)
+        projs.append(proj)
+        incs.append(SpMat.unit_columns(parent.dims[t], free))
+        subs.append(SpMat.from_sparse_columns(parent.dims[t], sub_columns[t]))
     gens = []
     for d, col in parent.generators:
-        pc = project(d, linalg.sparse_from_dense(col))
+        pc = projs[d].apply_sparse(linalg.sparse_from_dense(col))
         if pc:
-            gens.append((d, _sparse_to_intvec(pc, dims[d])))
-    outer_act = {
-        (i, t): induced(m, t, t, "outer-stable") for (i, t), m in parent.outer_act.items()
-    }
-    return TruncatedFunctor(
-        parent.N,
-        dims,
-        act,
-        gens,
-        name=name,
-        outer_n=parent.outer_n,
-        outer_act=outer_act,
-    )
+            gens.append((d, _sparse_to_intvec(pc, projs[d].m)))
+    return _induced_functor(parent, projs, projs, incs, subs, gens, name)
+
+
+def _residual_map(cb: linalg.ColumnBasis) -> Tuple[SpMat, List[int]]:
+    """(pi, free): the free (non-pivot) coordinates of cb and the matrix
+    of cb.reduce's residual read at them, the projection along cb's span."""
+    free = [j for j in range(cb.dim) if j not in cb.pivots]
+    at = {j: i for i, j in enumerate(free)}
+    columns = [{at[j]: Fraction(1)} if j in at else {} for j in range(cb.dim)]
+    # each row is zero at every other pivot: pivot c moves by -row / row[c]
+    for piv, row, _ in cb.rows:
+        columns[piv] = {at[q]: Fraction(-v, row[piv]) for q, v in row.items() if q != piv}
+    return SpMat.from_sparse_columns(len(free), columns), free
+
+
+def _expansion_map(cb: linalg.ColumnBasis) -> SpMat:
+    """The matrix of cb.expand: a vector of cb's span to its expansion
+    over the added columns (read off the pivot coordinates alone)."""
+    columns: List[Dict[int, Fraction]] = [{} for _ in range(cb.dim)]
+    for piv, row, expr in cb.rows:
+        columns[piv] = {j: v / row[piv] for j, v in expr.items()}
+    return SpMat.from_sparse_columns(cb.ncols, columns)
 
 
 def _sparse_to_intvec(col: Dict[int, Fraction], dim: int) -> np.ndarray:
@@ -712,22 +739,49 @@ def _subfunctor(
     name: str,
 ) -> TruncatedFunctor:
     """The subfunctor of F with basis columns[t] at size t; reducers[t]
-    expands vectors of their span in that basis.  The span must be stable
-    under F's generators and its outer action."""
-    dims = [len(cols) for cols in columns]
+    expands vectors of their span in that basis.  A move m: s -> t acts
+    by E_t m Sub_s, with E_t the expansion map of reducers[t], once the
+    span is shown stable under F's generators and its outer action."""
+    subs = [SpMat.from_sparse_columns(F.dims[t], cols) for t, cols in enumerate(columns)]
+    return _induced_functor(
+        F,
+        [_expansion_map(cb) for cb in reducers],
+        [_residual_map(cb)[0] for cb in reducers],
+        subs,
+        subs,
+        gens,
+        name,
+    )
 
-    def restrict(m: SpMat, s: int, t: int, what: str) -> SpMat:
-        reduced = [reducers[t].reduce(m.apply_sparse(col)) for col in columns[s]]
-        if any(residual for residual, _ in reduced):
+
+def _induced_functor(
+    F: TruncatedFunctor,
+    left: List[SpMat],
+    projs: List[SpMat],
+    right: List[SpMat],
+    subs: List[SpMat],
+    gens: List[Tuple[int, np.ndarray]],
+    name: str,
+) -> TruncatedFunctor:
+    """The functor on which F's move m: s -> t (and F's outer action)
+    acts by left[t] m right[s], once projs[t] m subs[s] = 0 shows that m
+    keeps the span of subs stable; projs[t] is a projection along the
+    span of subs[t]."""
+
+    def induced(m: SpMat, s: int, t: int, what: str) -> SpMat:
+        moved = m.compose(subs[s])
+        if not projs[t].compose(moved).is_zero():
             raise OracleError(f"{name}: the subspace is not stable under {what}")
-        return SpMat.from_sparse_columns(dims[t], [combo for _, combo in reduced])
+        # a subfunctor's right factor is subs itself, already applied
+        return left[t].compose(moved if right is subs else m.compose(right[s]))
 
-    act = {key: restrict(F.act[key], *F.gen_src_dst(key), str(key)) for key in F.gen_keys()}
+    act = {key: induced(F.act[key], *F.gen_src_dst(key), str(key)) for key in F.gen_keys()}
     outer_act = {
-        (i, t): restrict(m, t, t, "the outer action") for (i, t), m in F.outer_act.items()
+        (i, t): induced(m, t, t, "the outer action") for (i, t), m in F.outer_act.items()
     }
     return TruncatedFunctor(
-        F.N, dims, act, gens, name=name, outer_n=F.outer_n, outer_act=outer_act
+        F.N, [mat.m for mat in left], act, gens, name=name, outer_n=F.outer_n,
+        outer_act=outer_act,
     )
 
 

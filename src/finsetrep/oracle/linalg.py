@@ -376,18 +376,23 @@ class ModColumnBasis:
     echelon form with expansion bookkeeping, on residues in [0, p) (Python
     ints), each row scaled to 1 at its pivot."""
 
-    __slots__ = ("p", "rows", "pivots")
+    __slots__ = ("p", "rows", "pivots", "accepted")
 
     def __init__(self, p: int):
         self.p = p
         # one row per added column: (sparse row, expression over column indices)
         self.rows: List[Tuple[Dict[int, int], Dict[int, int]]] = []
         self.pivots: Dict[int, int] = {}  # pivot coordinate -> row index
+        self.accepted: Dict[frozenset, int] = {}  # added column -> its index
 
     def add(self, vec: Dict[int, int]):
         """Add a column of residues.  Returns (index, None) if independent
         mod p (appended), or (None, combo) expressing it mod p over
-        previously added columns."""
+        previously added columns.  A copy of an added column is looked up,
+        not reduced: its expansion is that column alone."""
+        key = frozenset(vec.items())
+        if key in self.accepted:
+            return None, {self.accepted[key]: 1}
         p = self.p
         r = dict(vec)
         combo: Dict[int, int] = {}
@@ -413,6 +418,7 @@ class ModColumnBasis:
                 _axpy(kexpr, -f, expr, p)
         self.rows.append((row, expr))
         self.pivots[piv] = idx
+        self.accepted[key] = idx
         return idx, None
 
 

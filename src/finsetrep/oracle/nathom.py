@@ -7,11 +7,14 @@ under the category's generator moves (span pass); the pass records the
 expansion of every move image in that basis as it reduces the image.
 The pass runs modulo word primes: the basis is chosen mod p, the
 expansions are lifted to the rationals once, and every choice is then
-certified by an exact sparse check, so its answer is the exact pass's.
+certified by an exact sparse check, so its answer is the exact pass's;
+a vector that is a copy of an accepted one is looked up, not reduced.
 Exact expansions of other vectors are computed per size, on demand.
 Solving hom(F, G) is then linear algebra in the unknown generator values:
 each basis column corresponds to an explicit vector G(path)(v), and every
-generator move contributes exact linear constraints.  Constraints are
+generator move contributes exact linear constraints, except a move image
+that the span pass accepted: its value is G(move) of its parent's by
+construction, so its constraint is zero and is skipped.  Constraints are
 folded into integer Gram matrices (x is in the kernel of sum W_i^T W_i iff
 W_i x = 0 for all i, valid over the rationals), and the parameter space is
 cut batch by batch so the large top-degree data is only built on an
@@ -408,6 +411,9 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
 
     P = np.eye(n_v, dtype=np.int64)
     vcache: Dict[Tuple[int, int], Tuple[np.ndarray, int]] = {}
+    # a move image the span pass accepted is a basis vector whose value is
+    # G(key) of its parent's: its constraint W is zero by construction
+    accepted = {(path[1], path[3]) for paths in span.paths for path in paths if path[0] == "step"}
     keys = sorted(
         F.gen_keys(),
         key=lambda k: (max(TruncatedFunctor.gen_src_dst(k)), k[0] != "tau"),
@@ -423,6 +429,8 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
         gammas = span.gammas[key]
         m = G.act[key]
         for j in range(len(span.paths[s])):
+            if (key, j) in accepted:
+                continue
             sarr, sden = _span_value(span, G, blocks, P, vcache, (s, j))
             rhs = m.apply_dense(sarr)
             terms = [

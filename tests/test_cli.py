@@ -91,6 +91,9 @@ def test_invalid_inputs_exit_1(capsys):
             (["hom", "--from", f"{family}:-1", "--to", "k", "--trunc", "3"], f"'{family}:-1'")
             for family in ("pfin", "kfi", "pbar", "proj", "lambda", "lambdabar")
         ),
+        (["verify", "--suite", "lambda-complex", "--max-size", "-1"], "truncation below 2"),
+        (["verify", "--suite", "groth", "--max-size", "0"], "checks no identity"),
+        (["verify", "--suite", "groth", "--max-size", "-1"], "checks no identity"),
     ],
 )
 def test_negative_or_vacuous_arguments_exit_1(capsys, argv, message):

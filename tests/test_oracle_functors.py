@@ -294,3 +294,116 @@ def test_outer_action_is_natural():
                 lhs = F.outer_act[(i, t)].compose(F.act[key])
                 rhs = F.act[key].compose(F.outer_act[(i, s)])
                 assert lhs.equals(rhs)
+
+
+def test_bucketed_apply_dense_matches_the_dense_product():
+    rng = np.random.default_rng(7)
+    for trial in range(40):
+        m, n = int(rng.integers(3, 9)), int(rng.integers(1, 9))
+        rows, cols = [], []
+        # row 0 is full, row 1 has one entry and row 2 none; the others are
+        # random, some with a repeated (row, col) pair that the constructor sums
+        for r in [0, 1] + list(range(3, m)):
+            k = {0: n, 1: 1}.get(r, int(rng.integers(1, n + 1)))
+            cs = list(range(n)) if r == 0 else rng.integers(0, n, size=k).tolist()
+            if r > 2 and trial % 3 == 0:
+                cs.append(cs[0])
+            rows += [r] * len(cs)
+            cols += cs
+        vals = rng.choice([-3, -2, -1, 1, 2, 4], size=len(rows))
+        # every fifth matrix, with its inputs, is past the int64 bound
+        big = trial % 5 == 4
+        A = SpMat(m, n, rows, cols, vals * (1 << 40) if big else vals, den=int(rng.integers(1, 4)))
+        dense = np.array(A.int_rows(), dtype=object)
+        for shape in [(n,), (n, 3), (n, 2, 2)]:
+            X = rng.integers(-9, 10, size=shape) * ((1 << 24) if big else 1)
+            X.flat[0] = 1 << 24 if big else 1
+            out = A.apply_dense(X)
+            assert out.shape == (m,) + shape[1:]
+            assert (out == np.tensordot(dense, X.astype(object), axes=1)).all(), (trial, shape)
+            assert np.all(out[2] == 0)
+            assert out.dtype == (object if big else np.int64)
+
+
+def _reference_quotient(parent, sub_columns, name):
+    """The quotient by per-column Fraction arithmetic: reduce each image in
+    a ColumnBasis of the sub columns and read the residual's coordinates."""
+    from finsetrep.oracle import linalg
+    from finsetrep.oracle.functors import TruncatedFunctor, _sparse_to_intvec
+
+    reducers, quot_coords = [], []
+    for t in range(parent.N + 1):
+        cb = linalg.ColumnBasis(parent.dims[t])
+        for col in sub_columns[t]:
+            cb.add(col)
+        reducers.append(cb)
+        quot_coords.append([j for j in range(parent.dims[t]) if j not in cb.pivots])
+    dims = [len(q) for q in quot_coords]
+    lookups = [{c: i for i, c in enumerate(q)} for q in quot_coords]
+
+    def project(t, vec):
+        residual, _ = reducers[t].reduce(vec)
+        return {lookups[t][c]: v for c, v in residual.items()}
+
+    def induced(m, s, t):
+        for col in sub_columns[s]:
+            assert not reducers[t].reduce(m.apply_sparse(col))[0]
+        cols = [project(t, m.apply_sparse({j: Fraction(1)})) for j in quot_coords[s]]
+        return SpMat.from_sparse_columns(dims[t], cols)
+
+    act = {key: induced(parent.act[key], *parent.gen_src_dst(key)) for key in parent.gen_keys()}
+    gens = []
+    for d, col in parent.generators:
+        pc = project(d, linalg.sparse_from_dense(col))
+        if pc:
+            gens.append((d, _sparse_to_intvec(pc, dims[d])))
+    outer = {(i, t): induced(m, t, t) for (i, t), m in parent.outer_act.items()}
+    return TruncatedFunctor(parent.N, dims, act, gens, name=name, outer_n=parent.outer_n,
+                            outer_act=outer)
+
+
+def _reference_subfunctor(F, columns, reducers, gens, name):
+    """The subfunctor by per-column Fraction arithmetic: expand the image
+    of every basis column in the ColumnBasis of the size it lands in."""
+    from finsetrep.oracle.functors import TruncatedFunctor
+
+    def restrict(m, s, t):
+        reduced = [reducers[t].reduce(m.apply_sparse(col)) for col in columns[s]]
+        assert not any(residual for residual, _ in reduced)
+        return SpMat.from_sparse_columns(len(columns[t]), [combo for _, combo in reduced])
+
+    act = {key: restrict(F.act[key], *F.gen_src_dst(key)) for key in F.gen_keys()}
+    outer = {(i, t): restrict(m, t, t) for (i, t), m in F.outer_act.items()}
+    return TruncatedFunctor(F.N, [len(c) for c in columns], act, gens, name=name,
+                            outer_n=F.outer_n, outer_act=outer)
+
+
+def _functor_fields(F):
+    spmat = lambda m: (m.shape, m.rows.tolist(), m.cols.tolist(), m.vals.tolist(), m.den)
+    return (
+        F.dims,
+        {key: spmat(m) for key, m in F.act.items()},
+        {key: spmat(m) for key, m in F.outer_act.items()},
+        [(d, col.tolist()) for d, col in F.generators],
+    )
+
+
+def test_quotients_and_subfunctors_match_per_column_references(monkeypatch):
+    from finsetrep.oracle import functors, kernel_functor
+
+    N = 6
+    pbar2 = build_pbar_tensor(2, 5)
+    pfin1, k = build_pfin(1, 5), build_const_k(5)
+    augmentation = [
+        SpMat(1, pfin1.dims[t], [0] * pfin1.dims[t], range(pfin1.dims[t]), [1] * pfin1.dims[t])
+        for t in range(6)
+    ]
+    builds = [lambda n=n: build_proj_cover(n, N) for n in range(1, 4)]
+    builds += [lambda lam=lam: isotypic_subfunctor(pbar2, lam) for lam in partitions_of(2)]
+    builds.append(lambda: kernel_functor(pfin1, k, augmentation, "aug-kernel"))
+    got = [_functor_fields(build()) for build in builds]
+    monkeypatch.setattr(functors, "quotient_functor", _reference_quotient)
+    monkeypatch.setattr(functors, "_subfunctor", _reference_subfunctor)
+    want = [_functor_fields(build()) for build in builds]
+    for g, w in zip(got, want):
+        assert g == w

@@ -345,3 +345,19 @@ def test_mod_column_basis_matches_column_basis():
             else:
                 added.append(vec)
         assert len(mod.rows) == len(added) == exact.ncols
+        # repeated vectors: copies of added columns, in a shuffled order, and
+        # multiples of them, which are no copies.  The copy table answers the
+        # copies; a basis whose table is emptied before each add reduces every
+        # vector in full, and both give the same (idx, combo)
+        bare = linalg.ModColumnBasis(p)
+        for vec in added:
+            bare.add({i: v % p for i, v in vec.items()})
+        repeats = rng.sample(added, len(added)) + [{i: 2 * v for i, v in vec.items()} for vec in added]
+        for vec in repeats:
+            want = exact.add({i: Fraction(v) for i, v in vec.items()})
+            got = mod.add({i: v % p for i, v in vec.items()})
+            bare.accepted.clear()
+            assert got == bare.add({i: v % p for i, v in vec.items()})
+            assert got[0] is None is want[0]
+            assert got[1] == {j: c.numerator * pow(c.denominator, -1, p) % p
+                              for j, c in want[1].items()}

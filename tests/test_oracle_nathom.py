@@ -223,6 +223,47 @@ def test_span_pass_reports_a_shortfall():
         build_span(K)
 
 
+def test_skipped_constraints_are_zero():
+    from math import lcm
+
+    from finsetrep.oracle import linalg
+    from finsetrep.oracle.nathom import _span_value
+
+    N = 4
+    pairs = [
+        (build_pbar_tensor(2, N), build_pbar_tensor(2, N)),
+        (build_proj_cover(1, N), build_pfin(2, N)),
+    ]
+    for F, G in pairs:
+        span = build_span(F)
+        blocks, off = {}, 0
+        for a, (d, _) in enumerate(F.generators):
+            if span.gen_used[a]:
+                blocks[a], off = (d, off), off + G.dims[d]
+        P, cache = np.eye(off, dtype=np.int64), {}
+        skipped = 0
+        # nat_hom skips the move images that the span pass accepted
+        for t in range(N + 1):
+            for idx, path in enumerate(span.paths[t]):
+                if path[0] != "step":
+                    continue
+                _, key, s, j = path
+                # the full constraint: G(key) V(s, j) - sum_i gamma_i V(t, i)
+                sarr, sden = _span_value(span, G, blocks, P, cache, (s, j))
+                m = G.act[key]
+                terms = [(c, *_span_value(span, G, blocks, P, cache, (t, i)))
+                         for i, c in span.gammas[key][j].items()]
+                assert span.gammas[key][j] == {idx: Fraction(1)}
+                L = lcm(m.den * sden, *(c.denominator * d for c, _, d in terms))
+                W = linalg.lincomb([(m.apply_dense(sarr), -(L // (m.den * sden)))] + [
+                    (arr, c.numerator * (L // (c.denominator * d))) for c, arr, d in terms
+                ])
+                assert not W.any(), (F.name, key, j)
+                skipped += 1
+        assert skipped == sum(F.dims) - sum(span.gen_used), F.name
+        assert skipped > 0
+
+
 def test_python_int_path_matches_int64_path(monkeypatch):
     from finsetrep.oracle import linalg
 
