@@ -12,11 +12,13 @@ Matrices are exact sparse integer matrices with one denominator (SpMat).
 Dense blocks of values are multiplied through them by apply_dense, which
 groups a matrix's rows by entry count once and then runs each group as one
 vectorized gather, multiply and sum.  Quotients and subfunctors are
-induced by sparse products: a ColumnBasis of the subspace at each size
-gives the residual projection pi_t along it and the expansion map E_t
-onto its basis, each one SpMat, so that a move m: s -> t induces pi_t m
-on the quotient and E_t m Sub_s on the subfunctor, and pi_t m Sub_s = 0
-certifies that the subspace is stable.
+induced by sparse products: the linalg.row_inverse (I, Q, D) of the
+subspace's independent columns S at each size gives the expansion map
+E_t(v) = Q v[I] / D onto its basis and the residual projection
+pi_t(v) = v[free] - S[free] E_t(v) along it onto the rows outside I,
+each one SpMat, so that a move m: s -> t induces pi_t m on the quotient
+and E_t m Sub_s on the subfunctor, and pi_t m Sub_s = 0 certifies that
+the subspace is stable.
 
 Set elements are 0-indexed: the object of size t is {0, .., t-1}.
 """
@@ -197,11 +199,10 @@ class SpMat:
                 out[r] = out.get(r, 0) + v * cv
         return {r: v for r, v in out.items() if v}
 
-    def int_rows(self) -> List[List[int]]:
-        """Dense integer rows of self * den."""
-        out = [[0] * self.n for _ in range(self.m)]
-        for r, c, v in zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist()):
-            out[r][c] = v
+    def int_rows(self) -> np.ndarray:
+        """Dense integer rows of self * den, as an int64 array."""
+        out = np.zeros(self.shape, dtype=np.int64)
+        out[self.rows, self.cols] = self.vals
         return out
 
     def compose(self, other: "SpMat") -> "SpMat":
@@ -238,7 +239,7 @@ class SpMat:
         return Fraction(int(self.vals[mask].sum()), self.den)
 
     def to_fraction_rows(self) -> List[List[Fraction]]:
-        return [[Fraction(v, self.den) for v in row] for row in self.int_rows()]
+        return [[Fraction(v, self.den) for v in row] for row in self.int_rows().tolist()]
 
     def is_zero(self) -> bool:
         return self.nnz == 0
@@ -645,20 +646,21 @@ def quotient_functor(
     name: str,
 ) -> TruncatedFunctor:
     """Quotient of `parent` by the subfunctor spanned by the given sparse
-    columns (one list per set size).  Its coordinates at size t are the
-    free coordinates of a ColumnBasis of the columns, and the basis's
-    residual map pi_t projects onto them: a move m: s -> t induces pi_t m
-    on the quotient coordinates of size s.  Stability of the span under
-    every generator, pi_t m Sub_s = 0, is verified exactly."""
+    columns (one list per set size), which may be dependent.  Its
+    coordinates at size t are the rows outside the linalg.row_inverse of
+    the independent columns, and the residual map pi_t projects onto them:
+    a move m: s -> t induces pi_t m on the quotient coordinates of size s.
+    Stability of the span under every generator, pi_t m Sub_s = 0, is
+    verified exactly."""
     projs, incs, subs = [], [], []
     for t in range(parent.N + 1):
-        cb = linalg.ColumnBasis(parent.dims[t])
-        for col in sub_columns[t]:
-            cb.add(col)
-        proj, free = _residual_map(cb)
+        sub = SpMat.from_sparse_columns(parent.dims[t], sub_columns[t])
+        S = sub.int_rows()
+        S = S[:, linalg.pivot_columns(S)]
+        proj, free = _residual_map(S, *linalg.row_inverse(S))
         projs.append(proj)
         incs.append(SpMat.unit_columns(parent.dims[t], free))
-        subs.append(SpMat.from_sparse_columns(parent.dims[t], sub_columns[t]))
+        subs.append(sub)
     gens = []
     for d, col in parent.generators:
         pc = projs[d].apply_sparse(linalg.sparse_from_dense(col))
@@ -667,25 +669,25 @@ def quotient_functor(
     return _induced_functor(parent, projs, projs, incs, subs, gens, name)
 
 
-def _residual_map(cb: linalg.ColumnBasis) -> Tuple[SpMat, List[int]]:
-    """(pi, free): the free (non-pivot) coordinates of cb and the matrix
-    of cb.reduce's residual read at them, the projection along cb's span."""
-    free = [j for j in range(cb.dim) if j not in cb.pivots]
-    at = {j: i for i, j in enumerate(free)}
-    columns = [{at[j]: Fraction(1)} if j in at else {} for j in range(cb.dim)]
-    # each row is zero at every other pivot: pivot c moves by -row / row[c]
-    for piv, row, _ in cb.rows:
-        columns[piv] = {at[q]: Fraction(-v, row[piv]) for q, v in row.items() if q != piv}
-    return SpMat.from_sparse_columns(len(free), columns), free
+def _residual_map(S: np.ndarray, I: List[int], Q: np.ndarray, D: int) -> Tuple[SpMat, List[int]]:
+    """(pi, free) for the row_inverse (I, Q, D) of S: the rows outside I and
+    the projection along S's column span onto them, the residual
+    pi(v) = v[free] - S[free] Q v[I] / D."""
+    in_I = set(I)
+    free = [j for j in range(S.shape[0]) if j not in in_I]
+    R = linalg.imatmul(S[free], Q)
+    r, c = np.nonzero(R)
+    rows = np.concatenate([np.arange(len(free)), r])
+    cols = np.concatenate([np.array(free, dtype=np.int64), np.array(I, dtype=np.int64)[c]])
+    vals = np.concatenate([np.full(len(free), D, dtype=object), -R[r, c].astype(object)])
+    return SpMat(len(free), S.shape[0], rows, cols, vals, D), free
 
 
-def _expansion_map(cb: linalg.ColumnBasis) -> SpMat:
-    """The matrix of cb.expand: a vector of cb's span to its expansion
-    over the added columns (read off the pivot coordinates alone)."""
-    columns: List[Dict[int, Fraction]] = [{} for _ in range(cb.dim)]
-    for piv, row, expr in cb.rows:
-        columns[piv] = {j: v / row[piv] for j, v in expr.items()}
-    return SpMat.from_sparse_columns(cb.ncols, columns)
+def _expansion_map(S: np.ndarray, I: List[int], Q: np.ndarray, D: int) -> SpMat:
+    """The matrix of the expansion over S's columns of a vector v of their
+    span, E(v) = Q v[I] / D, for the row_inverse (I, Q, D) of S."""
+    r, c = np.nonzero(Q)
+    return SpMat(Q.shape[0], S.shape[0], r, np.array(I, dtype=np.int64)[c], Q[r, c], D)
 
 
 def _sparse_to_intvec(col: Dict[int, Fraction], dim: int) -> np.ndarray:
@@ -718,40 +720,32 @@ def kernel_functor(
             raise OracleError(f"{name}: the given map family is not natural")
     kernels = [linalg.kernel_basis(mats[t].int_rows(), F.dims[t]) for t in range(F.N + 1)]
     columns = [[linalg.sparse_from_dense(col) for col in k] for k in kernels]
-    gens = []
-    for t in range(F.N + 1):
-        for j in range(len(kernels[t])):
-            col = np.zeros(len(kernels[t]), dtype=np.int64)
-            col[j] = 1
-            gens.append((t, col))
-    reducers = [linalg.ColumnBasis(d) for d in F.dims]
-    for cb, cols in zip(reducers, columns):
-        for col in cols:
-            cb.add(col)
-    return _subfunctor(F, columns, reducers, gens, name)
+    gens = [(t, col) for t, cols in enumerate(columns) for col in cols]
+    return _subfunctor(F, columns, gens, name)
 
 
 def _subfunctor(
     F: TruncatedFunctor,
     columns: List[List[Dict[int, Fraction]]],
-    reducers: List[linalg.ColumnBasis],
-    gens: List[Tuple[int, np.ndarray]],
+    gens: List[Tuple[int, Dict[int, Fraction]]],
     name: str,
 ) -> TruncatedFunctor:
-    """The subfunctor of F with basis columns[t] at size t; reducers[t]
-    expands vectors of their span in that basis.  A move m: s -> t acts
-    by E_t m Sub_s, with E_t the expansion map of reducers[t], once the
-    span is shown stable under F's generators and its outer action."""
-    subs = [SpMat.from_sparse_columns(F.dims[t], cols) for t, cols in enumerate(columns)]
-    return _induced_functor(
-        F,
-        [_expansion_map(cb) for cb in reducers],
-        [_residual_map(cb)[0] for cb in reducers],
-        subs,
-        subs,
-        gens,
-        name,
-    )
+    """The subfunctor of F with the independent columns[t] as its basis at
+    size t, generated by the vectors gens of their span.  With E_t the
+    expansion map over columns[t], a move m: s -> t acts by E_t m Sub_s,
+    once the span is shown stable under F's generators and its outer
+    action, and a generator v of size d is E_d v."""
+    subs, lefts, projs = [], [], []
+    for t, cols in enumerate(columns):
+        sub = SpMat.from_sparse_columns(F.dims[t], cols)
+        S = sub.int_rows()
+        inverse = linalg.row_inverse(S)
+        subs.append(sub)
+        # S is sub * den, so the expansion over sub's columns is den times S's
+        lefts.append(_expansion_map(S, *inverse).scale(sub.den))
+        projs.append(_residual_map(S, *inverse)[0])
+    gens = [(d, _sparse_to_intvec(lefts[d].apply_sparse(v), len(columns[d]))) for d, v in gens]
+    return _induced_functor(F, lefts, projs, subs, subs, gens, name)
 
 
 def _induced_functor(
@@ -864,29 +858,19 @@ def isotypic_subfunctor(parent: TruncatedFunctor, lam: Partition) -> TruncatedFu
         if not a.equals(b):
             raise OracleError("isotypic projector is not natural")
 
-    reducers: List[linalg.ColumnBasis] = []
-    columns: List[List[Dict[int, Fraction]]] = []
-    for t in range(parent.N + 1):
-        cb = linalg.ColumnBasis(parent.dims[t])
-        cols_t: List[Dict[int, Fraction]] = []
-        for j in range(parent.dims[t]):
-            col = projs[t].apply_sparse({j: Fraction(1)})
-            if col:
-                idx, _ = cb.add(col)
-                if idx is not None:
-                    cols_t.append(col)
-        reducers.append(cb)
-        columns.append(cols_t)
+    # the projector's independent columns, left to right, are the basis
+    columns = [
+        [projs[t].apply_sparse({j: Fraction(1)}) for j in linalg.pivot_columns(projs[t].int_rows())]
+        for t in range(parent.N + 1)
+    ]
     gens = []
     for d, col in parent.generators:
         img = projs[d].apply_sparse(linalg.sparse_from_dense(col))
         if img:
-            gens.append((d, _sparse_to_intvec(reducers[d].expand(img), len(columns[d]))))
+            gens.append((d, img))
     if not gens and any(columns):
         raise OracleError("isotypic piece has no generator")
-    return _subfunctor(
-        parent, columns, reducers, gens, f"{parent.name}[{','.join(map(str, lam))}]"
-    )
+    return _subfunctor(parent, columns, gens, f"{parent.name}[{','.join(map(str, lam))}]")
 
 
 def _cycle_type(g: Tuple[int, ...]) -> Partition:
@@ -963,23 +947,18 @@ def fb_module_data(F: TruncatedFunctor):
 
 
 def sgn_coinvariant_reduction(F: TruncatedFunctor, t: int):
-    """Sign-coinvariants of F(t): returns (ColumnBasis of the relation span
-    {F(tau) x + x}, list of free coordinates).  The quotient dimension is
-    dim F(t) - len(relations)."""
-    cb = linalg.ColumnBasis(F.dims[t])
-    for i in range(1, t):
-        m = F.act[("tau", t, i)]
-        for j in range(F.dims[t]):
-            col = m.apply_sparse({j: Fraction(1)})
-            col[j] = col.get(j, Fraction(0)) + 1
-            col = {k: v for k, v in col.items() if v}
-            if col:
-                cb.add(col)
-    pivset = set(cb.pivots.keys())
-    free = [j for j in range(F.dims[t]) if j not in pivset]
-    return cb, free
+    """Sign-coinvariants of F(t), its quotient by the relations
+    F(tau) x + x: (R, pi, free) with R the independent relation columns,
+    as an integer array, free the quotient's coordinates and pi the
+    residual projection onto them."""
+    S = np.zeros((F.dims[t], 0), dtype=np.int64)
+    if t > 1:
+        relations = [F.act[("tau", t, i)] + SpMat.identity(F.dims[t]) for i in range(1, t)]
+        S = np.hstack([m.int_rows() for m in relations])
+    S = S[:, linalg.pivot_columns(S)]
+    proj, free = _residual_map(S, *linalg.row_inverse(S))
+    return S, proj, free
 
 
 def sgn_coinvariant_dim(F: TruncatedFunctor, t: int) -> int:
-    _, free = sgn_coinvariant_reduction(F, t)
-    return len(free)
+    return len(sgn_coinvariant_reduction(F, t)[2])

@@ -4,13 +4,14 @@ One engine answers every exact question about a matrix: its right kernel
 is computed modulo word primes (vectorized int64 elimination), lifted by
 rational reconstruction and CRT, and returned with its pivot columns only
 after an exact check that certifies both.  Rank, the choice of independent
-rows and a linear solve for many right-hand sides at once are read off it.
+rows, a linear solve for many right-hand sides at once and the integer
+inverse of a subspace's independent rows (row_inverse, from which every
+expansion and residual projection of the oracle is read) come off it.
 One a-priori bound decides where integer arrays run on int64 and where on
 Python ints; imatmul takes exact integer matrix products on float64 BLAS
-under a bound of its own.  An incrementally maintained column basis
-(reduced echelon with expansion bookkeeping) reduces sparse vectors, in
-exact arithmetic (ColumnBasis) or mod a word prime for the span pass
-(ModColumnBasis).
+under a bound of its own.  ModColumnBasis, an incrementally maintained
+column basis mod a word prime, serves the span pass.  ColumnBasis is its
+exact Fraction counterpart: the tests' reference, with no library caller.
 """
 
 from __future__ import annotations
@@ -76,6 +77,28 @@ def solve(rows: Sequence[Sequence], rhs_columns: Sequence[Sequence]) -> List[Lis
     # [M | B] read at column n + c: the last k vectors, in order
     Y = K[:, K.shape[1] - k :].T.tolist()
     return [[Fraction(-v, y[n + c]) for v in y[:n]] for c, y in enumerate(Y)]
+
+
+def row_inverse(S: np.ndarray) -> Tuple[List[int], np.ndarray, int]:
+    """(I, Q, D) for an integer array S of full column rank k: I the first
+    k rows, top to bottom, independent of those above them (the pivot
+    columns of S^T), and the integer matrix Q = D * S[I]^-1 with the least
+    D > 0.  Then E(v) = Q v[I] / D expands a vector v of S's column span
+    over S's columns.  Raises ValueError if S's columns are dependent."""
+    n, k = S.shape
+    if k == 0:
+        return [], np.zeros((0, 0), dtype=np.int64), 1
+    # [S^T | Id] has the pivots I when S has full column rank; the kernel
+    # vector of its column n + c is d_c at n + c and -(d_c / D) Q^T e_c at I
+    pivots, K = _kernel(np.hstack([S.T, np.eye(k, dtype=S.dtype)]))
+    if pivots[-1] >= n:
+        raise ValueError("the columns are dependent")
+    d = [int(x) for x in K[n:, -k:].diagonal()]
+    D = lcm(*d)
+    scale = [D // x for x in d]
+    X = K[pivots, -k:]
+    dtype = int_dtype(int(np.abs(X).max()) * max(scale))
+    return pivots, -(X.astype(dtype) * np.array(scale, dtype=dtype)).T, D
 
 
 def _kernel(M: np.ndarray) -> Tuple[List[int], np.ndarray]:
@@ -273,7 +296,9 @@ def _lift(pivots: List[int], residues: np.ndarray, m: int, ncols: int) -> Option
 
 
 class ColumnBasis:
-    """Incrementally maintained basis of a growing set of columns.
+    """Incrementally maintained basis of a growing set of columns, in exact
+    Fraction arithmetic: the reference that the tests compare the kernel
+    engine and ModColumnBasis against.  No library code calls it.
 
     Stores a reduced echelon of the added columns together with, for each
     echelon row, its expression in the added columns; reduce() then writes
@@ -362,13 +387,6 @@ class ColumnBasis:
         self.rows.append((piv, int_row, expr))
         self.pivots[piv] = len(self.rows) - 1
         return idx, None
-
-    def expand(self, vec: Dict[int, Fraction]) -> Dict[int, Fraction]:
-        """Expansion of a vector known to lie in the span; raises otherwise."""
-        residual, combo = self.reduce(vec)
-        if residual:
-            raise ValueError("vector outside span")
-        return combo
 
 
 class ModColumnBasis:

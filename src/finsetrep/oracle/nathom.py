@@ -9,7 +9,8 @@ The pass runs modulo word primes: the basis is chosen mod p, the
 expansions are lifted to the rationals once, and every choice is then
 certified by an exact sparse check, so its answer is the exact pass's;
 a vector that is a copy of an accepted one is looked up, not reduced.
-Exact expansions of other vectors are computed per size, on demand.
+Exact expansions of other vectors are read off one integer inverse of
+the basis per size (linalg.row_inverse), computed on demand.
 Solving hom(F, G) is then linear algebra in the unknown generator values:
 each basis column corresponds to an explicit vector G(path)(v), and every
 generator move contributes exact linear constraints, except a move image
@@ -42,7 +43,7 @@ import numpy as np
 from ..partitions import Partition, partitions_of
 from ..symrep import JointClassFunction, joint_decompose, representative
 from . import linalg
-from .functors import OracleError, SpMat, TruncatedFunctor
+from .functors import OracleError, SpMat, TruncatedFunctor, _expansion_map
 
 Path = Tuple  # ("gen", a) | ("step", genkey, parent_t, parent_idx)
 
@@ -57,7 +58,8 @@ class SpanData:
     absorbed into the span of the others and carry no free unknowns.
     vecs holds the basis vectors themselves, vecs[t][idx] = (num, den)
     for the vector num / den with num a sparse integer column; bases
-    caches the exact ColumnBasis of each size that expand() was asked for."""
+    caches the expansion map onto the basis of each size that expand()
+    was asked for, read off the linalg.row_inverse of the columns num."""
 
     F: TruncatedFunctor
     paths: List[List[Path]]
@@ -65,17 +67,19 @@ class SpanData:
     gen_used: List[bool]
     gammas: Dict[Tuple, List[Dict[int, Fraction]]]
     vecs: List[List[Tuple[Dict[int, int], int]]]
-    bases: Dict[int, linalg.ColumnBasis] = field(default_factory=dict)
+    bases: Dict[int, SpMat] = field(default_factory=dict)
 
     def expand(self, t: int, vec: Dict[int, Fraction]) -> Dict[int, Fraction]:
         """The exact expansion of a vector of F(t) in the basis at size t.
-        That size's ColumnBasis is built on first use."""
+        That size's expansion map is computed on first use."""
         if t not in self.bases:
-            cb = linalg.ColumnBasis(self.F.dims[t])
-            for num, den in self.vecs[t]:
-                cb.add({i: Fraction(v, den) for i, v in num.items()})
-            self.bases[t] = cb
-        return self.bases[t].expand(vec)
+            n, k = self.F.dims[t], len(self.vecs[t])
+            cols = [[num.get(i, 0) for i in range(n)] for num, _ in self.vecs[t]]
+            S = linalg.int_array(cols, n).T
+            # a basis vector is num / den, so its coefficient is den times num's
+            dens = SpMat(k, k, range(k), range(k), [den for _, den in self.vecs[t]])
+            self.bases[t] = dens.compose(_expansion_map(S, *linalg.row_inverse(S)))
+        return self.bases[t].apply_sparse(vec)
 
 
 def build_span(F: TruncatedFunctor) -> SpanData:
@@ -368,15 +372,9 @@ class NatHomResult:
         return int(tr)
 
     def _row_inverse(self) -> Tuple[List[int], np.ndarray, int]:
-        """(I, Q, D): p rows I of P with P[I] invertible, and the integer
-        matrix Q = D * P[I]^-1 with D > 0; computed once per result."""
+        """linalg.row_inverse of P, computed once per result."""
         if self._rinv is None:
-            p = self.dimension
-            I = linalg.pivot_columns(self._P.T)
-            inv = linalg.solve(self._P[I], np.eye(p, dtype=np.int64).tolist())
-            D = lcm(*(v.denominator for col in inv for v in col))
-            Q = np.array([[int(col[i] * D) for col in inv] for i in range(p)], dtype=object)
-            self._rinv = (I, Q, D)
+            self._rinv = linalg.row_inverse(self._P)
         return self._rinv
 
     def outer_character(self) -> JointClassFunction:

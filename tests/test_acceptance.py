@@ -23,6 +23,8 @@ from finsetrep.oracle import (
     build_pfin,
     build_proj_cover,
     fb_module_data,
+    inner_class,
+    isotypic_subfunctor,
     nat_hom,
     oracle_multiplicities,
     pi_element,
@@ -219,3 +221,19 @@ def test_cartan_matrix_vs_oracle():
                 want = {k: v for k, v in fc.hom_entry(formula, m, n).items() if v}
                 assert got == want, (m, n, target.name, got, want)
     report("cartan", True, f"hom(P_m, P_n) and hom(P_m, pbar(n)) agree, m,n<=3 ({time.time()-t0:.0f}s)")
+
+
+def test_isotypic_pieces_of_kfi_are_simples():
+    # beside the eleven criteria: the lambda-isotypic piece of kfi(n) is
+    # dim(lambda) copies of the simple C(lambda), lambda not the column
+    t0 = time.time()
+    for n in (2, 3):
+        F = build_kfi(n, 5)
+        for lam in partitions_of(n):
+            if lam == one_column(n):
+                continue
+            piece = isotypic_subfunctor(F, lam)
+            for t in range(6):
+                want = fc.simple_eval(fc.SimpleLabel.C(lam), t).scale(sr.irr_dim(lam))
+                assert inner_class(piece, t) == want, (n, lam, t)
+    report("simples", True, f"kfi(2), kfi(3) pieces are C(lambda)^dim ({time.time()-t0:.1f}s)")

@@ -362,18 +362,32 @@ def _reference_quotient(parent, sub_columns, name):
                             outer_act=outer)
 
 
-def _reference_subfunctor(F, columns, reducers, gens, name):
+def _reference_subfunctor(F, columns, gens, name):
     """The subfunctor by per-column Fraction arithmetic: expand the image
-    of every basis column in the ColumnBasis of the size it lands in."""
-    from finsetrep.oracle.functors import TruncatedFunctor
+    of every basis column, and every generator, in a ColumnBasis of the
+    columns of its size."""
+    from finsetrep.oracle import linalg
+    from finsetrep.oracle.functors import TruncatedFunctor, _sparse_to_intvec
+
+    reducers = []
+    for t, cols in enumerate(columns):
+        cb = linalg.ColumnBasis(F.dims[t])
+        for col in cols:
+            assert cb.add(col)[0] is not None
+        reducers.append(cb)
+
+    def expand(t, vec):
+        residual, combo = reducers[t].reduce(vec)
+        assert not residual
+        return combo
 
     def restrict(m, s, t):
-        reduced = [reducers[t].reduce(m.apply_sparse(col)) for col in columns[s]]
-        assert not any(residual for residual, _ in reduced)
-        return SpMat.from_sparse_columns(len(columns[t]), [combo for _, combo in reduced])
+        cols = [expand(t, m.apply_sparse(col)) for col in columns[s]]
+        return SpMat.from_sparse_columns(len(columns[t]), cols)
 
     act = {key: restrict(F.act[key], *F.gen_src_dst(key)) for key in F.gen_keys()}
     outer = {(i, t): restrict(m, t, t) for (i, t), m in F.outer_act.items()}
+    gens = [(d, _sparse_to_intvec(expand(d, v), len(columns[d]))) for d, v in gens]
     return TruncatedFunctor(F.N, [len(c) for c in columns], act, gens, name=name,
                             outer_n=F.outer_n, outer_act=outer)
 
@@ -398,9 +412,22 @@ def test_quotients_and_subfunctors_match_per_column_references(monkeypatch):
         SpMat(1, pfin1.dims[t], [0] * pfin1.dims[t], range(pfin1.dims[t]), [1] * pfin1.dims[t])
         for t in range(6)
     ]
+    pfin3 = build_pfin(3, 5)
+    # a dependent spanning set: each size's Lambda^2 columns, plus the sum
+    # of the first two where there are two
+    dependent = []
+    for cols in lambda_pbar_embedding(2, 5):
+        if len(cols) > 1:
+            a, b = cols[:2]
+            cols = cols + [{i: a.get(i, 0) + b.get(i, 0) for i in a.keys() | b.keys()}]
+        dependent.append(cols)
     builds = [lambda n=n: build_proj_cover(n, N) for n in range(1, 4)]
+    builds.append(lambda: build_proj_cover(4, 5))
     builds += [lambda lam=lam: isotypic_subfunctor(pbar2, lam) for lam in partitions_of(2)]
+    # the projector columns of pfin(3) overlap: the reference back-eliminates
+    builds += [lambda lam=lam: isotypic_subfunctor(pfin3, lam) for lam in partitions_of(3)]
     builds.append(lambda: kernel_functor(pfin1, k, augmentation, "aug-kernel"))
+    builds.append(lambda: functors.quotient_functor(pbar2, dependent, "pbar(2)/dependent"))
     got = [_functor_fields(build()) for build in builds]
     monkeypatch.setattr(functors, "quotient_functor", _reference_quotient)
     monkeypatch.setattr(functors, "_subfunctor", _reference_subfunctor)

@@ -258,6 +258,47 @@ def test_solve_rejects_an_inconsistent_column():
     assert checked > 5
 
 
+def test_row_inverse_matches_fraction_reference():
+    rng = random.Random(4711)
+    checked = big = 0
+    for trial in range(40):
+        k = rng.randint(1, 5)
+        S = _random_matrix(rng, k, k, k, False)
+        # tall: rows that are zero or multiples of a row above them, which
+        # are never in I, inserted
+        for _ in range(0 if trial % 3 == 0 else rng.randint(1, 4)):
+            i = rng.randint(1, len(S))
+            S.insert(i, [rng.choice([0, -2, 3]) * x for x in S[rng.randrange(i)]])
+        n = len(S)
+        if trial % 4 == 3:
+            # entries past the int64 bound: whole rows and one whole column scaled
+            scales = [rng.choice([1, linalg.INT64_BOUND + 1, -(1 << 70)]) for _ in S]
+            S = [[x * a for x in row] for row, a in zip(S, scales)]
+            c = rng.randrange(k)
+            S = [[x << 66 if j == c else x for j, x in enumerate(row)] for row in S]
+            big += 1
+        A = np.array(S, dtype=object if trial % 4 == 3 else np.int64)
+        if _ref_rank(S) < k:
+            with pytest.raises(ValueError):
+                linalg.row_inverse(A)
+            continue
+        I, Q, D = linalg.row_inverse(A)
+        # I: the rows, top to bottom, independent of those above them
+        assert I == [i for i in range(n) if _ref_rank(S[: i + 1]) > _ref_rank(S[:i])]
+        Q = Q.tolist()
+        assert D > 0 and gcd(D, *(x for row in Q for x in row)) == 1
+        for r in range(k):
+            for c in range(k):
+                assert sum(Q[r][j] * S[i][c] for j, i in enumerate(I)) == (D if r == c else 0)
+        checked += 1
+        # a column that is a combination of the others makes S rank-deficient
+        if k > 1:
+            dep = [row + [row[0] - 2 * row[-1]] for row in S]
+            with pytest.raises(ValueError):
+                linalg.row_inverse(np.array(dep, dtype=object))
+    assert checked > 20 and big > 5
+
+
 def test_empty_and_zero_column_inputs():
     assert linalg.pivot_columns([]) == []
     assert linalg.pivot_columns([[0, 0], [0, 3]]) == [1]

@@ -158,8 +158,14 @@ def test_span_pass_records_move_expansions():
         span = build_span(F)
         vecs = _replayed_span_vectors(span)
         assert len(vecs) == sum(F.dims), F.name
+        # the same basis with every vector stored as (2 num, 2 den)
+        doubled = dataclasses.replace(span, bases={}, vecs=[
+            [({i: 2 * v for i, v in num.items()}, 2 * den) for num, den in at_t]
+            for at_t in span.vecs
+        ])
         for (t, idx), v in vecs.items():
             assert span.expand(t, v) == {idx: Fraction(1)}, (F.name, t, idx)
+            assert doubled.expand(t, v) == {idx: Fraction(1)}, (F.name, t, idx)
         # reference: each move image expanded in the finished basis
         for key in F.gen_keys():
             s, t = F.gen_src_dst(key)
