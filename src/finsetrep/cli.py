@@ -16,6 +16,7 @@ import json
 import os
 import random
 import sys
+from math import factorial
 from typing import Dict, List, Optional, Tuple
 
 from . import facalc as fc
@@ -198,7 +199,6 @@ def _verify_suite(args) -> Tuple[List, int]:
         build_pfin,
         nat_hom,
         pi_idempotent_check,
-        surjection_count,
         verify_lambda_complex,
         verify_norm_map,
         verify_right_aug,
@@ -227,8 +227,6 @@ def _verify_suite(args) -> Tuple[List, int]:
                 d = nat_hom(
                     build_pbar_tensor(s, N), build_pbar_tensor(t, N)
                 ).dimension
-                from math import factorial
-
                 expected = factorial(s) if s == t else 0
                 reports.append(
                     Report(
@@ -249,8 +247,6 @@ def _verify_suite(args) -> Tuple[List, int]:
                 == fg.day(fg.sgn_class(k, N), fg.triv_class(N))
                 and fg.invert_triv(fg.series_H(k, N)) == fg.series_S(k, N)
             )
-            from .oracle import Report
-
             reports.append(Report("groth_identities", {"k": k, "N": N}, True, ok, ok))
         # randomized round trip
         for trial in range(3):
@@ -265,8 +261,6 @@ def _verify_suite(args) -> Tuple[List, int]:
                 Report("invert_round_trip", {"trial": trial, "seed": args.seed}, True, ok, ok)
             )
     elif suite == "kfs-cross":
-        from .oracle import Report
-
         try:
             fc.fs_class(min(N, 6), cross_check=True)
             reports.append(Report("kfs_cross", {"N": min(N, 6)}, True, True, True))

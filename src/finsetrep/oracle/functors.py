@@ -9,8 +9,10 @@ imposed on generators (with exhaustive small-size functoriality checks as
 a safety net).
 
 Matrices are exact sparse integer matrices with one denominator (SpMat).
-Dense blocks of values are multiplied through them by apply_dense, which
-groups a matrix's rows by entry count once and then runs each group as one
+Vectors of a value F(t), and blocks of them, are dense integer arrays: a
+rational one is an integer array x with a denominator den, standing for
+x / den.  apply_dense multiplies them through a matrix: it groups the
+matrix's rows by entry count once and then runs each group as one
 vectorized gather, multiply and sum.  Quotients and subfunctors are
 induced by sparse products: the linalg.row_inverse (I, Q, D) of the
 subspace's independent columns S at each size gives the expansion map
@@ -106,16 +108,14 @@ class SpMat:
         return cls(m, len(coords), coords, range(len(coords)), np.ones(len(coords), dtype=np.int64))
 
     @classmethod
-    def from_sparse_columns(cls, m, columns: Sequence[Dict[int, Fraction]]):
-        den = lcm(*(Fraction(v).denominator for col in columns for v in col.values()))
-        rows, cols, vals = [], [], []
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                x = Fraction(v) * den
-                rows.append(i)
-                cols.append(j)
-                vals.append(int(x))
-        return cls(m, len(columns), rows, cols, vals, den)
+    def from_dense(cls, A: np.ndarray, den: int = 1):
+        """The matrix A / den of a dense integer array A.  A and den are
+        divided by their gcd first, so that the magnitude guard sees the
+        reduced entries."""
+        rows, cols = np.nonzero(A)
+        vals = A[rows, cols]
+        g = gcd(den, *vals.tolist())
+        return cls(A.shape[0], A.shape[1], rows, cols, vals // g, den // g)
 
     @property
     def shape(self):
@@ -175,19 +175,6 @@ class SpMat:
             for r, c, v in zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist()):
                 self._cidx.setdefault(c, []).append((r, v))
         return self._cidx
-
-    def apply_sparse(self, col: Dict[int, Fraction]) -> Dict[int, Fraction]:
-        """self @ col for a sparse column (exact; includes self.den)."""
-        idx = self._colindex()
-        out: Dict[int, Fraction] = {}
-        for c, cv in col.items():
-            for r, v in idx.get(c, ()):
-                nv = out.get(r, Fraction(0)) + Fraction(v, self.den) * cv
-                if nv:
-                    out[r] = nv
-                elif r in out:
-                    del out[r]
-        return out
 
     def apply_int(self, col: Dict[int, int]) -> Dict[int, int]:
         """Exact (self * den) @ col for a sparse integer column (ignore
@@ -387,15 +374,22 @@ class TruncatedFunctor:
 
     def check_functoriality(self, max_size: int = 4) -> None:
         top = min(max_size, self.N)
+        memo: Dict[Tuple, SpMat] = {}
+
+        def mat(f: Tuple[int, ...], s: int, t: int) -> SpMat:
+            if (f, s, t) not in memo:
+                memo[(f, s, t)] = map_matrix(self, f, s, t)
+            return memo[(f, s, t)]
+
         for s in range(top + 1):
             for u in range(top + 1):
                 for h in _all_maps(s, u):
-                    Fh = map_matrix(self, h, s, u)
+                    Fh = mat(h, s, u)
                     for t in range(top + 1):
                         for g in _all_maps(u, t):
                             comp = tuple(g[h[i]] for i in range(s))
-                            lhs = map_matrix(self, comp, s, t)
-                            rhs = map_matrix(self, g, u, t).compose(Fh)
+                            lhs = mat(comp, s, t)
+                            rhs = mat(g, u, t).compose(Fh)
                             if not lhs.equals(rhs):
                                 raise OracleError(
                                     f"{self.name}: functoriality fails at "
@@ -616,23 +610,23 @@ def build_lambda_pbar(k: int, N: int) -> TruncatedFunctor:
     )
 
 
-def lambda_pbar_embedding(n: int, N: int) -> List[List[Dict[int, Fraction]]]:
-    """Columns of the top exterior power inside the n-th tensor power of
-    the reduced projective (difference-tuple coordinates), per set size."""
+def lambda_pbar_embedding(n: int, N: int) -> List[np.ndarray]:
+    """The top exterior power inside the n-th tensor power of the reduced
+    projective (difference-tuple coordinates): per set size t, a
+    dims[t] x c integer array whose columns span it."""
     if n == 0:
         # Lambda^0(Pbar) = kbar = pbar_tensor(0): the whole thing
-        return [[{0: Fraction(1)}] if t >= 1 else [] for t in range(N + 1)]
-    cols: List[List[Dict[int, Fraction]]] = []
+        return [np.ones((1, 1), dtype=np.int64) if t >= 1 else np.zeros((0, 0), dtype=np.int64)
+                for t in range(N + 1)]
+    cols: List[np.ndarray] = []
     for t in range(N + 1):
-        at_t: List[Dict[int, Fraction]] = []
         index = {y: i for i, y in enumerate(itertools.product(range(1, t), repeat=n))}
-        for S in itertools.combinations(range(1, t), n):
-            col: Dict[int, Fraction] = {}
+        subsets = list(itertools.combinations(range(1, t), n))
+        A = np.zeros((len(index), len(subsets)), dtype=np.int64)
+        for j, S in enumerate(subsets):
             for perm in itertools.permutations(range(n)):
-                idx = index[tuple(S[p] for p in perm)]
-                col[idx] = col.get(idx, Fraction(0)) + _sort_sign(perm)[1]
-            at_t.append(col)
-        cols.append(at_t)
+                A[index[tuple(S[p] for p in perm)], j] += _sort_sign(perm)[1]
+        cols.append(A)
     return cols
 
 
@@ -642,30 +636,28 @@ def lambda_pbar_embedding(n: int, N: int) -> List[List[Dict[int, Fraction]]]:
 
 def quotient_functor(
     parent: TruncatedFunctor,
-    sub_columns: List[List[Dict[int, Fraction]]],
+    sub_columns: List[np.ndarray],
     name: str,
 ) -> TruncatedFunctor:
-    """Quotient of `parent` by the subfunctor spanned by the given sparse
-    columns (one list per set size), which may be dependent.  Its
-    coordinates at size t are the rows outside the linalg.row_inverse of
-    the independent columns, and the residual map pi_t projects onto them:
-    a move m: s -> t induces pi_t m on the quotient coordinates of size s.
-    Stability of the span under every generator, pi_t m Sub_s = 0, is
-    verified exactly."""
+    """Quotient of `parent` by the subfunctor spanned by the columns of the
+    integer arrays sub_columns[t], one per set size, which may be
+    dependent.  Its coordinates at size t are the rows outside the
+    linalg.row_inverse of the independent columns, and the residual map
+    pi_t projects onto them: a move m: s -> t induces pi_t m on the
+    quotient coordinates of size s.  Stability of the span under every
+    generator, pi_t m Sub_s = 0, is verified exactly."""
     projs, incs, subs = [], [], []
-    for t in range(parent.N + 1):
-        sub = SpMat.from_sparse_columns(parent.dims[t], sub_columns[t])
-        S = sub.int_rows()
-        S = S[:, linalg.pivot_columns(S)]
+    for t, cols in enumerate(sub_columns):
+        S = cols[:, linalg.pivot_columns(cols)]
         proj, free = _residual_map(S, *linalg.row_inverse(S))
         projs.append(proj)
         incs.append(SpMat.unit_columns(parent.dims[t], free))
-        subs.append(sub)
+        subs.append(SpMat.from_dense(cols))
     gens = []
     for d, col in parent.generators:
-        pc = projs[d].apply_sparse(linalg.sparse_from_dense(col))
-        if pc:
-            gens.append((d, _sparse_to_intvec(pc, projs[d].m)))
+        pc = projs[d].apply_dense(col)
+        if pc.any():
+            gens.append((d, _cleared(pc, projs[d].den)))
     return _induced_functor(parent, projs, projs, incs, subs, gens, name)
 
 
@@ -690,13 +682,10 @@ def _expansion_map(S: np.ndarray, I: List[int], Q: np.ndarray, D: int) -> SpMat:
     return SpMat(Q.shape[0], S.shape[0], r, np.array(I, dtype=np.int64)[c], Q[r, c], D)
 
 
-def _sparse_to_intvec(col: Dict[int, Fraction], dim: int) -> np.ndarray:
-    """Dense integer multiple of a sparse column (its denominators cleared)."""
-    den = lcm(*(v.denominator for v in col.values()))
-    vec = np.zeros(dim, dtype=np.int64)
-    for i, v in col.items():
-        vec[i] = int(v * den)
-    return vec
+def _cleared(x: np.ndarray, den: int) -> np.ndarray:
+    """The vector x / den with its denominators cleared: times the lcm of
+    its entries' reduced denominators, which is den / gcd(den, x)."""
+    return (x // gcd(den, *x.tolist())).astype(np.int64)
 
 
 def kernel_functor(
@@ -718,33 +707,33 @@ def kernel_functor(
         rhs = G.act[key].compose(mats[s])
         if not lhs.equals(rhs):
             raise OracleError(f"{name}: the given map family is not natural")
-    kernels = [linalg.kernel_basis(mats[t].int_rows(), F.dims[t]) for t in range(F.N + 1)]
-    columns = [[linalg.sparse_from_dense(col) for col in k] for k in kernels]
-    gens = [(t, col) for t, cols in enumerate(columns) for col in cols]
+    columns = [
+        linalg.int_array(linalg.kernel_basis(mats[t].int_rows(), F.dims[t]), F.dims[t]).T
+        for t in range(F.N + 1)
+    ]
+    gens = [(t, K[:, j], 1) for t, K in enumerate(columns) for j in range(K.shape[1])]
     return _subfunctor(F, columns, gens, name)
 
 
 def _subfunctor(
     F: TruncatedFunctor,
-    columns: List[List[Dict[int, Fraction]]],
-    gens: List[Tuple[int, Dict[int, Fraction]]],
+    columns: List[np.ndarray],
+    gens: List[Tuple[int, np.ndarray, int]],
     name: str,
 ) -> TruncatedFunctor:
-    """The subfunctor of F with the independent columns[t] as its basis at
-    size t, generated by the vectors gens of their span.  With E_t the
+    """The subfunctor of F with the independent columns of the integer
+    array columns[t] as its basis at size t, generated by the vectors
+    x / den of their span given as gens (d, x, den).  With E_t the
     expansion map over columns[t], a move m: s -> t acts by E_t m Sub_s,
     once the span is shown stable under F's generators and its outer
     action, and a generator v of size d is E_d v."""
     subs, lefts, projs = [], [], []
-    for t, cols in enumerate(columns):
-        sub = SpMat.from_sparse_columns(F.dims[t], cols)
-        S = sub.int_rows()
+    for S in columns:
         inverse = linalg.row_inverse(S)
-        subs.append(sub)
-        # S is sub * den, so the expansion over sub's columns is den times S's
-        lefts.append(_expansion_map(S, *inverse).scale(sub.den))
+        subs.append(SpMat.from_dense(S))
+        lefts.append(_expansion_map(S, *inverse))
         projs.append(_residual_map(S, *inverse)[0])
-    gens = [(d, _sparse_to_intvec(lefts[d].apply_sparse(v), len(columns[d]))) for d, v in gens]
+    gens = [(d, _cleared(lefts[d].apply_dense(x), lefts[d].den * den)) for d, x, den in gens]
     return _induced_functor(F, lefts, projs, subs, subs, gens, name)
 
 
@@ -859,16 +848,13 @@ def isotypic_subfunctor(parent: TruncatedFunctor, lam: Partition) -> TruncatedFu
             raise OracleError("isotypic projector is not natural")
 
     # the projector's independent columns, left to right, are the basis
-    columns = [
-        [projs[t].apply_sparse({j: Fraction(1)}) for j in linalg.pivot_columns(projs[t].int_rows())]
-        for t in range(parent.N + 1)
-    ]
-    gens = []
-    for d, col in parent.generators:
-        img = projs[d].apply_sparse(linalg.sparse_from_dense(col))
-        if img:
-            gens.append((d, img))
-    if not gens and any(columns):
+    columns = []
+    for proj in projs:
+        A = proj.int_rows()
+        columns.append(A[:, linalg.pivot_columns(A)])
+    gens = [(d, projs[d].apply_dense(col), projs[d].den) for d, col in parent.generators]
+    gens = [gen for gen in gens if gen[1].any()]
+    if not gens and any(S.size for S in columns):
         raise OracleError("isotypic piece has no generator")
     return _subfunctor(parent, columns, gens, f"{parent.name}[{','.join(map(str, lam))}]")
 

@@ -449,6 +449,3 @@ def _axpy(y: Dict[int, int], a: int, x: Dict[int, int], p: int) -> None:
         else:
             y.pop(j, None)
 
-
-def sparse_from_dense(vec, den: int = 1) -> Dict[int, Fraction]:
-    return {i: Fraction(int(v), den) for i, v in enumerate(vec) if v}

@@ -24,9 +24,14 @@ from the new parameter basis.  The Gram products and the cuts
 (linalg.imatmul) run on float64 BLAS under an exactness bound, and each
 Gram's kernel through the certified modular linalg.kernel_basis.  The
 span values, W and the Gram sums stay on int64 under linalg's a-priori
-bound and move to Python ints above it.  Outer characters read each
-acted-on solution off p independent rows of the parameter basis, which
-the same certified engine picks, and check the other rows exactly.
+bound and move to Python ints above it.  The solutions are read out on
+integer arrays: a block of vectors of F(t) is expanded in the span basis,
+and one product with the values of the span vectors that the expansion
+needs applies every basis solution to the block.  solution_matrix and
+verify take the block of unit vectors; outer characters take the
+acted-on generators, read each acted-on solution off p independent rows
+of the parameter basis, which the same certified engine picks, and check
+the other rows exactly.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ class SpanData:
     absorbed into the span of the others and carry no free unknowns.
     vecs holds the basis vectors themselves, vecs[t][idx] = (num, den)
     for the vector num / den with num a sparse integer column; bases
-    caches the expansion map onto the basis of each size that expand()
+    caches the expansion map onto the basis of each size that expansion()
     was asked for, read off the linalg.row_inverse of the columns num."""
 
     F: TruncatedFunctor
@@ -69,9 +74,10 @@ class SpanData:
     vecs: List[List[Tuple[Dict[int, int], int]]]
     bases: Dict[int, SpMat] = field(default_factory=dict)
 
-    def expand(self, t: int, vec: Dict[int, Fraction]) -> Dict[int, Fraction]:
-        """The exact expansion of a vector of F(t) in the basis at size t.
-        That size's expansion map is computed on first use."""
+    def expansion(self, t: int) -> SpMat:
+        """The expansion map E_t onto the basis at size t: E_t v is the exact
+        expansion of a vector v of F(t) in that basis.  It is computed on
+        first use."""
         if t not in self.bases:
             n, k = self.F.dims[t], len(self.vecs[t])
             cols = [[num.get(i, 0) for i in range(n)] for num, _ in self.vecs[t]]
@@ -79,7 +85,7 @@ class SpanData:
             # a basis vector is num / den, so its coefficient is den times num's
             dens = SpMat(k, k, range(k), range(k), [den for _, den in self.vecs[t]])
             self.bases[t] = dens.compose(_expansion_map(S, *linalg.row_inverse(S)))
-        return self.bases[t].apply_sparse(vec)
+        return self.bases[t]
 
 
 def build_span(F: TruncatedFunctor) -> SpanData:
@@ -302,69 +308,68 @@ class NatHomResult:
     def n_v(self) -> int:
         return sum(self.G.dims[d] for d, _ in self.blocks.values())
 
-    def _image(self, k: int, t: int, combo: Dict[int, Fraction]) -> Dict[int, Fraction]:
-        """The k-th basis solution at size t applied to the vector with
-        span-basis expansion combo, as a sparse column of G(t)."""
-        out: Dict[int, Fraction] = {}
-        for bidx, coeff in combo.items():
-            arr, den = _span_value(
-                self.span, self.G, self.blocks, self._P, self._vcache, (t, bidx)
-            )
-            for i in np.flatnonzero(arr[:, k]).tolist():
-                out[i] = out.get(i, 0) + coeff * Fraction(int(arr[i, k]), den)
-        return {i: v for i, v in out.items() if v}
-
-    def _columns(self, k: int, t: int) -> List[Dict[int, Fraction]]:
-        return [
-            self._image(k, t, self.span.expand(t, {c: Fraction(1)}))
-            for c in range(self.F.dims[t])
+    def _apply(self, t: int, X: np.ndarray, xden: int = 1) -> Tuple[np.ndarray, int]:
+        """Every basis solution at size t applied to the columns of X / xden,
+        X a dims[t] x c integer array of F(t): (Y, den) with Y a
+        G.dims[t] x p x c integer array, Y[:, k, j] / den the k-th
+        solution's value on the j-th column.  The columns are expanded in
+        the span basis, and only the span vectors they need are valued."""
+        E = self.span.expansion(t)
+        C = E.apply_dense(X)
+        support = np.flatnonzero(C.any(axis=1)).tolist()
+        values = [
+            _span_value(self.span, self.G, self.blocks, self._P, self._vcache, (t, i))
+            for i in support
         ]
+        # the values on their common denominator L, one row per span vector
+        L = lcm(*(den for _, den in values))
+        shape = (self.G.dims[t], self.dimension)
+        V = (np.stack([linalg.lincomb([(arr, L // den)]) for arr, den in values]) if values
+             else np.zeros((0,) + shape, dtype=np.int64))
+        Y = linalg.imatmul(V.reshape(len(support), shape[0] * shape[1]).T, C[support])
+        return Y.reshape(shape + (X.shape[1],)), L * E.den * xden
+
+    def _solutions(self, t: int) -> List[SpMat]:
+        """The t-components of all basis solutions, as exact matrices."""
+        Y, den = self._apply(t, np.eye(self.F.dims[t], dtype=np.int64))
+        return [SpMat.from_dense(Y[:, k], den) for k in range(self.dimension)]
 
     def solution_matrix(self, k: int, t: int) -> SpMat:
         """The t-component of the k-th basis solution, as an exact matrix."""
-        return SpMat.from_sparse_columns(self.G.dims[t], self._columns(k, t))
+        return self._solutions(t)[k]
 
     def verify(self) -> None:
         """Exact re-check that every basis solution is natural."""
-        for k in range(self.dimension):
-            eta = [self._columns(k, t) for t in range(self.F.N + 1)]
-            for key in self.F.gen_keys():
-                s, t = TruncatedFunctor.gen_src_dst(key)
-                for c in range(self.F.dims[s]):
-                    lhs: Dict[int, Fraction] = {}
-                    for j, fv in self.F.act[key].apply_sparse({c: Fraction(1)}).items():
-                        for i, v in eta[t][j].items():
-                            lhs[i] = lhs.get(i, 0) + fv * v
-                    rhs = self.G.act[key].apply_sparse(eta[s][c])
-                    if {i: v for i, v in lhs.items() if v} != rhs:
-                        raise OracleError("solution fails naturality")
+        if not self.dimension:
+            return
+        etas = [self._solutions(t) for t in range(self.F.N + 1)]
+        for key in self.F.gen_keys():
+            s, t = TruncatedFunctor.gen_src_dst(key)
+            for eta_s, eta_t in zip(etas[s], etas[t]):
+                if not eta_t.compose(self.F.act[key]).equals(self.G.act[key].compose(eta_s)):
+                    raise OracleError("solution fails naturality")
 
     # -- outer characters ---------------------------------------------------
 
     def _action_trace(self, g: Tuple[int, ...], h: Tuple[int, ...]) -> int:
         """Trace of (g, h) acting on the solution space by eta |->
         rho_G(h) eta rho_F(g), read off the parameter basis."""
-        p = self.dimension
-        # (row, kk, value): the generator values of the kk-th basis solution
-        # acted on, one entry per nonzero
-        acted: List[Tuple[int, int, Fraction]] = []
+        # the generator values of every basis solution acted on, block by
+        # block: rows off.. of A / den are rho_G(h) eta(rho_F(g) w)
+        acted = []
         for a, (d, off) in self.blocks.items():
-            w = linalg.sparse_from_dense(self.F.generators[a][1])
-            combo = self.span.expand(d, self.F.outer_matrix(g, d).apply_sparse(w))
+            gmat = self.F.outer_matrix(g, d)
+            w = gmat.apply_dense(self.F.generators[a][1].reshape(-1, 1))
+            Y, yden = self._apply(d, w, gmat.den)
             hmat = self.G.outer_matrix(h, d)
-            for kk in range(p):
-                # apply rho_G(h) to the solution's value on g.w
-                for r, v in hmat.apply_sparse(self._image(kk, d, combo)).items():
-                    acted.append((off + r, kk, v))
-        den = lcm(*(v.denominator for _, _, v in acted))
-        A = np.zeros((self.n_v, p), dtype=object)
-        for i, kk, v in acted:
-            A[i, kk] = v.numerator * (den // v.denominator)
-        # P X = acted with X = Y / (D * den): X is read off the rows I alone,
+            acted.append((hmat.apply_dense(Y[:, :, 0]), yden * hmat.den))
+        den = lcm(*(aden for _, aden in acted))
+        A = np.concatenate([linalg.lincomb([(arr, den // aden)]) for arr, aden in acted])
+        # P X = A with X = Y / (D * den): X is read off the rows I alone,
         # and the other rows check that every acted solution is a solution
         I, Q, D = self._row_inverse()
         Y = linalg.imatmul(Q, A[I])
-        if not (linalg.imatmul(self._P, Y) == D * A).all():
+        if not (linalg.imatmul(self._P, Y) == linalg.lincomb([(A, D)])).all():
             raise OracleError("an acted-on solution leaves the solution space")
         tr = Fraction(int(np.trace(Y)), D * den)
         if tr.denominator != 1:

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import numpy as np
 import pytest
@@ -24,7 +24,13 @@ from finsetrep.oracle import (
     quotient_functor,
     sgn_coinvariant_dim,
 )
-from finsetrep.oracle.functors import SpMat, _block_diagonal, lambda_pbar_embedding
+from finsetrep.oracle.functors import (
+    SpMat,
+    TruncatedFunctor,
+    _block_diagonal,
+    _cleared,
+    lambda_pbar_embedding,
+)
 
 
 def test_dimension_formulas():
@@ -74,25 +80,44 @@ def test_identity_maps_act_as_identity():
             assert m.equals(SpMat.identity(F.dims[t]))
 
 
-def _dense_product(m, col):
-    rows = m.to_fraction_rows()
-    out = {i: sum(row[j] * v for j, v in col.items()) for i, row in enumerate(rows)}
-    return {i: v for i, v in out.items() if v}
+def apply_sparse(m, col):
+    """m @ col for a sparse Fraction column (exact; includes m.den): the
+    tests' reference product through a SpMat."""
+    idx = m._colindex()
+    out = {}
+    for c, cv in col.items():
+        for r, v in idx.get(c, ()):
+            nv = out.get(r, Fraction(0)) + Fraction(v, m.den) * cv
+            if nv:
+                out[r] = nv
+            elif r in out:
+                del out[r]
+    return out
 
 
-def test_apply_sparse_matches_dense_product():
-    # den != 1 and negative entries; row 0 cancels to zero on the input
-    m = SpMat(3, 4, [0, 0, 1, 1, 2, 2], [0, 1, 0, 2, 1, 3], [2, -3, 5, 4, -1, 7], den=6)
-    assert m.den == 6
-    col = {0: Fraction(3, 2), 1: Fraction(1), 2: Fraction(-5, 8)}
-    out = m.apply_sparse(col)
-    assert out == _dense_product(m, col)
-    assert out == {1: Fraction(5, 6), 2: Fraction(-1, 6)}
-    assert 0 not in out
-    # the cached column index gives the same answer on every call
-    assert m.apply_sparse(col) == out
-    assert m.apply_sparse({3: Fraction(6, 7)}) == _dense_product(m, {3: Fraction(6, 7)})
-    assert m.apply_sparse({}) == {}
+def fraction_vector(x, den=1):
+    """The integer vector x / den as a sparse Fraction column."""
+    return {i: Fraction(int(v), den) for i, v in enumerate(x) if v}
+
+
+def _from_fraction_columns(m, columns):
+    """The m x len(columns) SpMat with the given sparse Fraction columns."""
+    den = lcm(*(v.denominator for col in columns for v in col.values()))
+    A = np.zeros((m, len(columns)), dtype=object)
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            A[i, j] = int(v * den)
+    return SpMat.from_dense(A, den)
+
+
+def _cleared_reference(col, dim):
+    """Dense integer multiple of a sparse Fraction column: its entries
+    times the lcm of their denominators."""
+    den = lcm(*(v.denominator for v in col.values()))
+    vec = np.zeros(dim, dtype=np.int64)
+    for i, v in col.items():
+        vec[i] = int(v * den)
+    return vec
 
 
 def test_apply_dense_edge_cases():
@@ -195,7 +220,8 @@ def test_quotient_rejects_unstable_span():
     # a random non-stable subspace of the standard projective must be
     # rejected by the stability check
     F = build_pfin(1, 3)
-    cols = [[], [{0: Fraction(1)}], [], []]
+    cols = [np.zeros((d, 0), dtype=np.int64) for d in F.dims]
+    cols[1] = np.ones((1, 1), dtype=np.int64)
     with pytest.raises(OracleError):
         quotient_functor(F, cols, name="bogus")
 
@@ -203,7 +229,7 @@ def test_quotient_rejects_unstable_span():
 def test_lambda_embedding_matches_wedge_dims():
     cols = lambda_pbar_embedding(2, 5)
     for t in range(6):
-        assert len(cols[t]) == comb(max(t - 1, 0), 2)
+        assert cols[t].shape == (max(t - 1, 0) ** 2, comb(max(t - 1, 0), 2))
 
 
 def test_isotypic_subfunctor_dims_and_sum():
@@ -325,17 +351,37 @@ def test_bucketed_apply_dense_matches_the_dense_product():
             assert out.dtype == (object if big else np.int64)
 
 
+def rescaled(F, diagonal=lambda n: range(1, n + 1)):
+    """F in the basis d_i e_i of each value, d = diagonal(dims[t]):
+    F'(m) = D_t^-1 F(m) D_s with D_t = diag(d), the outer action likewise,
+    and each generator D_d^-1 v with its denominators cleared."""
+    D, inv = [], []
+    for n in F.dims:
+        d = list(diagonal(n))
+        big = lcm(*d)
+        D.append(SpMat(n, n, range(n), range(n), d))
+        inv.append(SpMat(n, n, range(n), range(n), [big // x for x in d], big))
+    act = {}
+    for key, m in F.act.items():
+        s, t = F.gen_src_dst(key)
+        act[key] = inv[t].compose(m).compose(D[s])
+    outer = {(i, t): inv[t].compose(m).compose(D[t]) for (i, t), m in F.outer_act.items()}
+    gens = [(d, _cleared(inv[d].apply_dense(v), inv[d].den)) for d, v in F.generators]
+    return TruncatedFunctor(F.N, F.dims, act, gens, name=F.name + "'", outer_n=F.outer_n,
+                            outer_act=outer)
+
+
 def _reference_quotient(parent, sub_columns, name):
     """The quotient by per-column Fraction arithmetic: reduce each image in
     a ColumnBasis of the sub columns and read the residual's coordinates."""
     from finsetrep.oracle import linalg
-    from finsetrep.oracle.functors import TruncatedFunctor, _sparse_to_intvec
+    from finsetrep.oracle.functors import TruncatedFunctor
 
     reducers, quot_coords = [], []
     for t in range(parent.N + 1):
         cb = linalg.ColumnBasis(parent.dims[t])
-        for col in sub_columns[t]:
-            cb.add(col)
+        for col in sub_columns[t].T:
+            cb.add(fraction_vector(col))
         reducers.append(cb)
         quot_coords.append([j for j in range(parent.dims[t]) if j not in cb.pivots])
     dims = [len(q) for q in quot_coords]
@@ -346,17 +392,17 @@ def _reference_quotient(parent, sub_columns, name):
         return {lookups[t][c]: v for c, v in residual.items()}
 
     def induced(m, s, t):
-        for col in sub_columns[s]:
-            assert not reducers[t].reduce(m.apply_sparse(col))[0]
-        cols = [project(t, m.apply_sparse({j: Fraction(1)})) for j in quot_coords[s]]
-        return SpMat.from_sparse_columns(dims[t], cols)
+        for col in sub_columns[s].T:
+            assert not reducers[t].reduce(apply_sparse(m, fraction_vector(col)))[0]
+        cols = [project(t, apply_sparse(m, {j: Fraction(1)})) for j in quot_coords[s]]
+        return _from_fraction_columns(dims[t], cols)
 
     act = {key: induced(parent.act[key], *parent.gen_src_dst(key)) for key in parent.gen_keys()}
     gens = []
     for d, col in parent.generators:
-        pc = project(d, linalg.sparse_from_dense(col))
+        pc = project(d, fraction_vector(col))
         if pc:
-            gens.append((d, _sparse_to_intvec(pc, dims[d])))
+            gens.append((d, _cleared_reference(pc, dims[d])))
     outer = {(i, t): induced(m, t, t) for (i, t), m in parent.outer_act.items()}
     return TruncatedFunctor(parent.N, dims, act, gens, name=name, outer_n=parent.outer_n,
                             outer_act=outer)
@@ -367,8 +413,9 @@ def _reference_subfunctor(F, columns, gens, name):
     of every basis column, and every generator, in a ColumnBasis of the
     columns of its size."""
     from finsetrep.oracle import linalg
-    from finsetrep.oracle.functors import TruncatedFunctor, _sparse_to_intvec
+    from finsetrep.oracle.functors import TruncatedFunctor
 
+    columns = [[fraction_vector(col) for col in S.T] for S in columns]
     reducers = []
     for t, cols in enumerate(columns):
         cb = linalg.ColumnBasis(F.dims[t])
@@ -382,12 +429,15 @@ def _reference_subfunctor(F, columns, gens, name):
         return combo
 
     def restrict(m, s, t):
-        cols = [expand(t, m.apply_sparse(col)) for col in columns[s]]
-        return SpMat.from_sparse_columns(len(columns[t]), cols)
+        cols = [expand(t, apply_sparse(m, col)) for col in columns[s]]
+        return _from_fraction_columns(len(columns[t]), cols)
 
     act = {key: restrict(F.act[key], *F.gen_src_dst(key)) for key in F.gen_keys()}
     outer = {(i, t): restrict(m, t, t) for (i, t), m in F.outer_act.items()}
-    gens = [(d, _sparse_to_intvec(expand(d, v), len(columns[d]))) for d, v in gens]
+    gens = [
+        (d, _cleared_reference(expand(d, fraction_vector(x, den)), len(columns[d])))
+        for d, x, den in gens
+    ]
     return TruncatedFunctor(F.N, [len(c) for c in columns], act, gens, name=name,
                             outer_n=F.outer_n, outer_act=outer)
 
@@ -417,15 +467,37 @@ def test_quotients_and_subfunctors_match_per_column_references(monkeypatch):
     # of the first two where there are two
     dependent = []
     for cols in lambda_pbar_embedding(2, 5):
-        if len(cols) > 1:
-            a, b = cols[:2]
-            cols = cols + [{i: a.get(i, 0) + b.get(i, 0) for i in a.keys() | b.keys()}]
+        if cols.shape[1] > 1:
+            cols = np.hstack([cols, cols[:, :1] + cols[:, 1:2]])
         dependent.append(cols)
     builds = [lambda n=n: build_proj_cover(n, N) for n in range(1, 4)]
     builds.append(lambda: build_proj_cover(4, 5))
     builds += [lambda lam=lam: isotypic_subfunctor(pbar2, lam) for lam in partitions_of(2)]
     # the projector columns of pfin(3) overlap: the reference back-eliminates
     builds += [lambda lam=lam: isotypic_subfunctor(pfin3, lam) for lam in partitions_of(3)]
+    # moves with denominators: isotypic projectors and a residual map with
+    # den != 1, and generators six times primitive ones, so that the den
+    # their images carry decides the cleared generators
+    # (the quotient's scales decrease, so that each wedge column is smallest
+    # at its first entry: the reference pivots on a column's smallest entry,
+    # the library on its first independent row)
+    decreasing = lambda n: range(n, 0, -1)
+    scaled = rescaled(build_pfin(2, 4))
+    scaled_pbar2 = rescaled(build_pbar_tensor(2, 4), decreasing)
+    for F in (scaled, scaled_pbar2):
+        F.generators = [(d, 6 * v) for d, v in F.generators]
+    builds += [lambda lam=lam: isotypic_subfunctor(scaled, lam) for lam in partitions_of(2)]
+    # by hand: at size 2 the (2) piece has the basis 12 e_0, 6 e_1 + 4 e_2
+    # and 12 e_3 (the projector's columns times its den 6), and the
+    # generator 6 e_1 projects to 6 e_1 + 4 e_2, the second of them
+    sym = isotypic_subfunctor(scaled, Partition((2,)))
+    assert [(d, v.tolist()) for d, v in sym.generators] == [(2, [0, 1, 0])]
+    # the image of Lambda^2 in scaled_pbar2's basis, cleared to integers
+    scaled_wedge = [
+        cols * (lcm(*decreasing(len(cols))) // np.array(decreasing(len(cols))))[:, None]
+        for cols in lambda_pbar_embedding(2, 4)
+    ]
+    builds.append(lambda: functors.quotient_functor(scaled_pbar2, scaled_wedge, "scaled quotient"))
     builds.append(lambda: kernel_functor(pfin1, k, augmentation, "aug-kernel"))
     builds.append(lambda: functors.quotient_functor(pbar2, dependent, "pbar(2)/dependent"))
     got = [_functor_fields(build()) for build in builds]

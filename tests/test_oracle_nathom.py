@@ -22,8 +22,8 @@ from finsetrep.oracle import (
     nat_hom_dense_dim,
 )
 from finsetrep.oracle.functors import SpMat, direct_sum
-from finsetrep.oracle.linalg import sparse_from_dense
 from finsetrep.oracle.nathom import build_span
+from test_oracle_functors import apply_sparse, fraction_vector, rescaled
 
 
 def test_yoneda():
@@ -107,18 +107,45 @@ def test_hom_out_of_covers_hand_values():
 
 def test_solution_basis_is_natural():
     N = 4
-    r = nat_hom(build_kfi(2, N), build_pbar_tensor(2, N))
-    assert r.dimension == 1
-    r.verify()
-    r2 = nat_hom(build_pbar_tensor(2, N), build_pbar_tensor(2, N))
-    r2.verify()
-    # the solution matrices commute with every generator
-    F, G = r.F, r.G
-    for key in F.gen_keys():
-        s, t = F.gen_src_dst(key)
-        eta_s, eta_t = r.solution_matrix(0, s), r.solution_matrix(0, t)
-        assert eta_s.shape == (G.dims[s], F.dims[s])
-        assert eta_t.compose(F.act[key]).equals(G.act[key].compose(eta_s))
+    pfin2, pbar2 = build_pfin(2, N), build_pbar_tensor(2, N)
+    scaled = rescaled(pfin2)
+    scaled.check_functoriality(3)
+    assert any(m.den != 1 for m in scaled.act.values())
+    assert any(m.den != 1 for m in scaled.outer_act.values())
+    # (source, target, its dimension, the unscaled pair or None)
+    cases = [
+        (build_kfi(2, N), pbar2, 1, None),
+        (pbar2, pbar2, 2, None),
+        (build_proj_cover(2, N), pbar2, 2, None),
+        (scaled, pbar2, 1, (pfin2, pbar2)),
+        (pbar2, scaled, 2, (pbar2, pfin2)),
+    ]
+    for F, G, dim, unscaled in cases:
+        r = nat_hom(F, G)
+        assert r.dimension == dim, (F.name, G.name)
+        r.verify()
+        if unscaled is not None:
+            ref = nat_hom(*unscaled)
+            assert ref.dimension == dim, (F.name, G.name)
+            assert r.outer_bimodule() == ref.outer_bimodule(), (F.name, G.name)
+        # the solution matrices commute with every generator
+        for k in range(r.dimension):
+            for key in F.gen_keys():
+                s, t = F.gen_src_dst(key)
+                eta_s, eta_t = r.solution_matrix(k, s), r.solution_matrix(k, t)
+                assert eta_s.shape == (G.dims[s], F.dims[s])
+                assert eta_t.compose(F.act[key]).equals(G.act[key].compose(eta_s))
+
+
+def test_verify_rejects_a_non_solution():
+    from finsetrep.oracle import OracleError
+    from finsetrep.oracle.nathom import NatHomResult
+
+    r = nat_hom(build_pbar_tensor(2, 4), build_pbar_tensor(2, 4))
+    assert r.n_v == 4
+    NatHomResult(r.F, r.G, r.span, [[0, 1, 0, 0]], r.blocks).verify()
+    with pytest.raises(OracleError, match="solution fails naturality"):
+        NatHomResult(r.F, r.G, r.span, [[1, 0, 0, 0]], r.blocks).verify()
 
 
 def _replayed_span_vectors(span):
@@ -128,10 +155,10 @@ def _replayed_span_vectors(span):
     for t, idx in span.order:
         path = span.paths[t][idx]
         if path[0] == "gen":
-            vecs[(t, idx)] = sparse_from_dense(F.generators[path[1]][1])
+            vecs[(t, idx)] = fraction_vector(F.generators[path[1]][1])
         else:
             _, key, s, j = path
-            vecs[(t, idx)] = F.act[key].apply_sparse(vecs[(s, j)])
+            vecs[(t, idx)] = apply_sparse(F.act[key], vecs[(s, j)])
     return vecs
 
 
@@ -164,14 +191,14 @@ def test_span_pass_records_move_expansions():
             for at_t in span.vecs
         ])
         for (t, idx), v in vecs.items():
-            assert span.expand(t, v) == {idx: Fraction(1)}, (F.name, t, idx)
-            assert doubled.expand(t, v) == {idx: Fraction(1)}, (F.name, t, idx)
+            assert apply_sparse(span.expansion(t), v) == {idx: Fraction(1)}, (F.name, t, idx)
+            assert apply_sparse(doubled.expansion(t), v) == {idx: Fraction(1)}, (F.name, t, idx)
         # reference: each move image expanded in the finished basis
         for key in F.gen_keys():
             s, t = F.gen_src_dst(key)
             assert len(span.gammas[key]) == F.dims[s], (F.name, key)
             for j in range(F.dims[s]):
-                ref = span.expand(t, F.act[key].apply_sparse(vecs[(s, j)]))
+                ref = apply_sparse(span.expansion(t), apply_sparse(F.act[key], vecs[(s, j)]))
                 assert span.gammas[key][j] == ref, (F.name, key, j)
 
 
