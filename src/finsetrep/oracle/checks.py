@@ -114,9 +114,10 @@ def pi_idempotent_check(n: int, image_sizes: Optional[List[int]] = None) -> Repo
         for t in image_sizes:
             M, expected_rank = _pi_action_and_rank(n, t)
             r = linalg.rank(M)
-            A = np.array(M, dtype=np.int64)
-            idem = bool((linalg.imatmul(A, A) == A).all())
-            span_ok = _pi_image_span_check(n, t, M, expected_rank)
+            idem = bool((linalg.imatmul(M, M) == M).all())
+            # the image of the idempotent is the span of E, of the expected rank
+            E = _split_summand_columns(n, t)
+            span_ok = linalg.rank(E) == expected_rank == linalg.rank(np.hstack([E, M]))
             details[f"size_{t}"] = {
                 "rank": r,
                 "expected_rank": expected_rank,
@@ -129,40 +130,37 @@ def pi_idempotent_check(n: int, image_sizes: Optional[List[int]] = None) -> Repo
     )
 
 
-def _pi_action_and_rank(n: int, t: int) -> Tuple[List[List[int]], int]:
+def _tuple_index(t: int, length: int) -> Dict[Tuple[int, ...], int]:
+    """The position of every tuple of the given length over t points in
+    the basis of tuples, in lexicographic order."""
+    return {tup: i for i, tup in enumerate(itertools.product(range(t), repeat=length))}
+
+
+def _pi_action_and_rank(n: int, t: int) -> Tuple[np.ndarray, int]:
     """Matrix of pi_n acting on tuples of length n+1 over t points, by
     precomposition, with the expected image dimension t*(t-1)^n."""
     pi = pi_element(n)
-    dim = t ** (n + 1)
-    M = [[0] * dim for _ in range(dim)]
-    tuples = list(itertools.product(range(t), repeat=n + 1))
-    index = {tup: i for i, tup in enumerate(tuples)}
+    index = _tuple_index(t, n + 1)
+    M = np.zeros((len(index), len(index)), dtype=np.int64)
     for f, c in pi.items():
-        for j, x in enumerate(tuples):
-            img = tuple(x[f[i]] for i in range(n + 1))
-            M[index[img]][j] += c
+        for x, j in index.items():
+            M[index[tuple(x[f[i]] for i in range(n + 1))], j] += c
     return M, t * (t - 1) ** n if t >= 1 else 0
 
 
-def _pi_image_span_check(n: int, t: int, M: List[List[int]], expected: int) -> bool:
-    """Column span of the idempotent equals the embedded subspace spanned
-    by [x0] (x) prod([y_i] - [x0])."""
-    dim = t ** (n + 1)
-    tuples = list(itertools.product(range(t), repeat=n + 1))
-    index = {tup: i for i, tup in enumerate(tuples)}
-    ecols: List[List[int]] = []
+def _split_summand_columns(n: int, t: int) -> np.ndarray:
+    """The vectors [x0] (x) prod([y_i] - [x0]) of tuples of length n+1 over
+    t points, for every x0 and every y in the other points^n, as the
+    columns of an int64 array."""
+    index = _tuple_index(t, n + 1)
+    E = np.zeros((len(index), t * (t - 1) ** n), dtype=np.int64)
+    j = 0
     for x0 in range(t):
         for y in itertools.product([v for v in range(t) if v != x0], repeat=n):
-            vec = [0] * dim
             for tup, c in _difference_product(x0, y).items():
-                vec[index[(x0,) + tup]] += c
-            ecols.append(vec)
-    if len(ecols) != expected:
-        return False
-    if linalg.rank(ecols) != expected:
-        return False
-    joint = ecols + [ [M[i][j] for i in range(dim)] for j in range(dim) ]
-    return linalg.rank(joint) == expected
+                E[index[(x0,) + tup], j] += c
+            j += 1
+    return E
 
 
 def _difference_product(x0: int, y: Tuple[int, ...]) -> Dict[Tuple[int, ...], int]:
@@ -194,42 +192,26 @@ def verify_right_aug(n: int, t: int, N: int) -> Report:
     ok = res.dimension == expected
 
     if ok and n >= 1:
-        # express each Yoneda morphism, restricted to the subfunctor, in the
-        # solution parameter space
-        D = n + 1
-        # the generator of the reduced tensor power inside tuples over {0..n}
-        w_expansion = _difference_product(0, tuple(range(1, D)))
-        p = res.dimension
-        vecs = []
-        surjective_flags = []
-        index = {tup: i for i, tup in enumerate(itertools.product(range(D), repeat=t))}
-        for alpha in itertools.product(range(n), repeat=t):
-            vec = [0] * (D**t)
+        # the coordinates of each Yoneda morphism, restricted to the
+        # subfunctor, over the solution basis: the generator of the reduced
+        # tensor power inside tuples over {0..n}, sent along alpha
+        w_expansion = _difference_product(0, tuple(range(1, n + 1)))
+        index = _tuple_index(n + 1, t)
+        alphas = list(itertools.product(range(n), repeat=t))
+        A = np.zeros((len(index), len(alphas)), dtype=np.int64)
+        for j, alpha in enumerate(alphas):
             for tup, sign in w_expansion.items():
-                vec[index[tuple(tup[alpha[i]] for i in range(t))]] += sign
-            vecs.append(vec)
-            surjective_flags.append(len(set(alpha)) == n)
-        if p:
-            columns = linalg.solve(res._P.tolist(), vecs)
-        elif any(any(vec) for vec in vecs):
-            # zero hom space: the restriction must vanish outright
-            return Report(
-                "realize_right_aug", {"n": n, "t": t, "N": N},
-                expected, "nonzero restriction into a zero hom space",
-                False,
-            )
-        else:
-            columns = [[] for _ in vecs]
-        n_maps = len(columns)
-        coeff_rows = [[columns[j][i] for j in range(n_maps)] for i in range(p)]
-        rank = linalg.rank(coeff_rows)
-        ker_dim = n_maps - rank
-        n_nonsurj = surjective_flags.count(False)
-        ok_kernel = ker_dim == n_nonsurj
-        for j, flag in enumerate(surjective_flags):
-            if not flag and any(columns[j]):
-                ok_kernel = False
-                break
+                A[index[tuple(tup[a] for a in alpha)], j] += sign
+        try:
+            Y, _ = res.coordinates(A)
+        except OracleError:
+            return Report("realize_right_aug", {"n": n, "t": t, "N": N}, expected,
+                          "a restricted Yoneda morphism is no natural transformation", False)
+        nonsurjective = np.array([len(set(alpha)) < n for alpha in alphas], dtype=bool)
+        rank = linalg.rank(Y)
+        ker_dim = len(alphas) - rank
+        n_nonsurj = int(nonsurjective.sum())
+        ok_kernel = ker_dim == n_nonsurj and not Y[:, nonsurjective].any()
         rank_ok = rank == expected
         details.update({"kernel_dim": ker_dim, "nonsurjective": n_nonsurj,
                         "kernel_is_nonsurjective_span": ok_kernel,
@@ -373,14 +355,11 @@ def verify_norm_map(n: int, N: int) -> Report:
             for f in itertools.product(range(n), repeat=t)
             if len(set(f)) == n
         ]
-        rows = []
-        for s in surjections:
-            row = []
-            for j in injections:
-                comp = tuple(s[j[i]] for i in range(n))
-                row.append(1 if comp == tuple(range(n)) else 0)
-            rows.append(row)
-        kernel_dim = len(injections) - linalg.rank(rows)
+        M = np.zeros((len(surjections), len(injections)), dtype=np.int64)
+        for r, s in enumerate(surjections):
+            for c, j in enumerate(injections):
+                M[r, c] = tuple(s[a] for a in j) == tuple(range(n))
+        kernel_dim = len(injections) - linalg.rank(M)
         expected = comb(t - 1, n)
         if kernel_dim != expected:
             ok = False
@@ -396,16 +375,11 @@ def verify_norm_map(n: int, N: int) -> Report:
 # Surjectivity refinements
 
 
-def _pfin_to_kfi_matrix(n: int, t: int) -> List[List[int]]:
-    """Projection sending non-injective tuples to zero, in tuple bases."""
-    injections = list(itertools.permutations(range(t), n))
-    index = {p: i for i, p in enumerate(injections)}
-    cols = t**n
-    M = [[0] * cols for _ in range(len(injections))]
-    for j, tup in enumerate(itertools.product(range(t), repeat=n)):
-        if len(set(tup)) == n:
-            M[index[tup]][j] = 1
-    return M
+def _injective_rows(n: int, t: int) -> List[int]:
+    """The positions of the injective tuples of length n over t points in
+    the basis of tuples: the rows that the projection onto the injection
+    module keeps, sending the others to zero."""
+    return [i for tup, i in _tuple_index(t, n).items() if len(set(tup)) == n]
 
 
 def verify_refine_surjection(n: int, N: int) -> Report:
@@ -419,18 +393,7 @@ def verify_refine_surjection(n: int, N: int) -> Report:
         inj_dim = 0 if t < n else _falling(t, n)
         if inj_dim == 0:
             continue
-        proj = _pfin_to_kfi_matrix(n, t)
-        index = {tup: i for i, tup in enumerate(itertools.product(range(t), repeat=n))}
-        cols = []
-        for x0 in range(t):
-            for y in itertools.product([v for v in range(t) if v != x0], repeat=n - 1):
-                vec = [0] * (t**n)
-                for tup, c in _difference_product(x0, y).items():
-                    vec[index[(x0,) + tup]] += c
-                cols.append(vec)
-        cols = np.array(cols, dtype=np.int64).reshape(-1, t**n)
-        image = linalg.imatmul(np.array(proj, dtype=np.int64), cols.T)
-        r = linalg.rank(image)
+        r = linalg.rank(_split_summand_columns(n - 1, t)[_injective_rows(n, t)])
         details[f"t={t}"] = {"rank": r, "target_dim": inj_dim}
         ok = ok and r == inj_dim
     return Report("refine_surject_to_kfi", {"n": n, "N": N}, "surjective", details, ok)
@@ -447,18 +410,14 @@ def verify_almost_surjectivity(n: int, N: int) -> Report:
         inj_dim = 0 if t < n else _falling(t, n)
         if inj_dim == 0:
             continue
-        proj = _pfin_to_kfi_matrix(n, t)
-        index = {tup: i for i, tup in enumerate(itertools.product(range(t), repeat=n))}
-        cols = []
-        for y in itertools.product(range(1, t), repeat=n):
-            vec = [0] * (t**n)
+        # the columns prod([y_i] - [0]) that span the reduced tensor power
+        index = _tuple_index(t, n)
+        ys = list(itertools.product(range(1, t), repeat=n))
+        C = np.zeros((len(index), len(ys)), dtype=np.int64)
+        for j, y in enumerate(ys):
             for tup, c in _difference_product(0, y).items():
-                vec[index[tup]] += c
-            cols.append(vec)
-        cols = np.array(cols, dtype=np.int64).reshape(-1, t**n)
-        image = linalg.imatmul(np.array(proj, dtype=np.int64), cols.T)
-        rank = linalg.rank(image)
-        coker = inj_dim - rank
+                C[index[tup], j] += c
+        coker = inj_dim - linalg.rank(C[_injective_rows(n, t)])
         expected = comb(t - 1, n - 1)
         details[f"t={t}"] = {"coker": coker, "expected": expected}
         ok = ok and coker == expected

@@ -203,7 +203,11 @@ class SpMat:
         rows = [k[0] for k, v in acc.items() if v]
         cols = [k[1] for k, v in acc.items() if v]
         vals = [v for v in acc.values() if v]
-        return SpMat(self.m, other.n, rows, cols, vals, self.den * other.den)
+        # reduced by their gcd first, as in from_dense, so that the
+        # magnitude guard sees the reduced entries
+        den = self.den * other.den
+        g = gcd(den, *vals)
+        return SpMat(self.m, other.n, rows, cols, [v // g for v in vals], den // g)
 
     def __add__(self, other: "SpMat") -> "SpMat":
         assert self.shape == other.shape
@@ -224,9 +228,6 @@ class SpMat:
     def trace(self) -> Fraction:
         mask = self.rows == self.cols
         return Fraction(int(self.vals[mask].sum()), self.den)
-
-    def to_fraction_rows(self) -> List[List[Fraction]]:
-        return [[Fraction(v, self.den) for v in row] for row in self.int_rows().tolist()]
 
     def is_zero(self) -> bool:
         return self.nnz == 0
@@ -707,10 +708,7 @@ def kernel_functor(
         rhs = G.act[key].compose(mats[s])
         if not lhs.equals(rhs):
             raise OracleError(f"{name}: the given map family is not natural")
-    columns = [
-        linalg.int_array(linalg.kernel_basis(mats[t].int_rows(), F.dims[t]), F.dims[t]).T
-        for t in range(F.N + 1)
-    ]
+    columns = [linalg.kernel_basis(mats[t].int_rows()).T for t in range(F.N + 1)]
     gens = [(t, K[:, j], 1) for t, K in enumerate(columns) for j in range(K.shape[1])]
     return _subfunctor(F, columns, gens, name)
 

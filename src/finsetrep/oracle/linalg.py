@@ -1,12 +1,14 @@
 """Exact dense linear algebra over the rationals.
 
-One engine answers every exact question about a matrix: its right kernel
-is computed modulo word primes (vectorized int64 elimination), lifted by
-rational reconstruction and CRT, and returned with its pivot columns only
-after an exact check that certifies both.  Rank, the choice of independent
-rows, a linear solve for many right-hand sides at once and the integer
-inverse of a subspace's independent rows (row_inverse, from which every
-expansion and residual projection of the oracle is read) come off it.
+Every matrix in and out is an integer array, int64 or Python ints
+(object dtype); a rational matrix is an integer one over a denominator
+that the caller keeps.  One engine answers every exact question about a
+matrix: its right kernel is computed modulo word primes (vectorized int64
+elimination), lifted by rational reconstruction and CRT, and returned with
+its pivot columns only after an exact check that certifies both.  Rank,
+the choice of independent columns and the integer inverse of a subspace's
+independent rows (row_inverse, from which every expansion, residual
+projection and coordinate read-out of the oracle is taken) come off it.
 One a-priori bound decides where integer arrays run on int64 and where on
 Python ints; imatmul takes exact integer matrix products on float64 BLAS
 under a bound of its own.  ModColumnBasis, an incrementally maintained
@@ -23,60 +25,26 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 
-Row = List[int]
+def pivot_columns(M: np.ndarray) -> List[int]:
+    """The pivot columns of the reduced echelon form of the integer array
+    M over the rationals: the first columns, left to right, independent of
+    those before them."""
+    return _kernel(M)[0]
 
 
-def _to_int_rows(rows: Sequence[Sequence]) -> List[Sequence[int]]:
-    """Integer rows, each a positive multiple of the given row; a row
-    without Fractions is taken as it is."""
-    out = []
-    for row in rows:
-        if Fraction not in set(map(type, row)):
-            out.append(row)
-            continue
-        den = lcm(*[x.denominator for x in row if isinstance(x, Fraction)])
-        out.append([
-            x.numerator * (den // x.denominator) if isinstance(x, Fraction) else int(x) * den
-            for x in row
-        ])
-    return out
+def rank(M: np.ndarray) -> int:
+    return len(pivot_columns(M))
 
 
-def pivot_columns(rows: Sequence[Sequence]) -> List[int]:
-    """The pivot columns of the reduced echelon form of M over the
-    rationals: the first columns, left to right, independent of those
-    before them."""
-    return _kernel(int_array(rows, len(rows[0]) if len(rows) else 0))[0]
-
-
-def rank(rows: Sequence[Sequence]) -> int:
-    return len(pivot_columns(rows))
-
-
-def kernel_basis(rows: Sequence[Sequence], ncols: Optional[int] = None) -> List[Row]:
-    """Basis of the right kernel {x : M x = 0}, as primitive integer vectors.
+def kernel_basis(M: np.ndarray) -> np.ndarray:
+    """Basis of the right kernel {x : M x = 0} of the integer array M, as
+    the rows of an integer array, each a primitive vector.
 
     The basis is the one read off the reduced echelon form of M over the
     rationals: one vector per non-pivot column f, positive at f and zero at
-    every other non-pivot column."""
-    if ncols is None:
-        ncols = len(rows[0]) if len(rows) else 0
-    return _kernel(int_array(rows, ncols))[1].T.tolist()
-
-
-def solve(rows: Sequence[Sequence], rhs_columns: Sequence[Sequence]) -> List[List[Fraction]]:
-    """One exact solution x of M x = b for every column b, with M given by
-    its rows (at least one): the one with every free unknown 0.  Raises
-    ValueError if any b is outside M's column span."""
-    n, k = (len(rows[0]) if len(rows) else 0), len(rhs_columns)
-    aug = [list(row) + [b[i] for b in rhs_columns] for i, row in enumerate(rows)]
-    pivots, K = _kernel(int_array(aug, n + k))
-    if pivots and pivots[-1] >= n:
-        raise ValueError("inconsistent system")
-    # x with M x = b_c is -y[:n] / y[n + c] for the kernel vector y of
-    # [M | B] read at column n + c: the last k vectors, in order
-    Y = K[:, K.shape[1] - k :].T.tolist()
-    return [[Fraction(-v, y[n + c]) for v in y[:n]] for c, y in enumerate(Y)]
+    every other non-pivot column.  A lift over several primes comes back on
+    int64 when its entries allow it."""
+    return int_array(_kernel(M)[1]).T
 
 
 def row_inverse(S: np.ndarray) -> Tuple[List[int], np.ndarray, int]:
@@ -179,18 +147,13 @@ def imatmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A.astype(object) @ B.astype(object)
 
 
-def int_array(rows: Sequence[Sequence], ncols: int) -> np.ndarray:
-    """The rows cleared to integers, as an ncols-column array of the dtype
-    int_dtype gives for its largest entry.  An int64 array is taken as it is."""
-    if isinstance(rows, np.ndarray) and rows.dtype == np.int64:
-        return rows.reshape(len(rows), ncols)
-    int_rows = _to_int_rows(rows)
-    try:
-        A = np.array(int_rows, dtype=np.int64).reshape(len(int_rows), ncols)
-        bound = max(-int(A.min(initial=0)), int(A.max(initial=0)))
-    except OverflowError:  # an integer past int64
-        A, bound = np.array(int_rows, dtype=object).reshape(len(int_rows), ncols), INT64_BOUND
-    return A.astype(int_dtype(bound), copy=False)
+def int_array(A: np.ndarray) -> np.ndarray:
+    """The integer array A on the dtype int_dtype gives for its largest
+    entry: a Python-int array whose entries allow it comes back on int64.
+    An int64 array is taken as it is."""
+    if A.dtype == np.int64:
+        return A
+    return A.astype(int_dtype(max(-int(A.min(initial=0)), int(A.max(initial=0)))), copy=False)
 
 
 def _is_prime(n: int) -> bool:

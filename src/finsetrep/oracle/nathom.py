@@ -23,15 +23,17 @@ already-small parameter space; after each cut the span values are rebuilt
 from the new parameter basis.  The Gram products and the cuts
 (linalg.imatmul) run on float64 BLAS under an exactness bound, and each
 Gram's kernel through the certified modular linalg.kernel_basis.  The
-span values, W and the Gram sums stay on int64 under linalg's a-priori
-bound and move to Python ints above it.  The solutions are read out on
-integer arrays: a block of vectors of F(t) is expanded in the span basis,
-and one product with the values of the span vectors that the expansion
-needs applies every basis solution to the block.  solution_matrix and
-verify take the block of unit vectors; outer characters take the
-acted-on generators, read each acted-on solution off p independent rows
-of the parameter basis, which the same certified engine picks, and check
-the other rows exactly.
+span values (each kept in lowest terms), W, the Gram sums and the
+parameter basis P stay on int64 under linalg's a-priori bound and move to
+Python ints above it.  The solutions are read out on integer arrays: a
+block of vectors of F(t) is expanded in the span basis, and one product
+with the values of the span vectors that the expansion needs applies
+every basis solution to the block.  solution_matrix and verify take the
+block of unit vectors, once per size.  coordinates reads a block of
+generator values off p independent rows of P, which the same certified
+engine picks, and checks the other rows exactly: outer characters take
+the acted-on solutions through it, and the checks the restricted Yoneda
+maps.
 """
 
 from __future__ import annotations
@@ -79,11 +81,14 @@ class SpanData:
         expansion of a vector v of F(t) in that basis.  It is computed on
         first use."""
         if t not in self.bases:
-            n, k = self.F.dims[t], len(self.vecs[t])
-            cols = [[num.get(i, 0) for i in range(n)] for num, _ in self.vecs[t]]
-            S = linalg.int_array(cols, n).T
+            vecs = self.vecs[t]
+            k = len(vecs)
+            bound = max((abs(v) for num, _ in vecs for v in num.values()), default=0)
+            S = np.zeros((self.F.dims[t], k), dtype=linalg.int_dtype(bound))
+            for j, (num, _) in enumerate(vecs):
+                S[list(num), j] = list(num.values())
             # a basis vector is num / den, so its coefficient is den times num's
-            dens = SpMat(k, k, range(k), range(k), [den for _, den in self.vecs[t]])
+            dens = SpMat(k, k, range(k), range(k), [den for _, den in vecs])
             self.bases[t] = dens.compose(_expansion_map(S, *linalg.row_inverse(S)))
         return self.bases[t]
 
@@ -270,8 +275,9 @@ def _span_value(
 ) -> Tuple[np.ndarray, int]:
     """Values on the span basis vector key = (size, index) of the candidate
     solutions given by P's columns: G of the vector's path applied to the
-    rows of P holding its generator's values, as (int array, denominator).
-    cache holds a prefix of span.order and is extended along it to key."""
+    rows of P holding its generator's values, as (int array, denominator)
+    in lowest terms.  cache holds a prefix of span.order and is extended
+    along it to key."""
     while key not in cache:
         t, idx = span.order[len(cache)]
         path = span.paths[t][idx]
@@ -282,27 +288,34 @@ def _span_value(
             _, gkey, pt, pidx = path
             parr, pden = cache[(pt, pidx)]
             m = G.act[gkey]
-            cache[(t, idx)] = (m.apply_dense(parr), pden * m.den)
+            arr, den = m.apply_dense(parr), pden * m.den
+            g = gcd(den, int(np.gcd.reduce(arr, axis=None))) if den > 1 else 1
+            if g > 1:
+                arr, den = arr // g, den // g
+            cache[(t, idx)] = (arr, den)
     return cache[key]
 
 
 class NatHomResult:
-    """Solution space of natural transformations F -> G at truncation N."""
+    """Solution space of natural transformations F -> G at truncation N.
 
-    def __init__(self, F, G, span, P_cols: List[List[int]], blocks):
+    P is the parameter basis, an n_v x dimension integer array: its k-th
+    column holds the values of the k-th basis solution on the used
+    generators, block by block."""
+
+    def __init__(self, F, G, span, P: np.ndarray, blocks):
         self.F, self.G = F, G
         self.span = span
-        # parameter basis as a list of columns (each an int list of len n_v)
-        self.P_cols = P_cols
+        self.P = P
         # blocks: generator index -> (degree, offset), used generators only
         self.blocks = blocks
-        self._P = linalg.int_array(P_cols, self.n_v).T
         self._vcache: Dict[Tuple[int, int], Tuple[np.ndarray, int]] = {}
+        self._solcache: Dict[int, List[SpMat]] = {}
         self._rinv = None
 
     @property
     def dimension(self) -> int:
-        return len(self.P_cols)
+        return self.P.shape[1]
 
     @property
     def n_v(self) -> int:
@@ -318,7 +331,7 @@ class NatHomResult:
         C = E.apply_dense(X)
         support = np.flatnonzero(C.any(axis=1)).tolist()
         values = [
-            _span_value(self.span, self.G, self.blocks, self._P, self._vcache, (t, i))
+            _span_value(self.span, self.G, self.blocks, self.P, self._vcache, (t, i))
             for i in support
         ]
         # the values on their common denominator L, one row per span vector
@@ -330,9 +343,12 @@ class NatHomResult:
         return Y.reshape(shape + (X.shape[1],)), L * E.den * xden
 
     def _solutions(self, t: int) -> List[SpMat]:
-        """The t-components of all basis solutions, as exact matrices."""
-        Y, den = self._apply(t, np.eye(self.F.dims[t], dtype=np.int64))
-        return [SpMat.from_dense(Y[:, k], den) for k in range(self.dimension)]
+        """The t-components of all basis solutions, as exact matrices,
+        computed once per size."""
+        if t not in self._solcache:
+            Y, den = self._apply(t, np.eye(self.F.dims[t], dtype=np.int64))
+            self._solcache[t] = [SpMat.from_dense(Y[:, k], den) for k in range(self.dimension)]
+        return self._solcache[t]
 
     def solution_matrix(self, k: int, t: int) -> SpMat:
         """The t-component of the k-th basis solution, as an exact matrix."""
@@ -365,22 +381,25 @@ class NatHomResult:
             acted.append((hmat.apply_dense(Y[:, :, 0]), yden * hmat.den))
         den = lcm(*(aden for _, aden in acted))
         A = np.concatenate([linalg.lincomb([(arr, den // aden)]) for arr, aden in acted])
-        # P X = A with X = Y / (D * den): X is read off the rows I alone,
-        # and the other rows check that every acted solution is a solution
-        I, Q, D = self._row_inverse()
-        Y = linalg.imatmul(Q, A[I])
-        if not (linalg.imatmul(self._P, Y) == linalg.lincomb([(A, D)])).all():
-            raise OracleError("an acted-on solution leaves the solution space")
+        Y, D = self.coordinates(A)
         tr = Fraction(int(np.trace(Y)), D * den)
         if tr.denominator != 1:
             raise OracleError(f"non-integral outer character value {tr}")
         return int(tr)
 
-    def _row_inverse(self) -> Tuple[List[int], np.ndarray, int]:
-        """linalg.row_inverse of P, computed once per result."""
+    def coordinates(self, A: np.ndarray) -> Tuple[np.ndarray, int]:
+        """(Y, D) with P Y = D A, checked exactly, for an n_v x c integer
+        array A of generator values: Y / D holds the coordinates of A's
+        columns over the basis solutions.  They are read off the rows I of
+        linalg.row_inverse of P, computed once per result; the other rows
+        check them.  Raises OracleError if a column of A is no solution."""
         if self._rinv is None:
-            self._rinv = linalg.row_inverse(self._P)
-        return self._rinv
+            self._rinv = linalg.row_inverse(self.P)
+        I, Q, D = self._rinv
+        Y = linalg.imatmul(Q, A[I])
+        if not (linalg.imatmul(self.P, Y) == linalg.lincomb([(A, D)])).all():
+            raise OracleError("a column leaves the solution space")
+        return Y, D
 
     def outer_character(self) -> JointClassFunction:
         s_deg = self.F.outer_n
@@ -409,9 +428,6 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
             blocks[a] = (d, off)
             off += G.dims[d]
     n_v = off
-    if n_v == 0:
-        return NatHomResult(F, G, span, [], blocks)
-
     P = np.eye(n_v, dtype=np.int64)
     vcache: Dict[Tuple[int, int], Tuple[np.ndarray, int]] = {}
     # a move image the span pass accepted is a basis vector whose value is
@@ -450,39 +466,31 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
             gram = block if gram is None else linalg.lincomb([(gram, 1), (block, 1)])
         if gram is None or not gram.any():
             continue
-        ker = linalg.kernel_basis(gram, p)
+        ker = linalg.kernel_basis(gram)
         if len(ker) < p:
             # cut: the span values are rebuilt from the new P on demand
-            K = linalg.int_array(ker, p).T
-            P = linalg.int_array(linalg.imatmul(P, K), len(ker))
+            P = linalg.int_array(linalg.imatmul(P, ker.T))
             vcache.clear()
 
-    return NatHomResult(F, G, span, P.T.tolist(), blocks)
+    return NatHomResult(F, G, span, P, blocks)
 
 
 def nat_hom_dense_dim(F: TruncatedFunctor, G: TruncatedFunctor) -> int:
-    """Reference solver over the raw matrix unknowns (tiny inputs only)."""
-    N = F.N
-    offsets, total = [], 0
-    for t in range(N + 1):
-        offsets.append(total)
-        total += F.dims[t] * G.dims[t]
+    """Reference solver over the raw matrix unknowns (tiny inputs only).
+
+    The unknowns are the entries of every eta_t, row by row; a move
+    key: s -> t constrains them by eta_t F(key) = G(key) eta_s, whose rows
+    are G.den (I (x) F(key)^T) vec(eta_t) - F.den (G(key) (x) I) vec(eta_s)
+    with the integer matrices of F(key) and G(key)."""
+    offsets = np.cumsum([0] + [F.dims[t] * G.dims[t] for t in range(F.N + 1)])
+    total = int(offsets[-1])
     rows = []
     for key in F.gen_keys():
         s, t = TruncatedFunctor.gen_src_dst(key)
-        Fg = F.act[key].to_fraction_rows()
-        Gg = G.act[key].to_fraction_rows()
-        for r in range(G.dims[t]):
-            for c in range(F.dims[s]):
-                row = [Fraction(0)] * total
-                for k in range(F.dims[t]):
-                    if Fg[k][c]:
-                        row[offsets[t] + r * F.dims[t] + k] += Fg[k][c]
-                for k in range(G.dims[s]):
-                    if Gg[r][k]:
-                        row[offsets[s] + k * F.dims[s] + c] -= Gg[r][k]
-                if any(row):
-                    rows.append(row)
-    if not rows:
-        return total
-    return total - linalg.rank(rows)
+        Fk, Gk = F.act[key], G.act[key]
+        lhs = np.zeros((G.dims[t] * F.dims[s], total), dtype=np.int64)
+        rhs = np.zeros_like(lhs)
+        lhs[:, offsets[t] : offsets[t + 1]] = np.kron(np.eye(G.dims[t], dtype=np.int64), Fk.int_rows().T)
+        rhs[:, offsets[s] : offsets[s + 1]] = np.kron(Gk.int_rows(), np.eye(F.dims[s], dtype=np.int64))
+        rows.append(linalg.lincomb([(lhs, Gk.den), (rhs, -Fk.den)]))
+    return total - linalg.rank(np.concatenate(rows)) if rows else total

@@ -247,6 +247,16 @@ def test_isotypic_subfunctor_dims_and_sum():
     sym.check_functoriality(3)
 
 
+def test_isotypic_pieces_of_a_rescaled_functor_at_size_5():
+    # the projectors' dens reach lcm(1..25): compose reduces its products
+    # before the magnitude guard sees them
+    F = rescaled(build_pfin(2, 5))
+    pieces = [isotypic_subfunctor(F, lam) for lam in partitions_of(2)]
+    assert [sum(p.dims[t] for p in pieces) for t in range(6)] == F.dims
+    assert pieces[0].dims != F.dims and pieces[1].dims != F.dims
+    pieces[0].check_functoriality(3)
+
+
 def test_kernel_functor_recovers_reduced_projective():
     from finsetrep.oracle import kernel_functor, nat_hom
 

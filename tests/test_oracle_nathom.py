@@ -54,6 +54,9 @@ def test_against_dense_reference():
         (build_const_k(N), build_k0(N)),
         (build_lambda_pfin(2, N), build_kfi(2, N)),
         (build_proj_cover(1, N), build_pfin(1, N)),
+        # moves with den != 1 on either side
+        (rescaled(build_pfin(2, N)), build_pbar_tensor(2, N)),
+        (build_pbar_tensor(2, N), rescaled(build_pfin(2, N))),
     ]
     for F, G in pairs:
         assert nat_hom(F, G).dimension == nat_hom_dense_dim(F, G), (F.name, G.name)
@@ -87,7 +90,7 @@ def test_outer_character_rejects_a_basis_that_is_not_stable():
     r = nat_hom(build_pbar_tensor(2, 4), build_pbar_tensor(2, 4))
     # one of the two basis solutions alone: the transposition of the source
     # moves it out of its own span
-    half = NatHomResult(r.F, r.G, r.span, r.P_cols[:1], r.blocks)
+    half = NatHomResult(r.F, r.G, r.span, r.P[:, :1], r.blocks)
     with pytest.raises(OracleError, match="leaves the solution space"):
         half.outer_character()
 
@@ -137,15 +140,61 @@ def test_solution_basis_is_natural():
                 assert eta_t.compose(F.act[key]).equals(G.act[key].compose(eta_s))
 
 
+def test_coordinates_read_back_combinations_of_the_basis():
+    from finsetrep.oracle import OracleError, linalg
+
+    N = 4
+    pbar2 = build_pbar_tensor(2, N)
+    rng = np.random.default_rng(12)
+    pairs = [
+        (pbar2, pbar2),
+        (build_proj_cover(2, N), pbar2),
+        (pbar2, rescaled(build_pfin(2, N))),
+    ]
+    for F, G in pairs:
+        r = nat_hom(F, G)
+        p = r.dimension
+        assert 0 < p < r.n_v, (F.name, G.name)
+        # combinations with small coefficients and with Python ints past int64
+        X = rng.integers(-5, 6, size=(p, 6))
+        for Xc in (X, X.astype(object) * ((1 << 70) + 1)):
+            Y, D = r.coordinates(linalg.imatmul(r.P, Xc))
+            assert D > 0 and (Y == D * Xc).all(), (F.name, G.name)
+        # a unit vector outside P's column span is no solution
+        i = next(i for i in range(r.n_v)
+                 if linalg.rank(np.hstack([r.P, np.eye(r.n_v, dtype=np.int64)[:, [i]]])) > p)
+        A = np.hstack([linalg.imatmul(r.P, X), np.eye(r.n_v, dtype=np.int64)[:, [i]]])
+        with pytest.raises(OracleError, match="leaves the solution space"):
+            r.coordinates(A)
+
+
+def test_span_values_are_in_lowest_terms():
+    from math import gcd
+
+    from finsetrep.oracle.nathom import _span_value
+
+    N = 4
+    r = nat_hom(build_pbar_tensor(2, N), rescaled(build_pfin(2, N)))
+    # the values on the first parameter space, every basis vector of G at
+    # the generator, and on the solutions
+    for P in (np.eye(r.n_v, dtype=np.int64), r.P):
+        cache = {}
+        _span_value(r.span, r.G, r.blocks, P, cache, r.span.order[-1])
+        assert len(cache) == len(r.span.order)
+        assert max(den for _, den in cache.values()) > 1
+        for arr, den in cache.values():
+            assert gcd(den, *arr.ravel().tolist()) == 1
+
+
 def test_verify_rejects_a_non_solution():
     from finsetrep.oracle import OracleError
     from finsetrep.oracle.nathom import NatHomResult
 
     r = nat_hom(build_pbar_tensor(2, 4), build_pbar_tensor(2, 4))
     assert r.n_v == 4
-    NatHomResult(r.F, r.G, r.span, [[0, 1, 0, 0]], r.blocks).verify()
+    NatHomResult(r.F, r.G, r.span, np.array([[0, 1, 0, 0]]).T, r.blocks).verify()
     with pytest.raises(OracleError, match="solution fails naturality"):
-        NatHomResult(r.F, r.G, r.span, [[1, 0, 0, 0]], r.blocks).verify()
+        NatHomResult(r.F, r.G, r.span, np.array([[1, 0, 0, 0]]).T, r.blocks).verify()
 
 
 def _replayed_span_vectors(span):
@@ -314,9 +363,9 @@ def test_python_int_path_matches_int64_path(monkeypatch):
         slow = nat_hom(F, G)
         assert r.dimension > 0
         assert slow.dimension == r.dimension
-        assert slow.P_cols == r.P_cols
+        assert slow.P.tolist() == r.P.tolist()
         assert slow.outer_character().values == r.outer_character().values
-        assert r._P.dtype == np.int64 and slow._P.dtype == object
+        assert r.P.dtype == np.int64 and slow.P.dtype == object
         assert {arr.dtype for arr, _ in slow._vcache.values()} == {np.dtype(object)}
 
 
