@@ -293,6 +293,48 @@ def test_empty_and_zero_column_inputs():
     assert linalg.kernel_basis(zeros(1, 2)).tolist() == [[1, 0], [0, 1]]
 
 
+def _ref_solve(rows, b):
+    """The solution of M x = b with every free unknown 0, read off the
+    reduced echelon form of [M | b]; None when b is outside the span."""
+    n = len(rows[0])
+    work, pivots = _ref_rref([list(row) + [v] for row, v in zip(rows, b)], n + 1)
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for i, pc in enumerate(pivots):
+        x[pc] = work[i][n]
+    return x
+
+
+def test_rank_and_solve_match_fraction_references_on_int64_and_big_rows():
+    rng = random.Random(62)
+    checked = 0
+    for trial in range(24):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        M = _random_matrix(rng, m, n, rng.randint(0, min(m, n)), False)
+        if trial % 2:
+            # scale whole rows past 2**62: rank and solutions stay the same
+            M = [[x * rng.choice([1, (1 << 62) + 1, -(1 << 70)]) for x in row] for row in M]
+        B = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(3)]
+        B.append([int(v) for v in _matvec(M, [rng.randint(-3, 3) for _ in range(n)])])
+        dtype = object if trial % 2 else np.int64
+        assert linalg.rank(np.array(M, dtype=dtype)) == _ref_rank(M)
+        for b in B:
+            # M x = b is solvable iff column n of [M | b] is no pivot; then the
+            # kernel vector of that column, v with v[n] > 0 and every other
+            # free unknown 0, gives the solution x = -v[:n] / v[n]
+            Mb = np.array([row + [v] for row, v in zip(M, b)], dtype=dtype)
+            want = _ref_solve(M, b)
+            assert (n not in linalg.pivot_columns(Mb)) == (want is not None)
+            if want is None:
+                checked += 1
+                continue
+            v = [int(x) for x in linalg.kernel_basis(Mb)[-1]]
+            assert v[n] > 0
+            assert [Fraction(-x, v[n]) for x in v[:n]] == want
+    assert checked > 5
+
+
 def test_mod_column_basis_matches_column_basis():
     p = next(linalg._primes())
     rng = random.Random(31)
