@@ -60,25 +60,26 @@ def _simple_label_from_args(kind: str, arg: Optional[str]) -> fc.SimpleLabel:
     raise CliError(f"unknown simple label kind {kind!r}")
 
 
-def _functor_from_descriptor(desc: str, N: int):
-    from .oracle import (
-        build_const_k,
-        build_k0,
-        build_kbar,
-        build_kfi,
-        build_lambda_pbar,
-        build_lambda_pfin,
-        build_pbar_tensor,
-        build_pfin,
-        build_proj_cover,
-    )
+# The oracle builder of each functor family; k, k0 and kbar take no degree.
+_BUILDERS = {
+    "k": "build_const_k",
+    "k0": "build_k0",
+    "kbar": "build_kbar",
+    "pfin": "build_pfin",
+    "pbar": "build_pbar_tensor",
+    "kfi": "build_kfi",
+    "lambda": "build_lambda_pfin",
+    "lambdabar": "build_lambda_pbar",
+    "proj": "build_proj_cover",
+}
+_UNGRADED = ("k", "k0", "kbar")
 
-    if desc == "k":
-        return build_const_k(N)
-    if desc == "k0":
-        return build_k0(N)
-    if desc == "kbar":
-        return build_kbar(N)
+
+def _parse_descriptor(desc: str) -> Tuple[str, Optional[int]]:
+    """(family, degree) of a functor descriptor such as 'pbar:2' or 'k';
+    checks family and degree without loading the oracle."""
+    if desc in _UNGRADED:
+        return desc, None
     if ":" not in desc:
         raise CliError(f"bad functor descriptor {desc!r}")
     head, _, num = desc.partition(":")
@@ -88,17 +89,17 @@ def _functor_from_descriptor(desc: str, N: int):
         raise CliError(f"bad functor descriptor {desc!r}")
     if n < 0:
         raise CliError(f"bad functor descriptor {desc!r}: the degree must be non-negative")
-    builders = {
-        "pfin": build_pfin,
-        "pbar": build_pbar_tensor,
-        "kfi": build_kfi,
-        "lambda": build_lambda_pfin,
-        "lambdabar": build_lambda_pbar,
-        "proj": build_proj_cover,
-    }
-    if head not in builders:
+    if head not in _BUILDERS or head in _UNGRADED:
         raise CliError(f"unknown functor family {head!r}")
-    return builders[head](n, N)
+    return head, n
+
+
+def _functor_from_descriptor(desc: str, N: int):
+    head, n = _parse_descriptor(desc)
+    from . import oracle
+
+    build = getattr(oracle, _BUILDERS[head])
+    return build(N) if n is None else build(n, N)
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +152,12 @@ def cmd_multiplicities(args) -> str:
 
 
 def cmd_hom(args) -> str:
+    descs = (getattr(args, "from"), args.to)
+    for desc in descs:
+        _parse_descriptor(desc)
     from .oracle import nat_hom
 
-    N = args.trunc
-    F = _functor_from_descriptor(getattr(args, "from"), N)
-    G = _functor_from_descriptor(args.to, N)
+    F, G = (_functor_from_descriptor(desc, args.trunc) for desc in descs)
     res = nat_hom(F, G)
     if args.format == "tsv":
         return f"dimension\t{res.dimension}"
@@ -190,46 +192,42 @@ def cmd_groth(args) -> str:
     )
 
 
-def _verify_suite(args) -> Tuple[List, int]:
-    """Returns (reports, exit_code)."""
-    from .oracle import (
-        Report,
-        build_kfi,
-        build_pbar_tensor,
-        build_pfin,
-        nat_hom,
-        pi_idempotent_check,
-        verify_lambda_complex,
-        verify_norm_map,
-        verify_right_aug,
-    )
+_ORACLE_SUITES = ("idempotent", "lambda-complex", "norm-map", "right-aug", "pbar-hom")
+_SYMBOLIC_SUITES = ("groth", "kfs-cross")
 
+
+def _verify_suite(args) -> Tuple[List, int]:
+    """Returns (reports, exit_code).  Only the oracle suites load the oracle."""
+    suite = args.suite
+    if suite not in _ORACLE_SUITES + _SYMBOLIC_SUITES:
+        raise CliError(f"unknown suite {suite!r}")
+    if suite in _ORACLE_SUITES:
+        from . import oracle
     N = args.max_size
     rng = random.Random(args.seed)
     reports: List = []
-    suite = args.suite
 
     if suite == "idempotent":
         for n in range(0, N + 1):
-            reports.append(pi_idempotent_check(n, image_sizes=[2, 3] if n <= 2 else None))
+            reports.append(oracle.pi_idempotent_check(n, image_sizes=[2, 3] if n <= 2 else None))
     elif suite == "lambda-complex":
-        reports.append(verify_lambda_complex(N))
+        reports.append(oracle.verify_lambda_complex(N))
     elif suite == "norm-map":
         for n in range(1, min(3, N - 1) + 1):
-            reports.append(verify_norm_map(n, N))
+            reports.append(oracle.verify_norm_map(n, N))
     elif suite == "right-aug":
         for n in range(0, min(3, N - 2) + 1):
             for t in range(0, min(3, N - 2) + 1):
-                reports.append(verify_right_aug(n, t, N))
+                reports.append(oracle.verify_right_aug(n, t, N))
     elif suite == "pbar-hom":
         for s in range(0, min(3, N - 2) + 1):
             for t in range(0, s + 1):
-                d = nat_hom(
-                    build_pbar_tensor(s, N), build_pbar_tensor(t, N)
+                d = oracle.nat_hom(
+                    oracle.build_pbar_tensor(s, N), oracle.build_pbar_tensor(t, N)
                 ).dimension
                 expected = factorial(s) if s == t else 0
                 reports.append(
-                    Report(
+                    fc.Report(
                         "hom_tensor_vanishing",
                         {"s": s, "t": t, "N": N},
                         expected,
@@ -247,7 +245,7 @@ def _verify_suite(args) -> Tuple[List, int]:
                 == fg.day(fg.sgn_class(k, N), fg.triv_class(N))
                 and fg.invert_triv(fg.series_H(k, N)) == fg.series_S(k, N)
             )
-            reports.append(Report("groth_identities", {"k": k, "N": N}, True, ok, ok))
+            reports.append(fc.Report("groth_identities", {"k": k, "N": N}, True, ok, ok))
         # randomized round trip
         for trial in range(3):
             coeffs = {}
@@ -258,16 +256,14 @@ def _verify_suite(args) -> Tuple[List, int]:
             a = fg.VirtualFB(max(0, N - 2), coeffs)
             ok = fg.invert_triv(fg.day(a, fg.triv_class(a.trunc))) == a
             reports.append(
-                Report("invert_round_trip", {"trial": trial, "seed": args.seed}, True, ok, ok)
+                fc.Report("invert_round_trip", {"trial": trial, "seed": args.seed}, True, ok, ok)
             )
-    elif suite == "kfs-cross":
+    else:  # kfs-cross
         try:
             fc.fs_class(min(N, 6), cross_check=True)
-            reports.append(Report("kfs_cross", {"N": min(N, 6)}, True, True, True))
+            reports.append(fc.Report("kfs_cross", {"N": min(N, 6)}, True, True, True))
         except fc.VerificationError as exc:
-            reports.append(Report("kfs_cross", {"N": min(N, 6)}, True, str(exc), False))
-    else:
-        raise CliError(f"unknown suite {args.suite!r}")
+            reports.append(fc.Report("kfs_cross", {"N": min(N, 6)}, True, str(exc), False))
     if not reports:
         raise CliError(f"suite {suite!r} runs no check at --max-size {N}")
 
@@ -355,16 +351,20 @@ def build_parser() -> _Parser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    from .oracle import OracleError
+def _oracle_errors() -> Tuple[type, ...]:
+    """OracleError once the oracle is loaded; nothing else can raise it."""
+    oracle = sys.modules.get("finsetrep.oracle")
+    return (oracle.OracleError,) if oracle else ()
 
+
+def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         result = args.func(args)
     except CliError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
-    except (ValueError, sr.DegreeBoundError, OracleError, fc.VerificationError) as exc:
+    except (ValueError, sr.DegreeBoundError, fc.VerificationError, *_oracle_errors()) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
     if isinstance(result, tuple):

@@ -15,6 +15,7 @@ for hom-space classes hom(P_bullet, X_star) it is the star variable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Dict, List, Tuple
 
 from .partitions import (
@@ -42,6 +43,38 @@ from .fbgroth import (
 
 class VerificationError(AssertionError):
     """An internal cross-check between two computation routes failed."""
+
+
+@dataclass
+class Report:
+    """The outcome of one checked claim: both sides and whether they agree."""
+
+    claim: str
+    parameters: dict
+    expected: object
+    computed: object
+    passed: bool
+
+    def to_json(self) -> dict:
+        return {
+            "claim": self.claim,
+            "parameters": self.parameters,
+            "expected": _jsonable(self.expected),
+            "computed": _jsonable(self.computed),
+            "pass": self.passed,
+        }
+
+
+def _jsonable(x):
+    """x with tuples as lists, keys as strings and integers of any integral
+    type (numpy's included) as int."""
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, dict):
+        return {str(k): _jsonable(v) for k, v in x.items()}
+    if isinstance(x, Integral) and not isinstance(x, int):
+        return int(x)
+    return x
 
 
 # ---------------------------------------------------------------------------

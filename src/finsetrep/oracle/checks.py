@@ -11,7 +11,6 @@ multiplicities read off from hom-spaces out of projective covers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -21,7 +20,7 @@ import numpy as np
 
 from ..partitions import one_column, partitions_of
 from ..symrep import ClassFunction, decompose
-from ..facalc import SimpleLabel
+from ..facalc import Report, SimpleLabel
 from . import linalg
 from .functors import (
     OracleError,
@@ -38,34 +37,6 @@ from .functors import (
     sgn_coinvariant_reduction,
 )
 from .nathom import nat_hom
-
-
-@dataclass
-class Report:
-    claim: str
-    parameters: dict
-    expected: object
-    computed: object
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "claim": self.claim,
-            "parameters": self.parameters,
-            "expected": _jsonable(self.expected),
-            "computed": _jsonable(self.computed),
-            "pass": self.passed,
-        }
-
-
-def _jsonable(x):
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    return x
 
 
 def surjection_count(t: int, n: int) -> int:

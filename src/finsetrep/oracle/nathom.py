@@ -367,18 +367,31 @@ class NatHomResult:
 
     # -- outer characters ---------------------------------------------------
 
-    def _action_trace(self, g: Tuple[int, ...], h: Tuple[int, ...]) -> int:
-        """Trace of (g, h) acting on the solution space by eta |->
-        rho_G(h) eta rho_F(g), read off the parameter basis."""
-        # the generator values of every basis solution acted on, block by
-        # block: rows off.. of A / den are rho_G(h) eta(rho_F(g) w)
+    def _acted_by(self, g: Tuple[int, ...]) -> List[Tuple[int, np.ndarray, int]]:
+        """eta(rho_F(g) w) for every basis solution eta and the generator w
+        of every used block, as (degree, Y, den): Y / den is a
+        G.dims[degree] x dimension array.  It depends on g alone, so the
+        outer character computes it once per left cycle type."""
         acted = []
-        for a, (d, off) in self.blocks.items():
+        for a, (d, _) in self.blocks.items():
             gmat = self.F.outer_matrix(g, d)
             w = gmat.apply_dense(self.F.generators[a][1].reshape(-1, 1))
             Y, yden = self._apply(d, w, gmat.den)
+            acted.append((d, Y[:, :, 0], yden))
+        return acted
+
+    def _action_trace(
+        self, acted_g: List[Tuple[int, np.ndarray, int]], h: Tuple[int, ...]
+    ) -> int:
+        """Trace of (g, h) acting on the solution space by eta |->
+        rho_G(h) eta rho_F(g), read off the parameter basis; acted_g is
+        _acted_by(g)."""
+        # the generator values of every basis solution acted on, block by
+        # block: rows off.. of A / den are rho_G(h) eta(rho_F(g) w)
+        acted = []
+        for d, Y, yden in acted_g:
             hmat = self.G.outer_matrix(h, d)
-            acted.append((hmat.apply_dense(Y[:, :, 0]), yden * hmat.den))
+            acted.append((hmat.apply_dense(Y), yden * hmat.den))
         den = lcm(*(aden for _, aden in acted))
         A = np.concatenate([linalg.lincomb([(arr, den // aden)]) for arr, aden in acted])
         Y, D = self.coordinates(A)
@@ -406,10 +419,11 @@ class NatHomResult:
         t_deg = self.G.outer_n
         values: Dict[Tuple[Partition, Partition], int] = {}
         for alpha in partitions_of(s_deg):
-            g = representative(alpha)
+            acted_g = self._acted_by(representative(alpha)) if self.dimension else []
             for beta in partitions_of(t_deg):
-                h = representative(beta)
-                values[(alpha, beta)] = self._action_trace(g, h) if self.dimension else 0
+                values[(alpha, beta)] = (
+                    self._action_trace(acted_g, representative(beta)) if self.dimension else 0
+                )
         return JointClassFunction(s_deg, t_deg, values)
 
     def outer_bimodule(self) -> Dict[Tuple[Partition, Partition], int]:

@@ -7,6 +7,10 @@ irreducibles, induction products over Young subgroups (the degreewise Day
 convolution), pointwise (Kronecker) products, sign twists, and the joint
 characters of symmetric-group pairs acting on sets of maps between finite
 sets.  Convention: the partition (1^n) indexes the sign representation.
+
+The module is plain Python; numpy is imported only by
+`enumerated_character`, the brute-force cross-check of the map-set
+characters, so symbolic callers never load it.
 """
 
 from __future__ import annotations
@@ -17,9 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
 from operator import mul
-from typing import Dict, Iterable, NamedTuple, Tuple
-
-import numpy as np
+from typing import Dict, NamedTuple, Tuple
 
 from .partitions import Partition, one_column, one_row, partitions_of
 
@@ -66,38 +68,49 @@ def class_size(mu: Partition) -> int:
     return factorial(mu.size) // centralizer_order(mu)
 
 
-def _beta_set(lam: Partition) -> Tuple[int, ...]:
-    k = len(lam)
-    return tuple(lam[i] + k - 1 - i for i in range(k))
-
-
-def _partition_from_beta(beta: Iterable[int]) -> Partition:
-    beta = sorted(beta, reverse=True)
-    k = len(beta)
-    parts = [beta[i] - (k - 1 - i) for i in range(k)]
-    return Partition(tuple(p for p in parts if p > 0))
-
-
 @lru_cache(maxsize=None)
-def _mn_value(lam: Partition, mu: Partition) -> int:
-    """Murnaghan-Nakayama: chi_lam evaluated on cycle type mu."""
-    if lam.size == 0:
+def _mn_value(lam: Tuple[int, ...], mu: Tuple[int, ...]) -> int:
+    """Murnaghan-Nakayama: chi_lam evaluated on cycle type mu, both given as
+    plain part tuples of equal size.
+
+    A border strip of length ell = mu[0] is removed by moving one bead of
+    the beta-set beta_i = lam_i + k - 1 - i (k = len(lam), strictly
+    decreasing) from b to the free position b - ell; its sign is (-1) to
+    the number of beads jumped.  The beads are stepped through in order, so
+    each move is read off as the new part tuple directly: the rows of the
+    beads jumped move up one row and lose one box, the moved bead's row
+    follows them, and zero parts are dropped.
+    """
+    if not mu:
         return 1
-    ell = mu[0]
-    rest = Partition(mu.parts[1:])
-    beta = set(_beta_set(lam))
+    ell, rest = mu[0], mu[1:]
+    k = len(lam)
+    beta = [p + k - 1 - i for i, p in enumerate(lam)]
     total = 0
-    for b in beta:
-        if b - ell >= 0 and (b - ell) not in beta:
-            # sign: number of beta elements strictly between b-ell and b
-            height = sum(1 for c in beta if b - ell < c < b)
-            new_beta = (beta - {b}) | {b - ell}
-            total += (-1) ** height * _mn_value(_partition_from_beta(new_beta), rest)
+    for i, b in enumerate(beta):
+        c = b - ell
+        if c < 0:
+            break
+        j = i + 1
+        while j < k and beta[j] > c:
+            j += 1
+        if j < k and beta[j] == c:
+            continue
+        # beads i+1 .. j-1 are jumped; the moved bead lands in row j-1
+        shifted = [p - 1 for p in lam[i + 1 : j]]
+        shifted.append(lam[i] - ell + j - 1 - i)
+        new = lam[:i] + tuple(p for p in shifted if p) + lam[j:]
+        value = _mn_value(new, rest)
+        total += -value if (j - i - 1) % 2 else value
     return total
 
 
 def _table(n: int) -> _Table:
-    """The cached character data of S_n; checks the degree bound on every call."""
+    """The cached character data of S_n; checks the degree bound on every call.
+
+    The recursion runs on part tuples; the Partition keys of the table are
+    the ones partitions_of(n) already holds.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > _DEGREE_BOUND:
@@ -106,7 +119,9 @@ def _table(n: int) -> _Table:
         table = _table_cache.get(n)
         if table is None:
             parts = partitions_of(n)
-            rows = {lam: tuple(_mn_value(lam, mu) for mu in parts) for lam in parts}
+            rows = {
+                lam: tuple(_mn_value(lam.parts, mu.parts) for mu in parts) for lam in parts
+            }
             table = _table_cache[n] = _Table(
                 {(lam, mu): v for lam, row in rows.items() for mu, v in zip(parts, row)},
                 tuple(class_size(mu) for mu in parts),
@@ -432,6 +447,8 @@ def enumerated_character(
     """
     if t**s > 500_000:
         raise ValueError(f"enumeration of {t}^{s} maps refused")
+    import numpy as np
+
     # column j holds the images of map j, the maps in lexicographic order
     images = np.indices((t,) * s, dtype=np.int64).reshape(s, t**s)
     if surjective_only or injective_only:

@@ -192,3 +192,91 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["0\t()\t1"]
+
+
+# Each probe runs its commands in one fresh interpreter, as the console
+# script would, and reports after each one whether numpy and the oracle are
+# loaded; this test session has both loaded already.
+_PROBE = """
+import contextlib, io, json, os, sys
+from finsetrep.cli import main
+for argv, env in json.loads(sys.argv[1]):
+    os.environ.update(env)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    for k in env:
+        del os.environ[k]
+    print(json.dumps([code, "numpy" in sys.modules, "finsetrep.oracle" in sys.modules]))
+"""
+
+
+def _probe(calls):
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(calls)],
+        capture_output=True, text=True, check=True,
+    )
+    return [tuple(json.loads(line)) for line in proc.stdout.splitlines()]
+
+
+def test_symbolic_commands_load_neither_numpy_nor_the_oracle(tmp_path):
+    good = tmp_path / "const.json"
+    good.write_text(json.dumps(fc.FBModuleData(
+        4, 1, {k: sr.trivial_class(k) for k in range(1, 5)}).to_json()))
+    calls = [
+        (["simple-eval", "C", "2", "--t", "3"], {}, 0),
+        (["simple-eval", "L", "1", "--t", "3"], {}, 0),
+        (["simple-eval", "k0", "--t", "0"], {}, 0),
+        (["decompose-pfin", "2,1"], {}, 0),
+        (["structure-kfi", "3"], {}, 0),
+        (["multiplicities", "--input", str(good)], {}, 0),
+        *((["groth", "--identity", name, "--k", "2", "--trunc", "8"], {}, 0)
+          for name in ("invert-triv", "W", "H", "hook-inversion")),
+        (["verify", "--suite", "groth", "--max-size", "5"], {}, 0),
+        (["simple-eval", "C", "--t", "3"], {}, 1),
+        (["decompose-pfin", "0"], {}, 1),
+        (["groth", "--identity", "nope"], {}, 1),
+        (["multiplicities", "--input", str(tmp_path / "missing.json")], {}, 1),
+        (["groth", "--identity", "W"], {"FINSETREP_TRUNC": "abc"}, 1),
+        (["verify", "--suite", "nope"], {}, 1),
+        (["hom", "--from", "bogus:1", "--to", "pfin:1"], {}, 1),
+        (["hom", "--from", "pfin:1", "--to", "bogus:1"], {}, 1),
+        (["hom", "--from", "pfin:1", "--to", "pbar:-1"], {}, 1),
+    ]
+    seen = _probe([(argv, env) for argv, env, _ in calls])
+    assert seen == [(code, False, False) for _, _, code in calls]
+
+
+def test_oracle_commands_still_load_the_oracle():
+    assert _probe([(["verify", "--suite", "kfs-cross", "--max-size", "4"], {})]) == [
+        (0, True, False)  # numpy for the enumerated cross-check only
+    ]
+    for argv in (
+        ["hom", "--from", "pbar:1", "--to", "pfin:1", "--trunc", "3"],
+        ["verify", "--suite", "idempotent", "--max-size", "2"],
+    ):
+        assert _probe([(argv, {})]) == [(0, True, True)]
+
+
+# sha256 of `verify --suite S --max-size 4 --seed 3 --format json`, pinned
+# when the oracle and Report moved out of the symbolic suites' import path.
+_VERIFY_JSON_SHA256 = {
+    "idempotent": "59941e7da857240a74504d611f22c1472fa54f33686909968fc56af34d6933f2",
+    "lambda-complex": "d56a0e55ac0948e126e5a8defebcb097f6d939240eb07e1c45a0af9c3b230fa7",
+    "norm-map": "2a37fc4686159a539c8b631822da52983e15a1b5e2afc22fcfdbaa3149989dea",
+    "right-aug": "a94ae2be87a258b3a1cf7f5279ae91ad440755d0eb0309476712497f4fd92e7b",
+    "pbar-hom": "6634e74ef1373e25e7ac10ed08c77a21e8962272c8a594d9e50b1d134c07956f",
+    "groth": "86da37546cf39745460b1ed807c2d2041d3bae98e30a79f3aae39384039d0859",
+    "kfs-cross": "d59c548dd14dfcd46335aceeac47eff31d865f15e0bf90e6a20b3ba95c03472d",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_VERIFY_JSON_SHA256))
+def test_verify_json_output_is_unchanged(capsys, suite):
+    import hashlib
+
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", suite, "--max-size", "4", "--seed", "3",
+        "--format", "json",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_JSON_SHA256[suite]

@@ -357,3 +357,31 @@ def test_fb_module_data_json_round_trip():
     assert again.trunc == data.trunc
     assert again.F0_dim == data.F0_dim
     assert again.degrees == data.degrees
+
+
+def test_report_json_turns_numpy_integers_into_ints():
+    import json
+
+    import numpy as np
+
+    from finsetrep.oracle import Report
+
+    assert Report is fc.Report
+    r = Report(
+        "claim", {"n": 2},
+        [np.int64(3), (np.int32(-1), [np.int64(2**40)])],
+        {"a": np.int64(5), 7: [np.uint8(1), {"b": np.int16(-2)}], "c": True},
+        True,
+    )
+    doc = r.to_json()
+    assert doc == {
+        "claim": "claim", "parameters": {"n": 2},
+        "expected": [3, [-1, [2**40]]],
+        "computed": {"a": 5, "7": [1, {"b": -2}], "c": True},
+        "pass": True,
+    }
+    ints = [doc["expected"][0], doc["expected"][1][0], doc["expected"][1][1][0],
+            doc["computed"]["a"], doc["computed"]["7"][0], doc["computed"]["7"][1]["b"]]
+    assert all(type(x) is int for x in ints)
+    assert doc["computed"]["c"] is True
+    json.dumps(doc)

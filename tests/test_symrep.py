@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -60,6 +61,35 @@ def test_table_small_cases():
     assert t2[(Partition((2,)), Partition((2,)))] == 1
     assert t2[(Partition((1, 1)), Partition((1, 1)))] == 1
     assert t2[(Partition((1, 1)), Partition((2,)))] == -1
+
+
+@lru_cache(maxsize=None)
+def _mn_value_reference(lam: Partition, mu: Partition) -> int:
+    """Murnaghan-Nakayama on Partition keys with beta-sets as Python sets:
+    the reference for the tuple recursion behind character_table."""
+    if lam.size == 0:
+        return 1
+    ell = mu[0]
+    rest = Partition(mu.parts[1:])
+    k = len(lam)
+    beta = {lam[i] + k - 1 - i for i in range(k)}
+    total = 0
+    for b in beta:
+        if b - ell >= 0 and (b - ell) not in beta:
+            height = sum(1 for c in beta if b - ell < c < b)
+            new_beta = sorted((beta - {b}) | {b - ell}, reverse=True)
+            parts = [new_beta[i] - (k - 1 - i) for i in range(k)]
+            new = Partition(tuple(p for p in parts if p > 0))
+            total += (-1) ** height * _mn_value_reference(new, rest)
+    return total
+
+
+def test_table_matches_the_partition_keyed_recursion_up_to_12():
+    for n in range(13):
+        parts = partitions_of(n)
+        assert sr.character_table(n) == {
+            (lam, mu): _mn_value_reference(lam, mu) for lam in parts for mu in parts
+        }
 
 
 def test_first_and_second_orthogonality_up_to_8():
