@@ -125,19 +125,24 @@ class SpMat:
     def nnz(self):
         return len(self.vals)
 
-    def apply_dense(self, X: np.ndarray) -> np.ndarray:
+    @property
+    def row_bound(self) -> int:
+        """max|vals| times the longest row: max|(self * den) @ X| is at
+        most row_bound * max|X|."""
+        return self._buckets()[3] if self.nnz else 0
+
+    def apply_dense(self, X: np.ndarray, xmax: Optional[int] = None) -> np.ndarray:
         """Exact (self * den) @ X for a dense integer array X (ignore
-        self.den); int64 where the bound allows, Python ints otherwise.
+        self.den); int64 where the bound row_bound * max|X| allows, Python
+        ints otherwise.  xmax, when given, bounds max|X| in place of a scan.
 
         The rows are taken in buckets of equal entry count k: a bucket's
         entries form an (r, k) block, so the bucket is one gather, multiply
         and sum over its k axis (a plain gather and scale when k = 1)."""
         if not (self.nnz and X.size):
             return np.zeros((self.m,) + X.shape[1:], dtype=np.int64)
-        if self._bucketed is None:
-            self._bucketed = self._buckets()
-        buckets, cols, vals, row_bound = self._bucketed
-        dtype = linalg.int_dtype(row_bound * int(np.abs(X).max()))
+        buckets, cols, vals, row_bound = self._buckets()
+        dtype = linalg.int_dtype(row_bound * (int(np.abs(X).max()) if xmax is None else xmax))
         X = X.astype(dtype, copy=False)
         vals = vals.astype(dtype, copy=False)
         out = np.zeros((self.m,) + X.shape[1:], dtype=dtype)
@@ -154,6 +159,8 @@ class SpMat:
         """The row buckets of apply_dense, built once per matrix: (buckets,
         cols, vals, row_bound) with cols and vals one copy of the entries in
         bucket order and each bucket (k, its rows, its slice lo:hi of them)."""
+        if self._bucketed is not None:
+            return self._bucketed
         k_of = np.bincount(self.rows)[self.rows]  # each entry's row length
         # entries are sorted by row, so a stable sort by row length keeps
         # each bucket's rows in order and each row's entries together
@@ -166,7 +173,8 @@ class SpMat:
         ]
         # |row sum| <= max|vals| * longest row * max|X|
         row_bound = int(np.abs(self.vals).max()) * int(k_of[-1])
-        return buckets, self.cols[order], self.vals[order], row_bound
+        self._bucketed = (buckets, self.cols[order], self.vals[order], row_bound)
+        return self._bucketed
 
     def _colindex(self) -> Dict[int, List[Tuple[int, int]]]:
         """Column -> [(row, value)], built once per matrix."""

@@ -11,7 +11,10 @@ independent rows (row_inverse, from which every expansion, residual
 projection and coordinate read-out of the oracle is taken) come off it.
 One a-priori bound decides where integer arrays run on int64 and where on
 Python ints; imatmul takes exact integer matrix products on float64 BLAS
-under a bound of its own.  ModColumnBasis, an incrementally maintained
+under a bound of its own.  Both bounds rest on max|arr| of the operands:
+lincomb and imatmul (and SpMat.apply_dense) scan an array for it unless
+the caller passes it in, and a value passed in must be an upper bound on
+the true max|arr|, fixed before the operation it guards.  ModColumnBasis, an incrementally maintained
 column basis mod a word prime, serves the span pass.  ColumnBasis is its
 exact Fraction counterpart: the tests' reference, with no library caller.
 """
@@ -113,12 +116,17 @@ def int_dtype(bound: int):
     return np.int64 if bound < INT64_BOUND else object
 
 
-def lincomb(terms: Sequence[Tuple[np.ndarray, int]]) -> np.ndarray:
+def lincomb(
+    terms: Sequence[Tuple[np.ndarray, int]], maxes: Optional[Sequence[int]] = None
+) -> np.ndarray:
     """The exact sum of arr * scale over the (arr, scale) terms, integer
     arrays of one shape and integer scales.  Its dtype follows the bound
     sum of max|arr| * |scale|, with max|arr| counted as at least 1, so that
-    int64 is never taken for a scale that it cannot hold."""
-    dtype = int_dtype(sum(int(np.abs(arr).max(initial=1)) * abs(sc) for arr, sc in terms))
+    int64 is never taken for a scale that it cannot hold.  maxes, when
+    given, bound each max|arr| in place of a scan."""
+    if maxes is None:
+        maxes = [int(np.abs(arr).max(initial=0)) for arr, _ in terms]
+    dtype = int_dtype(sum(max(mx, 1) * abs(sc) for mx, (_, sc) in zip(maxes, terms)))
     terms = [(arr.astype(dtype, copy=False), sc) for arr, sc in terms]
     out = terms[0][0] * terms[0][1]
     for arr, sc in terms[1:]:
@@ -131,15 +139,18 @@ def lincomb(terms: Sequence[Tuple[np.ndarray, int]]) -> np.ndarray:
 FLOAT_EXACT_BOUND = 1 << 53
 
 
-def imatmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def imatmul(
+    A: np.ndarray, B: np.ndarray, amax: Optional[int] = None, bmax: Optional[int] = None
+) -> np.ndarray:
     """Exact product of two integer arrays (int64 or object dtype).
 
     It runs on float64 BLAS when max|A| * max|B| * inner < 2**53: every
     product and every partial sum, in any order, is then an integer below
     2**53, which float64 holds exactly.  Otherwise it runs on Python ints.
+    amax and bmax, when given, bound max|A| and max|B| in place of a scan.
     """
-    amax = int(np.abs(A).max(initial=0))
-    bmax = int(np.abs(B).max(initial=0))
+    amax = int(np.abs(A).max(initial=0)) if amax is None else amax
+    bmax = int(np.abs(B).max(initial=0)) if bmax is None else bmax
     if amax == 0 or bmax == 0:
         return np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
     if amax * bmax * A.shape[1] < FLOAT_EXACT_BOUND:

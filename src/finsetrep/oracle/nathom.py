@@ -25,11 +25,16 @@ from the new parameter basis.  The Gram products and the cuts
 Gram's kernel through the certified modular linalg.kernel_basis.  The
 span values (each kept in lowest terms), W, the Gram sums and the
 parameter basis P stay on int64 under linalg's a-priori bound and move to
-Python ints above it.  The solutions are read out on integer arrays: a
-block of vectors of F(t) is expanded in the span basis, and one product
-with the values of the span vectors that the expansion needs applies
-every basis solution to the block.  solution_matrix and verify take the
-block of unit vectors, once per size.  coordinates reads a block of
+Python ints above it.  Each span value's max|arr| is computed once, when
+the value is made (SpanValue), and travels with it into every bound it
+enters: G(move)'s row bound times it for G(move) V, W's one exact max for
+both sides of W^T W, a running sum for the Gram; a constraint W that is
+zero adds nothing and is skipped.  The solutions are read out on integer
+arrays: a block of vectors of F(t) is expanded in the span basis, and one
+product with the values of the span vectors that the expansion needs
+applies every basis solution to the block.  solution_matrix and verify
+take the block of unit vectors, once per size; verify checks each move
+once, for every basis solution together.  coordinates reads a block of
 generator values off p independent rows of P, which the same certified
 engine picks, and checks the other rows exactly: outer characters take
 the acted-on solutions through it, and the checks the restricted Yoneda
@@ -265,14 +270,23 @@ def _is_combination(num, den, gamma: Dict[int, Fraction], basis) -> bool:
     return not any(acc.values())
 
 
+class SpanValue(tuple):
+    """A span value (arr, den) for arr / den, with amax = max|arr| computed once."""
+
+    def __new__(cls, arr: np.ndarray, den: int):
+        value = super().__new__(cls, (arr, den))
+        value.amax = int(np.abs(arr).max(initial=0))
+        return value
+
+
 def _span_value(
     span: SpanData,
     G: TruncatedFunctor,
     blocks: Dict[int, Tuple[int, int]],
     P: np.ndarray,
-    cache: Dict[Tuple[int, int], Tuple[np.ndarray, int]],
+    cache: Dict[Tuple[int, int], SpanValue],
     key: Tuple[int, int],
-) -> Tuple[np.ndarray, int]:
+) -> SpanValue:
     """Values on the span basis vector key = (size, index) of the candidate
     solutions given by P's columns: G of the vector's path applied to the
     rows of P holding its generator's values, as (int array, denominator)
@@ -283,16 +297,16 @@ def _span_value(
         path = span.paths[t][idx]
         if path[0] == "gen":
             d, off = blocks[path[1]]
-            cache[(t, idx)] = (P[off : off + G.dims[d]].copy(), 1)
+            cache[(t, idx)] = SpanValue(P[off : off + G.dims[d]].copy(), 1)
         else:
             _, gkey, pt, pidx = path
-            parr, pden = cache[(pt, pidx)]
+            parent = cache[(pt, pidx)]
             m = G.act[gkey]
-            arr, den = m.apply_dense(parr), pden * m.den
+            arr, den = m.apply_dense(parent[0], parent.amax), parent[1] * m.den
             g = gcd(den, int(np.gcd.reduce(arr, axis=None))) if den > 1 else 1
             if g > 1:
                 arr, den = arr // g, den // g
-            cache[(t, idx)] = (arr, den)
+            cache[(t, idx)] = SpanValue(arr, den)
     return cache[key]
 
 
@@ -309,8 +323,8 @@ class NatHomResult:
         self.P = P
         # blocks: generator index -> (degree, offset), used generators only
         self.blocks = blocks
-        self._vcache: Dict[Tuple[int, int], Tuple[np.ndarray, int]] = {}
-        self._solcache: Dict[int, List[SpMat]] = {}
+        self._vcache: Dict[Tuple[int, int], SpanValue] = {}
+        self._ucache: Dict[int, Tuple[np.ndarray, int, int]] = {}
         self._rinv = None
 
     @property
@@ -335,35 +349,45 @@ class NatHomResult:
             for i in support
         ]
         # the values on their common denominator L, one row per span vector
-        L = lcm(*(den for _, den in values))
+        L = lcm(*(v[1] for v in values))
         shape = (self.G.dims[t], self.dimension)
-        V = (np.stack([linalg.lincomb([(arr, L // den)]) for arr, den in values]) if values
+        V = (np.stack([linalg.lincomb([(v[0], L // v[1])], [v.amax]) for v in values]) if values
              else np.zeros((0,) + shape, dtype=np.int64))
-        Y = linalg.imatmul(V.reshape(len(support), shape[0] * shape[1]).T, C[support])
+        vmax = max((v.amax * (L // v[1]) for v in values), default=0)
+        Y = linalg.imatmul(V.reshape(len(support), shape[0] * shape[1]).T, C[support], vmax)
         return Y.reshape(shape + (X.shape[1],)), L * E.den * xden
 
-    def _solutions(self, t: int) -> List[SpMat]:
-        """The t-components of all basis solutions, as exact matrices,
-        computed once per size."""
-        if t not in self._solcache:
+    def _unit_values(self, t: int) -> Tuple[np.ndarray, int, int]:
+        """(Y, den, max|Y|) for the unit vectors of F(t), computed once per
+        size: Y / den holds the t-components of all basis solutions."""
+        if t not in self._ucache:
             Y, den = self._apply(t, np.eye(self.F.dims[t], dtype=np.int64))
-            self._solcache[t] = [SpMat.from_dense(Y[:, k], den) for k in range(self.dimension)]
-        return self._solcache[t]
+            self._ucache[t] = (Y, den, int(np.abs(Y).max(initial=0)))
+        return self._ucache[t]
 
     def solution_matrix(self, k: int, t: int) -> SpMat:
         """The t-component of the k-th basis solution, as an exact matrix."""
-        return self._solutions(t)[k]
+        Y, den, _ = self._unit_values(t)
+        return SpMat.from_dense(Y[:, k], den)
 
     def verify(self) -> None:
-        """Exact re-check that every basis solution is natural."""
+        """Exact re-check that every basis solution is natural: per move
+        key: s -> t, one apply_dense on each side of eta_t F(key) =
+        G(key) eta_s for all solutions at once, denominators cross-multiplied."""
         if not self.dimension:
             return
-        etas = [self._solutions(t) for t in range(self.F.N + 1)]
+        units = [self._unit_values(t) for t in range(self.F.N + 1)]
         for key in self.F.gen_keys():
             s, t = TruncatedFunctor.gen_src_dst(key)
-            for eta_s, eta_t in zip(etas[s], etas[t]):
-                if not eta_t.compose(self.F.act[key]).equals(self.G.act[key].compose(eta_s)):
-                    raise OracleError("solution fails naturality")
+            (Yt, dt, mt), (Ys, ds, ms) = units[t], units[s]
+            Fk, Gk = self.F.act[key], self.G.act[key]
+            FkT = SpMat(Fk.n, Fk.m, Fk.cols, Fk.rows, Fk.vals)
+            # both sides as F.dims[s] x G.dims[t] x p arrays
+            lhs = FkT.apply_dense(Yt.transpose(2, 0, 1), mt)
+            rhs = Gk.apply_dense(Ys, ms).transpose(2, 0, 1)
+            bounds = [FkT.row_bound * mt, Gk.row_bound * ms]
+            if linalg.lincomb([(lhs, Gk.den * ds), (rhs, -Fk.den * dt)], bounds).any():
+                raise OracleError("solution fails naturality")
 
     # -- outer characters ---------------------------------------------------
 
@@ -443,7 +467,7 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
             off += G.dims[d]
     n_v = off
     P = np.eye(n_v, dtype=np.int64)
-    vcache: Dict[Tuple[int, int], Tuple[np.ndarray, int]] = {}
+    vcache: Dict[Tuple[int, int], SpanValue] = {}
     # a move image the span pass accepted is a basis vector whose value is
     # G(key) of its parent's: its constraint W is zero by construction
     accepted = {(path[1], path[3]) for paths in span.paths for path in paths if path[0] == "step"}
@@ -458,28 +482,33 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
         if P.shape[1] == 0:
             break
         p = P.shape[1]
-        gram: np.ndarray | None = None
+        # the Gram sum and an upper bound on its entries
+        gram, gbound = np.zeros((p, p), dtype=np.int64), 0
         gammas = span.gammas[key]
         m = G.act[key]
         for j in range(len(span.paths[s])):
             if (key, j) in accepted:
                 continue
-            sarr, sden = _span_value(span, G, blocks, P, vcache, (s, j))
-            rhs = m.apply_dense(sarr)
-            terms = [
-                (coeff, *_span_value(span, G, blocks, P, vcache, (t, i)))
-                for i, coeff in gammas[j].items()
-            ]
-            L = lcm(m.den * sden, *(c.denominator * den_i for c, _, den_i in terms))
-            scaled = [(rhs, -(L // (m.den * sden)))] + [
-                (arr_i, coeff.numerator * (L // (coeff.denominator * den_i)))
-                for coeff, arr_i, den_i in terms
-            ]
-            W = linalg.lincomb(scaled)
-            block = linalg.imatmul(W.T, W)
-            gram = block if gram is None else linalg.lincomb([(gram, 1), (block, 1)])
-        if gram is None or not gram.any():
-            continue
+            sarr, sden = sval = _span_value(span, G, blocks, P, vcache, (s, j))
+            terms = [(c, _span_value(span, G, blocks, P, vcache, (t, i)))
+                     for i, c in gammas[j].items()]
+            L = lcm(m.den * sden, *(c.denominator * v[1] for c, v in terms))
+            # G(key) V(s, j) - sum_i gamma_i V(t, i); G(key)'s row bound bounds its first term
+            W = linalg.lincomb(
+                [(m.apply_dense(sarr, sval.amax), -(L // (m.den * sden)))]
+                + [(v[0], c.numerator * (L // (c.denominator * v[1]))) for c, v in terms],
+                [m.row_bound * sval.amax] + [v.amax for _, v in terms],
+            )
+            wmax = int(np.abs(W).max(initial=0))
+            if not wmax:
+                continue
+            # each Gram entry sums W.shape[0] products of two entries of W
+            bound = W.shape[0] * wmax * wmax
+            block = linalg.imatmul(W.T, W, wmax, wmax)
+            gram = linalg.lincomb([(gram, 1), (block, 1)], [gbound, bound])
+            gbound += bound
+        if not gbound:
+            continue  # every constraint of the move is zero
         ker = linalg.kernel_basis(gram)
         if len(ker) < p:
             # cut: the span values are rebuilt from the new P on demand

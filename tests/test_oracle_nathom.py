@@ -62,6 +62,50 @@ def test_against_dense_reference():
         assert nat_hom(F, G).dimension == nat_hom_dense_dim(F, G), (F.name, G.name)
 
 
+def test_against_dense_reference_on_random_derived_functors():
+    # seeded direct sums, kernels and cokernels of random natural maps at
+    # N = 3; the bases carry no outer action, so that the kernel and image
+    # of any natural map are subfunctors
+    from finsetrep.oracle import quotient_functor
+
+    N = 3
+    rng = np.random.default_rng(14)
+    base = [build_pfin(1, N), build_pfin(2, N), build_pbar_tensor(1, N),
+            build_pbar_tensor(2, N), build_kfi(2, N), build_const_k(N), build_proj_cover(1, N)]
+    base = [direct_sum([F], F.name) for F in base]
+
+    def random_map(F, G):
+        r = nat_hom(F, G)
+        x = rng.integers(-3, 4, size=r.dimension)
+        mats = []
+        for t in range(N + 1):
+            eta = SpMat.zeros(G.dims[t], F.dims[t])
+            for k in range(r.dimension):
+                eta = eta + r.solution_matrix(k, t).scale(int(x[k]))
+            mats.append(eta)
+        return mats
+
+    # maps run between base and derived functors alike, so derived ones nest
+    derived = []
+    while len(derived) < 12:
+        pool = base + derived
+        A, B = (pool[i] for i in rng.choice(len(pool), 2))
+        if not nat_hom(A, B).dimension or sum(A.dims) + sum(B.dims) > 40:
+            continue
+        mats = random_map(A, B)
+        derived += [
+            direct_sum([A, B], f"{A.name}+{B.name}"),
+            kernel_functor(A, B, mats, f"ker({A.name}->{B.name})"),
+            quotient_functor(B, [m.int_rows() for m in mats], f"coker({A.name}->{B.name})"),
+        ]
+    for F in derived:
+        for G in (base[i] for i in rng.choice(len(base), 3, replace=False)):
+            for X, Y in ((F, G), (G, F)):
+                r = nat_hom(X, Y)
+                assert r.dimension == nat_hom_dense_dim(X, Y), (X.name, Y.name)
+                r.verify()
+
+
 def test_fundamental_vanishing_and_endomorphisms_small():
     N = 5
     pbars = {s: build_pbar_tensor(s, N) for s in range(4)}
@@ -195,6 +239,81 @@ def test_verify_rejects_a_non_solution():
     NatHomResult(r.F, r.G, r.span, np.array([[0, 1, 0, 0]]).T, r.blocks).verify()
     with pytest.raises(OracleError, match="solution fails naturality"):
         NatHomResult(r.F, r.G, r.span, np.array([[1, 0, 0, 0]]).T, r.blocks).verify()
+
+
+def test_verify_catches_a_single_non_solution_column():
+    from finsetrep.oracle import OracleError, linalg
+    from finsetrep.oracle.nathom import NatHomResult
+
+    N = 4
+    F, G = build_pbar_tensor(2, N), rescaled(build_pfin(2, N))
+    r = nat_hom(F, G)
+    p = r.dimension
+    assert p >= 2 and F.dims != G.dims
+    assert max(r._unit_values(t)[1] for t in range(N + 1)) > 1
+    # an invertible integer recombination of the basis is a basis too: a
+    # product of two unitriangular factors, of determinant 1
+    eye, ones = np.eye(p, dtype=np.int64), np.ones((p, p), dtype=np.int64)
+    U = (eye + np.triu(ones, 1)) @ (eye + np.tril(ones, -1))
+    NatHomResult(F, G, r.span, linalg.imatmul(r.P, U), r.blocks).verify()
+    # a unit vector outside P's column span is no solution
+    i = next(i for i in range(r.n_v)
+             if linalg.rank(np.hstack([r.P, np.eye(r.n_v, dtype=np.int64)[:, [i]]])) > p)
+    for k in range(p):
+        P = r.P.copy()
+        P[:, k] = np.eye(r.n_v, dtype=np.int64)[:, i]
+        with pytest.raises(OracleError, match="solution fails naturality"):
+            NatHomResult(F, G, r.span, P, r.blocks).verify()
+
+
+def test_precomputed_magnitude_bounds_hold(monkeypatch):
+    # every bound handed to lincomb, imatmul or apply_dense in place of a
+    # scan is at least the true max|arr| of its array
+    from finsetrep.oracle import linalg
+
+    def true_max(arr):
+        return int(np.abs(arr).max(initial=0))
+
+    lincomb, imatmul, apply_dense = linalg.lincomb, linalg.imatmul, SpMat.apply_dense
+    checked = {"lincomb": 0, "imatmul": 0, "apply_dense": 0}
+
+    def checked_lincomb(terms, maxes=None):
+        if maxes is not None:
+            assert len(maxes) == len(terms)
+            assert all(mx >= true_max(arr) for (arr, _), mx in zip(terms, maxes))
+            checked["lincomb"] += 1
+        return lincomb(terms, maxes)
+
+    def checked_imatmul(A, B, amax=None, bmax=None):
+        for arr, mx in ((A, amax), (B, bmax)):
+            if mx is not None:
+                assert mx >= true_max(arr)
+                checked["imatmul"] += 1
+        return imatmul(A, B, amax, bmax)
+
+    def checked_apply_dense(self, X, xmax=None):
+        if xmax is not None:
+            assert xmax >= true_max(X)
+            checked["apply_dense"] += 1
+        return apply_dense(self, X, xmax)
+
+    monkeypatch.setattr(linalg, "lincomb", checked_lincomb)
+    monkeypatch.setattr(linalg, "imatmul", checked_imatmul)
+    monkeypatch.setattr(SpMat, "apply_dense", checked_apply_dense)
+    N = 4
+    pbar2, pfin2 = build_pbar_tensor(2, N), build_pfin(2, N)
+    pairs = [
+        (rescaled(pfin2), pbar2),
+        (pbar2, rescaled(pfin2)),
+        (build_proj_cover(1, N), pfin2),
+        (build_proj_cover(1, N), rescaled(build_pfin(1, N))),
+    ]
+    for F, G in pairs:
+        r = nat_hom(F, G)
+        assert r.dimension > 0, (F.name, G.name)
+        r.verify()
+        r.outer_bimodule()
+    assert all(checked.values()), checked
 
 
 def _replayed_span_vectors(span):
