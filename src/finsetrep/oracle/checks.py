@@ -33,6 +33,7 @@ from .functors import (
     build_pfin,
     build_proj_cover,
     inner_character,
+    is_natural,
     map_matrix,
     sgn_coinvariant_reduction,
 )
@@ -273,14 +274,9 @@ def verify_lambda_complex(N: int) -> Report:
     for t in range(1, N + 1):
         mats, top, bot = lambda_boundary(N, t)
         boundaries[t] = mats
-        # naturality of the boundary
-        for key in top.gen_keys():
-            s_, t_ = TruncatedFunctor.gen_src_dst(key)
-            lhs = mats[t_].compose(top.act[key])
-            rhs = functors[t - 1].act[key].compose(mats[s_])
-            if not lhs.equals(rhs):
-                return Report("lambda_complex", {"N": N}, "natural boundary",
-                              f"boundary not natural at degree {t}", False)
+        if not is_natural(top, functors[t - 1], mats):
+            return Report("lambda_complex", {"N": N}, "natural boundary",
+                          f"boundary not natural at degree {t}", False)
     details = {}
     ok = True
     for m in range(N + 1):

@@ -8,19 +8,21 @@ skeleton objects factors as a word in these, so naturality need only be
 imposed on generators (with exhaustive small-size functoriality checks as
 a safety net).
 
-Matrices are exact sparse integer matrices with one denominator (SpMat).
-Vectors of a value F(t), and blocks of them, are dense integer arrays: a
-rational one is an integer array x with a denominator den, standing for
-x / den.  apply_dense multiplies them through a matrix: it groups the
-matrix's rows by entry count once and then runs each group as one
-vectorized gather, multiply and sum.  Quotients and subfunctors are
-induced by sparse products: the linalg.row_inverse (I, Q, D) of the
-subspace's independent columns S at each size gives the expansion map
-E_t(v) = Q v[I] / D onto its basis and the residual projection
-pi_t(v) = v[free] - S[free] E_t(v) along it onto the rows outside I,
-each one SpMat, so that a move m: s -> t induces pi_t m on the quotient
-and E_t m Sub_s on the subfunctor, and pi_t m Sub_s = 0 certifies that
-the subspace is stable.
+Matrices are exact sparse integer matrices with one denominator (SpMat),
+whose entries follow linalg.int_dtype like every other oracle array: int64
+where an a-priori bound allows, Python ints past it.  A product of two is
+a numpy join of their entries on the inner index.  Vectors of a value
+F(t), and blocks of them, are dense integer arrays: a rational one is an
+integer array x with a denominator den, standing for x / den.  apply_dense
+multiplies them through a matrix: it groups the matrix's rows by entry
+count once and then runs each group as one vectorized gather, multiply and
+sum.  Quotients and subfunctors are induced by sparse products: the
+linalg.row_inverse (I, Q, D) of the subspace's independent columns S at
+each size gives the expansion map E_t(v) = Q v[I] / D onto its basis and
+the residual projection pi_t(v) = v[free] - S[free] E_t(v) along it onto
+the rows outside I, each one SpMat, so that a move m: s -> t induces
+pi_t m on the quotient and E_t m Sub_s on the subfunctor, and
+pi_t m Sub_s = 0 certifies that the subspace is stable.
 
 Set elements are 0-indexed: the object of size t is {0, .., t-1}.
 """
@@ -39,8 +41,6 @@ import numpy as np
 from ..partitions import Partition, partitions_of
 from ..symrep import ClassFunction, IrrDecomposition, character_table, decompose
 from . import linalg
-
-MAX_ABS_GUARD = 1 << 55
 
 
 class OracleError(RuntimeError):
@@ -61,37 +61,37 @@ class SpMat:
         self.m, self.n = int(m), int(n)
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)
         cols = np.asarray(cols, dtype=np.int64).reshape(-1)
-        vals = np.asarray(vals).reshape(-1)
-        if len(vals) and np.abs(vals).max() > MAX_ABS_GUARD:
-            raise OracleError("integer magnitude guard tripped")
-        vals = vals.astype(np.int64, copy=False)
+        entries, vals = vals, np.asarray(vals).reshape(-1)
+        if vals.dtype.kind == "f":
+            # numpy reads a list of ints past int64 beside negative ones (or
+            # an empty list) as floats: take its entries as Python ints
+            vals = np.array(entries, dtype=object).reshape(-1)
+        vals = linalg.int_array(vals)
+        den = int(den)
         if len(vals):
-            order = np.lexsort((cols, rows))
-            rows, cols, vals = rows[order], cols[order], vals[order]
             keys = rows * (self.n + 1) + cols
-            uniq, idx = np.unique(keys, return_index=True)
-            sums = np.add.reduceat(vals, idx)
-            keep = sums != 0
-            rows = (uniq // (self.n + 1))[keep]
-            cols = (uniq % (self.n + 1))[keep]
-            vals = sums[keep]
-        self.rows, self.cols, self.vals = rows, cols, vals
-        self.den = int(den)
-        self._normalize()
-
-    def _normalize(self):
-        if self.den < 0:
-            self.den = -self.den
-            self.vals = -self.vals
-        if self.den != 1:
-            if not len(self.vals):
-                self.den = 1
-                return
-            g = int(np.gcd.reduce(np.abs(self.vals)))
-            g = gcd(g, self.den)
-            if g > 1:
-                self.vals = self.vals // g
-                self.den //= g
+            order = np.argsort(keys, kind="stable")
+            keys, vals = keys[order], vals[order]
+            first = np.concatenate(([True], keys[1:] != keys[:-1]))
+            if not first.all():
+                starts = first.nonzero()[0]
+                # |sum of duplicates| <= max|vals| * the most entries at one
+                # (row, col), bounded before the sum is taken
+                most = int(np.diff(np.concatenate((starts, [len(keys)]))).max())
+                dtype = linalg.int_dtype(int(np.abs(vals).max()) * most)
+                vals = np.add.reduceat(vals.astype(dtype, copy=False), starts)
+                keys = keys[starts]
+            keep = vals != 0
+            keys, vals = keys[keep], vals[keep]
+            rows, cols = keys // (self.n + 1), keys % (self.n + 1)
+        if den < 0:
+            den, vals = -den, -vals
+        if not len(vals):
+            den = 1
+        elif den != 1:
+            g = gcd(int(np.gcd.reduce(np.abs(vals))), den)
+            vals, den = vals // g, den // g
+        self.rows, self.cols, self.vals, self.den = rows, cols, linalg.int_array(vals), den
 
     @classmethod
     def zeros(cls, m, n):
@@ -109,13 +109,9 @@ class SpMat:
 
     @classmethod
     def from_dense(cls, A: np.ndarray, den: int = 1):
-        """The matrix A / den of a dense integer array A.  A and den are
-        divided by their gcd first, so that the magnitude guard sees the
-        reduced entries."""
+        """The matrix A / den of a dense integer array A."""
         rows, cols = np.nonzero(A)
-        vals = A[rows, cols]
-        g = gcd(den, *vals.tolist())
-        return cls(A.shape[0], A.shape[1], rows, cols, vals // g, den // g)
+        return cls(A.shape[0], A.shape[1], rows, cols, A[rows, cols], den)
 
     @property
     def shape(self):
@@ -142,7 +138,9 @@ class SpMat:
         if not (self.nnz and X.size):
             return np.zeros((self.m,) + X.shape[1:], dtype=np.int64)
         buckets, cols, vals, row_bound = self._buckets()
-        dtype = linalg.int_dtype(row_bound * (int(np.abs(X).max()) if xmax is None else xmax))
+        # max|X| counted as at least 1, so that int64 never takes vals past it
+        xmax = int(np.abs(X).max()) if xmax is None else xmax
+        dtype = linalg.int_dtype(row_bound * max(xmax, 1))
         X = X.astype(dtype, copy=False)
         vals = vals.astype(dtype, copy=False)
         out = np.zeros((self.m,) + X.shape[1:], dtype=dtype)
@@ -195,27 +193,27 @@ class SpMat:
         return {r: v for r, v in out.items() if v}
 
     def int_rows(self) -> np.ndarray:
-        """Dense integer rows of self * den, as an int64 array."""
-        out = np.zeros(self.shape, dtype=np.int64)
+        """Dense integer rows of self * den, on the dtype of its entries."""
+        out = np.zeros(self.shape, dtype=self.vals.dtype)
         out[self.rows, self.cols] = self.vals
         return out
 
     def compose(self, other: "SpMat") -> "SpMat":
+        """self @ other, as a join on the inner index: other's entries are
+        stored sorted by row, so each entry (r, k) of self pairs with the
+        run of them at row k, and the constructor sums the products that
+        share a (row, col)."""
         assert self.n == other.m, (self.shape, other.shape)
-        self_cols = self._colindex()
-        acc: Dict[Tuple[int, int], int] = {}
-        for r, c, v in zip(other.rows.tolist(), other.cols.tolist(), other.vals.tolist()):
-            for rr, vv in self_cols.get(r, ()):
-                key = (rr, c)
-                acc[key] = acc.get(key, 0) + vv * v
-        rows = [k[0] for k, v in acc.items() if v]
-        cols = [k[1] for k, v in acc.items() if v]
-        vals = [v for v in acc.values() if v]
-        # reduced by their gcd first, as in from_dense, so that the
-        # magnitude guard sees the reduced entries
-        den = self.den * other.den
-        g = gcd(den, *vals)
-        return SpMat(self.m, other.n, rows, cols, [v // g for v in vals], den // g)
+        if not (self.nnz and other.nnz):
+            return SpMat.zeros(self.m, other.n)
+        lo = np.searchsorted(other.rows, self.cols, side="left")
+        counts = np.searchsorted(other.rows, self.cols, side="right") - lo
+        i = np.repeat(np.arange(self.nnz), counts)
+        # the k-th pair of self's entry e takes other's entry lo[e] + k
+        j = np.arange(len(i)) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+        dtype = linalg.int_dtype(int(np.abs(self.vals).max()) * int(np.abs(other.vals).max()))
+        vals = self.vals[i].astype(dtype, copy=False) * other.vals[j].astype(dtype, copy=False)
+        return SpMat(self.m, other.n, self.rows[i], other.cols[j], vals, self.den * other.den)
 
     def __add__(self, other: "SpMat") -> "SpMat":
         assert self.shape == other.shape
@@ -235,7 +233,7 @@ class SpMat:
 
     def trace(self) -> Fraction:
         mask = self.rows == self.cols
-        return Fraction(int(self.vals[mask].sum()), self.den)
+        return Fraction(sum(self.vals[mask].tolist()), self.den)
 
     def is_zero(self) -> bool:
         return self.nnz == 0
@@ -411,6 +409,16 @@ def _all_maps(s: int, t: int) -> Tuple[Tuple[int, ...], ...]:
     if s == 0:
         return ((),)
     return tuple(itertools.product(range(t), repeat=s))
+
+
+def is_natural(F: TruncatedFunctor, G: TruncatedFunctor, mats: List[SpMat]) -> bool:
+    """Whether the maps mats[t]: F(t) -> G(t) commute with every generator
+    move m: s -> t, mats[t] F(m) = G(m) mats[s], exactly."""
+    for key in F.gen_keys():
+        s, t = F.gen_src_dst(key)
+        if not mats[t].compose(F.act[key]).equals(G.act[key].compose(mats[s])):
+            return False
+    return True
 
 
 def map_matrix(F: TruncatedFunctor, f: Tuple[int, ...], s: int, t: int) -> SpMat:
@@ -680,7 +688,7 @@ def _residual_map(S: np.ndarray, I: List[int], Q: np.ndarray, D: int) -> Tuple[S
     r, c = np.nonzero(R)
     rows = np.concatenate([np.arange(len(free)), r])
     cols = np.concatenate([np.array(free, dtype=np.int64), np.array(I, dtype=np.int64)[c]])
-    vals = np.concatenate([np.full(len(free), D, dtype=object), -R[r, c].astype(object)])
+    vals = np.concatenate([np.full(len(free), D, dtype=linalg.int_dtype(D)), -R[r, c]])
     return SpMat(len(free), S.shape[0], rows, cols, vals, D), free
 
 
@@ -694,7 +702,7 @@ def _expansion_map(S: np.ndarray, I: List[int], Q: np.ndarray, D: int) -> SpMat:
 def _cleared(x: np.ndarray, den: int) -> np.ndarray:
     """The vector x / den with its denominators cleared: times the lcm of
     its entries' reduced denominators, which is den / gcd(den, x)."""
-    return (x // gcd(den, *x.tolist())).astype(np.int64)
+    return linalg.int_array(x // gcd(den, *x.tolist()))
 
 
 def kernel_functor(
@@ -710,12 +718,8 @@ def kernel_functor(
     (redundant generators are harmless downstream)."""
     if F.N != G.N:
         raise OracleError("truncations differ")
-    for key in F.gen_keys():
-        s, t = F.gen_src_dst(key)
-        lhs = mats[t].compose(F.act[key])
-        rhs = G.act[key].compose(mats[s])
-        if not lhs.equals(rhs):
-            raise OracleError(f"{name}: the given map family is not natural")
+    if not is_natural(F, G, mats):
+        raise OracleError(f"{name}: the given map family is not natural")
     columns = [linalg.kernel_basis(mats[t].int_rows()).T for t in range(F.N + 1)]
     gens = [(t, K[:, j], 1) for t, K in enumerate(columns) for j in range(K.shape[1])]
     return _subfunctor(F, columns, gens, name)
@@ -790,7 +794,7 @@ def direct_sum(
     offset_at = lambda idx, d: sum(F.dims[d] for F in summands[:idx])
     for idx, F in enumerate(summands):
         for d, col in F.generators:
-            big = np.zeros(dims[d], dtype=np.int64)
+            big = np.zeros(dims[d], dtype=col.dtype)
             off = offset_at(idx, d)
             big[off : off + F.dims[d]] = col
             gens.append((d, big))
@@ -846,12 +850,8 @@ def isotypic_subfunctor(parent: TruncatedFunctor, lam: Partition) -> TruncatedFu
         projs.append(total)
 
     # exact naturality of the projector family (outer action is central)
-    for key in parent.gen_keys():
-        s, t = parent.gen_src_dst(key)
-        a = projs[t].compose(parent.act[key])
-        b = parent.act[key].compose(projs[s])
-        if not a.equals(b):
-            raise OracleError("isotypic projector is not natural")
+    if not is_natural(parent, parent, projs):
+        raise OracleError("isotypic projector is not natural")
 
     # the projector's independent columns, left to right, are the basis
     columns = []

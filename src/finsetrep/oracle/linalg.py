@@ -9,14 +9,16 @@ its pivot columns only after an exact check that certifies both.  Rank,
 the choice of independent columns and the integer inverse of a subspace's
 independent rows (row_inverse, from which every expansion, residual
 projection and coordinate read-out of the oracle is taken) come off it.
-One a-priori bound decides where integer arrays run on int64 and where on
-Python ints; imatmul takes exact integer matrix products on float64 BLAS
-under a bound of its own.  Both bounds rest on max|arr| of the operands:
-lincomb and imatmul (and SpMat.apply_dense) scan an array for it unless
-the caller passes it in, and a value passed in must be an upper bound on
-the true max|arr|, fixed before the operation it guards.  ModColumnBasis, an incrementally maintained
-column basis mod a word prime, serves the span pass.  ColumnBasis is its
-exact Fraction counterpart: the tests' reference, with no library caller.
+One a-priori bound (int_dtype) decides where integer arrays, SpMat's
+entries included, run on int64 and where on Python ints; imatmul takes
+exact integer matrix products on float64 BLAS under a bound of its own.
+Both bounds rest on max|arr| of the operands: lincomb and imatmul (and
+SpMat.apply_dense) scan an array for it unless the caller passes it in,
+and a value passed in must be an upper bound on the true max|arr|, fixed
+before the operation it guards.  ModColumnBasis, an incrementally
+maintained column basis mod a word prime, serves the span pass.
+ColumnBasis is its exact Fraction counterpart: the tests' reference, with
+no library caller.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from finsetrep.oracle.functors import (
     TruncatedFunctor,
     _block_diagonal,
     _cleared,
+    is_natural,
     lambda_pbar_embedding,
 )
 
@@ -156,16 +157,19 @@ def test_apply_dense_is_exact_past_int64():
 
 
 def test_spmat_sum_and_scale_do_not_wrap():
-    # the sum is (2**70 + 3) / (3 * 2**30), whose numerator no SpMat holds;
-    # int64 arithmetic would wrap 2**40 * 2**30 to 0
+    # the sum is (2**70 + 3) / (3 * 2**30), past int64: int64 arithmetic
+    # would wrap 2**40 * 2**30 to 0
     a, b = SpMat(1, 1, [0], [0], [2**40], den=3), SpMat(1, 1, [0], [0], [1], den=2**30)
-    with pytest.raises(OracleError):
-        a + b
-    with pytest.raises(OracleError):
-        _block_diagonal([a, b])
-    with pytest.raises(OracleError):
-        SpMat(1, 1, [0], [0], [2**40]).scale(2**30)
-    # below the guard the answers are exact
+    assert (a + b).trace() == Fraction(2**70 + 3, 3 * 2**30)
+    assert _block_diagonal([a, b]).trace() == Fraction(2**40, 3) + Fraction(1, 2**30)
+    assert SpMat(1, 1, [0], [0], [2**40]).scale(2**30).trace() == 2**70
+    # a product past int64, and duplicate entries whose sum is past it
+    row = SpMat(1, 2, [0, 0], [0, 1], [2**40, 2**40], den=3)
+    assert row.compose(SpMat(2, 1, [0, 1], [0, 0], [2**40, 2**41])).trace() == 2**80
+    assert SpMat(1, 1, [0, 0], [0, 0], [2**62 - 1, 2**62 - 1]).trace() == 2**63 - 2
+    # a list that numpy alone would read as floats
+    assert SpMat(1, 2, [0, 0], [0, 1], [-1, 2**63 + 1]).vals.tolist() == [-1, 2**63 + 1]
+    # below int64's bound the answers are exact too
     s = SpMat(1, 1, [0], [0], [2**20], den=3) + SpMat(1, 1, [0], [0], [1], den=2**30)
     assert s.trace() == Fraction(2**20, 3) + Fraction(1, 2**30)
     assert SpMat(1, 1, [0], [0], [2**20]).scale(-(2**30), 7).trace() == Fraction(-(2**50), 7)
@@ -248,13 +252,28 @@ def test_isotypic_subfunctor_dims_and_sum():
 
 
 def test_isotypic_pieces_of_a_rescaled_functor_at_size_5():
-    # the projectors' dens reach lcm(1..25): compose reduces its products
-    # before the magnitude guard sees them
+    # the projectors' dens reach lcm(1..25)
     F = rescaled(build_pfin(2, 5))
     pieces = [isotypic_subfunctor(F, lam) for lam in partitions_of(2)]
     assert [sum(p.dims[t] for p in pieces) for t in range(6)] == F.dims
     assert pieces[0].dims != F.dims and pieces[1].dims != F.dims
     pieces[0].check_functoriality(3)
+
+
+def test_a_functor_with_entries_past_int64_is_solved_exactly():
+    from finsetrep.oracle import nat_hom
+
+    # the basis 2**(20 i) e_i puts entries up to 2**160 in the moves
+    pbar2, pfin2 = build_pbar_tensor(2, 4), build_pfin(2, 4)
+    F = rescaled(pbar2, diagonal=lambda n: [2 ** (20 * i) for i in range(n)])
+    assert max(abs(v) for m in F.act.values() for v in m.vals.tolist()) >= 2**100
+    F.check_functoriality(3)
+    res = nat_hom(F, pfin2)
+    assert res.dimension == 2
+    res.verify()
+    assert res.outer_bimodule() == nat_hom(pbar2, pfin2).outer_bimodule()
+    for lam in partitions_of(2):
+        assert isotypic_subfunctor(F, lam).dims == isotypic_subfunctor(pbar2, lam).dims
 
 
 def test_kernel_functor_recovers_reduced_projective():
@@ -324,12 +343,8 @@ def test_fb_module_data_extraction():
 def test_outer_action_is_natural():
     # outer transpositions commute with every generator action
     for F in [build_pfin(2, 4), build_pbar_tensor(2, 4), build_kfi(2, 4)]:
-        for key in F.gen_keys():
-            s, t = F.gen_src_dst(key)
-            for i in range(1, F.outer_n):
-                lhs = F.outer_act[(i, t)].compose(F.act[key])
-                rhs = F.act[key].compose(F.outer_act[(i, s)])
-                assert lhs.equals(rhs)
+        for i in range(1, F.outer_n):
+            assert is_natural(F, F, [F.outer_act[(i, t)] for t in range(F.N + 1)])
 
 
 def test_bucketed_apply_dense_matches_the_dense_product():
@@ -359,6 +374,22 @@ def test_bucketed_apply_dense_matches_the_dense_product():
             assert (out == np.tensordot(dense, X.astype(object), axes=1)).all(), (trial, shape)
             assert np.all(out[2] == 0)
             assert out.dtype == (object if big else np.int64)
+        # A composed with a random B, which has no entries every seventh
+        # trial; with A's, B's entries reach 2**80 in the big trials
+        p, nb = int(rng.integers(1, 6)), 0 if trial % 7 == 6 else int(rng.integers(1, 3 * n))
+        bvals = rng.choice([-3, -1, 1, 2, 5], size=nb) * ((1 << 40) if big else 1)
+        B = SpMat(n, p, rng.integers(0, n, size=nb), rng.integers(0, p, size=nb), bvals,
+                  den=int(rng.integers(1, 4)))
+        C = A.compose(B)
+        want = dense @ np.array(B.int_rows(), dtype=object)
+        assert (np.array(C.int_rows(), dtype=object) * (A.den * B.den) == want * C.den).all()
+        assert C.vals.dtype == (object if big and C.nnz else np.int64), trial
+        # [A | A] times [B ; -B] cancels to zero in every entry
+        AA = SpMat(m, 2 * n, np.r_[A.rows, A.rows], np.r_[A.cols, A.cols + n],
+                   np.r_[A.vals, A.vals])
+        BB = SpMat(2 * n, p, np.r_[B.rows, B.rows + n], np.r_[B.cols, B.cols],
+                   np.r_[B.vals, -B.vals])
+        assert AA.compose(BB).is_zero() and AA.compose(BB).den == 1
 
 
 def rescaled(F, diagonal=lambda n: range(1, n + 1)):
