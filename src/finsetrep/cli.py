@@ -358,6 +358,8 @@ def _oracle_errors() -> Tuple[type, ...]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")  # before numpy loads: the BLAS products are small
     try:
         args = build_parser().parse_args(argv)
         result = args.func(args)

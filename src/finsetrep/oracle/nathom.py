@@ -5,12 +5,13 @@ is determined by its values on those generators.  Once per source functor,
 a spanning basis of every value F(t) is built by closing the generators
 under the category's generator moves (span pass); the pass records the
 expansion of every move image in that basis as it reduces the image.
-The pass runs modulo word primes: the basis is chosen mod p, the
-expansions are lifted to the rationals once, and every choice is then
-certified by an exact sparse check, so its answer is the exact pass's;
-a vector that is a copy of an accepted one is looked up, not reduced.
-Exact expansions of other vectors are read off one integer inverse of
-the basis per size (linalg.row_inverse), computed on demand.
+The pass runs modulo word primes: the basis is chosen mod p (a copy of an
+accepted vector is looked up, not reduced), and the expansions of each
+move key: s -> t are lifted to one rational matrix Gamma_key (F's
+relations, beside unit columns).  One exact identity per move, F(key)
+basis[s] = basis[t] Gamma_key, certifies every choice, so the answer is
+the exact pass's.  Exact expansions of other vectors are read off one
+integer inverse of the basis per size (linalg.row_inverse), on demand.
 Solving hom(F, G) is then linear algebra in the unknown generator values:
 each basis column corresponds to an explicit vector G(path)(v), and every
 generator move contributes exact linear constraints, except a move image
@@ -46,7 +47,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Tuple
 
@@ -62,40 +62,38 @@ Path = Tuple  # ("gen", a) | ("step", genkey, parent_t, parent_idx)
 
 @dataclass
 class SpanData:
-    """Spanning data: per size, a basis of reachable columns with their
-    construction paths, and the expansion of every generator move.
+    """Spanning data: per size, a basis of F(t) with the construction path
+    of each vector, and the expansion of every generator move in it.
 
+    basis[t] is one SpMat whose column j is the vector that path j builds.
+    gammas[key], for a move key: s -> t, is the SpMat Gamma_key with
+    F(key) basis[s] = basis[t] Gamma_key: a unit column for an image the
+    pass accepted, an empty one for a zero image, F's relations otherwise;
+    gammas[t], for a size t of declared generators, has basis[t] gammas[t]
+    = those generators (column a for generator a, zero for other sizes).
+    columns[key][j] lists the (row, numerator over den) of column j.
     gen_used flags the declared generators that actually entered the
     basis; redundant generators (possible for kernel-style builders) are
     absorbed into the span of the others and carry no free unknowns.
-    vecs holds the basis vectors themselves, vecs[t][idx] = (num, den)
-    for the vector num / den with num a sparse integer column; bases
-    caches the expansion map onto the basis of each size that expansion()
-    was asked for, read off the linalg.row_inverse of the columns num."""
+    expansions caches expansion()'s maps."""
 
     F: TruncatedFunctor
     paths: List[List[Path]]
     order: List[Tuple[int, int]]
     gen_used: List[bool]
-    gammas: Dict[Tuple, List[Dict[int, Fraction]]]
-    vecs: List[List[Tuple[Dict[int, int], int]]]
-    bases: Dict[int, SpMat] = field(default_factory=dict)
+    basis: List[SpMat]
+    gammas: Dict[object, SpMat]
+    columns: Dict[object, List[List[Tuple[int, int]]]]
+    expansions: Dict[int, SpMat] = field(default_factory=dict)
 
     def expansion(self, t: int) -> SpMat:
-        """The expansion map E_t onto the basis at size t: E_t v is the exact
-        expansion of a vector v of F(t) in that basis.  It is computed on
-        first use."""
-        if t not in self.bases:
-            vecs = self.vecs[t]
-            k = len(vecs)
-            bound = max((abs(v) for num, _ in vecs for v in num.values()), default=0)
-            S = np.zeros((self.F.dims[t], k), dtype=linalg.int_dtype(bound))
-            for j, (num, _) in enumerate(vecs):
-                S[list(num), j] = list(num.values())
-            # a basis vector is num / den, so its coefficient is den times num's
-            dens = SpMat(k, k, range(k), range(k), [den for _, den in vecs])
-            self.bases[t] = dens.compose(_expansion_map(S, *linalg.row_inverse(S)))
-        return self.bases[t]
+        """The map E_t, computed on first use, that takes a vector v of F(t)
+        to its exact expansion E_t v in the basis at size t."""
+        if t not in self.expansions:
+            # basis[t] is S / den, so a coefficient over it is den times S's
+            S = self.basis[t].int_rows()
+            self.expansions[t] = _expansion_map(S, *linalg.row_inverse(S)).scale(self.basis[t].den)
+        return self.expansions[t]
 
 
 def build_span(F: TruncatedFunctor) -> SpanData:
@@ -207,67 +205,65 @@ def _crt_combo(a: Dict[int, int], m: int, b: Dict[int, int], p: int) -> Dict[int
 
 
 def _certified_span(F: TruncatedFunctor, choices, rejected, m: int):
-    """The SpanData of the choices once every rejected vector's expansion,
-    lifted from its residues mod m, is checked exactly to write it as a
-    combination of the columns accepted before it; None otherwise."""
+    """The SpanData of the choices, or None unless the expansions lifted
+    from their residues mod m pass one exact identity per move, F(key)
+    basis[s] = basis[t] Gamma_key, and one per size for the generators."""
     paths, order = choices
-    lifted: Dict[Path, Tuple[int, Dict[int, Fraction]]] = {}
-    for path, (t, combo) in rejected.items():
-        gamma = {}
-        for i, a in combo.items():
-            frac = linalg._ratrecon(a, m)
-            if frac is None:
-                return None
-            gamma[i] = Fraction(*frac)
-        lifted[path] = (t, gamma)
-
-    vecs: List[List[Tuple[Dict[int, int], int]]] = [[] for _ in range(F.N + 1)]
+    sizes = range(F.N + 1)
+    gens = [{i: v for i, v in enumerate(col.tolist()) if v} for _, col in F.generators]
+    # the basis vectors num / den, num a sparse integer column, replayed
+    vecs: List[List] = [[None] * len(paths[t]) for t in sizes]
     for t, idx in order:
-        vecs[t].append(_path_vector(F, paths[t][idx], vecs))
-    for path, (t, gamma) in lifted.items():
-        num, den = _path_vector(F, path, vecs)
-        if not _is_combination(num, den, gamma, vecs[t]):
+        path = paths[t][idx]
+        if path[0] == "gen":
+            vecs[t][idx] = (gens[path[1]], 1)
+        else:
+            (num, den), mat = vecs[path[2]][path[3]], F.act[path[1]]
+            num, den = mat.apply_int(num), den * mat.den
+            g = gcd(den, *num.values())
+            vecs[t][idx] = ({i: v // g for i, v in num.items()}, den // g)
+    basis = [_over_one_den(F.dims[t], len(vecs[t]), [
+        (i, j, v, den) for j, (num, den) in enumerate(vecs[t]) for i, v in num.items()
+    ]) for t in sizes]
+
+    # entries (row, col, num, den) of Gamma_key, column j for the image of
+    # basis vector j, and under key t of the generators of size t, column a
+    entries: Dict = {key: [] for key in F.gen_keys()}
+    accepted = {path: (t, {idx: 1}) for t in sizes for idx, path in enumerate(paths[t])}
+    for path, (t, combo) in {**rejected, **accepted}.items():
+        lifted = [linalg._ratrecon(a, m) for a in combo.values()]
+        if None in lifted:
             return None
+        key, j = (path[1], path[3]) if path[0] == "step" else (t, path[1])
+        entries.setdefault(key, []).extend((i, j, *frac) for i, frac in zip(combo, lifted))
 
-    gammas: Dict[Tuple, List[Dict[int, Fraction]]] = {}
-    for key in F.gen_keys():
-        s, t = TruncatedFunctor.gen_src_dst(key)
-        gammas[key] = [lifted.get(("step", key, s, j), (t, {}))[1] for j in range(len(paths[s]))]
-    gen_used = [False] * len(F.generators)
-    for t in range(F.N + 1):
-        for idx, path in enumerate(paths[t]):
-            if path[0] == "step":
-                gammas[path[1]][path[3]] = {idx: Fraction(1)}
-            else:
-                gen_used[path[1]] = True
-    return SpanData(F, paths, order, gen_used, gammas, vecs)
-
-
-def _path_vector(F: TruncatedFunctor, path: Path, vecs) -> Tuple[Dict[int, int], int]:
-    """The vector a path builds, as (num, den), from the basis vectors."""
-    if path[0] == "gen":
-        col = F.generators[path[1]][1]
-        return {i: v for i, v in enumerate(col.tolist()) if v}, 1
-    _, key, s, j = path
-    num, den = vecs[s][j]
-    m = F.act[key]
-    num, den = m.apply_int(num), den * m.den
-    g = gcd(den, *num.values())
-    if g > 1:
-        num, den = {i: v // g for i, v in num.items()}, den // g
-    return num, den
+    # one identity move source = basis[t] Gamma per key, where the
+    # generators of size t are a move out of the unit vectors
+    gammas, columns = {}, {}
+    for key, at in entries.items():
+        if key in F.act:
+            s, t = TruncatedFunctor.gen_src_dst(key)
+            move, source = F.act[key], basis[s]
+        else:
+            t, source = key, SpMat.identity(len(gens))
+            move = _over_one_den(F.dims[t], len(gens), [(i, a, v, 1) for a, (d, _) in
+                                 enumerate(F.generators) if d == t for i, v in gens[a].items()])
+        gamma = gammas[key] = _over_one_den(len(paths[t]), source.n, at)
+        if not move.compose(source).equals(basis[t].compose(gamma)):
+            return None
+        columns[key] = [[] for _ in range(gamma.n)]
+        for i, j, c in zip(gamma.rows.tolist(), gamma.cols.tolist(), gamma.vals.tolist()):
+            columns[key][j].append((i, c))
+    gen_used = [("gen", a) in accepted for a in range(len(gens))]
+    return SpanData(F, paths, order, gen_used, basis, gammas, columns)
 
 
-def _is_combination(num, den, gamma: Dict[int, Fraction], basis) -> bool:
-    """Whether num / den is exactly sum gamma[i] * basis[i]."""
-    L = lcm(den, *(g.denominator * basis[i][1] for i, g in gamma.items()))
-    acc = {r: -(L // den) * v for r, v in num.items()}
-    for i, g in gamma.items():
-        bnum, bden = basis[i]
-        scale = g.numerator * (L // (g.denominator * bden))
-        for r, v in bnum.items():
-            acc[r] = acc.get(r, 0) + scale * v
-    return not any(acc.values())
+def _over_one_den(m: int, n: int, entries: List[Tuple[int, int, int, int]]) -> SpMat:
+    """The m x n SpMat with entry num / den at (row, col) for each (row,
+    col, num, den) of entries, over the lcm of their denominators."""
+    rows, cols, nums, dens = zip(*entries) if entries else ((),) * 4
+    D = lcm(*dens)
+    return SpMat(m, n, rows, cols, [a * (D // d) for a, d in zip(nums, dens)], D)
 
 
 class SpanValue(tuple):
@@ -419,10 +415,11 @@ class NatHomResult:
         den = lcm(*(aden for _, aden in acted))
         A = np.concatenate([linalg.lincomb([(arr, den // aden)]) for arr, aden in acted])
         Y, D = self.coordinates(A)
-        tr = Fraction(int(np.trace(Y)), D * den)
-        if tr.denominator != 1:
-            raise OracleError(f"non-integral outer character value {tr}")
-        return int(tr)
+        num = int(np.trace(Y))
+        tr, rem = divmod(num, D * den)
+        if rem:
+            raise OracleError(f"non-integral outer character value {num}/{D * den}")
+        return tr
 
     def coordinates(self, A: np.ndarray) -> Tuple[np.ndarray, int]:
         """(Y, D) with P Y = D A, checked exactly, for an n_v x c integer
@@ -484,19 +481,17 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
         p = P.shape[1]
         # the Gram sum and an upper bound on its entries
         gram, gbound = np.zeros((p, p), dtype=np.int64), 0
-        gammas = span.gammas[key]
-        m = G.act[key]
-        for j in range(len(span.paths[s])):
+        D, m = span.gammas[key].den, G.act[key]
+        for j, column in enumerate(span.columns[key]):
             if (key, j) in accepted:
                 continue
             sarr, sden = sval = _span_value(span, G, blocks, P, vcache, (s, j))
-            terms = [(c, _span_value(span, G, blocks, P, vcache, (t, i)))
-                     for i, c in gammas[j].items()]
-            L = lcm(m.den * sden, *(c.denominator * v[1] for c, v in terms))
+            terms = [(c, _span_value(span, G, blocks, P, vcache, (t, i))) for i, c in column]
+            L = lcm(m.den * sden, *(D * v[1] for _, v in terms))
             # G(key) V(s, j) - sum_i gamma_i V(t, i); G(key)'s row bound bounds its first term
             W = linalg.lincomb(
                 [(m.apply_dense(sarr, sval.amax), -(L // (m.den * sden)))]
-                + [(v[0], c.numerator * (L // (c.denominator * v[1]))) for c, v in terms],
+                + [(v[0], c * (L // (D * v[1]))) for c, v in terms],
                 [m.row_bound * sval.amax] + [v.amax for _, v in terms],
             )
             wmax = int(np.abs(W).max(initial=0))

@@ -280,3 +280,22 @@ def test_verify_json_output_is_unchanged(capsys, suite):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_JSON_SHA256[suite]
+
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", _BLAS_THREADS)
+def test_cli_runs_blas_on_one_thread_unless_set(capsys, monkeypatch, preset):
+    import os
+
+    for var in _BLAS_THREADS:
+        # set first, so that the teardown restores the variable as it was
+        monkeypatch.setenv(var, "0")
+        monkeypatch.delenv(var)
+    monkeypatch.setenv(preset, "2")
+    code, out, _ = run_cli(capsys, "hom", "--from", "pbar:1", "--to", "pbar:1", "--trunc", "3")
+    assert (code, out) == (0, "dimension\t1\n")
+    assert {var: os.environ[var] for var in _BLAS_THREADS} == {
+        var: "2" if var == preset else "1" for var in _BLAS_THREADS
+    }

@@ -175,6 +175,31 @@ def test_spmat_sum_and_scale_do_not_wrap():
     assert SpMat(1, 1, [0], [0], [2**20]).scale(-(2**30), 7).trace() == Fraction(-(2**50), 7)
 
 
+def test_spmat_equals_compares_the_canonical_form():
+    A = SpMat(2, 3, [0, 1, 1], [2, 0, 1], [3, -4, 6], den=5)
+    same = [
+        # duplicate entries, out of order, and a zero entry
+        SpMat(2, 3, [1, 0, 1, 1, 0], [0, 2, 1, 0, 0], [-1, 3, 6, -3, 0], den=5),
+        # a scaled (and negative) denominator
+        SpMat(2, 3, [0, 1, 1], [2, 0, 1], [-21, 28, -42], den=-35),
+        SpMat(2, 3, [0, 1, 1], [2, 0, 1], np.array([3, -4, 6], dtype=object), den=5),
+    ]
+    different = [
+        SpMat(3, 3, [0, 1, 1], [2, 0, 1], [3, -4, 6], den=5),
+        SpMat(2, 3, [0, 1, 1], [2, 0, 1], [3, -4, 6], den=7),
+        SpMat(2, 3, [0, 1, 1], [2, 0, 1], [3, -4, 7], den=5),
+        SpMat(2, 3, [0, 1, 1], [2, 0, 2], [3, -4, 6], den=5),
+    ]
+    for B in same:
+        assert A.equals(B) and B.equals(A)
+    for B in different:
+        assert not A.equals(B) and not B.equals(A)
+    # entries past int64, one of them a sum of duplicates
+    big = SpMat(1, 2, [0, 0], [0, 1], [2**70, -1])
+    assert big.equals(SpMat(1, 2, [0, 0, 0], [1, 0, 0], [-1, 2**69, 2**69]))
+    assert not big.equals(SpMat(1, 2, [0, 0], [0, 1], [2**70 + 1, -1]))
+
+
 def test_pbar_basis_example():
     # the reduced projective has dimension 2 on a 3-set
     F = build_pbar_tensor(1, 4)

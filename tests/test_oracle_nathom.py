@@ -58,6 +58,12 @@ def test_against_dense_reference():
         (rescaled(build_pfin(2, N)), build_pbar_tensor(2, N)),
         (build_pbar_tensor(2, N), rescaled(build_pfin(2, N))),
     ]
+    # generators e_0 at size 1 and e_0 + 3 e_1 at size 2: e_1 is a third of
+    # their difference, so the span's move expansions have denominator 3
+    thirds = direct_sum([build_pfin(1, N)], "pfin(1)/3")
+    thirds.generators = [(1, np.array([1])), (2, np.array([1, 3]))]
+    assert max(gamma.den for gamma in build_span(thirds).gammas.values()) == 3
+    pairs += [(thirds, G) for G in (build_pfin(1, N), build_pbar_tensor(1, N), build_pfin(2, N))]
     for F, G in pairs:
         assert nat_hom(F, G).dimension == nat_hom_dense_dim(F, G), (F.name, G.name)
 
@@ -330,16 +336,26 @@ def _replayed_span_vectors(span):
     return vecs
 
 
-def test_span_pass_records_move_expansions():
-    N = 4
+def _column(M, j):
+    """Column j of the SpMat M as a sparse Fraction column."""
+    return apply_sparse(M, {j: Fraction(1)})
+
+
+def _aug_kernel(N):
+    """The kernel of the augmentation pfin(1) -> k, with every basis
+    vector of it a declared generator."""
     pfin1, k = build_pfin(1, N), build_const_k(N)
     augmentation = [
         SpMat(k.dims[t], pfin1.dims[t], [0] * pfin1.dims[t], range(pfin1.dims[t]),
               [1] * pfin1.dims[t])
         for t in range(N + 1)
     ]
-    # every basis vector of the kernel is a generator, so most are redundant
-    aug_kernel = kernel_functor(pfin1, k, augmentation, "aug-kernel")
+    return kernel_functor(pfin1, k, augmentation, "aug-kernel")
+
+
+def test_span_pass_records_move_expansions():
+    N = 4
+    aug_kernel = _aug_kernel(N)
     assert len(aug_kernel.generators) == sum(aug_kernel.dims) > 1
     sources = [
         build_pfin(2, N),
@@ -348,30 +364,66 @@ def test_span_pass_records_move_expansions():
         build_kfi(2, N),
         build_lambda_pbar(2, N),
         aug_kernel,
+        rescaled(build_pbar_tensor(2, N)),
     ]
     for F in sources:
         span = build_span(F)
         vecs = _replayed_span_vectors(span)
         assert len(vecs) == sum(F.dims), F.name
-        # the same basis with every vector stored as (2 num, 2 den)
-        doubled = dataclasses.replace(span, bases={}, vecs=[
-            [({i: 2 * v for i, v in num.items()}, 2 * den) for num, den in at_t]
-            for at_t in span.vecs
-        ])
         for (t, idx), v in vecs.items():
+            assert _column(span.basis[t], idx) == v, (F.name, t, idx)
             assert apply_sparse(span.expansion(t), v) == {idx: Fraction(1)}, (F.name, t, idx)
-            assert apply_sparse(doubled.expansion(t), v) == {idx: Fraction(1)}, (F.name, t, idx)
         # reference: each move image expanded in the finished basis
         for key in F.gen_keys():
             s, t = F.gen_src_dst(key)
-            assert len(span.gammas[key]) == F.dims[s], (F.name, key)
+            assert span.gammas[key].shape == (F.dims[t], F.dims[s]), (F.name, key)
             for j in range(F.dims[s]):
                 ref = apply_sparse(span.expansion(t), apply_sparse(F.act[key], vecs[(s, j)]))
-                assert span.gammas[key][j] == ref, (F.name, key, j)
+                assert _column(span.gammas[key], j) == ref, (F.name, key, j)
+                assert span.columns[key][j] == [
+                    (i, c * span.gammas[key].den) for i, c in sorted(ref.items())
+                ], (F.name, key, j)
+        # the declared generators, expanded in the basis of their size
+        for a, (d, col) in enumerate(F.generators):
+            expanded = apply_sparse(span.basis[d], _column(span.gammas[d], a))
+            assert expanded == fraction_vector(col), (F.name, a)
+    # the rescaled source's basis vectors have denominators
+    assert max(B.den for B in build_span(sources[-1]).basis) > 1
+
+
+def test_span_certificate_catches_one_wrong_residue():
+    from finsetrep.oracle import linalg
+    from finsetrep.oracle.nathom import _certified_span, _span_mod
+
+    N, p = 4, next(linalg._primes())
+    # over Q the third generator is (first - second) / 2, so it is rejected
+    redundant = direct_sum([build_pfin(1, N), build_pfin(1, N)], "pfin(1)^2")
+    redundant.generators = [(1, np.array(col)) for col in ([2, 1], [0, 1], [1, 0])]
+    sources = [build_pbar_tensor(2, N), rescaled(build_pbar_tensor(2, N)), _aug_kernel(N), redundant]
+    for F in sources:
+        choices, rejected = _span_mod(F, p)
+        assert _certified_span(F, choices, rejected, p) is not None, F.name
+        # the first rejected vector of every move, and of the generators,
+        # whose expansion is not empty: one residue of it off by one
+        first = {}
+        for path, (t, combo) in rejected.items():
+            if combo:
+                first.setdefault(path[1] if path[0] == "step" else "gen", (path, t, combo))
+        assert ("gen" in first) == (F is redundant), F.name
+        assert len(first) > 5, F.name
+        for path, t, combo in first.values():
+            i = next(iter(combo))
+            wrong = dict(rejected)
+            wrong[path] = (t, {**combo, i: (combo[i] + 1) % p})
+            # the lift succeeds, so the exact identities must catch it
+            assert linalg._ratrecon((combo[i] + 1) % p, p) is not None
+            assert _certified_span(F, choices, wrong, p) is None, (F.name, path)
 
 
 def _span_answer(span):
-    return span.paths, span.order, span.gen_used, span.gammas
+    gammas = {key: (g.shape, g.den, g.rows.tolist(), g.cols.tolist(), g.vals.tolist())
+              for key, g in span.gammas.items()}
+    return span.paths, span.order, span.gen_used, gammas
 
 
 def test_span_pass_survives_unlucky_primes(monkeypatch):
@@ -452,9 +504,10 @@ def test_skipped_constraints_are_zero():
                 # the full constraint: G(key) V(s, j) - sum_i gamma_i V(t, i)
                 sarr, sden = _span_value(span, G, blocks, P, cache, (s, j))
                 m = G.act[key]
+                gamma = _column(span.gammas[key], j)
                 terms = [(c, *_span_value(span, G, blocks, P, cache, (t, i)))
-                         for i, c in span.gammas[key][j].items()]
-                assert span.gammas[key][j] == {idx: Fraction(1)}
+                         for i, c in gamma.items()]
+                assert gamma == {idx: Fraction(1)}
                 L = lcm(m.den * sden, *(c.denominator * d for c, _, d in terms))
                 W = linalg.lincomb([(m.apply_dense(sarr), -(L // (m.den * sden)))] + [
                     (arr, c.numerator * (L // (c.denominator * d))) for c, arr, d in terms
@@ -533,3 +586,14 @@ def test_truncation_mismatch_rejected():
 
     with pytest.raises(OracleError):
         nat_hom(build_kbar(4), build_kbar(5))
+
+
+def test_outer_character_refuses_a_non_integral_trace(monkeypatch):
+    from finsetrep.oracle import OracleError
+
+    r = nat_hom(build_pbar_tensor(1, 4), build_pbar_tensor(1, 4))
+    assert r.dimension == 1
+    # coordinates of one half: the trace of the identity action is 1/2
+    monkeypatch.setattr(r, "coordinates", lambda A: (np.ones((1, 1), dtype=np.int64), 2))
+    with pytest.raises(OracleError, match="non-integral outer character value 1/2"):
+        r.outer_character()
