@@ -16,9 +16,10 @@ Both bounds rest on max|arr| of the operands: lincomb and imatmul (and
 SpMat.apply_dense) scan an array for it unless the caller passes it in,
 and a value passed in must be an upper bound on the true max|arr|, fixed
 before the operation it guards.  ModColumnBasis, an incrementally
-maintained column basis mod a word prime, serves the span pass.
-ColumnBasis is its exact Fraction counterpart: the tests' reference, with
-no library caller.
+maintained column basis mod a word prime, picks the span pass's basis:
+columns independent mod p are independent over Q, so as many of them as
+the dimension are a basis over Q.  ColumnBasis is its exact Fraction
+counterpart: the tests' reference, with no library caller.
 """
 
 from __future__ import annotations
@@ -366,54 +367,44 @@ class ColumnBasis:
 
 
 class ModColumnBasis:
-    """ColumnBasis over GF(p): the same incrementally maintained reduced
-    echelon form with expansion bookkeeping, on residues in [0, p) (Python
-    ints), each row scaled to 1 at its pivot."""
+    """ColumnBasis over GF(p), without expressions: the same incrementally
+    maintained reduced echelon form, on residues in [0, p) (Python ints),
+    each row scaled to 1 at its pivot."""
 
     __slots__ = ("p", "rows", "pivots", "accepted")
 
     def __init__(self, p: int):
         self.p = p
-        # one row per added column: (sparse row, expression over column indices)
-        self.rows: List[Tuple[Dict[int, int], Dict[int, int]]] = []
+        self.rows: List[Dict[int, int]] = []  # one sparse row per added column
         self.pivots: Dict[int, int] = {}  # pivot coordinate -> row index
         self.accepted: Dict[frozenset, int] = {}  # added column -> its index
 
-    def add(self, vec: Dict[int, int]):
-        """Add a column of residues.  Returns (index, None) if independent
-        mod p (appended), or (None, combo) expressing it mod p over
-        previously added columns.  A copy of an added column is looked up,
-        not reduced: its expansion is that column alone."""
+    def add(self, vec: Dict[int, int]) -> Optional[int]:
+        """Add a column of residues: its index if it is independent mod p
+        of the columns added before (appended), else None.  A copy of an
+        added column is looked up, not reduced."""
         key = frozenset(vec.items())
         if key in self.accepted:
-            return None, {self.accepted[key]: 1}
+            return None
         p = self.p
         r = dict(vec)
-        combo: Dict[int, int] = {}
         # every row is zero at every other row's pivot: one pass clears them
         for coord in [c for c in r if c in self.pivots]:
-            f = r[coord]
-            row, expr = self.rows[self.pivots[coord]]
-            _axpy(r, -f, row, p)
-            _axpy(combo, f, expr, p)
+            _axpy(r, -r[coord], self.rows[self.pivots[coord]], p)
         if not r:
-            return None, combo
+            return None
         idx = len(self.rows)
         piv = min(r)
         inv = pow(r[piv], -1, p)
         row = {j: v * inv % p for j, v in r.items()}
-        # row = inv * (vec - sum combo * cols)
-        expr = {j: -v * inv % p for j, v in combo.items()}
-        expr[idx] = inv
-        for krow, kexpr in self.rows:
+        for krow in self.rows:
             f = krow.get(piv)
             if f:
                 _axpy(krow, -f, row, p)
-                _axpy(kexpr, -f, expr, p)
-        self.rows.append((row, expr))
+        self.rows.append(row)
         self.pivots[piv] = idx
         self.accepted[key] = idx
-        return idx, None
+        return idx
 
 
 def _axpy(y: Dict[int, int], a: int, x: Dict[int, int], p: int) -> None:

@@ -2,16 +2,15 @@
 
 A natural transformation out of a functor with declared module generators
 is determined by its values on those generators.  Once per source functor,
-a spanning basis of every value F(t) is built by closing the generators
-under the category's generator moves (span pass); the pass records the
-expansion of every move image in that basis as it reduces the image.
-The pass runs modulo word primes: the basis is chosen mod p (a copy of an
-accepted vector is looked up, not reduced), and the expansions of each
-move key: s -> t are lifted to one rational matrix Gamma_key (F's
-relations, beside unit columns).  One exact identity per move, F(key)
-basis[s] = basis[t] Gamma_key, certifies every choice, so the answer is
-the exact pass's.  Exact expansions of other vectors are read off one
-integer inverse of the basis per size (linalg.row_inverse), on demand.
+a basis of every value F(t) is built by closing the generators under the
+category's generator moves (span pass).  The pass runs modulo a word
+prime p (a copy of a kept vector is looked up, not reduced): vectors
+independent mod p are independent over Q, so dims[t] of them are a basis
+of F(t), with nothing to lift or certify.  The expansions of the move
+images of each move key: s -> t, one rational matrix Gamma_key (F's
+relations, beside unit columns), and of any other vector are read off
+one integer inverse of the basis per size (linalg.row_inverse), on
+demand.
 Solving hom(F, G) is then linear algebra in the unknown generator values:
 each basis column corresponds to an explicit vector G(path)(v), and every
 generator move contributes exact linear constraints, except a move image
@@ -66,25 +65,20 @@ class SpanData:
     of each vector, and the expansion of every generator move in it.
 
     basis[t] is one SpMat whose column j is the vector that path j builds.
-    gammas[key], for a move key: s -> t, is the SpMat Gamma_key with
-    F(key) basis[s] = basis[t] Gamma_key: a unit column for an image the
-    pass accepted, an empty one for a zero image, F's relations otherwise;
-    gammas[t], for a size t of declared generators, has basis[t] gammas[t]
-    = those generators (column a for generator a, zero for other sizes).
-    columns[key][j] lists the (row, numerator over den) of column j.
     gen_used flags the declared generators that actually entered the
     basis; redundant generators (possible for kernel-style builders) are
     absorbed into the span of the others and carry no free unknowns.
-    expansions caches expansion()'s maps."""
+    expansions, gammas and columns cache expansion()'s and gamma()'s
+    values."""
 
     F: TruncatedFunctor
     paths: List[List[Path]]
     order: List[Tuple[int, int]]
     gen_used: List[bool]
     basis: List[SpMat]
-    gammas: Dict[object, SpMat]
-    columns: Dict[object, List[List[Tuple[int, int]]]]
     expansions: Dict[int, SpMat] = field(default_factory=dict)
+    gammas: Dict[object, SpMat] = field(default_factory=dict)
+    columns: Dict[object, List[List[Tuple[int, int]]]] = field(default_factory=dict)
 
     def expansion(self, t: int) -> SpMat:
         """The map E_t, computed on first use, that takes a vector v of F(t)
@@ -95,65 +89,66 @@ class SpanData:
             self.expansions[t] = _expansion_map(S, *linalg.row_inverse(S)).scale(self.basis[t].den)
         return self.expansions[t]
 
+    def gamma(self, key) -> SpMat:
+        """Gamma_key = E_t F(key) basis[s] for the move key: s -> t, computed
+        on first use: column j expands the image of basis vector j, a unit
+        column for an image the pass accepted, an empty one for a zero
+        image, F's relations otherwise.  It is exact, and unique because
+        basis[t] is square.  columns[key][j] lists the (row, numerator over
+        den) of column j."""
+        if key not in self.gammas:
+            s, t = TruncatedFunctor.gen_src_dst(key)
+            E, move = self.expansion(t), self.F.act[key]
+            gamma = self.gammas[key] = E.compose(move.compose(self.basis[s]))
+            self.columns[key] = [[] for _ in range(gamma.n)]
+            for i, j, c in zip(gamma.rows.tolist(), gamma.cols.tolist(), gamma.vals.tolist()):
+                self.columns[key][j].append((i, c))
+        return self.gammas[key]
+
 
 def build_span(F: TruncatedFunctor) -> SpanData:
-    """The span pass over F, run mod word primes and certified exactly.
+    """The span pass over F, run mod a word prime and replayed exactly.
 
-    Each prime replays the pass: the same heap traversal, with every
-    vector reduced in a ModColumnBasis.  A vector independent mod p is
-    independent over Q, so it is accepted over Q as well; the expansion
-    of every other vector (its residues, over more primes by CRT when
-    rational reconstruction fails) is lifted and checked exactly against
-    the columns before it.  Once every check holds, each choice of the
-    pass is the one exact arithmetic makes, so paths, order and the
-    expansions are those of an exact pass.  A prime whose choices differ
-    fails a check, and the next one is taken."""
+    The pass closes the generators under the generator moves in heap
+    order and keeps a vector when it is independent mod p of the vectors
+    kept before it at its size.  Vectors independent mod p are
+    independent over Q, so once every size t has dims[t] of them they are
+    a basis over Q: the first prime that divides no move denominator and
+    leaves no size short gives the span, with nothing to lift or check.
+    A size left short is a shortfall of the generators only if the kept
+    vectors already span a subfunctor (_spans_subfunctor); otherwise the
+    prime was unlucky, and the next one is taken."""
     if F.span_cache is not None:
         return F.span_cache
-    best = None  # (choices, {path: (size, residues)}, modulus)
     for p in linalg._primes():
-        run = _span_mod(F, p)
-        if run is None:
+        choices = _span_mod(F, p)
+        if choices is None:
             continue
-        choices, rejected = run
-        if best is not None and best[0] == choices:
-            m = best[2]
-            rejected = {
-                path: (t, _crt_combo(best[1][path][1], m, combo, p))
-                for path, (t, combo) in rejected.items()
-            }
-            best = (choices, rejected, m * p)
-        else:
-            # other choices than the primes before: one side is unlucky, and
-            # the check rejects an unlucky prime, so start over from this one
-            best = (choices, rejected, p)
-        span = _certified_span(F, *best)
-        if span is not None:
+        span = _replayed(F, *choices)
+        short = [t for t in range(F.N + 1) if len(span.paths[t]) < F.dims[t]]
+        if not short:
             break
-    else:
-        raise ArithmeticError("the modular span pass ran out of word primes")
-    for t in range(F.N + 1):
-        if len(span.paths[t]) != F.dims[t]:
+        if _spans_subfunctor(span):
+            t = short[0]
             raise OracleError(
                 f"{F.name}: generators span only {len(span.paths[t])} of "
                 f"{F.dims[t]} dimensions at size {t}"
             )
+    else:
+        raise ArithmeticError("the modular span pass ran out of word primes")
     F.span_cache = span
     return span
 
 
 def _span_mod(F: TruncatedFunctor, p: int):
-    """One span pass mod p: ((paths, order), rejected), where rejected maps
-    the path of every vector not accepted to its size and its expansion
-    mod p over the columns accepted before it (empty for a vector that is
-    zero mod p).  None when p divides a denominator of F's moves."""
+    """One span pass mod p: (paths, order), or None when p divides a
+    denominator of F's moves."""
     if any(m.den % p == 0 for m in F.act.values()):
         return None
     N = F.N
     paths: List[List[Path]] = [[] for _ in range(N + 1)]
     bases = [linalg.ModColumnBasis(p) for _ in range(N + 1)]
     order: List[Tuple[int, int]] = []
-    rejected: Dict[Path, Tuple[int, Dict[int, int]]] = {}
 
     heap: List[Tuple[int, int, Path, Dict[int, int]]] = []
     counter = itertools.count()
@@ -168,15 +163,15 @@ def _span_mod(F: TruncatedFunctor, p: int):
 
     while heap:
         t, _, path, vec = heapq.heappop(heap)
-        idx, combo = bases[t].add(vec)
+        idx = bases[t].add(vec)
         if idx is None:
-            rejected[path] = (t, combo)
             continue
         paths[t].append(path)
         order.append((t, idx))
         for key in moves_of[t]:
             _, t2 = TruncatedFunctor.gen_src_dst(key)
-            if F.dims[t2] == 0:
+            # a full size accepts nothing more
+            if len(paths[t2]) == F.dims[t2]:
                 continue
             inv = inverses[key]
             img = {}
@@ -184,86 +179,51 @@ def _span_mod(F: TruncatedFunctor, p: int):
                 v = v * inv % p
                 if v:
                     img[i] = v
-            step = ("step", key, t, idx)
             if img:
-                heapq.heappush(heap, (t2, next(counter), step, img))
-            else:
-                rejected[step] = (t2, {})
-    return (paths, order), rejected
+                heapq.heappush(heap, (t2, next(counter), ("step", key, t, idx), img))
+    return paths, order
 
 
-def _crt_combo(a: Dict[int, int], m: int, b: Dict[int, int], p: int) -> Dict[int, int]:
-    """The residues mod m * p that are a mod m and b mod p (sparse)."""
-    minv = pow(m, -1, p)
-    out = {}
-    for i in a.keys() | b.keys():
-        x, y = a.get(i, 0), b.get(i, 0)
-        v = x + m * ((y - x) * minv % p)
-        if v:
-            out[i] = v
-    return out
-
-
-def _certified_span(F: TruncatedFunctor, choices, rejected, m: int):
-    """The SpanData of the choices, or None unless the expansions lifted
-    from their residues mod m pass one exact identity per move, F(key)
-    basis[s] = basis[t] Gamma_key, and one per size for the generators."""
-    paths, order = choices
+def _replayed(F: TruncatedFunctor, paths, order) -> SpanData:
+    """The SpanData of the paths, each vector replayed exactly on a sparse
+    integer column num / den."""
     sizes = range(F.N + 1)
-    gens = [{i: v for i, v in enumerate(col.tolist()) if v} for _, col in F.generators]
-    # the basis vectors num / den, num a sparse integer column, replayed
     vecs: List[List] = [[None] * len(paths[t]) for t in sizes]
     for t, idx in order:
         path = paths[t][idx]
         if path[0] == "gen":
-            vecs[t][idx] = (gens[path[1]], 1)
+            col = F.generators[path[1]][1].tolist()
+            vecs[t][idx] = ({i: v for i, v in enumerate(col) if v}, 1)
         else:
             (num, den), mat = vecs[path[2]][path[3]], F.act[path[1]]
             num, den = mat.apply_int(num), den * mat.den
             g = gcd(den, *num.values())
             vecs[t][idx] = ({i: v // g for i, v in num.items()}, den // g)
-    basis = [_over_one_den(F.dims[t], len(vecs[t]), [
-        (i, j, v, den) for j, (num, den) in enumerate(vecs[t]) for i, v in num.items()
-    ]) for t in sizes]
-
-    # entries (row, col, num, den) of Gamma_key, column j for the image of
-    # basis vector j, and under key t of the generators of size t, column a
-    entries: Dict = {key: [] for key in F.gen_keys()}
-    accepted = {path: (t, {idx: 1}) for t in sizes for idx, path in enumerate(paths[t])}
-    for path, (t, combo) in {**rejected, **accepted}.items():
-        lifted = [linalg._ratrecon(a, m) for a in combo.values()]
-        if None in lifted:
-            return None
-        key, j = (path[1], path[3]) if path[0] == "step" else (t, path[1])
-        entries.setdefault(key, []).extend((i, j, *frac) for i, frac in zip(combo, lifted))
-
-    # one identity move source = basis[t] Gamma per key, where the
-    # generators of size t are a move out of the unit vectors
-    gammas, columns = {}, {}
-    for key, at in entries.items():
-        if key in F.act:
-            s, t = TruncatedFunctor.gen_src_dst(key)
-            move, source = F.act[key], basis[s]
-        else:
-            t, source = key, SpMat.identity(len(gens))
-            move = _over_one_den(F.dims[t], len(gens), [(i, a, v, 1) for a, (d, _) in
-                                 enumerate(F.generators) if d == t for i, v in gens[a].items()])
-        gamma = gammas[key] = _over_one_den(len(paths[t]), source.n, at)
-        if not move.compose(source).equals(basis[t].compose(gamma)):
-            return None
-        columns[key] = [[] for _ in range(gamma.n)]
-        for i, j, c in zip(gamma.rows.tolist(), gamma.cols.tolist(), gamma.vals.tolist()):
-            columns[key][j].append((i, c))
-    gen_used = [("gen", a) in accepted for a in range(len(gens))]
-    return SpanData(F, paths, order, gen_used, basis, gammas, columns)
+    basis = []
+    for t in sizes:
+        # every column over the lcm D of their denominators
+        D = lcm(*(den for _, den in vecs[t]))
+        entries = [(i, j, v * (D // den)) for j, (num, den) in enumerate(vecs[t])
+                   for i, v in num.items()]
+        rows, cols, vals = zip(*entries) if entries else ((), (), ())
+        basis.append(SpMat(F.dims[t], len(vecs[t]), rows, cols, vals, D))
+    used = {path[1] for t in sizes for path in paths[t] if path[0] == "gen"}
+    return SpanData(F, paths, order, [a in used for a in range(len(F.generators))], basis)
 
 
-def _over_one_den(m: int, n: int, entries: List[Tuple[int, int, int, int]]) -> SpMat:
-    """The m x n SpMat with entry num / den at (row, col) for each (row,
-    col, num, den) of entries, over the lcm of their denominators."""
-    rows, cols, nums, dens = zip(*entries) if entries else ((),) * 4
-    D = lcm(*dens)
-    return SpMat(m, n, rows, cols, [a * (D // d) for a, d in zip(nums, dens)], D)
+def _spans_subfunctor(span: SpanData) -> bool:
+    """Whether the basis vectors span a subfunctor that holds the declared
+    generators, by exact ranks: for every move key: s -> t, F(key)
+    basis[s] lies in the span of basis[t], and every declared generator of
+    size d in the span of basis[d].  The outer action is left out: a
+    generated span need not be stable under it."""
+    F = span.F
+    S = [B.int_rows() for B in span.basis]
+    images = [(d, col.reshape(-1, 1)) for d, col in F.generators]
+    for key in F.gen_keys():
+        s, t = TruncatedFunctor.gen_src_dst(key)
+        images.append((t, F.act[key].apply_dense(S[s])))
+    return all(linalg.rank(np.hstack([S[t], X])) == S[t].shape[1] for t, X in images)
 
 
 class SpanValue(tuple):
@@ -481,7 +441,7 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
         p = P.shape[1]
         # the Gram sum and an upper bound on its entries
         gram, gbound = np.zeros((p, p), dtype=np.int64), 0
-        D, m = span.gammas[key].den, G.act[key]
+        D, m = span.gamma(key).den, G.act[key]
         for j, column in enumerate(span.columns[key]):
             if (key, j) in accepted:
                 continue

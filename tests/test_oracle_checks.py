@@ -154,8 +154,23 @@ def test_hom_projcover_formula_vs_oracle_dims():
 
 
 def test_oracle_vs_symbolic_multiplicities():
-    N = 6
-    for F in [build_pfin(2, N), build_kfi(2, N)]:
+    from finsetrep.oracle import build_proj_cover, isotypic_subfunctor
+    from finsetrep.oracle.functors import direct_sum
+    from test_oracle_nathom import _aug_kernel
+
+    # the two routes on basic functors at N = 6, and on derived ones at N = 5:
+    # isotypic pieces, a direct sum, a kernel and a projective cover
+    N = 5
+    derived = [
+        isotypic_subfunctor(build_pfin(2, N), Partition([2])),
+        isotypic_subfunctor(build_pfin(2, N), Partition([1, 1])),
+        isotypic_subfunctor(build_pbar_tensor(2, N), Partition([1, 1])),
+        direct_sum([build_pfin(1, N), build_kfi(2, N)], "pfin(1)+kfi(2)"),
+        _aug_kernel(N),
+        build_proj_cover(2, N),
+    ]
+    for F in [build_pfin(2, 6), build_kfi(2, 6)] + derived:
+        N = F.N
         data = fb_module_data(F)
         sym = fc.multiplicities(data)
         orc = oracle_multiplicities(F, degmax=3)

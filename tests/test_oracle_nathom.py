@@ -62,7 +62,8 @@ def test_against_dense_reference():
     # their difference, so the span's move expansions have denominator 3
     thirds = direct_sum([build_pfin(1, N)], "pfin(1)/3")
     thirds.generators = [(1, np.array([1])), (2, np.array([1, 3]))]
-    assert max(gamma.den for gamma in build_span(thirds).gammas.values()) == 3
+    thirds_span = build_span(thirds)
+    assert max(thirds_span.gamma(key).den for key in thirds.gen_keys()) == 3
     pairs += [(thirds, G) for G in (build_pfin(1, N), build_pbar_tensor(1, N), build_pfin(2, N))]
     for F, G in pairs:
         assert nat_hom(F, G).dimension == nat_hom_dense_dim(F, G), (F.name, G.name)
@@ -376,89 +377,110 @@ def test_span_pass_records_move_expansions():
         # reference: each move image expanded in the finished basis
         for key in F.gen_keys():
             s, t = F.gen_src_dst(key)
-            assert span.gammas[key].shape == (F.dims[t], F.dims[s]), (F.name, key)
+            gamma = span.gamma(key)
+            assert gamma.shape == (F.dims[t], F.dims[s]), (F.name, key)
             for j in range(F.dims[s]):
                 ref = apply_sparse(span.expansion(t), apply_sparse(F.act[key], vecs[(s, j)]))
-                assert _column(span.gammas[key], j) == ref, (F.name, key, j)
+                assert _column(gamma, j) == ref, (F.name, key, j)
                 assert span.columns[key][j] == [
-                    (i, c * span.gammas[key].den) for i, c in sorted(ref.items())
+                    (i, c * gamma.den) for i, c in sorted(ref.items())
                 ], (F.name, key, j)
         # the declared generators, expanded in the basis of their size
-        for a, (d, col) in enumerate(F.generators):
-            expanded = apply_sparse(span.basis[d], _column(span.gammas[d], a))
-            assert expanded == fraction_vector(col), (F.name, a)
+        for d, col in F.generators:
+            v = fraction_vector(col)
+            assert apply_sparse(span.basis[d], apply_sparse(span.expansion(d), v)) == v, F.name
     # the rescaled source's basis vectors have denominators
     assert max(B.den for B in build_span(sources[-1]).basis) > 1
 
 
-def test_span_certificate_catches_one_wrong_residue():
-    from finsetrep.oracle import linalg
-    from finsetrep.oracle.nathom import _certified_span, _span_mod
+def test_span_pass_tells_a_shortfall_from_an_unlucky_prime():
+    from finsetrep.oracle import OracleError, linalg
+    from finsetrep.oracle.nathom import _replayed, _span_mod, _spans_subfunctor
 
-    N, p = 4, next(linalg._primes())
-    # over Q the third generator is (first - second) / 2, so it is rejected
-    redundant = direct_sum([build_pfin(1, N), build_pfin(1, N)], "pfin(1)^2")
-    redundant.generators = [(1, np.array(col)) for col in ([2, 1], [0, 1], [1, 0])]
-    sources = [build_pbar_tensor(2, N), rescaled(build_pbar_tensor(2, N)), _aug_kernel(N), redundant]
-    for F in sources:
-        choices, rejected = _span_mod(F, p)
-        assert _certified_span(F, choices, rejected, p) is not None, F.name
-        # the first rejected vector of every move, and of the generators,
-        # whose expansion is not empty: one residue of it off by one
-        first = {}
-        for path, (t, combo) in rejected.items():
-            if combo:
-                first.setdefault(path[1] if path[0] == "step" else "gen", (path, t, combo))
-        assert ("gen" in first) == (F is redundant), F.name
-        assert len(first) > 5, F.name
-        for path, t, combo in first.values():
-            i = next(iter(combo))
-            wrong = dict(rejected)
-            wrong[path] = (t, {**combo, i: (combo[i] + 1) % p})
-            # the lift succeeds, so the exact identities must catch it
-            assert linalg._ratrecon((combo[i] + 1) % p, p) is not None
-            assert _certified_span(F, choices, wrong, p) is None, (F.name, path)
+    N, p0 = 4, 101
+    word = next(linalg._primes())
+    # the generators coincide mod p0 and are independent over Q, so size 1
+    # is short mod p0 and full at a word prime
+    unlucky = direct_sum([build_pfin(1, N), build_pfin(1, N)], "pfin(1)^2")
+    unlucky.generators = [(1, np.array(col)) for col in ([p0, 1], [0, 1])]
+    short = _replayed(unlucky, *_span_mod(unlucky, p0))
+    assert [len(paths) for paths in short.paths] == [0, 1, 2, 3, 4]
+    # the kept vectors span the subfunctor of the first generator, which
+    # misses the second: the prime was unlucky
+    assert not _spans_subfunctor(short)
+    assert _spans_subfunctor(_replayed(unlucky, *_span_mod(unlucky, word)))
+    # without the second generator that subfunctor is the real span
+    unlucky.generators = unlucky.generators[:1]
+    assert _spans_subfunctor(_replayed(unlucky, *_span_mod(unlucky, p0)))
+    with pytest.raises(OracleError, match="generators span only 1 of 2 dimensions at size 1"):
+        build_span(unlucky)
+    # a full span with one basis vector dropped at size t: a move image or
+    # a generator leaves the span, since the generators generate F
+    F = build_pbar_tensor(2, N)
+    span = build_span(F)
+    for t in range(2, N + 1):
+        B = span.basis[t]
+        keep = B.cols < B.n - 1
+        basis = list(span.basis)
+        basis[t] = SpMat(B.m, B.n - 1, B.rows[keep], B.cols[keep], B.vals[keep], B.den)
+        assert not _spans_subfunctor(dataclasses.replace(span, basis=basis)), t
 
 
 def _span_answer(span):
-    gammas = {key: (g.shape, g.den, g.rows.tolist(), g.cols.tolist(), g.vals.tolist())
-              for key, g in span.gammas.items()}
+    gammas = {}
+    for key in span.F.gen_keys():
+        g = span.gamma(key)
+        gammas[key] = (g.shape, g.den, g.rows.tolist(), g.cols.tolist(), g.vals.tolist())
     return span.paths, span.order, span.gen_used, gammas
 
 
 def test_span_pass_survives_unlucky_primes(monkeypatch):
-    from finsetrep.oracle import linalg
+    from finsetrep.oracle import linalg, nathom
 
     N, p0 = 4, 101
     word = list(itertools.islice(linalg._primes(), 5))
-    # over Q the first two generators are independent and the third is not;
-    # mod p0 the first two coincide, so p0 accepts the third instead
+    # over Q the generators are independent; mod p0 they coincide, so size
+    # 1 is short mod p0
     unlucky = direct_sum([build_pfin(1, N), build_pfin(1, N)], "pfin(1)^2")
-    unlucky.generators = [(1, np.array(col)) for col in ([p0, 1], [0, 1], [1, 0])]
+    unlucky.generators = [(1, np.array(col)) for col in ([p0, 1], [0, 1])]
     # a move with denominator p0, which p0 cannot invert
     scaled = build_pfin(2, N)
     scaled.act[("inc", 1)] = scaled.act[("inc", 1)].scale(1, p0)
+    # over Q the third generator is a combination of the first two; mod p0
+    # the first two coincide, so p0 takes the third instead: a full basis
+    # mod p0, hence over Q, other than the exact pass's
+    other = direct_sum([build_pfin(1, N), build_pfin(1, N)], "pfin(1)^2")
+    other.generators = [(1, np.array(col)) for col in ([p0, 1], [0, 1], [1, 0])]
     cases = [
         (unlucky, p0, [p0, word[0]]),
         (scaled, p0, [p0, word[0]]),
-        # the right choices mod 7, but expansions of -1 read as 6 / 1: the
-        # lift fails its check, and the next prime is CRT-combined with 7
-        (build_pbar_tensor(3, N), 7, [7, word[0]]),
+        # the exact pass's choices mod 7
+        (build_pbar_tensor(3, N), 7, [7]),
+        (other, p0, [p0]),
     ]
+    span_mod = nathom._span_mod
     for F, first, expected_primes in cases:
         ref = _span_answer(build_span(dataclasses.replace(F, span_cache=None)))
         used = []
 
-        def source():
-            for p in [first] + word:
-                used.append(p)
-                yield p
+        def logged(F, p):
+            # the shortfall check's ranks draw primes too: log the span pass's
+            used.append(p)
+            return span_mod(F, p)
 
-        monkeypatch.setattr(linalg, "_primes", source)
-        assert _span_answer(build_span(F)) == ref, F.name
-        assert used == expected_primes, F.name
+        monkeypatch.setattr(linalg, "_primes", lambda: iter([first] + word))
+        monkeypatch.setattr(nathom, "_span_mod", logged)
+        answer = _span_answer(build_span(F))
         monkeypatch.undo()
-    assert unlucky.span_cache.gen_used == [True, True, False]
+        assert used == expected_primes, F.name
+        if F is other:
+            assert answer[0] != ref[0] and answer[2] == [True, False, True]
+        else:
+            assert answer == ref, F.name
+    for G in (build_pfin(1, N), build_pbar_tensor(1, N), build_pfin(2, N)):
+        r = nat_hom(other, G)
+        assert r.dimension == nat_hom_dense_dim(other, G), G.name
+        r.verify()
 
 
 def test_span_pass_reports_a_shortfall():
@@ -504,7 +526,7 @@ def test_skipped_constraints_are_zero():
                 # the full constraint: G(key) V(s, j) - sum_i gamma_i V(t, i)
                 sarr, sden = _span_value(span, G, blocks, P, cache, (s, j))
                 m = G.act[key]
-                gamma = _column(span.gammas[key], j)
+                gamma = _column(span.gamma(key), j)
                 terms = [(c, *_span_value(span, G, blocks, P, cache, (t, i)))
                          for i, c in gamma.items()]
                 assert gamma == {idx: Fraction(1)}
