@@ -168,8 +168,9 @@ def cmd_groth(args) -> str:
     N = args.trunc
     k = args.k
     name = args.identity
-    if k < 0:
-        raise CliError("--k must be non-negative")
+    for flag, value in (("--k", k), ("--trunc", N)):
+        if value < 0:
+            raise CliError(f"{flag} must be non-negative")
     if name == "invert-triv":
         lhs = fg.invert_triv(fg.triv_class(N))
         rhs = fg.unit(N)
@@ -258,7 +259,7 @@ def _verify_suite(args) -> Tuple[List, int]:
             reports.append(
                 fc.Report("invert_round_trip", {"trial": trial, "seed": args.seed}, True, ok, ok)
             )
-    else:  # kfs-cross
+    elif N >= 0:  # kfs-cross; a negative size runs no check
         try:
             fc.fs_class(min(N, 6), cross_check=True)
             reports.append(fc.Report("kfs_cross", {"N": min(N, 6)}, True, True, True))

@@ -16,13 +16,13 @@ F(t), and blocks of them, are dense integer arrays: a rational one is an
 integer array x with a denominator den, standing for x / den.  apply_dense
 multiplies them through a matrix: it groups the matrix's rows by entry
 count once and then runs each group as one vectorized gather, multiply and
-sum.  Quotients and subfunctors are induced by sparse products: the
-linalg.row_inverse (I, Q, D) of the subspace's independent columns S at
-each size gives the expansion map E_t(v) = Q v[I] / D onto its basis and
-the residual projection pi_t(v) = v[free] - S[free] E_t(v) along it onto
-the rows outside I, each one SpMat, so that a move m: s -> t induces
-pi_t m on the quotient and E_t m Sub_s on the subfunctor, and
-pi_t m Sub_s = 0 certifies that the subspace is stable.
+sum.  Quotients and subfunctors are induced by sparse products: one
+function, subspace_maps, turns the linalg.row_inverse (I, Q, D) of the
+subspace's independent columns S into the expansion map E_t(v) =
+Q v[I] / D onto its basis and the residual projection pi_t(v) = v[free] -
+S[free] E_t(v) along it onto the rows outside I, each one SpMat, so that
+a move m: s -> t induces pi_t m on the quotient and E_t m Sub_s on the
+subfunctor, and pi_t m Sub_s = 0 certifies that the subspace is stable.
 
 Set elements are 0-indexed: the object of size t is {0, .., t-1}.
 """
@@ -660,15 +660,15 @@ def quotient_functor(
 ) -> TruncatedFunctor:
     """Quotient of `parent` by the subfunctor spanned by the columns of the
     integer arrays sub_columns[t], one per set size, which may be
-    dependent.  Its coordinates at size t are the rows outside the
-    linalg.row_inverse of the independent columns, and the residual map
-    pi_t projects onto them: a move m: s -> t induces pi_t m on the
+    dependent.  Its coordinates at size t are the rows free of
+    subspace_maps of the independent columns, and the residual map pi_t
+    projects onto them: a move m: s -> t induces pi_t m on the
     quotient coordinates of size s.  Stability of the span under every
     generator, pi_t m Sub_s = 0, is verified exactly."""
     projs, incs, subs = [], [], []
     for t, cols in enumerate(sub_columns):
         S = cols[:, linalg.pivot_columns(cols)]
-        proj, free = _residual_map(S, *linalg.row_inverse(S))
+        _, proj, free = subspace_maps(S)
         projs.append(proj)
         incs.append(SpMat.unit_columns(parent.dims[t], free))
         subs.append(SpMat.from_dense(cols))
@@ -680,25 +680,24 @@ def quotient_functor(
     return _induced_functor(parent, projs, projs, incs, subs, gens, name)
 
 
-def _residual_map(S: np.ndarray, I: List[int], Q: np.ndarray, D: int) -> Tuple[SpMat, List[int]]:
-    """(pi, free) for the row_inverse (I, Q, D) of S: the rows outside I and
-    the projection along S's column span onto them, the residual
-    pi(v) = v[free] - S[free] Q v[I] / D."""
+def subspace_maps(S: np.ndarray) -> Tuple[SpMat, SpMat, List[int]]:
+    """(E, pi, free) for an integer array S of full column rank, read off
+    its linalg.row_inverse (I, Q, D): the expansion E(v) = Q v[I] / D over
+    S's columns of a vector v of their span, with E.den = D; the rows free
+    outside I; and the residual pi(v) = v[free] - S[free] E(v), the
+    projection along S's column span onto them, zero exactly on the span."""
+    I, Q, D = linalg.row_inverse(S)
     in_I = set(I)
     free = [j for j in range(S.shape[0]) if j not in in_I]
+    I = np.array(I, dtype=np.int64)
+    r, c = np.nonzero(Q)
+    E = SpMat(Q.shape[0], S.shape[0], r, I[c], Q[r, c], D)
     R = linalg.imatmul(S[free], Q)
     r, c = np.nonzero(R)
     rows = np.concatenate([np.arange(len(free)), r])
-    cols = np.concatenate([np.array(free, dtype=np.int64), np.array(I, dtype=np.int64)[c]])
+    cols = np.concatenate([np.array(free, dtype=np.int64), I[c]])
     vals = np.concatenate([np.full(len(free), D, dtype=linalg.int_dtype(D)), -R[r, c]])
-    return SpMat(len(free), S.shape[0], rows, cols, vals, D), free
-
-
-def _expansion_map(S: np.ndarray, I: List[int], Q: np.ndarray, D: int) -> SpMat:
-    """The matrix of the expansion over S's columns of a vector v of their
-    span, E(v) = Q v[I] / D, for the row_inverse (I, Q, D) of S."""
-    r, c = np.nonzero(Q)
-    return SpMat(Q.shape[0], S.shape[0], r, np.array(I, dtype=np.int64)[c], Q[r, c], D)
+    return E, SpMat(len(free), S.shape[0], rows, cols, vals, D), free
 
 
 def _cleared(x: np.ndarray, den: int) -> np.ndarray:
@@ -739,12 +738,8 @@ def _subfunctor(
     expansion map over columns[t], a move m: s -> t acts by E_t m Sub_s,
     once the span is shown stable under F's generators and its outer
     action, and a generator v of size d is E_d v."""
-    subs, lefts, projs = [], [], []
-    for S in columns:
-        inverse = linalg.row_inverse(S)
-        subs.append(SpMat.from_dense(S))
-        lefts.append(_expansion_map(S, *inverse))
-        projs.append(_residual_map(S, *inverse)[0])
+    subs = [SpMat.from_dense(S) for S in columns]
+    lefts, projs, _ = zip(*map(subspace_maps, columns))
     gens = [(d, _cleared(lefts[d].apply_dense(x), lefts[d].den * den)) for d, x, den in gens]
     return _induced_functor(F, lefts, projs, subs, subs, gens, name)
 
@@ -950,7 +945,7 @@ def sgn_coinvariant_reduction(F: TruncatedFunctor, t: int):
         relations = [F.act[("tau", t, i)] + SpMat.identity(F.dims[t]) for i in range(1, t)]
         S = np.hstack([m.int_rows() for m in relations])
     S = S[:, linalg.pivot_columns(S)]
-    proj, free = _residual_map(S, *linalg.row_inverse(S))
+    _, proj, free = subspace_maps(S)
     return S, proj, free
 
 

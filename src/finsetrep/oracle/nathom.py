@@ -3,14 +3,13 @@
 A natural transformation out of a functor with declared module generators
 is determined by its values on those generators.  Once per source functor,
 a basis of every value F(t) is built by closing the generators under the
-category's generator moves (span pass).  The pass runs modulo a word
-prime p (a copy of a kept vector is looked up, not reduced): vectors
-independent mod p are independent over Q, so dims[t] of them are a basis
-of F(t), with nothing to lift or certify.  The expansions of the move
-images of each move key: s -> t, one rational matrix Gamma_key (F's
-relations, beside unit columns), and of any other vector are read off
-one integer inverse of the basis per size (linalg.row_inverse), on
-demand.
+category's generator moves (span pass): one pass, exact vectors, kept by
+independence mod p, for a word prime p.  Vectors independent mod p are
+independent over Q, so dims[t] of them are a basis of F(t), with nothing
+to lift, replay or certify.  The expansions of the move images of each
+move key: s -> t, one rational matrix Gamma_key (F's relations, beside
+unit columns), and of any other vector are read off one exact inverse of
+the basis per size (functors.subspace_maps), on demand.
 Solving hom(F, G) is then linear algebra in the unknown generator values:
 each basis column corresponds to an explicit vector G(path)(v), and every
 generator move contributes exact linear constraints, except a move image
@@ -54,7 +53,7 @@ import numpy as np
 from ..partitions import Partition, partitions_of
 from ..symrep import JointClassFunction, joint_decompose, representative
 from . import linalg
-from .functors import OracleError, SpMat, TruncatedFunctor, _expansion_map
+from .functors import OracleError, SpMat, TruncatedFunctor, subspace_maps
 
 Path = Tuple  # ("gen", a) | ("step", genkey, parent_t, parent_idx)
 
@@ -85,8 +84,8 @@ class SpanData:
         to its exact expansion E_t v in the basis at size t."""
         if t not in self.expansions:
             # basis[t] is S / den, so a coefficient over it is den times S's
-            S = self.basis[t].int_rows()
-            self.expansions[t] = _expansion_map(S, *linalg.row_inverse(S)).scale(self.basis[t].den)
+            E = subspace_maps(self.basis[t].int_rows())[0]
+            self.expansions[t] = E.scale(self.basis[t].den)
         return self.expansions[t]
 
     def gamma(self, key) -> SpMat:
@@ -107,9 +106,8 @@ class SpanData:
 
 
 def build_span(F: TruncatedFunctor) -> SpanData:
-    """The span pass over F, run mod a word prime and replayed exactly.
-
-    The pass closes the generators under the generator moves in heap
+    """The span pass over F: one pass, exact vectors, kept by independence
+    mod p.  It closes the generators under the generator moves in heap
     order and keeps a vector when it is independent mod p of the vectors
     kept before it at its size.  Vectors independent mod p are
     independent over Q, so once every size t has dims[t] of them they are
@@ -121,10 +119,9 @@ def build_span(F: TruncatedFunctor) -> SpanData:
     if F.span_cache is not None:
         return F.span_cache
     for p in linalg._primes():
-        choices = _span_mod(F, p)
-        if choices is None:
+        span = _span_pass(F, p)
+        if span is None:
             continue
-        span = _replayed(F, *choices)
         short = [t for t in range(F.N + 1) if len(span.paths[t]) < F.dims[t]]
         if not short:
             break
@@ -140,65 +137,49 @@ def build_span(F: TruncatedFunctor) -> SpanData:
     return span
 
 
-def _span_mod(F: TruncatedFunctor, p: int):
-    """One span pass mod p: (paths, order), or None when p divides a
-    denominator of F's moves."""
+def _span_pass(F: TruncatedFunctor, p: int):
+    """One span pass mod p: the SpanData, or None when p divides a move
+    denominator.  A popped path is built from its parent's kept column as
+    a sparse integer column num / den in lowest terms, and kept by its
+    residues num * den^-1 mod p."""
     if any(m.den % p == 0 for m in F.act.values()):
         return None
-    N = F.N
-    paths: List[List[Path]] = [[] for _ in range(N + 1)]
-    bases = [linalg.ModColumnBasis(p) for _ in range(N + 1)]
-    order: List[Tuple[int, int]] = []
-
-    heap: List[Tuple[int, int, Path, Dict[int, int]]] = []
-    counter = itertools.count()
-    for a, (d, col) in enumerate(F.generators):
-        vec = {i: v % p for i, v in enumerate(col.tolist()) if v % p}
-        heapq.heappush(heap, (d, next(counter), ("gen", a), vec))
-
-    moves_of: Dict[int, List[Tuple]] = {t: [] for t in range(N + 1)}
-    for key in F.gen_keys():
-        moves_of[TruncatedFunctor.gen_src_dst(key)[0]].append(key)
-    inverses = {key: pow(m.den, -1, p) for key, m in F.act.items()}
-
-    while heap:
-        t, _, path, vec = heapq.heappop(heap)
-        idx = bases[t].add(vec)
-        if idx is None:
-            continue
-        paths[t].append(path)
-        order.append((t, idx))
-        for key in moves_of[t]:
-            _, t2 = TruncatedFunctor.gen_src_dst(key)
-            # a full size accepts nothing more
-            if len(paths[t2]) == F.dims[t2]:
-                continue
-            inv = inverses[key]
-            img = {}
-            for i, v in F.act[key].apply_int(vec).items():
-                v = v * inv % p
-                if v:
-                    img[i] = v
-            if img:
-                heapq.heappush(heap, (t2, next(counter), ("step", key, t, idx), img))
-    return paths, order
-
-
-def _replayed(F: TruncatedFunctor, paths, order) -> SpanData:
-    """The SpanData of the paths, each vector replayed exactly on a sparse
-    integer column num / den."""
     sizes = range(F.N + 1)
-    vecs: List[List] = [[None] * len(paths[t]) for t in sizes]
-    for t, idx in order:
-        path = paths[t][idx]
+    paths: List[List[Path]] = [[] for _ in sizes]
+    vecs: List[List[Tuple[Dict[int, int], int]]] = [[] for _ in sizes]
+    bases = [linalg.ModColumnBasis(p) for _ in sizes]
+    order: List[Tuple[int, int]] = []
+    moves_of: Dict[int, List[Tuple]] = {t: [] for t in sizes}
+    for key in F.gen_keys():
+        s, t = TruncatedFunctor.gen_src_dst(key)
+        moves_of[s].append((key, t))
+
+    counter = itertools.count()
+    heap = [(d, next(counter), ("gen", a)) for a, (d, _) in enumerate(F.generators)]
+    heapq.heapify(heap)
+    while heap:
+        t, _, path = heapq.heappop(heap)
+        # a full size accepts nothing more
+        if len(paths[t]) == F.dims[t]:
+            continue
         if path[0] == "gen":
             col = F.generators[path[1]][1].tolist()
-            vecs[t][idx] = ({i: v for i, v in enumerate(col) if v}, 1)
+            num, den = {i: v for i, v in enumerate(col) if v}, 1
         else:
             (num, den), mat = vecs[path[2]][path[3]], F.act[path[1]]
             num, den = mat.apply_int(num), den * mat.den
             g = gcd(den, *num.values())
-            vecs[t][idx] = ({i: v // g for i, v in num.items()}, den // g)
+            num, den = {i: v // g for i, v in num.items()}, den // g
+        inv = pow(den, -1, p)
+        idx = bases[t].add({i: r for i, v in num.items() if (r := v * inv % p)})
+        if idx is None:
+            continue
+        paths[t].append(path)
+        vecs[t].append((num, den))
+        order.append((t, idx))
+        for key, t2 in moves_of[t]:
+            heapq.heappush(heap, (t2, next(counter), ("step", key, t, idx)))
+    del bases  # the residues are done with: free them before the assembly
     basis = []
     for t in sizes:
         # every column over the lcm D of their denominators
@@ -281,7 +262,7 @@ class NatHomResult:
         self.blocks = blocks
         self._vcache: Dict[Tuple[int, int], SpanValue] = {}
         self._ucache: Dict[int, Tuple[np.ndarray, int, int]] = {}
-        self._rinv = None
+        self._maps = None
 
     @property
     def dimension(self) -> int:
@@ -384,16 +365,16 @@ class NatHomResult:
     def coordinates(self, A: np.ndarray) -> Tuple[np.ndarray, int]:
         """(Y, D) with P Y = D A, checked exactly, for an n_v x c integer
         array A of generator values: Y / D holds the coordinates of A's
-        columns over the basis solutions.  They are read off the rows I of
-        linalg.row_inverse of P, computed once per result; the other rows
-        check them.  Raises OracleError if a column of A is no solution."""
-        if self._rinv is None:
-            self._rinv = linalg.row_inverse(self.P)
-        I, Q, D = self._rinv
-        Y = linalg.imatmul(Q, A[I])
-        if not (linalg.imatmul(self.P, Y) == linalg.lincomb([(A, D)])).all():
+        columns over the basis solutions.  They are read off the expansion
+        E of subspace_maps of P, computed once per result, and the residual
+        pi checks them: pi A = 0 iff A's columns lie in P's span.  Raises
+        OracleError if a column of A is no solution."""
+        if self._maps is None:
+            self._maps = subspace_maps(self.P)
+        E, pi, _ = self._maps
+        if pi.apply_dense(A).any():
             raise OracleError("a column leaves the solution space")
-        return Y, D
+        return E.apply_dense(A), E.den
 
     def outer_character(self) -> JointClassFunction:
         s_deg = self.F.outer_n

@@ -94,6 +94,8 @@ def test_invalid_inputs_exit_1(capsys):
         (["verify", "--suite", "lambda-complex", "--max-size", "-1"], "truncation below 2"),
         (["verify", "--suite", "groth", "--max-size", "0"], "checks no identity"),
         (["verify", "--suite", "groth", "--max-size", "-1"], "checks no identity"),
+        (["groth", "--identity", "invert-triv", "--trunc", "-1"], "--trunc must be non-negative"),
+        (["verify", "--suite", "kfs-cross", "--max-size", "-3"], "runs no check"),
     ],
 )
 def test_negative_or_vacuous_arguments_exit_1(capsys, argv, message):

@@ -31,6 +31,7 @@ from finsetrep.oracle.functors import (
     _cleared,
     is_natural,
     lambda_pbar_embedding,
+    subspace_maps,
 )
 
 
@@ -243,6 +244,43 @@ def test_proj_cover_dims():
             lam_dim = comb(t - 1, n) if t >= 1 else 0
             expected = comb(t, n + 1) + (pbar_dim - lam_dim if n >= 1 else 0)
             assert P.dims[t] == expected, (n, t)
+
+
+def test_subspace_maps_expand_and_project():
+    from finsetrep.oracle import linalg
+
+    rng = np.random.default_rng(2024)
+    checked = big = 0
+    for trial in range(24):
+        n, k = int(rng.integers(2, 8)), int(rng.integers(1, 5))
+        k = min(k, n - 1)
+        S = rng.integers(-3, 4, size=(n, k))
+        if linalg.rank(S) < k:
+            continue
+        u = rng.integers(-3, 4, size=(n, 1))
+        if linalg.rank(np.hstack([S, u])) == k:
+            continue
+        if trial % 2:
+            # whole rows scaled past 2^62, so every array is on Python ints
+            scales = np.array([int(rng.choice([1, -3])) << 63 | 1 for _ in range(n)], dtype=object)
+            S, u = S.astype(object) * scales[:, None], u.astype(object) * scales[:, None]
+            big += 1
+        E, pi, free = subspace_maps(S)
+        D = linalg.row_inverse(S)[2]
+        Sub = SpMat.from_dense(S)
+        assert E.den == D and E.shape == (k, n) and pi.shape == (n - k, n)
+        assert E.compose(Sub).equals(SpMat.identity(k))
+        assert (E.apply_dense(S) == D * np.eye(k, dtype=object)).all()
+        assert pi.compose(Sub).is_zero()
+        # pi restricted to the free coordinates is the identity, D I / D
+        assert pi.compose(SpMat.unit_columns(n, free)).equals(SpMat.identity(n - k))
+        assert (pi.apply_dense(S) == 0).all()
+        # a vector outside the span: a combination of S's columns plus u
+        v = S @ rng.integers(-2, 3, size=(k, 1)) + u
+        assert pi.apply_dense(v).any()
+        assert (pi.apply_dense(v) == pi.apply_dense(u)).all()
+        checked += 1
+    assert checked > 12 and big > 5
 
 
 def test_quotient_rejects_unstable_span():

@@ -395,7 +395,7 @@ def test_span_pass_records_move_expansions():
 
 def test_span_pass_tells_a_shortfall_from_an_unlucky_prime():
     from finsetrep.oracle import OracleError, linalg
-    from finsetrep.oracle.nathom import _replayed, _span_mod, _spans_subfunctor
+    from finsetrep.oracle.nathom import _span_pass, _spans_subfunctor
 
     N, p0 = 4, 101
     word = next(linalg._primes())
@@ -403,15 +403,15 @@ def test_span_pass_tells_a_shortfall_from_an_unlucky_prime():
     # is short mod p0 and full at a word prime
     unlucky = direct_sum([build_pfin(1, N), build_pfin(1, N)], "pfin(1)^2")
     unlucky.generators = [(1, np.array(col)) for col in ([p0, 1], [0, 1])]
-    short = _replayed(unlucky, *_span_mod(unlucky, p0))
+    short = _span_pass(unlucky, p0)
     assert [len(paths) for paths in short.paths] == [0, 1, 2, 3, 4]
     # the kept vectors span the subfunctor of the first generator, which
     # misses the second: the prime was unlucky
     assert not _spans_subfunctor(short)
-    assert _spans_subfunctor(_replayed(unlucky, *_span_mod(unlucky, word)))
+    assert _spans_subfunctor(_span_pass(unlucky, word))
     # without the second generator that subfunctor is the real span
     unlucky.generators = unlucky.generators[:1]
-    assert _spans_subfunctor(_replayed(unlucky, *_span_mod(unlucky, p0)))
+    assert _spans_subfunctor(_span_pass(unlucky, p0))
     with pytest.raises(OracleError, match="generators span only 1 of 2 dimensions at size 1"):
         build_span(unlucky)
     # a full span with one basis vector dropped at size t: a move image or
@@ -458,7 +458,7 @@ def test_span_pass_survives_unlucky_primes(monkeypatch):
         (build_pbar_tensor(3, N), 7, [7]),
         (other, p0, [p0]),
     ]
-    span_mod = nathom._span_mod
+    span_pass = nathom._span_pass
     for F, first, expected_primes in cases:
         ref = _span_answer(build_span(dataclasses.replace(F, span_cache=None)))
         used = []
@@ -466,10 +466,10 @@ def test_span_pass_survives_unlucky_primes(monkeypatch):
         def logged(F, p):
             # the shortfall check's ranks draw primes too: log the span pass's
             used.append(p)
-            return span_mod(F, p)
+            return span_pass(F, p)
 
         monkeypatch.setattr(linalg, "_primes", lambda: iter([first] + word))
-        monkeypatch.setattr(nathom, "_span_mod", logged)
+        monkeypatch.setattr(nathom, "_span_pass", logged)
         answer = _span_answer(build_span(F))
         monkeypatch.undo()
         assert used == expected_primes, F.name
