@@ -164,6 +164,26 @@ def cmd_hom(args) -> str:
     return json.dumps({"dimension": res.dimension}, sort_keys=True)
 
 
+# The Grothendieck identities at (k, N), each as (lhs, rhs); `groth` checks
+# one of them, and `verify --suite groth` all but invert-triv.
+_IDENTITIES = {
+    "invert-triv": lambda k, N: (fg.invert_triv(fg.triv_class(N)), fg.unit(N)),
+    "W": lambda k, N: (fg.series_S(k, N) + fg.series_S(k + 1, N), fg.sgn_class(k, N)),
+    "H": lambda k, N: (
+        fg.series_H(k, N) + fg.series_H(k + 1, N),
+        fg.day(fg.sgn_class(k, N), fg.triv_class(N)),
+    ),
+    "hook-inversion": lambda k, N: (fg.invert_triv(fg.series_H(k, N)), fg.series_S(k, N)),
+}
+
+
+def _check_degree_bound(flag: str, N: int) -> None:
+    """Refuses a truncation above the symmetric-group degree bound before
+    any series is built: the series grow quadratically with it."""
+    if N > sr.degree_bound():
+        raise CliError(f"{flag} {N} exceeds the degree bound {sr.degree_bound()}")
+
+
 def cmd_groth(args) -> str:
     N = args.trunc
     k = args.k
@@ -171,20 +191,10 @@ def cmd_groth(args) -> str:
     for flag, value in (("--k", k), ("--trunc", N)):
         if value < 0:
             raise CliError(f"{flag} must be non-negative")
-    if name == "invert-triv":
-        lhs = fg.invert_triv(fg.triv_class(N))
-        rhs = fg.unit(N)
-    elif name == "W":
-        lhs = fg.series_S(k, N) + fg.series_S(k + 1, N)
-        rhs = fg.sgn_class(k, N)
-    elif name == "H":
-        lhs = fg.series_H(k, N) + fg.series_H(k + 1, N)
-        rhs = fg.day(fg.sgn_class(k, N), fg.triv_class(N))
-    elif name == "hook-inversion":
-        lhs = fg.invert_triv(fg.series_H(k, N))
-        rhs = fg.series_S(k, N)
-    else:
+    _check_degree_bound("--trunc", N)
+    if name not in _IDENTITIES:
         raise CliError(f"unknown identity {name!r}")
+    lhs, rhs = _IDENTITIES[name](k, N)
     ok = lhs == rhs
     if args.format == "tsv":
         return f"identity\t{name}\t{'pass' if ok else 'FAIL'}"
@@ -239,12 +249,11 @@ def _verify_suite(args) -> Tuple[List, int]:
     elif suite == "groth":
         if N < 1:
             raise CliError(f"suite 'groth' checks no identity at --max-size {N}")
+        _check_degree_bound("--max-size", N)
         for k in range(0, min(8, N - 1) + 1):
-            ok = (
-                fg.series_S(k, N) + fg.series_S(k + 1, N) == fg.sgn_class(k, N)
-                and fg.series_H(k, N) + fg.series_H(k + 1, N)
-                == fg.day(fg.sgn_class(k, N), fg.triv_class(N))
-                and fg.invert_triv(fg.series_H(k, N)) == fg.series_S(k, N)
+            ok = all(
+                lhs == rhs
+                for lhs, rhs in (_IDENTITIES[name](k, N) for name in ("W", "H", "hook-inversion"))
             )
             reports.append(fc.Report("groth_identities", {"k": k, "N": N}, True, ok, ok))
         # randomized round trip

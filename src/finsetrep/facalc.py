@@ -15,6 +15,7 @@ for hom-space classes hom(P_bullet, X_star) it is the star variable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 from numbers import Integral
 from typing import Dict, List, Tuple
 
@@ -28,7 +29,14 @@ from .partitions import (
     one_row,
     partitions_of,
 )
-from .symrep import IrrDecomposition, irr_dim, joint_decompose, perm_character_maps
+from .symrep import (
+    IrrDecomposition,
+    degree_bound,
+    irr_dim,
+    joint_decompose,
+    perm_character_maps,
+    schur_dim,
+)
 from .fbgroth import (
     VirtualFB,
     VirtualFBBimod,
@@ -158,29 +166,28 @@ class ProjLabel:
 # Bimodule classes of the three map categories
 
 
+def _map_class(trunc: int, surjective_only: bool) -> VirtualFBBimod:
+    """Class of the all-maps (or surjection) bimodule through bidegree
+    trunc, from the joint characters of the maps n -> k: every k <= trunc,
+    or every k <= n for surjections."""
+    coeffs: Dict[Tuple[Partition, Partition], int] = {}
+    for n in range(trunc + 1):
+        for k in range((n if surjective_only else trunc) + 1):
+            coeffs.update(joint_decompose(perm_character_maps(n, k, surjective_only)))
+    return VirtualFBBimod(trunc, trunc, coeffs)
+
+
 def kfa_class(trunc: int) -> VirtualFBBimod:
     """Class of the all-maps bimodule; key (domain partition, codomain
     partition) for all bidegrees <= trunc."""
-    coeffs: Dict[Tuple[Partition, Partition], int] = {}
-    for n in range(trunc + 1):
-        for k in range(trunc + 1):
-            joint = perm_character_maps(n, k, surjective_only=False)
-            for key, c in joint_decompose(joint).items():
-                coeffs[key] = coeffs.get(key, 0) + c
-    return VirtualFBBimod(trunc, trunc, coeffs)
+    return _map_class(trunc, surjective_only=False)
 
 
 def fs_class(trunc: int, cross_check: bool = True) -> VirtualFBBimod:
     """Class of the surjection bimodule, computed from surjection
     characters; optionally re-derived as S(0) convolved into the codomain
     variable of the all-maps class, with exact agreement required."""
-    coeffs: Dict[Tuple[Partition, Partition], int] = {}
-    for n in range(trunc + 1):
-        for k in range(n + 1):
-            joint = perm_character_maps(n, k, surjective_only=True)
-            for key, c in joint_decompose(joint).items():
-                coeffs[key] = coeffs.get(key, 0) + c
-    direct = VirtualFBBimod(trunc, trunc, coeffs)
+    direct = _map_class(trunc, surjective_only=True)
     if cross_check:
         derived = bimod_convolve_right(kfa_class(trunc), series_S(0, trunc))
         if direct != derived:
@@ -188,12 +195,6 @@ def fs_class(trunc: int, cross_check: bool = True) -> VirtualFBBimod:
                 "surjection class disagrees with the convolution route"
             )
     return direct
-
-
-def _sgn_contract_codomain(bimod: VirtualFBBimod, k: int) -> VirtualFB:
-    """Contract the codomain (right) slot of a map-category bimodule at
-    degree k against the sign: left-variable class of sgn_k (x) M(-, k)."""
-    return bimod.left_class(one_column(k))
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +231,8 @@ def simple_dim(label: SimpleLabel, t: int) -> int:
 def lambda_pfin_eval(l: int, t: int) -> IrrDecomposition:
     """Class of the l-th exterior power of the standard degree-one
     projective on a t-set: its two composition factors combined."""
-    top = simple_eval(SimpleLabel.L(l) if l >= 1 else SimpleLabel.L(0), t)
-    if l == 0:
-        # constant functor k: k_0 + Lambda_bar(0) parts
-        out = simple_eval(SimpleLabel.K0(), t) + simple_eval(SimpleLabel.L(0), t)
-        return out
-    below = simple_eval(SimpleLabel.L(l - 1), t)
-    return top + below
+    below = SimpleLabel.L(l - 1) if l else SimpleLabel.K0()
+    return simple_eval(SimpleLabel.L(l), t) + simple_eval(below, t)
 
 
 # ---------------------------------------------------------------------------
@@ -250,32 +246,21 @@ def decompose_schur_pfin(lam: Partition) -> List[ProjLabel]:
     n = lam.size
     if n == 0:
         raise ValueError("needs a partition of a positive integer")
-    strip_preds = [
-        nu
+    m = n - lam[0] + 1  # a hook's exterior degree
+    excluded = {one_column(m), one_column(m - 1)} if is_hook(lam) else set()
+    out = [
+        ProjLabel.schur_pbar(nu)
         for k in range(n + 1)
         for nu in partitions_of(k)
-        if contains(lam, nu) and is_horizontal_strip(lam, nu)
+        if contains(lam, nu) and is_horizontal_strip(lam, nu) and nu not in excluded
     ]
-    out: List[ProjLabel] = []
-    if is_hook(lam):
-        s = lam[0]
-        excluded = {one_column(n - s + 1), one_column(n - s)}
-        for nu in strip_preds:
-            if nu in excluded:
-                continue
-            out.append(ProjLabel.schur_pbar(nu))
-        out.append(ProjLabel.lambda_pfin(n - s + 1))
-    else:
-        for nu in strip_preds:
-            out.append(ProjLabel.schur_pbar(nu))
+    if excluded:
+        out.append(ProjLabel.lambda_pfin(m))
     return out
 
 
 def proj_dim(label: ProjLabel, t: int) -> int:
     """Dimension of an indecomposable projective on a t-set."""
-    from .symrep import schur_dim
-    from math import comb
-
     if label.kind == "lambda":
         return comb(t, label.n)
     return schur_dim(label.lam, t - 1) if t >= 1 else 0
@@ -308,6 +293,8 @@ class FBModuleData:
     degrees: Dict[int, IrrDecomposition] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.trunc > degree_bound():
+            raise ValueError(f"trunc {self.trunc} exceeds the degree bound {degree_bound()}")
         for k, dec in self.degrees.items():
             if not 1 <= k <= self.trunc:
                 raise ValueError(f"degree {k} outside 1..{self.trunc}")
@@ -383,15 +370,14 @@ def hom_projcover_pfin(n: int, trunc: int, fs: VirtualFBBimod | None = None) -> 
         fs = fs_class(max(trunc, n), cross_check=False)
     coeffs: Dict[Tuple[Partition, Partition], int] = {}
     for (lam, mu), c in fs.coeffs.items():
-        if lam.size == n and mu.size <= trunc:
-            coeffs[(lam, mu)] = coeffs.get((lam, mu), 0) + c
-    for k in range(1, n + 1):
-        if k - 1 > trunc:
+        if lam.size != n:
             continue
-        for (lam, mu), c in fs.coeffs.items():
-            if lam.size == n and mu == one_column(k):
-                key = (lam, one_column(k - 1))
-                coeffs[key] = coeffs.get(key, 0) + c
+        k = mu.size
+        if k <= trunc:
+            coeffs[(lam, mu)] = coeffs.get((lam, mu), 0) + c
+        if 1 <= k <= min(n, trunc + 1) and mu == one_column(k):
+            key = (lam, one_column(k - 1))  # the correction term
+            coeffs[key] = coeffs.get(key, 0) + c
     return VirtualFBBimod(n, trunc, coeffs)
 
 
@@ -449,18 +435,28 @@ def pfin_lambda_class(trunc: int) -> VirtualFBBimod:
     return VirtualFBBimod(trunc, trunc, coeffs)
 
 
-def hom_projcover_pbar(trunc_left: int, trunc_right: int) -> VirtualFBBimod:
-    """Class of hom(P_bullet, tensor-power_star).  Left slot: star; right
-    slot: bullet."""
+def _hom_class(trunc_left: int, trunc_right: int, correction) -> VirtualFBBimod:
+    """The skeleton of the hom classes out of the tensor powers and the
+    projective covers: the surjection class with S(0) convolved into its
+    left slot, plus correction(fs, k, N) boxtimes sgn_{k-1} for each
+    k <= trunc_right + 1, cropped to the truncations."""
     N = max(trunc_left, trunc_right)
     fs = fs_class(N, cross_check=False)
     total = bimod_convolve_left(fs, series_S(0, N))
-    for k in range(1, N + 1):
-        if k - 1 > trunc_right:
-            continue
-        left = day(_sgn_contract_codomain(fs, k), series_S(0, N))
-        total = total + external_product(left, sgn_class(k - 1, N))
+    for k in range(1, min(N, trunc_right + 1) + 1):
+        total = total + external_product(correction(fs, k, N), sgn_class(k - 1, N))
     return _crop(total, trunc_left, trunc_right)
+
+
+def hom_projcover_pbar(trunc_left: int, trunc_right: int) -> VirtualFBBimod:
+    """Class of hom(P_bullet, tensor-power_star).  Left slot: star; right
+    slot: bullet.  The k-th correction is the sign contraction of the
+    surjection class's codomain at k, convolved with S(0)."""
+    return _hom_class(
+        trunc_left,
+        trunc_right,
+        lambda fs, k, N: day(fs.left_class(one_column(k)), series_S(0, N)),
+    )
 
 
 def endo_projcover(trunc_left: int, trunc_right: int) -> VirtualFBBimod:
@@ -479,22 +475,16 @@ def endo_projcover(trunc_left: int, trunc_right: int) -> VirtualFBBimod:
 def hom_pbar_pbar(trunc_left: int, trunc_right: int) -> VirtualFBBimod:
     """Class of hom(tensor-power_bullet, tensor-power_star): entry at
     bullet = s, star = t is the class of the maps from the s-th to the
-    t-th tensor power.  Left slot: star; right slot: bullet."""
-    N = max(trunc_left, trunc_right)
-    fs = fs_class(N, cross_check=False)
-    total = bimod_convolve_left(fs, series_S(0, N))
-    for k in range(1, N + 1):
-        if k - 1 > trunc_right:
-            continue
-        total = total + external_product(series_S(k, N), sgn_class(k - 1, N))
-    return _crop(total, trunc_left, trunc_right)
+    t-th tensor power.  Left slot: star; right slot: bullet.  The k-th
+    correction is S(k)."""
+    return _hom_class(trunc_left, trunc_right, lambda fs, k, N: series_S(k, N))
 
 
 def hom_lambdabar_pbar(s: int, trunc: int) -> VirtualFB:
     """Class of hom(Lambda^s of the reduced projective, tensor-power_star)
     in the star variable."""
     fs = fs_class(max(trunc, s), cross_check=False)
-    part = day(_sgn_contract_codomain(fs, s).truncate(trunc), series_S(0, trunc))
+    part = day(fs.left_class(one_column(s)).truncate(trunc), series_S(0, trunc))
     if s + 1 <= trunc:
         part = part + series_S(s + 1, trunc)
     return part

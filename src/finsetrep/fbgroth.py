@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Dict, Tuple
 
 from .partitions import Partition, hook, one_column, one_row
-from .symrep import IrrDecomposition, induction_product, pointwise_product
+from .symrep import IrrDecomposition, induction_product, irr_dim, pointwise_product
 
 
 @lru_cache(maxsize=None)
@@ -78,13 +78,6 @@ class VirtualFB:
     def scale(self, c: int) -> "VirtualFB":
         return VirtualFB(self.trunc, {lam: c * v for lam, v in self.coeffs.items()})
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VirtualFB)
-            and self.trunc == other.trunc
-            and self.coeffs == other.coeffs
-        )
-
     def dim_at(self, n: int) -> int:
         return self.degree(n).dim()
 
@@ -124,19 +117,27 @@ def sgn_class(k: int, trunc: int) -> VirtualFB:
     return VirtualFB(trunc, {one_column(k): 1})
 
 
+def _convolve(terms, b: VirtualFB, t: int) -> Dict[Tuple[Partition, object], int]:
+    """The one Day-convolution loop: for each ((lam, rest), c) of terms and
+    each (nu, d) of b with |lam| + |nu| <= t, c d times the induction
+    product lam . nu, each constituent rho keyed (rho, rest)."""
+    out: Dict[Tuple[Partition, object], int] = {}
+    for (lam, rest), c in terms:
+        for nu, d in b.coeffs.items():
+            if lam.size + nu.size > t:
+                continue
+            for rho, m in _induct_irr(lam, nu).mults.items():
+                key = (rho, rest)
+                out[key] = out.get(key, 0) + c * d * m
+    return out
+
+
 def day(a: VirtualFB, b: VirtualFB) -> VirtualFB:
     """Day convolution: degreewise bilinear extension of the induction
     product; trunc = min(a.trunc, b.trunc)."""
     t = min(a.trunc, b.trunc)
-    out: Dict[Partition, int] = {}
-    for lam, c in a.coeffs.items():
-        for mu, d in b.coeffs.items():
-            if lam.size + mu.size > t:
-                continue
-            prod = _induct_irr(lam, mu)
-            for nu, m in prod.mults.items():
-                out[nu] = out.get(nu, 0) + c * d * m
-    return VirtualFB(t, out)
+    prod = _convolve((((lam, None), c) for lam, c in a.coeffs.items()), b, t)
+    return VirtualFB(t, {rho: c for (rho, _), c in prod.items()})
 
 
 def pointwise(a: VirtualFB, b: VirtualFB) -> VirtualFB:
@@ -218,14 +219,6 @@ class VirtualFBBimod:
             self.trunc_left, self.trunc_right, {k: c * v for k, v in self.coeffs.items()}
         )
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VirtualFBBimod)
-            and self.trunc_left == other.trunc_left
-            and self.trunc_right == other.trunc_right
-            and self.coeffs == other.coeffs
-        )
-
     def bidegree(self, a: int, b: int) -> Dict[Tuple[Partition, Partition], int]:
         """Coefficients with left size a and right size b."""
         return {
@@ -235,8 +228,6 @@ class VirtualFBBimod:
         }
 
     def dim_at(self, a: int, b: int) -> int:
-        from .symrep import irr_dim
-
         return sum(
             c * irr_dim(lam) * irr_dim(mu) for (lam, mu), c in self.bidegree(a, b).items()
         )
@@ -289,28 +280,11 @@ def external_product(a: VirtualFB, b: VirtualFB) -> VirtualFBBimod:
 def bimod_convolve_left(a: VirtualFBBimod, b: VirtualFB) -> VirtualFBBimod:
     """Day convolution in the left (FB^op) variable, right carried along."""
     tl = min(a.trunc_left, b.trunc)
-    out: Dict[Tuple[Partition, Partition], int] = {}
-    for (lam, mu), c in a.coeffs.items():
-        for nu, d in b.coeffs.items():
-            if lam.size + nu.size > tl or mu.size > a.trunc_right:
-                continue
-            prod = _induct_irr(lam, nu)
-            for rho, m in prod.mults.items():
-                key = (rho, mu)
-                out[key] = out.get(key, 0) + c * d * m
-    return VirtualFBBimod(tl, a.trunc_right, out)
+    return VirtualFBBimod(tl, a.trunc_right, _convolve(a.coeffs.items(), b, tl))
 
 
 def bimod_convolve_right(a: VirtualFBBimod, b: VirtualFB) -> VirtualFBBimod:
     """Day convolution in the right (FB) variable, left carried along."""
     tr = min(a.trunc_right, b.trunc)
-    out: Dict[Tuple[Partition, Partition], int] = {}
-    for (lam, mu), c in a.coeffs.items():
-        for nu, d in b.coeffs.items():
-            if mu.size + nu.size > tr:
-                continue
-            prod = _induct_irr(mu, nu)
-            for rho, m in prod.mults.items():
-                key = (lam, rho)
-                out[key] = out.get(key, 0) + c * d * m
-    return VirtualFBBimod(a.trunc_left, tr, out)
+    prod = _convolve((((mu, lam), c) for (lam, mu), c in a.coeffs.items()), b, tr)
+    return VirtualFBBimod(a.trunc_left, tr, {(lam, rho): c for (rho, lam), c in prod.items()})

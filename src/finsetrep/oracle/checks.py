@@ -11,9 +11,8 @@ multiplicities read off from hom-spaces out of projective covers.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, perm
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -32,7 +31,7 @@ from .functors import (
     build_pbar_tensor,
     build_pfin,
     build_proj_cover,
-    inner_character,
+    inner_class,
     is_natural,
     map_matrix,
     sgn_coinvariant_reduction,
@@ -241,11 +240,9 @@ def hom_from_lambda_bar(F: TruncatedFunctor, s: int, cross_check: bool = True) -
 # The exterior-power complex
 
 
-def lambda_boundary(N: int, t: int) -> Tuple[SpMat, TruncatedFunctor, TruncatedFunctor]:
+def lambda_boundary(N: int, t: int) -> List[SpMat]:
     """The contraction map from the t-th to the (t-1)-st exterior power of
-    the standard projective, with the functors it connects."""
-    top = build_lambda_pfin(t, N)
-    bot = build_lambda_pfin(t - 1, N)
+    the standard projective, one matrix per set size <= N."""
     mats = []
     for m in range(N + 1):
         subsets_top = list(itertools.combinations(range(m), t))
@@ -259,7 +256,7 @@ def lambda_boundary(N: int, t: int) -> Tuple[SpMat, TruncatedFunctor, TruncatedF
                 cols.append(j)
                 vals.append((-1) ** pos)
         mats.append(SpMat(len(subsets_bot), len(subsets_top), rows, cols, vals))
-    return mats, top, bot
+    return mats
 
 
 def verify_lambda_complex(N: int) -> Report:
@@ -268,13 +265,10 @@ def verify_lambda_complex(N: int) -> Report:
     the final cokernel."""
     _check_truncation(N)
     boundaries = {}
-    functors = {}
-    for t in range(N + 1):
-        functors[t] = build_lambda_pfin(t, N)
+    functors = [build_lambda_pfin(t, N) for t in range(N + 1)]
     for t in range(1, N + 1):
-        mats, top, bot = lambda_boundary(N, t)
-        boundaries[t] = mats
-        if not is_natural(top, functors[t - 1], mats):
+        mats = boundaries[t] = lambda_boundary(N, t)
+        if not is_natural(functors[t], functors[t - 1], mats):
             return Report("lambda_complex", {"N": N}, "natural boundary",
                           f"boundary not natural at degree {t}", False)
     details = {}
@@ -357,7 +351,7 @@ def verify_refine_surjection(n: int, N: int) -> Report:
     ok = True
     details = {}
     for t in range(N + 1):
-        inj_dim = 0 if t < n else _falling(t, n)
+        inj_dim = perm(t, n)
         if inj_dim == 0:
             continue
         r = linalg.rank(_split_summand_columns(n - 1, t)[_injective_rows(n, t)])
@@ -374,7 +368,7 @@ def verify_almost_surjectivity(n: int, N: int) -> Report:
     ok = True
     details = {}
     for t in range(N + 1):
-        inj_dim = 0 if t < n else _falling(t, n)
+        inj_dim = perm(t, n)
         if inj_dim == 0:
             continue
         # the columns prod([y_i] - [0]) that span the reduced tensor power
@@ -393,13 +387,6 @@ def verify_almost_surjectivity(n: int, N: int) -> Report:
     )
 
 
-def _falling(t: int, n: int) -> int:
-    out = 1
-    for i in range(n):
-        out *= t - i
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Composition multiplicities
 
@@ -407,12 +394,6 @@ def _falling(t: int, n: int) -> int:
 @lru_cache(maxsize=None)
 def _proj_cover_cached(m: int, N: int) -> TruncatedFunctor:
     return build_proj_cover(m, N)
-
-
-def sgn_mult(F: TruncatedFunctor, t: int) -> int:
-    """Multiplicity of the sign representation in the evaluation at t."""
-    dec = decompose(inner_character(F, t))
-    return dec[one_column(t)]
 
 
 def oracle_multiplicities(
@@ -429,7 +410,7 @@ def oracle_multiplicities(
         out[SimpleLabel.K0()] = F.dims[0]
     for m in range(0, degmax + 1):
         if m + 1 <= N:
-            mult = sgn_mult(F, m + 1)
+            mult = inner_class(F, m + 1)[one_column(m + 1)]
             if mult:
                 out[SimpleLabel.L(m)] = mult
     for m in range(1, degmax + 1):
@@ -444,11 +425,7 @@ def oracle_multiplicities(
         char = res.outer_character()
         # S_m-module structure in the first variable
         cf = ClassFunction(
-            m,
-            {
-                alpha: Fraction(char.values[(alpha, one_column(F.outer_n))])
-                for alpha in partitions_of(m)
-            },
+            m, {alpha: char.values[(alpha, one_column(F.outer_n))] for alpha in partitions_of(m)}
         )
         dec = decompose(cf)
         for lam, mult in dec.mults.items():

@@ -174,8 +174,9 @@ class SpMat:
         self._bucketed = (buckets, self.cols[order], self.vals[order], row_bound)
         return self._bucketed
 
-    def _colindex(self) -> Dict[int, List[Tuple[int, int]]]:
-        """Column -> [(row, value)], built once per matrix."""
+    def column_index(self) -> Dict[int, List[Tuple[int, int]]]:
+        """Column -> [(row, value)] over its nonzero entries, in row order;
+        built once per matrix."""
         if self._cidx is None:
             self._cidx = {}
             for r, c, v in zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist()):
@@ -185,7 +186,7 @@ class SpMat:
     def apply_int(self, col: Dict[int, int]) -> Dict[int, int]:
         """Exact (self * den) @ col for a sparse integer column (ignore
         self.den), without its zero entries."""
-        idx = self._colindex()
+        idx = self.column_index()
         out: Dict[int, int] = {}
         for c, cv in col.items():
             for r, v in idx.get(c, ()):

@@ -67,8 +67,7 @@ class SpanData:
     gen_used flags the declared generators that actually entered the
     basis; redundant generators (possible for kernel-style builders) are
     absorbed into the span of the others and carry no free unknowns.
-    expansions, gammas and columns cache expansion()'s and gamma()'s
-    values."""
+    expansions and gammas cache expansion()'s and gamma()'s values."""
 
     F: TruncatedFunctor
     paths: List[List[Path]]
@@ -77,7 +76,6 @@ class SpanData:
     basis: List[SpMat]
     expansions: Dict[int, SpMat] = field(default_factory=dict)
     gammas: Dict[object, SpMat] = field(default_factory=dict)
-    columns: Dict[object, List[List[Tuple[int, int]]]] = field(default_factory=dict)
 
     def expansion(self, t: int) -> SpMat:
         """The map E_t, computed on first use, that takes a vector v of F(t)
@@ -93,15 +91,11 @@ class SpanData:
         on first use: column j expands the image of basis vector j, a unit
         column for an image the pass accepted, an empty one for a zero
         image, F's relations otherwise.  It is exact, and unique because
-        basis[t] is square.  columns[key][j] lists the (row, numerator over
-        den) of column j."""
+        basis[t] is square."""
         if key not in self.gammas:
             s, t = TruncatedFunctor.gen_src_dst(key)
             E, move = self.expansion(t), self.F.act[key]
-            gamma = self.gammas[key] = E.compose(move.compose(self.basis[s]))
-            self.columns[key] = [[] for _ in range(gamma.n)]
-            for i, j, c in zip(gamma.rows.tolist(), gamma.cols.tolist(), gamma.vals.tolist()):
-                self.columns[key][j].append((i, c))
+            self.gammas[key] = E.compose(move.compose(self.basis[s]))
         return self.gammas[key]
 
 
@@ -422,10 +416,12 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
         p = P.shape[1]
         # the Gram sum and an upper bound on its entries
         gram, gbound = np.zeros((p, p), dtype=np.int64), 0
-        D, m = span.gamma(key).den, G.act[key]
-        for j, column in enumerate(span.columns[key]):
+        gamma, m = span.gamma(key), G.act[key]
+        D, columns = gamma.den, gamma.column_index()
+        for j in range(gamma.n):
             if (key, j) in accepted:
                 continue
+            column = columns.get(j, ())
             sarr, sden = sval = _span_value(span, G, blocks, P, vcache, (s, j))
             terms = [(c, _span_value(span, G, blocks, P, vcache, (t, i))) for i, c in column]
             L = lcm(m.den * sden, *(D * v[1] for _, v in terms))

@@ -199,13 +199,6 @@ class IrrDecomposition:
     def __getitem__(self, lam: Partition):
         return self.mults.get(lam, 0)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IrrDecomposition)
-            and self.n == other.n
-            and self.mults == other.mults
-        )
-
     def __add__(self, other: "IrrDecomposition") -> "IrrDecomposition":
         assert self.n == other.n
         merged = dict(self.mults)
@@ -298,17 +291,6 @@ def decompose(f: ClassFunction) -> IrrDecomposition:
     return IrrDecomposition(n, mults)
 
 
-def _split_multiset(parts: Tuple[int, ...], target: int) -> Dict[Tuple[int, ...], int]:
-    """Distinct submultisets of `parts` with the given sum, each with the
-    number of cycle-subsets realizing it (cycles of equal length count as
-    distinguishable)."""
-    return {
-        sub: ways
-        for sub, ways in _split_multiset_all(parts).items()
-        if sum(sub) == target
-    }
-
-
 def induction_product(a: IrrDecomposition, b: IrrDecomposition) -> IrrDecomposition:
     """Induced character of the external product over S_m x S_n <= S_{m+n}.
 
@@ -322,7 +304,9 @@ def induction_product(a: IrrDecomposition, b: IrrDecomposition) -> IrrDecomposit
     values = {}
     for gamma in partitions_of(m + n):
         total = 0
-        for alpha_parts, ways in _split_multiset(gamma.parts, m).items():
+        for alpha_parts, ways in _split_multiset_all(gamma.parts).items():
+            if sum(alpha_parts) != m:
+                continue
             alpha = Partition(tuple(sorted(alpha_parts, reverse=True)))
             beta_list = list(gamma.parts)
             for p in alpha_parts:

@@ -96,6 +96,10 @@ def test_invalid_inputs_exit_1(capsys):
         (["verify", "--suite", "groth", "--max-size", "-1"], "checks no identity"),
         (["groth", "--identity", "invert-triv", "--trunc", "-1"], "--trunc must be non-negative"),
         (["verify", "--suite", "kfs-cross", "--max-size", "-3"], "runs no check"),
+        (["groth", "--identity", "W", "--k", "0", "--trunc", "13"],
+         "--trunc 13 exceeds the degree bound 12"),
+        (["verify", "--suite", "groth", "--max-size", "13"],
+         "--max-size 13 exceeds the degree bound 12"),
     ],
 )
 def test_negative_or_vacuous_arguments_exit_1(capsys, argv, message):
@@ -132,6 +136,9 @@ def test_multiplicities_round_trip(tmp_path, capsys):
          "degrees": {"1": {"n": 1, "mults": [{"partition": [1], "mult": True}]}}},
         {"trunc": 2, "F0_dim": 1, "degrees": {"1": 5}},
         {"trunc": 2, "F0_dim": 1, "degrees": 4},
+        # a truncation above the degree bound, though the data stays below it
+        {"trunc": 13, "F0_dim": 1,
+         "degrees": {"1": {"n": 1, "mults": [{"partition": [1], "mult": 1}]}}},
     ],
 )
 def test_multiplicities_bad_input_types_exit_1(tmp_path, capsys, payload):
@@ -237,6 +244,7 @@ def test_symbolic_commands_load_neither_numpy_nor_the_oracle(tmp_path):
         (["simple-eval", "C", "--t", "3"], {}, 1),
         (["decompose-pfin", "0"], {}, 1),
         (["groth", "--identity", "nope"], {}, 1),
+        (["groth", "--identity", "W", "--k", "0", "--trunc", "13"], {}, 1),
         (["multiplicities", "--input", str(tmp_path / "missing.json")], {}, 1),
         (["groth", "--identity", "W"], {"FINSETREP_TRUNC": "abc"}, 1),
         (["verify", "--suite", "nope"], {}, 1),

@@ -138,6 +138,14 @@ def test_bimod_convolutions():
         (Partition((2,)), Partition((2,))): 1,
         (Partition((1, 1)), Partition((2,))): 1,
     }
+    # seeded a, b, c of unequal truncations: each convolution keeps the
+    # least truncation of the slot it acts on, and the other slot's own
+    rng = random.Random(19)
+    for _ in range(40):
+        a, b, c = (random_class(rng, rng.randint(0, 6)) for _ in range(3))
+        ab = fg.external_product(a, b)
+        assert fg.bimod_convolve_left(ab, c) == fg.external_product(fg.day(a, c), b)
+        assert fg.bimod_convolve_right(ab, c) == fg.external_product(a, fg.day(b, c))
 
 
 def test_bimod_bidegree_and_dims():

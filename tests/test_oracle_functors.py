@@ -85,7 +85,7 @@ def test_identity_maps_act_as_identity():
 def apply_sparse(m, col):
     """m @ col for a sparse Fraction column (exact; includes m.den): the
     tests' reference product through a SpMat."""
-    idx = m._colindex()
+    idx = m.column_index()
     out = {}
     for c, cv in col.items():
         for r, v in idx.get(c, ()):

@@ -382,7 +382,7 @@ def test_span_pass_records_move_expansions():
             for j in range(F.dims[s]):
                 ref = apply_sparse(span.expansion(t), apply_sparse(F.act[key], vecs[(s, j)]))
                 assert _column(gamma, j) == ref, (F.name, key, j)
-                assert span.columns[key][j] == [
+                assert gamma.column_index().get(j, []) == [
                     (i, c * gamma.den) for i, c in sorted(ref.items())
                 ], (F.name, key, j)
         # the declared generators, expanded in the basis of their size
