@@ -15,6 +15,7 @@ for hom-space classes hom(P_bullet, X_star) it is the star variable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 from numbers import Integral
 from typing import Dict, List, Tuple
@@ -31,6 +32,7 @@ from .partitions import (
 )
 from .symrep import (
     IrrDecomposition,
+    check_degree,
     degree_bound,
     irr_dim,
     joint_decompose,
@@ -166,14 +168,24 @@ class ProjLabel:
 # Bimodule classes of the three map categories
 
 
+@lru_cache(maxsize=None)
+def _map_block(
+    n: int, k: int, surjective_only: bool
+) -> Tuple[Tuple[Tuple[Partition, Partition], int], ...]:
+    """Bidegree (n, k) of the all-maps (or surjection) bimodule: the joint
+    decomposition of the maps n -> k, computed and checked once per process."""
+    return tuple(joint_decompose(perm_character_maps(n, k, surjective_only)).items())
+
+
 def _map_class(trunc: int, surjective_only: bool) -> VirtualFBBimod:
     """Class of the all-maps (or surjection) bimodule through bidegree
-    trunc, from the joint characters of the maps n -> k: every k <= trunc,
-    or every k <= n for surjections."""
+    trunc, from the blocks of the maps n -> k: every k <= trunc, or every
+    k <= n for surjections.  The blocks are memoized, so the bound is checked here."""
+    check_degree(trunc)
     coeffs: Dict[Tuple[Partition, Partition], int] = {}
     for n in range(trunc + 1):
         for k in range((n if surjective_only else trunc) + 1):
-            coeffs.update(joint_decompose(perm_character_maps(n, k, surjective_only)))
+            coeffs.update(_map_block(n, k, surjective_only))
     return VirtualFBBimod(trunc, trunc, coeffs)
 
 
@@ -217,6 +229,7 @@ def simple_eval(label: SimpleLabel, t: int) -> IrrDecomposition:
     n = lam.size
     if t < n:
         return IrrDecomposition(t, {})
+    check_degree(t)
     mults = {}
     for mu in partitions_of(t):
         if contains(mu, lam) and is_horizontal_strip(mu, lam):
@@ -246,6 +259,7 @@ def decompose_schur_pfin(lam: Partition) -> List[ProjLabel]:
     n = lam.size
     if n == 0:
         raise ValueError("needs a partition of a positive integer")
+    check_degree(n)
     m = n - lam[0] + 1  # a hook's exterior degree
     excluded = {one_column(m), one_column(m - 1)} if is_hook(lam) else set()
     out = [
@@ -271,6 +285,7 @@ def structure_kfi(n: int) -> Tuple[ProjLabel, Dict[SimpleLabel, int]]:
     projective plus each C(lam) with multiplicity dim S_lam."""
     if n < 1:
         raise ValueError("needs n >= 1")
+    check_degree(n)
     simples = {}
     for lam in partitions_of(n):
         if lam == one_column(n):
@@ -360,14 +375,13 @@ def hom_projcover(F: FBModuleData) -> VirtualFB:
     return total
 
 
-def hom_projcover_pfin(n: int, trunc: int, fs: VirtualFBBimod | None = None) -> VirtualFBBimod:
+def hom_projcover_pfin(n: int, trunc: int) -> VirtualFBBimod:
     """Class of hom(P_bullet, standard projective of degree n): the
     surjection row at n plus sign-contracted correction terms.
 
     Left slot: partitions of n (the module's own symmetric-group action);
     right slot: the bullet degree."""
-    if fs is None:
-        fs = fs_class(max(trunc, n), cross_check=False)
+    fs = fs_class(max(trunc, n), cross_check=False)
     coeffs: Dict[Tuple[Partition, Partition], int] = {}
     for (lam, mu), c in fs.coeffs.items():
         if lam.size != n:
@@ -381,13 +395,12 @@ def hom_projcover_pfin(n: int, trunc: int, fs: VirtualFBBimod | None = None) -> 
     return VirtualFBBimod(n, trunc, coeffs)
 
 
-def pbar_tensor_class(trunc: int, kfa: VirtualFBBimod | None = None) -> VirtualFBBimod:
+def pbar_tensor_class(trunc: int) -> VirtualFBBimod:
     """Class of the reduced-projective tensor powers as a bimodule: the
     bar part of the standard projectives with the trivial series inverted
     out of the exponent variable.  Left slot: the tensor exponent; right
     slot: the evaluation set."""
-    if kfa is None:
-        kfa = kfa_class(trunc)
+    kfa = kfa_class(trunc)
     bar = VirtualFBBimod(
         trunc,
         trunc,
@@ -412,9 +425,9 @@ def lambda_line_class(trunc: int) -> VirtualFBBimod:
     return VirtualFBBimod(trunc, trunc, coeffs)
 
 
-def pbar_over_lambda_class(trunc: int, kfa: VirtualFBBimod | None = None) -> VirtualFBBimod:
+def pbar_over_lambda_class(trunc: int) -> VirtualFBBimod:
     """Class of the tensor powers modulo their top exterior summand."""
-    return pbar_tensor_class(trunc, kfa) - lambda_line_class(trunc)
+    return pbar_tensor_class(trunc) - lambda_line_class(trunc)
 
 
 def pfin_lambda_class(trunc: int) -> VirtualFBBimod:

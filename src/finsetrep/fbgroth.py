@@ -51,9 +51,6 @@ class VirtualFB:
             n, {lam: c for lam, c in self.coeffs.items() if lam.size == n}
         )
 
-    def degrees(self) -> range:
-        return range(self.trunc + 1)
-
     def truncate(self, new_trunc: int) -> "VirtualFB":
         return VirtualFB(
             new_trunc,
@@ -238,9 +235,6 @@ class VirtualFBBimod:
             self.trunc_left,
             {lam: c for (lam, mu), c in self.coeffs.items() if mu == b_partition},
         )
-
-    def is_effective(self) -> bool:
-        return all(c >= 0 for c in self.coeffs.values())
 
     def to_json(self) -> dict:
         return {

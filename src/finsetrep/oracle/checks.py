@@ -211,10 +211,10 @@ def sigma_matrix(F: TruncatedFunctor, t: int) -> SpMat:
     return total
 
 
-def hom_from_lambda_bar(F: TruncatedFunctor, s: int, cross_check: bool = True) -> int:
+def hom_from_lambda_bar(F: TruncatedFunctor, s: int) -> int:
     """dim hom(Lambda^s of the reduced projective, F), computed as the
     kernel of the signed-inclusion map between sign-coinvariants of
-    F(s+1) and F(s+2)."""
+    F(s+1) and F(s+2), and checked against a direct solve."""
     if F.N < s + 2:
         raise OracleError("needs truncation >= s+2")
     relations1, _, free1 = sgn_coinvariant_reduction(F, s + 1)
@@ -226,13 +226,9 @@ def hom_from_lambda_bar(F: TruncatedFunctor, s: int, cross_check: bool = True) -
         raise OracleError("sigma map does not descend to coinvariants")
     cols = proj2.compose(M.compose(SpMat.unit_columns(F.dims[s + 1], free1))).int_rows()
     dim = len(free1) - linalg.rank(cols)
-    if cross_check:
-        lam = build_lambda_pbar(s, F.N)
-        direct = nat_hom(lam, F).dimension
-        if direct != dim:
-            raise OracleError(
-                f"kernel method gives {dim}, direct solve gives {direct}"
-            )
+    direct = nat_hom(build_lambda_pbar(s, F.N), F).dimension
+    if direct != dim:
+        raise OracleError(f"kernel method gives {dim}, direct solve gives {direct}")
     return dim
 
 
@@ -396,15 +392,12 @@ def _proj_cover_cached(m: int, N: int) -> TruncatedFunctor:
     return build_proj_cover(m, N)
 
 
-def oracle_multiplicities(
-    F: TruncatedFunctor, degmax: Optional[int] = None
-) -> Dict[SimpleLabel, int]:
-    """Composition-factor multiplicities of F, from first principles:
-    hom-spaces out of the projective covers (solved exactly) plus
-    sign-coinvariant dimensions for the exterior-power family."""
+def oracle_multiplicities(F: TruncatedFunctor, degmax: int) -> Dict[SimpleLabel, int]:
+    """Composition-factor multiplicities of F through degree degmax, from
+    first principles: hom-spaces out of the projective covers (solved
+    exactly) plus sign-coinvariant dimensions for the exterior-power
+    family."""
     N = F.N
-    if degmax is None:
-        degmax = N - 2
     out: Dict[SimpleLabel, int] = {}
     if F.dims[0]:
         out[SimpleLabel.K0()] = F.dims[0]

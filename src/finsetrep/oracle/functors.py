@@ -350,9 +350,6 @@ class TruncatedFunctor:
     outer_act: Dict[Tuple[int, int], SpMat] = field(default_factory=dict)
     span_cache: Optional[object] = None
 
-    def dim(self, t: int) -> int:
-        return self.dims[t]
-
     def gen_keys(self) -> List[GenKey]:
         keys: List[GenKey] = [("inc", t) for t in range(self.N)]
         keys += [("fold", t) for t in range(1, self.N)]
@@ -368,18 +365,13 @@ class TruncatedFunctor:
             return key[1] + 1, key[1]
         return key[1], key[1]
 
-    def perm_matrix(self, g: Tuple[int, ...], t: int) -> SpMat:
-        return self._word_product(g, t, lambda i: self.act[("tau", t, i)])
-
     def outer_matrix(self, g: Tuple[int, ...], t: int) -> SpMat:
-        return self._word_product(g, t, lambda i: self.outer_act[(i, t)])
-
-    def _word_product(self, g: Tuple[int, ...], t: int, transposition) -> SpMat:
-        """Product along g's adjacent-transposition word of the matrices
-        transposition(i) acting at size t."""
+        """The outer action of g at size t, a right action:
+        outer_matrix(g) outer_matrix(h) = outer_matrix(h o g).  The outer
+        transpositions are applied along g's word, first letter first."""
         mat = SpMat.identity(self.dims[t])
         for i in perm_word(g):
-            mat = transposition(i).compose(mat)
+            mat = self.outer_act[(i, t)].compose(mat)
         return mat
 
     def check_functoriality(self, max_size: int = 4) -> None:
@@ -581,20 +573,7 @@ def _sort_sign(tup: Tuple[int, ...]) -> Tuple[Optional[Tuple[int, ...]], int]:
     if len(set(tup)) != len(tup):
         return None, 0
     order = sorted(range(len(tup)), key=lambda i: tup[i])
-    sign = 1
-    seen = [False] * len(tup)
-    for start in range(len(tup)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = order[i]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return tuple(sorted(tup)), sign
+    return tuple(sorted(tup)), (-1) ** (len(tup) - len(_cycle_type(order)))
 
 
 def build_lambda_pfin(k: int, N: int) -> TruncatedFunctor:
@@ -914,7 +893,7 @@ def inner_character(F: TruncatedFunctor, t: int) -> ClassFunction:
     values = {}
     for mu in partitions_of(t):
         rep = representative(mu)
-        values[mu] = F.perm_matrix(rep, t).trace()
+        values[mu] = map_matrix(F, rep, t, t).trace()
     return ClassFunction(t, values)
 
 

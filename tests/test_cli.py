@@ -100,6 +100,9 @@ def test_invalid_inputs_exit_1(capsys):
          "--trunc 13 exceeds the degree bound 12"),
         (["verify", "--suite", "groth", "--max-size", "13"],
          "--max-size 13 exceeds the degree bound 12"),
+        (["decompose-pfin", "60"], "degree 60 exceeds configured bound 12"),
+        (["structure-kfi", "100"], "degree 100 exceeds configured bound 12"),
+        (["simple-eval", "C", "2", "--t", "100"], "degree 100 exceeds configured bound 12"),
     ],
 )
 def test_negative_or_vacuous_arguments_exit_1(capsys, argv, message):
@@ -235,6 +238,8 @@ def test_symbolic_commands_load_neither_numpy_nor_the_oracle(tmp_path):
         (["simple-eval", "C", "2", "--t", "3"], {}, 0),
         (["simple-eval", "L", "1", "--t", "3"], {}, 0),
         (["simple-eval", "k0", "--t", "0"], {}, 0),
+        (["simple-eval", "C", "2", "--t", "12"], {}, 0),
+        (["simple-eval", "L", "3", "--t", "2000"], {}, 0),
         (["decompose-pfin", "2,1"], {}, 0),
         (["structure-kfi", "3"], {}, 0),
         (["multiplicities", "--input", str(good)], {}, 0),
@@ -243,6 +248,9 @@ def test_symbolic_commands_load_neither_numpy_nor_the_oracle(tmp_path):
         (["verify", "--suite", "groth", "--max-size", "5"], {}, 0),
         (["simple-eval", "C", "--t", "3"], {}, 1),
         (["decompose-pfin", "0"], {}, 1),
+        (["decompose-pfin", "60"], {}, 1),
+        (["structure-kfi", "100"], {}, 1),
+        (["simple-eval", "C", "2", "--t", "100"], {}, 1),
         (["groth", "--identity", "nope"], {}, 1),
         (["groth", "--identity", "W", "--k", "0", "--trunc", "13"], {}, 1),
         (["multiplicities", "--input", str(tmp_path / "missing.json")], {}, 1),

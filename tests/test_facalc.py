@@ -204,12 +204,28 @@ def test_multiplicities_flags_non_effective():
 
 
 def test_hom_projcover_pfin_examples():
-    hp = fc.hom_projcover_pfin(1, 4, fs=fs6())
+    hp = fc.hom_projcover_pfin(1, 4)
     assert [hp.dim_at(1, m) for m in range(5)] == [1, 1, 0, 0, 0]
-    hp2 = fc.hom_projcover_pfin(2, 4, fs=fs6())
+    hp2 = fc.hom_projcover_pfin(2, 4)
     assert hp2.dim_at(2, 1) == 2
-    hp0 = fc.hom_projcover_pfin(0, 4, fs=fs6())
+    hp0 = fc.hom_projcover_pfin(0, 4)
     assert hp0.coeffs == {(Partition(()), Partition(())): 1}
+
+
+def test_map_blocks_are_computed_once(monkeypatch):
+    fc.fs_class(5, cross_check=False)
+    calls, enumerate_maps = [], sr.enumerated_character
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_maps(*args)
+
+    monkeypatch.setattr(sr, "enumerated_character", counted)
+    fc.fs_class(5, cross_check=False)
+    for n in range(4):
+        fc.hom_projcover_pfin(n, 5)
+    fc.hom_pbar_pbar(3, 3)
+    assert calls == []
 
 
 def test_hom_pbar_pbar_entries():
@@ -265,7 +281,7 @@ def test_pbar_tensor_class_matches_direct_characters():
     """The inversion route to the reduced tensor powers agrees with the
     direct product-of-(fixed-points-minus-one) character formula (on
     nonempty sets; the value on the empty set is zero)."""
-    pb = fc.pbar_tensor_class(5, kfa=None)
+    pb = fc.pbar_tensor_class(5)
     for u in range(0, 6):
         assert pb.bidegree(u, 0) == {}
         for t in range(1, 6):
@@ -288,7 +304,7 @@ def test_pfin_lambda_identity():
     kfa = kfa6()
     lhs = kfa
     rhs = fc.pfin_lambda_class(6) + fg.bimod_convolve_left(
-        fc.pbar_over_lambda_class(6, kfa), fg.triv_class(6)
+        fc.pbar_over_lambda_class(6), fg.triv_class(6)
     )
     assert lhs == rhs
 

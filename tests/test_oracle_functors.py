@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import comb, factorial, lcm
 
@@ -80,6 +81,20 @@ def test_identity_maps_act_as_identity():
         for t in range(N + 1):
             m = map_matrix(F, tuple(range(t)), t, t)
             assert m.equals(SpMat.identity(F.dims[t]))
+
+
+def test_inner_and_outer_permutation_orders():
+    """map_matrix composes covariantly; outer_matrix is a right action."""
+    F, t = build_pfin(3, 4), 3
+    perms = list(itertools.permutations(range(3)))
+    for g in perms:
+        for h in perms:
+            gh = tuple(g[h[i]] for i in range(3))
+            hg = tuple(h[g[i]] for i in range(3))
+            assert map_matrix(F, g, t, t).compose(map_matrix(F, h, t, t)).equals(
+                map_matrix(F, gh, t, t))
+            assert F.outer_matrix(g, t).compose(F.outer_matrix(h, t)).equals(
+                F.outer_matrix(hg, t))
 
 
 def apply_sparse(m, col):

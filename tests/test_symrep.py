@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 
 from finsetrep.partitions import Partition, one_column, one_row, partitions_of
+from finsetrep import facalc as fc
 from finsetrep import symrep as sr
 
 
@@ -124,6 +125,8 @@ def test_degree_bound_holds_for_cached_tables():
     n = 6
     f = sr.reconstruct(sr.trivial_class(n))
     sr.decompose(f)  # the table of degree n is now cached
+    fc.kfa_class(n)  # and so are the map blocks through bidegree n
+    fc.fs_class(n, cross_check=False)
     old = sr.degree_bound()
     try:
         sr.set_degree_bound(n - 1)
@@ -133,6 +136,10 @@ def test_degree_bound_holds_for_cached_tables():
             sr.decompose(f)
         with pytest.raises(sr.DegreeBoundError):
             sr.joint_decompose(sr.all_maps_character(n, 1))
+        with pytest.raises(sr.DegreeBoundError):
+            fc.kfa_class(n)
+        with pytest.raises(sr.DegreeBoundError):
+            fc.fs_class(n, cross_check=False)
     finally:
         sr.set_degree_bound(old)
 
@@ -410,7 +417,7 @@ def test_surjection_enumeration_cross_check_runs():
     # the constructor asserts enumeration == inclusion-exclusion internally
     for s in range(6):
         for t in range(5):
-            sr.perm_character_maps(s, t, surjective_only=True, cross_check=True)
+            sr.perm_character_maps(s, t, surjective_only=True)
 
 
 def _injection_joint_character(s, n):
