@@ -16,7 +16,7 @@ import json
 import os
 import random
 import sys
-from math import factorial
+from math import comb, factorial, perm
 from typing import Dict, List, Optional, Tuple
 
 from . import facalc as fc
@@ -94,6 +94,51 @@ def _parse_descriptor(desc: str) -> Tuple[str, Optional[int]]:
     return head, n
 
 
+# The budget of a call's functors: the largest dims[t] of each, and the
+# number of generator moves at the truncation.  As the source of a solve, a
+# functor with 2,401 dimensions at its top size peaks at 0.66-0.81 GB of
+# RSS, one with 3,125 at 1.05 GB and one with 4,096 at 1.77 GB; every
+# family of degree <= 4 fits up to truncation 7.
+_BUDGET = 2500
+
+
+def _largest_dim(head: str, n: Optional[int], N: int) -> int:
+    """dims[N] of the functor family:n at truncation N >= 1, from closed
+    forms, with nothing built: the largest dims[t], as every family grows
+    with t.  kfs is the surjection module of the norm-map suite."""
+    if n is None:
+        return 1
+    return {
+        "pfin": lambda: N ** n,
+        "pbar": lambda: (N - 1) ** n,
+        "kfi": lambda: perm(N, n),
+        "kfs": lambda: sum((-1) ** i * comb(n, i) * (n - i) ** N for i in range(n + 1)),
+        "lambda": lambda: comb(N, n),
+        "lambdabar": lambda: comb(N - 1, n),
+        # the exterior part plus the tensor power modulo its top exterior summand
+        "proj": lambda: comb(N, n + 1) + (N - 1) ** n - comb(N - 1, n),
+    }[head]()
+
+
+def _admit(flag: str, N: int, functors: List[Tuple[str, Optional[int]]]) -> None:
+    """Refuses, before anything is built, a truncation N with more than
+    _BUDGET generator moves, or a functor with more than _BUDGET dimensions
+    at size N.  Below 2, and for a degree above N, the builders refuse or
+    build nothing large."""
+    if N < 2 or not functors:
+        return
+    moves = N * (N - 1) // 2 + 2 * N - 1
+    if moves > _BUDGET:
+        raise CliError(f"{flag} {N}: {moves} generator moves, above the budget of {_BUDGET}")
+    for head, n in functors:
+        if n is not None and n > N:
+            continue
+        d = _largest_dim(head, n, N)
+        if d > _BUDGET:  # never an ungraded family: they have one dimension
+            raise CliError(f"{flag} {N}: {head}:{n} has {d} dimensions at size {N}, "
+                           f"above the budget of {_BUDGET}")
+
+
 def _functor_from_descriptor(desc: str, N: int):
     head, n = _parse_descriptor(desc)
     from . import oracle
@@ -153,8 +198,7 @@ def cmd_multiplicities(args) -> str:
 
 def cmd_hom(args) -> str:
     descs = (getattr(args, "from"), args.to)
-    for desc in descs:
-        _parse_descriptor(desc)
+    _admit("--trunc", args.trunc, [_parse_descriptor(desc) for desc in descs])
     from .oracle import nat_hom
 
     F, G = (_functor_from_descriptor(desc, args.trunc) for desc in descs)
@@ -203,18 +247,26 @@ def cmd_groth(args) -> str:
     )
 
 
-_ORACLE_SUITES = ("idempotent", "lambda-complex", "norm-map", "right-aug", "pbar-hom")
+# The functors each oracle suite builds at --max-size N, as (family, degree)
+_ORACLE_SUITES = {
+    "idempotent": lambda N: [],
+    "lambda-complex": lambda N: [("lambda", k) for k in range(N + 1)],
+    "norm-map": lambda N: [(f, n) for n in range(1, min(3, N - 1) + 1) for f in ("kfi", "kfs")],
+    "right-aug": lambda N: [(f, n) for n in range(min(3, N - 2) + 1) for f in ("pbar", "pfin")],
+    "pbar-hom": lambda N: [("pbar", s) for s in range(min(3, N - 2) + 1)],
+}
 _SYMBOLIC_SUITES = ("groth", "kfs-cross")
 
 
 def _verify_suite(args) -> Tuple[List, int]:
     """Returns (reports, exit_code).  Only the oracle suites load the oracle."""
     suite = args.suite
-    if suite not in _ORACLE_SUITES + _SYMBOLIC_SUITES:
+    if suite not in (*_ORACLE_SUITES, *_SYMBOLIC_SUITES):
         raise CliError(f"unknown suite {suite!r}")
-    if suite in _ORACLE_SUITES:
-        from . import oracle
     N = args.max_size
+    if suite in _ORACLE_SUITES:
+        _admit("--max-size", N, _ORACLE_SUITES[suite](N))
+        from . import oracle
     rng = random.Random(args.seed)
     reports: List = []
 

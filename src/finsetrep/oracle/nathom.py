@@ -14,7 +14,13 @@ Solving hom(F, G) is then linear algebra in the unknown generator values:
 each basis column corresponds to an explicit vector G(path)(v), and every
 generator move contributes exact linear constraints, except a move image
 that the span pass accepted: its value is G(move) of its parent's by
-construction, so its constraint is zero and is skipped.  Constraints are
+construction, so its constraint is zero and is skipped.  The constraint
+c(a, b_j) of a move a on a vector b_j = F(m) b_j' that the pass built along
+m is skipped too when a relation a o m = m' o a' of FA writes it as
+c(m', F(a') b_j') + G(m') c(a', b_j'), a combination of constraints that
+come strictly earlier in the order (source size, span index, position in
+gen_keys()); by induction along that order every skipped constraint
+vanishes once the kept ones do, for any functors F and G.  Constraints are
 folded into integer Gram matrices (x is in the kernel of sum W_i^T W_i iff
 W_i x = 0 for all i, valid over the rationals), and the parameter space is
 cut batch by batch so the large top-degree data is only built on an
@@ -46,14 +52,14 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from math import gcd, lcm
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..partitions import Partition, partitions_of
 from ..symrep import JointClassFunction, joint_decompose, representative
 from . import linalg
-from .functors import OracleError, SpMat, TruncatedFunctor, subspace_maps
+from .functors import GenKey, OracleError, SpMat, TruncatedFunctor, subspace_maps
 
 Path = Tuple  # ("gen", a) | ("step", genkey, parent_t, parent_idx)
 
@@ -67,15 +73,19 @@ class SpanData:
     gen_used flags the declared generators that actually entered the
     basis; redundant generators (possible for kernel-style builders) are
     absorbed into the span of the others and carry no free unknowns.
-    expansions and gammas cache expansion()'s and gamma()'s values."""
+    accepted[key] holds the indices j at key's source size whose image
+    along key the pass accepted.  expansions, gammas and skip_sets cache
+    expansion()'s, gamma()'s and skips()'s values."""
 
     F: TruncatedFunctor
     paths: List[List[Path]]
     order: List[Tuple[int, int]]
     gen_used: List[bool]
     basis: List[SpMat]
+    accepted: Dict[GenKey, Set[int]]
     expansions: Dict[int, SpMat] = field(default_factory=dict)
-    gammas: Dict[object, SpMat] = field(default_factory=dict)
+    gammas: Dict[GenKey, SpMat] = field(default_factory=dict)
+    skip_sets: Dict[GenKey, Set[int]] = field(default_factory=dict)
 
     def expansion(self, t: int) -> SpMat:
         """The map E_t, computed on first use, that takes a vector v of F(t)
@@ -97,6 +107,50 @@ class SpanData:
             E, move = self.expansion(t), self.F.act[key]
             self.gammas[key] = E.compose(move.compose(self.basis[s]))
         return self.gammas[key]
+
+    def skips(self, key: GenKey) -> Set[int]:
+        """The indices j whose constraint c(key, b_j) the solve skips,
+        computed on first use: the images the pass accepted along key, and
+        the b_j = F(m) b_j' whose constraint _implied(key, m) writes through
+        earlier ones.  Through tau_k o tau_l = tau_l o tau_k, c(tau_k, b_j)
+        needs c(tau_l, b_i) for every b_i in the expansion of F(tau_k) b_j'
+        (column j' of Gamma_key), so it is skipped only if each of those
+        comes earlier, (i, l) < (j, k) as gen_keys() lists the
+        transpositions of one size by index, or is an accepted image."""
+        if key not in self.skip_sets:
+            skip = set(self.accepted.get(key, ()))
+            s = TruncatedFunctor.gen_src_dst(key)[0]
+            for j, path in enumerate(self.paths[s]):
+                if path[0] == "gen" or not _implied(key, path[1]):
+                    continue
+                m, jp = path[1], path[3]
+                if key[0] == m[0] == "tau":
+                    along_m = self.accepted.get(m, ())
+                    column = self.gamma(key).column_index().get(jp, ())
+                    if not all((i, m[2]) < (j, key[2]) or i in along_m for i, _ in column):
+                        continue
+                skip.add(j)
+            self.skip_sets[key] = skip
+        return self.skip_sets[key]
+
+
+def _implied(a: GenKey, m: GenKey) -> bool:
+    """Whether a relation a o m = m' o a' of FA, for a move a out of the
+    size that the move m leads to, writes c(a, F(m) v) as
+    c(m', F(a') v) + G(m') c(a', v) with both terms earlier in the order
+    (source size, span index, position in gen_keys()), for a span vector v
+    whose own image F(m) v the pass accepted.  Transpositions tau_k, tau_l
+    with |k - l| >= 2 commute, and their expansion terms need the check in
+    SpanData.skips."""
+    if m[0] == "inc":
+        # fold o inc = id; tau_k o inc = inc o tau_k away from the new point
+        return a[0] == "fold" or (a[0] == "tau" and a[2] <= a[1] - 2)
+    if m[0] == "tau":
+        if a[0] == "fold":
+            # fold o tau = fold on the fold's fibre; they commute away from it
+            return m[2] == m[1] - 1 or m[2] <= m[1] - 3
+        return a[0] == "tau" and abs(a[2] - m[2]) >= 2
+    return False
 
 
 def build_span(F: TruncatedFunctor) -> SpanData:
@@ -143,6 +197,7 @@ def _span_pass(F: TruncatedFunctor, p: int):
     vecs: List[List[Tuple[Dict[int, int], int]]] = [[] for _ in sizes]
     bases = [linalg.ModColumnBasis(p) for _ in sizes]
     order: List[Tuple[int, int]] = []
+    accepted: Dict[GenKey, Set[int]] = {}
     moves_of: Dict[int, List[Tuple]] = {t: [] for t in sizes}
     for key in F.gen_keys():
         s, t = TruncatedFunctor.gen_src_dst(key)
@@ -170,6 +225,8 @@ def _span_pass(F: TruncatedFunctor, p: int):
             continue
         paths[t].append(path)
         vecs[t].append((num, den))
+        if path[0] == "step":
+            accepted.setdefault(path[1], set()).add(path[3])
         order.append((t, idx))
         for key, t2 in moves_of[t]:
             heapq.heappush(heap, (t2, next(counter), ("step", key, t, idx)))
@@ -183,7 +240,7 @@ def _span_pass(F: TruncatedFunctor, p: int):
         rows, cols, vals = zip(*entries) if entries else ((), (), ())
         basis.append(SpMat(F.dims[t], len(vecs[t]), rows, cols, vals, D))
     used = {path[1] for t in sizes for path in paths[t] if path[0] == "gen"}
-    return SpanData(F, paths, order, [a in used for a in range(len(F.generators))], basis)
+    return SpanData(F, paths, order, [a in used for a in range(len(F.generators))], basis, accepted)
 
 
 def _spans_subfunctor(span: SpanData) -> bool:
@@ -246,14 +303,18 @@ class NatHomResult:
 
     P is the parameter basis, an n_v x dimension integer array: its k-th
     column holds the values of the k-th basis solution on the used
-    generators, block by block."""
+    generators, block by block.  constraints counts the constraints of the
+    moves the solve reached: skipped as accepted images or as implied,
+    kept, and kept with a nonzero W."""
 
-    def __init__(self, F, G, span, P: np.ndarray, blocks):
+    def __init__(self, F, G, span, P: np.ndarray, blocks,
+                 constraints: Optional[Dict[str, int]] = None):
         self.F, self.G = F, G
         self.span = span
         self.P = P
         # blocks: generator index -> (degree, offset), used generators only
         self.blocks = blocks
+        self.constraints = constraints or {}
         self._vcache: Dict[Tuple[int, int], SpanValue] = {}
         self._ucache: Dict[int, Tuple[np.ndarray, int, int]] = {}
         self._maps = None
@@ -400,9 +461,7 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
     n_v = off
     P = np.eye(n_v, dtype=np.int64)
     vcache: Dict[Tuple[int, int], SpanValue] = {}
-    # a move image the span pass accepted is a basis vector whose value is
-    # G(key) of its parent's: its constraint W is zero by construction
-    accepted = {(path[1], path[3]) for paths in span.paths for path in paths if path[0] == "step"}
+    counts = dict.fromkeys(("accepted", "implied", "kept", "nonzero"), 0)
     keys = sorted(
         F.gen_keys(),
         key=lambda k: (max(TruncatedFunctor.gen_src_dst(k)), k[0] != "tau"),
@@ -418,8 +477,13 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
         gram, gbound = np.zeros((p, p), dtype=np.int64), 0
         gamma, m = span.gamma(key), G.act[key]
         D, columns = gamma.den, gamma.column_index()
+        skip = span.skips(key)
+        accepted = len(span.accepted.get(key, ()))
+        counts["accepted"] += accepted
+        counts["implied"] += len(skip) - accepted
+        counts["kept"] += gamma.n - len(skip)
         for j in range(gamma.n):
-            if (key, j) in accepted:
+            if j in skip:
                 continue
             column = columns.get(j, ())
             sarr, sden = sval = _span_value(span, G, blocks, P, vcache, (s, j))
@@ -434,6 +498,7 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
             wmax = int(np.abs(W).max(initial=0))
             if not wmax:
                 continue
+            counts["nonzero"] += 1
             # each Gram entry sums W.shape[0] products of two entries of W
             bound = W.shape[0] * wmax * wmax
             block = linalg.imatmul(W.T, W, wmax, wmax)
@@ -447,7 +512,7 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
             P = linalg.int_array(linalg.imatmul(P, ker.T))
             vcache.clear()
 
-    return NatHomResult(F, G, span, P, blocks)
+    return NatHomResult(F, G, span, P, blocks, counts)
 
 
 def nat_hom_dense_dim(F: TruncatedFunctor, G: TruncatedFunctor) -> int:

@@ -317,3 +317,64 @@ def test_cli_runs_blas_on_one_thread_unless_set(capsys, monkeypatch, preset):
     assert {var: os.environ[var] for var in _BLAS_THREADS} == {
         var: "2" if var == preset else "1" for var in _BLAS_THREADS
     }
+
+
+def test_size_estimates_match_the_builders():
+    from finsetrep import cli
+    from finsetrep.oracle import OracleError, surjection_count
+
+    for N in range(2, 6):
+        for head in ("pfin", "pbar", "kfi", "lambda", "lambdabar", "proj"):
+            for n in range(0, N + 1):
+                try:
+                    F = cli._functor_from_descriptor(f"{head}:{n}", N)
+                except OracleError as exc:  # a degree the builder refuses
+                    assert "needs N >=" in str(exc), (head, n, N)
+                    continue
+                assert max(F.dims) == F.dims[N] == cli._largest_dim(head, n, N), (head, n, N)
+                assert len(F.gen_keys()) == N * (N - 1) // 2 + 2 * N - 1
+        for head in cli._UNGRADED:
+            assert max(cli._functor_from_descriptor(head, N).dims) == cli._largest_dim(head, None, N)
+        for n in range(1, 4):
+            assert cli._largest_dim("kfs", n, N) == surjection_count(N, n)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hom", "--from", "pfin:8", "--to", "pfin:8", "--trunc", "8"],
+         "--trunc 8: pfin:8 has 16777216 dimensions at size 8, above the budget of 2500"),
+        (["hom", "--from", "k", "--to", "pfin:4", "--trunc", "8"], "--trunc 8: pfin:4 has 4096"),
+        (["hom", "--from", "k", "--to", "k", "--trunc", "100"],
+         "--trunc 100: 5149 generator moves, above the budget of 2500"),
+        (["verify", "--suite", "lambda-complex", "--max-size", "14"], "--max-size 14: lambda:6 has 3003"),
+        (["verify", "--suite", "norm-map", "--max-size", "8"], "--max-size 8: kfs:3 has 5796"),
+        (["verify", "--suite", "right-aug", "--max-size", "14"], "--max-size 14: pfin:3 has 2744"),
+        (["verify", "--suite", "pbar-hom", "--max-size", "15"], "--max-size 15: pbar:3 has 2744"),
+        (["verify", "--suite", "lambda-complex", "--max-size", "71"], "--max-size 71: 2626 generator moves"),
+    ],
+)
+def test_sizes_above_the_budget_exit_1_before_any_build(capsys, monkeypatch, argv, message):
+    import finsetrep.oracle
+    from finsetrep import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built past the size admission")
+
+    monkeypatch.setattr(cli, "_functor_from_descriptor", refuse)
+    for name in ("pi_idempotent_check", "verify_lambda_complex", "verify_norm_map",
+                 "verify_right_aug", "nat_hom", "build_pbar_tensor"):
+        monkeypatch.setattr(finsetrep.oracle, name, refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert message in json.loads(err)["error"]
+
+
+def test_the_budget_admits_the_runs_in_use():
+    from finsetrep import cli
+
+    for source, target, N in (("pbar", "pbar", 7), ("pbar", "pfin", 7), ("pbar", "pfin", 6)):
+        cli._admit("--trunc", N, [(source, 4), (target, 4)])
+    for suite, N in (("right-aug", 5), ("lambda-complex", 13), ("norm-map", 7), ("pbar-hom", 13),
+                     ("idempotent", 1000)):
+        cli._admit("--max-size", N, cli._ORACLE_SUITES[suite](N))

@@ -21,7 +21,7 @@ from finsetrep.oracle import (
     nat_hom,
     nat_hom_dense_dim,
 )
-from finsetrep.oracle.functors import SpMat, direct_sum
+from finsetrep.oracle.functors import SpMat, TruncatedFunctor, direct_sum
 from finsetrep.oracle.nathom import build_span
 from test_oracle_functors import apply_sparse, fraction_vector, rescaled
 
@@ -530,6 +530,7 @@ def test_skipped_constraints_are_zero():
                 terms = [(c, *_span_value(span, G, blocks, P, cache, (t, i)))
                          for i, c in gamma.items()]
                 assert gamma == {idx: Fraction(1)}
+                assert j in span.accepted[key] and j in span.skips(key)
                 L = lcm(m.den * sden, *(c.denominator * d for c, _, d in terms))
                 W = linalg.lincomb([(m.apply_dense(sarr), -(L // (m.den * sden)))] + [
                     (arr, c.numerator * (L // (c.denominator * d))) for c, arr, d in terms
@@ -598,9 +599,81 @@ def test_stabilization_degree4_full_size():
         return build_pbar_tensor(s, 7)
 
     assert nat_hom(pbar7(4), pbar7(4)).dimension == 24
-    assert nat_hom(pbar7(4), build_pfin(4, 7)).dimension == 24
+    r = nat_hom(pbar7(4), build_pfin(4, 7))
+    assert r.dimension == 24
+    assert (r.constraints["implied"], r.constraints["kept"]) == (9870, 3311)
     for t in range(0, 4):
         assert nat_hom(pbar7(4), pbar7(t)).dimension == 0
+
+
+def test_relations_behind_the_skips_hold_as_set_maps():
+    # the relations of FA that nathom._implied reads, composed from the
+    # generator maps: inc_t: t -> t+1, fold_t: t+1 -> t merging t-1 with
+    # t, tau_{t,i} swapping i-1 and i
+    from finsetrep.oracle.functors import _fold_map, _inc_map, _tau_map
+
+    def comp(g, f):  # g o f
+        return tuple(g[v] for v in f)
+
+    for t in range(2, 8):
+        inc = _inc_map(t - 1)
+        for k in range(1, t - 1):
+            assert comp(_tau_map(t, k), inc) == comp(inc, _tau_map(t - 1, k))
+        # tau_{t-1} moves the new point t-1 into the image: no such relation
+        assert t - 1 in comp(_tau_map(t, t - 1), inc)
+        for k in range(1, t):
+            for l in range(1, t):
+                commute = comp(_tau_map(t, k), _tau_map(t, l)) == comp(_tau_map(t, l), _tau_map(t, k))
+                assert commute == (abs(k - l) != 1), (t, k, l)
+    for u in range(1, 7):
+        fold = _fold_map(u)
+        assert comp(fold, _inc_map(u)) == tuple(range(u))
+        assert comp(fold, _tau_map(u + 1, u)) == fold
+        for l in range(1, u):
+            commute = comp(fold, _tau_map(u + 1, l)) == comp(_tau_map(u, l), fold)
+            assert commute == (l <= u - 2), (u, l)
+
+
+def test_adjacent_transpositions_must_not_count_as_commuting(monkeypatch):
+    # a wrong rule skips a constraint that no kept one implies: the solve
+    # then admits a non-solution, and verify() refuses it
+    from finsetrep.oracle import OracleError
+    from finsetrep.oracle import nathom
+
+    F, G = build_proj_cover(3, 5), build_pfin(3, 5)
+    implied = nathom._implied
+    monkeypatch.setattr(nathom, "_implied", lambda a, m: implied(a, m) or (
+        a[0] == m[0] == "tau" and abs(a[2] - m[2]) == 1))
+    r = nat_hom(F, G)
+    with pytest.raises(OracleError, match="solution fails naturality"):
+        r.verify()
+    monkeypatch.undo()
+    F.span_cache = None
+    r = nat_hom(F, G)
+    assert r.dimension == 6
+    r.verify()
+
+
+def test_constraint_counts():
+    F = build_pbar_tensor(4, 5)
+    r = nat_hom(F, build_pfin(4, 5))
+    assert r.dimension == 24
+    assert {k: r.constraints[k] for k in ("accepted", "implied", "kept")} == {
+        "accepted": 353, "implied": 809, "kept": 590}
+    assert 0 < r.constraints["nonzero"] <= r.constraints["kept"]
+    # every move's constraints are counted once: the degree-4 pair reaches
+    # every move, and F(t) has dims[t] of them per move out of size t
+    assert sum(r.constraints[k] for k in ("accepted", "implied", "kept")) == sum(
+        F.dims[TruncatedFunctor.gen_src_dst(key)[0]] for key in F.gen_keys())
+
+
+def test_degree4_endomorphisms_verify():
+    # an independent re-check of the degree-4 skips: verify() checks every
+    # move on every unit vector
+    F = build_pbar_tensor(4, 5)
+    r = nat_hom(F, F)
+    assert r.dimension == 24
+    r.verify()
 
 
 def test_truncation_mismatch_rejected():
