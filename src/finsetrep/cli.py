@@ -235,6 +235,8 @@ def cmd_groth(args) -> str:
     for flag, value in (("--k", k), ("--trunc", N)):
         if value < 0:
             raise CliError(f"{flag} must be non-negative")
+    if k > N:
+        raise CliError(f"--k {k} exceeds --trunc {N}")
     _check_degree_bound("--trunc", N)
     if name not in _IDENTITIES:
         raise CliError(f"unknown identity {name!r}")
@@ -425,18 +427,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         result = args.func(args)
-    except CliError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 1
-    except (ValueError, sr.DegreeBoundError, fc.VerificationError, *_oracle_errors()) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 1
-    if isinstance(result, tuple):
-        out, code = result
+    except (CliError, ValueError, sr.DegreeBoundError, fc.VerificationError, *_oracle_errors()) as exc:
+        error = str(exc)
+    except MemoryError:
+        error = "out of memory: lower --trunc or --max-size"
+    else:
+        out, code = result if isinstance(result, tuple) else (result, 0)
         print(out)
         return code
-    print(result)
-    return 0
+    print(json.dumps({"error": error}), file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

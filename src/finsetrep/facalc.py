@@ -367,8 +367,6 @@ def hom_projcover(F: FBModuleData) -> VirtualFB:
     out_trunc = F.trunc - 1
     total = day(F.bar_class().truncate(out_trunc), series_S(0, out_trunc))
     for k in range(1, F.trunc + 1):
-        if k - 1 > out_trunc:
-            break
         m_k = F.degree(k)[one_column(k)]
         if m_k:
             total = total + series_S(k - 1, out_trunc).scale(m_k)
@@ -497,10 +495,7 @@ def hom_lambdabar_pbar(s: int, trunc: int) -> VirtualFB:
     """Class of hom(Lambda^s of the reduced projective, tensor-power_star)
     in the star variable."""
     fs = fs_class(max(trunc, s), cross_check=False)
-    part = day(fs.left_class(one_column(s)).truncate(trunc), series_S(0, trunc))
-    if s + 1 <= trunc:
-        part = part + series_S(s + 1, trunc)
-    return part
+    return day(fs.left_class(one_column(s)).truncate(trunc), series_S(0, trunc)) + series_S(s + 1, trunc)
 
 
 def _crop(b: VirtualFBBimod, tl: int, tr: int) -> VirtualFBBimod:

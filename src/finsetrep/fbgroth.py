@@ -151,18 +151,16 @@ def pointwise(a: VirtualFB, b: VirtualFB) -> VirtualFB:
 
 
 def series_S(k: int, trunc: int) -> VirtualFB:
-    """S(k) = sum_{t>=0, k+t<=trunc} (-1)^t [sgn_{k+t}]."""
-    if k > trunc:
-        raise ValueError(f"k={k} exceeds truncation {trunc}")
+    """S(k) = sum_{t>=0, k+t<=trunc} (-1)^t [sgn_{k+t}]: the zero class
+    for k > trunc."""
     return VirtualFB(
         trunc, {one_column(k + t): (-1) ** t for t in range(trunc - k + 1)}
     )
 
 
 def series_H(k: int, trunc: int) -> VirtualFB:
-    """H(0) = [k_0]; H(k) = sum_{n=k}^{trunc} [S_(n-k+1, 1^(k-1))] for k > 0."""
-    if k > trunc:
-        raise ValueError(f"k={k} exceeds truncation {trunc}")
+    """H(0) = [k_0]; H(k) = sum_{n=k}^{trunc} [S_(n-k+1, 1^(k-1))] for k > 0:
+    the zero class for k > trunc."""
     if k == 0:
         return unit(trunc)
     return VirtualFB(trunc, {hook(n, k): 1 for n in range(k, trunc + 1)})

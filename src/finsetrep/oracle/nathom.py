@@ -34,16 +34,21 @@ Python ints above it.  Each span value's max|arr| is computed once, when
 the value is made (SpanValue), and travels with it into every bound it
 enters: G(move)'s row bound times it for G(move) V, W's one exact max for
 both sides of W^T W, a running sum for the Gram; a constraint W that is
-zero adds nothing and is skipped.  The solutions are read out on integer
-arrays: a block of vectors of F(t) is expanded in the span basis, and one
-product with the values of the span vectors that the expansion needs
-applies every basis solution to the block.  solution_matrix and verify
-take the block of unit vectors, once per size; verify checks each move
-once, for every basis solution together.  coordinates reads a block of
-generator values off p independent rows of P, which the same certified
-engine picks, and checks the other rows exactly: outer characters take
-the acted-on solutions through it, and the checks the restricted Yoneda
-maps.
+zero adds nothing and is skipped.  The solve fills its NatHomResult in
+place, and the result keeps the span values made on its final P.  verify
+reads them as they stand: on every move key: s -> t it checks
+V_t Gamma_key = G(key) V_s, V_t the values on the span basis at size t,
+for every basis solution together.  The span vectors are a basis of
+F(s), so that is naturality on all of F(s); verify consults no skip set
+and assembles no W of the solve.  Other vectors are read out on integer
+arrays: a block of vectors of F(t) (generators acted on by the outer
+action, or solution_matrix's unit vectors) is expanded in the span
+basis, and one product with the values of the span vectors that the
+expansion needs applies every basis solution to the block.  coordinates
+reads a block of generator values off p independent rows of P, which
+the same certified engine picks, and checks the other rows exactly:
+outer characters take the acted-on solutions through it, and the checks
+the restricted Yoneda maps.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from math import gcd, lcm
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -267,37 +272,6 @@ class SpanValue(tuple):
         return value
 
 
-def _span_value(
-    span: SpanData,
-    G: TruncatedFunctor,
-    blocks: Dict[int, Tuple[int, int]],
-    P: np.ndarray,
-    cache: Dict[Tuple[int, int], SpanValue],
-    key: Tuple[int, int],
-) -> SpanValue:
-    """Values on the span basis vector key = (size, index) of the candidate
-    solutions given by P's columns: G of the vector's path applied to the
-    rows of P holding its generator's values, as (int array, denominator)
-    in lowest terms.  cache holds a prefix of span.order and is extended
-    along it to key."""
-    while key not in cache:
-        t, idx = span.order[len(cache)]
-        path = span.paths[t][idx]
-        if path[0] == "gen":
-            d, off = blocks[path[1]]
-            cache[(t, idx)] = SpanValue(P[off : off + G.dims[d]].copy(), 1)
-        else:
-            _, gkey, pt, pidx = path
-            parent = cache[(pt, pidx)]
-            m = G.act[gkey]
-            arr, den = m.apply_dense(parent[0], parent.amax), parent[1] * m.den
-            g = gcd(den, int(np.gcd.reduce(arr, axis=None))) if den > 1 else 1
-            if g > 1:
-                arr, den = arr // g, den // g
-            cache[(t, idx)] = SpanValue(arr, den)
-    return cache[key]
-
-
 class NatHomResult:
     """Solution space of natural transformations F -> G at truncation N.
 
@@ -305,7 +279,9 @@ class NatHomResult:
     column holds the values of the k-th basis solution on the used
     generators, block by block.  constraints counts the constraints of the
     moves the solve reached: skipped as accepted images or as implied,
-    kept, and kept with a nonzero W."""
+    kept, and kept with a nonzero W.  The solve fills the result in place:
+    a result keeps the span values its solve made on the final P, and
+    makes the others on first use."""
 
     def __init__(self, F, G, span, P: np.ndarray, blocks,
                  constraints: Optional[Dict[str, int]] = None):
@@ -315,8 +291,8 @@ class NatHomResult:
         # blocks: generator index -> (degree, offset), used generators only
         self.blocks = blocks
         self.constraints = constraints or {}
+        # the span values on P along a prefix of span.order; cleared when P is cut
         self._vcache: Dict[Tuple[int, int], SpanValue] = {}
-        self._ucache: Dict[int, Tuple[np.ndarray, int, int]] = {}
         self._maps = None
 
     @property
@@ -327,6 +303,42 @@ class NatHomResult:
     def n_v(self) -> int:
         return sum(self.G.dims[d] for d, _ in self.blocks.values())
 
+    def _value(self, key: Tuple[int, int]) -> SpanValue:
+        """Values on the span basis vector key = (size, index) of the
+        solutions given by P's columns: G of the vector's path applied to
+        the rows of P holding its generator's values, as (int array,
+        denominator) in lowest terms.  The cache is extended along
+        span.order to key."""
+        span, G, cache = self.span, self.G, self._vcache
+        while key not in cache:
+            t, idx = span.order[len(cache)]
+            path = span.paths[t][idx]
+            if path[0] == "gen":
+                d, off = self.blocks[path[1]]
+                cache[(t, idx)] = SpanValue(self.P[off : off + G.dims[d]].copy(), 1)
+            else:
+                _, gkey, pt, pidx = path
+                parent = cache[(pt, pidx)]
+                m = G.act[gkey]
+                arr, den = m.apply_dense(parent[0], parent.amax), parent[1] * m.den
+                g = gcd(den, int(np.gcd.reduce(arr, axis=None))) if den > 1 else 1
+                if g > 1:
+                    arr, den = arr // g, den // g
+                cache[(t, idx)] = SpanValue(arr, den)
+        return cache[key]
+
+    def _values(self, t: int, indices: Sequence[int]) -> Tuple[np.ndarray, int, int]:
+        """(V, L, vmax) for the span vectors (t, i), i in indices: their
+        values over the common denominator L, V[n] / L the value on the
+        n-th as a len(indices) x G.dims[t] x p array, and vmax >= max|V|."""
+        values = [self._value((t, i)) for i in indices]
+        L = lcm(*(v[1] for v in values))
+        vmax = max((v.amax * (L // v[1]) for v in values), default=0)
+        V = np.empty((len(values), self.G.dims[t], self.dimension), dtype=linalg.int_dtype(vmax))
+        for n, v in enumerate(values):
+            V[n] = linalg.lincomb([(v[0], L // v[1])], [v.amax])
+        return V, L, vmax
+
     def _apply(self, t: int, X: np.ndarray, xden: int = 1) -> Tuple[np.ndarray, int]:
         """Every basis solution at size t applied to the columns of X / xden,
         X a dims[t] x c integer array of F(t): (Y, den) with Y a
@@ -336,49 +348,39 @@ class NatHomResult:
         E = self.span.expansion(t)
         C = E.apply_dense(X)
         support = np.flatnonzero(C.any(axis=1)).tolist()
-        values = [
-            _span_value(self.span, self.G, self.blocks, self.P, self._vcache, (t, i))
-            for i in support
-        ]
-        # the values on their common denominator L, one row per span vector
-        L = lcm(*(v[1] for v in values))
-        shape = (self.G.dims[t], self.dimension)
-        V = (np.stack([linalg.lincomb([(v[0], L // v[1])], [v.amax]) for v in values]) if values
-             else np.zeros((0,) + shape, dtype=np.int64))
-        vmax = max((v.amax * (L // v[1]) for v in values), default=0)
+        V, L, vmax = self._values(t, support)
+        shape = V.shape[1:]
         Y = linalg.imatmul(V.reshape(len(support), shape[0] * shape[1]).T, C[support], vmax)
         return Y.reshape(shape + (X.shape[1],)), L * E.den * xden
 
-    def _unit_values(self, t: int) -> Tuple[np.ndarray, int, int]:
-        """(Y, den, max|Y|) for the unit vectors of F(t), computed once per
-        size: Y / den holds the t-components of all basis solutions."""
-        if t not in self._ucache:
-            Y, den = self._apply(t, np.eye(self.F.dims[t], dtype=np.int64))
-            self._ucache[t] = (Y, den, int(np.abs(Y).max(initial=0)))
-        return self._ucache[t]
-
     def solution_matrix(self, k: int, t: int) -> SpMat:
         """The t-component of the k-th basis solution, as an exact matrix."""
-        Y, den, _ = self._unit_values(t)
+        Y, den = self._apply(t, np.eye(self.F.dims[t], dtype=np.int64))
         return SpMat.from_dense(Y[:, k], den)
 
     def verify(self) -> None:
-        """Exact re-check that every basis solution is natural: per move
-        key: s -> t, one apply_dense on each side of eta_t F(key) =
-        G(key) eta_s for all solutions at once, denominators cross-multiplied."""
+        """Exact re-check that every basis solution is natural.  The span
+        vectors b_j of F(s) are a basis, so a solution is natural on the
+        move key: s -> t iff eta_t F(key) b_j = G(key) eta_s b_j for every
+        j: V_t Gamma_key = G(key) V_s, with V_t the values on the span basis
+        at size t.  One apply_dense on each side per move, for all
+        solutions at once, denominators cross-multiplied.  It checks every
+        j, the skipped constraints too, and assembles no W of the solve."""
         if not self.dimension:
             return
-        units = [self._unit_values(t) for t in range(self.F.N + 1)]
         for key in self.F.gen_keys():
             s, t = TruncatedFunctor.gen_src_dst(key)
-            (Yt, dt, mt), (Ys, ds, ms) = units[t], units[s]
-            Fk, Gk = self.F.act[key], self.G.act[key]
-            FkT = SpMat(Fk.n, Fk.m, Fk.cols, Fk.rows, Fk.vals)
+            if not (self.F.dims[s] and self.G.dims[t]):
+                continue  # both sides are empty
+            Vt, Lt, mt = self._values(t, range(self.F.dims[t]))
+            Vs, Ls, ms = (Vt, Lt, mt) if s == t else self._values(s, range(self.F.dims[s]))
+            gamma, Gk = self.span.gamma(key), self.G.act[key]
+            gammaT = SpMat(gamma.n, gamma.m, gamma.cols, gamma.rows, gamma.vals)
             # both sides as F.dims[s] x G.dims[t] x p arrays
-            lhs = FkT.apply_dense(Yt.transpose(2, 0, 1), mt)
-            rhs = Gk.apply_dense(Ys, ms).transpose(2, 0, 1)
-            bounds = [FkT.row_bound * mt, Gk.row_bound * ms]
-            if linalg.lincomb([(lhs, Gk.den * ds), (rhs, -Fk.den * dt)], bounds).any():
+            lhs = gammaT.apply_dense(Vt, mt)
+            rhs = Gk.apply_dense(Vs.transpose(1, 0, 2), ms).transpose(1, 0, 2)
+            bounds = [gammaT.row_bound * mt, Gk.row_bound * ms]
+            if linalg.lincomb([(lhs, Gk.den * Ls), (rhs, -gamma.den * Lt)], bounds).any():
                 raise OracleError("solution fails naturality")
 
     # -- outer characters ---------------------------------------------------
@@ -458,10 +460,8 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
         if span.gen_used[a]:
             blocks[a] = (d, off)
             off += G.dims[d]
-    n_v = off
-    P = np.eye(n_v, dtype=np.int64)
-    vcache: Dict[Tuple[int, int], SpanValue] = {}
     counts = dict.fromkeys(("accepted", "implied", "kept", "nonzero"), 0)
+    res = NatHomResult(F, G, span, np.eye(off, dtype=np.int64), blocks, counts)
     keys = sorted(
         F.gen_keys(),
         key=lambda k: (max(TruncatedFunctor.gen_src_dst(k)), k[0] != "tau"),
@@ -470,9 +470,9 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
         s, t = TruncatedFunctor.gen_src_dst(key)
         if len(span.paths[s]) == 0 or G.dims[t] == 0:
             continue
-        if P.shape[1] == 0:
+        p = res.dimension
+        if p == 0:
             break
-        p = P.shape[1]
         # the Gram sum and an upper bound on its entries
         gram, gbound = np.zeros((p, p), dtype=np.int64), 0
         gamma, m = span.gamma(key), G.act[key]
@@ -486,8 +486,8 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
             if j in skip:
                 continue
             column = columns.get(j, ())
-            sarr, sden = sval = _span_value(span, G, blocks, P, vcache, (s, j))
-            terms = [(c, _span_value(span, G, blocks, P, vcache, (t, i))) for i, c in column]
+            sarr, sden = sval = res._value((s, j))
+            terms = [(c, res._value((t, i))) for i, c in column]
             L = lcm(m.den * sden, *(D * v[1] for _, v in terms))
             # G(key) V(s, j) - sum_i gamma_i V(t, i); G(key)'s row bound bounds its first term
             W = linalg.lincomb(
@@ -509,10 +509,9 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
         ker = linalg.kernel_basis(gram)
         if len(ker) < p:
             # cut: the span values are rebuilt from the new P on demand
-            P = linalg.int_array(linalg.imatmul(P, ker.T))
-            vcache.clear()
-
-    return NatHomResult(F, G, span, P, blocks, counts)
+            res.P = linalg.int_array(linalg.imatmul(res.P, ker.T))
+            res._vcache.clear()
+    return res
 
 
 def nat_hom_dense_dim(F: TruncatedFunctor, G: TruncatedFunctor) -> int:

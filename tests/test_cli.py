@@ -111,6 +111,44 @@ def test_negative_or_vacuous_arguments_exit_1(capsys, argv, message):
     assert message in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("identity", ["W", "H"])
+def test_groth_identities_hold_at_k_equal_to_trunc(capsys, identity):
+    # S(k + 1) and H(k + 1) truncate to the zero class at k = trunc
+    code, out, _ = run_cli(capsys, "groth", "--identity", identity, "--k", "3", "--trunc", "3",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
+def test_groth_refuses_k_above_trunc_before_building_a_series(capsys, monkeypatch):
+    from finsetrep import fbgroth as fg
+
+    for name in ("series_S", "series_H", "sgn_class", "triv_class", "unit"):
+        monkeypatch.setattr(fg, name, lambda *args: pytest.fail("a class was built"))
+    code, out, err = run_cli(capsys, "groth", "--identity", "W", "--k", "4", "--trunc", "3")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "--k 4 exceeds --trunc 3"}
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["hom", "--from", "pfin:1", "--to", "pfin:1", "--trunc", "3"], "nat_hom"),
+        (["verify", "--suite", "right-aug", "--max-size", "3"], "verify_right_aug"),
+    ],
+)
+def test_out_of_memory_exits_1_with_one_json_error(capsys, monkeypatch, argv, target):
+    import finsetrep.oracle
+
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(finsetrep.oracle, target, out_of_memory)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "out of memory: lower --trunc or --max-size"}
+
+
 def test_multiplicities_round_trip(tmp_path, capsys):
     data = fc.FBModuleData(
         5, 1, {k: sr.trivial_class(k) for k in range(1, 6)}

@@ -222,15 +222,16 @@ def test_coordinates_read_back_combinations_of_the_basis():
 def test_span_values_are_in_lowest_terms():
     from math import gcd
 
-    from finsetrep.oracle.nathom import _span_value
+    from finsetrep.oracle.nathom import NatHomResult
 
     N = 4
     r = nat_hom(build_pbar_tensor(2, N), rescaled(build_pfin(2, N)))
     # the values on the first parameter space, every basis vector of G at
     # the generator, and on the solutions
     for P in (np.eye(r.n_v, dtype=np.int64), r.P):
-        cache = {}
-        _span_value(r.span, r.G, r.blocks, P, cache, r.span.order[-1])
+        res = NatHomResult(r.F, r.G, r.span, P, r.blocks)
+        res._value(r.span.order[-1])
+        cache = res._vcache
         assert len(cache) == len(r.span.order)
         assert max(den for _, den in cache.values()) > 1
         for arr, den in cache.values():
@@ -257,7 +258,8 @@ def test_verify_catches_a_single_non_solution_column():
     r = nat_hom(F, G)
     p = r.dimension
     assert p >= 2 and F.dims != G.dims
-    assert max(r._unit_values(t)[1] for t in range(N + 1)) > 1
+    # verify() cross-multiplies denominators other than 1
+    assert max(r._value(key)[1] for key in r.span.order) > 1
     # an invertible integer recombination of the basis is a basis too: a
     # product of two unitriangular factors, of determinant 1
     eye, ones = np.eye(p, dtype=np.int64), np.ones((p, p), dtype=np.int64)
@@ -502,7 +504,7 @@ def test_skipped_constraints_are_zero():
     from math import lcm
 
     from finsetrep.oracle import linalg
-    from finsetrep.oracle.nathom import _span_value
+    from finsetrep.oracle.nathom import NatHomResult
 
     N = 4
     pairs = [
@@ -515,7 +517,7 @@ def test_skipped_constraints_are_zero():
         for a, (d, _) in enumerate(F.generators):
             if span.gen_used[a]:
                 blocks[a], off = (d, off), off + G.dims[d]
-        P, cache = np.eye(off, dtype=np.int64), {}
+        value = NatHomResult(F, G, span, np.eye(off, dtype=np.int64), blocks)._value
         skipped = 0
         # nat_hom skips the move images that the span pass accepted
         for t in range(N + 1):
@@ -524,11 +526,10 @@ def test_skipped_constraints_are_zero():
                     continue
                 _, key, s, j = path
                 # the full constraint: G(key) V(s, j) - sum_i gamma_i V(t, i)
-                sarr, sden = _span_value(span, G, blocks, P, cache, (s, j))
+                sarr, sden = value((s, j))
                 m = G.act[key]
                 gamma = _column(span.gamma(key), j)
-                terms = [(c, *_span_value(span, G, blocks, P, cache, (t, i)))
-                         for i, c in gamma.items()]
+                terms = [(c, *value((t, i))) for i, c in gamma.items()]
                 assert gamma == {idx: Fraction(1)}
                 assert j in span.accepted[key] and j in span.skips(key)
                 L = lcm(m.den * sden, *(c.denominator * d for c, _, d in terms))
@@ -665,11 +666,13 @@ def test_constraint_counts():
     # every move, and F(t) has dims[t] of them per move out of size t
     assert sum(r.constraints[k] for k in ("accepted", "implied", "kept")) == sum(
         F.dims[TruncatedFunctor.gen_src_dst(key)[0]] for key in F.gen_keys())
+    # the skips changed this pair's P: re-check it on every constraint
+    r.verify()
 
 
 def test_degree4_endomorphisms_verify():
     # an independent re-check of the degree-4 skips: verify() checks every
-    # move on every unit vector
+    # move on every span basis vector, the skipped constraints too
     F = build_pbar_tensor(4, 5)
     r = nat_hom(F, F)
     assert r.dimension == 24
