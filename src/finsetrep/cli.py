@@ -47,17 +47,14 @@ def _emit_rows(rows: List[Tuple], fmt: str, json_key: str) -> str:
 
 
 def _simple_label_from_args(kind: str, arg: Optional[str]) -> fc.SimpleLabel:
-    if kind == "C":
-        if arg is None:
-            raise CliError("label C needs a partition argument")
-        return fc.SimpleLabel.C(parse(arg))
-    if kind == "L":
-        if arg is None:
-            raise CliError("label L needs a degree argument")
-        return fc.SimpleLabel.L(int(arg))
+    # argparse admits the kinds C, L and k0 only; k0 alone takes no argument
     if kind == "k0":
+        if arg is not None:
+            raise CliError("label k0 takes no argument")
         return fc.SimpleLabel.K0()
-    raise CliError(f"unknown simple label kind {kind!r}")
+    if arg is None:
+        raise CliError(f"label {kind} needs a {'partition' if kind == 'C' else 'degree'} argument")
+    return fc.SimpleLabel.C(parse(arg)) if kind == "C" else fc.SimpleLabel.L(int(arg))
 
 
 # The oracle builder of each functor family; k, k0 and kbar take no degree.

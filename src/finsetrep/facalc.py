@@ -308,6 +308,8 @@ class FBModuleData:
     degrees: Dict[int, IrrDecomposition] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.F0_dim < 0:
+            raise ValueError(f"F0_dim {self.F0_dim} is negative")
         if self.trunc > degree_bound():
             raise ValueError(f"trunc {self.trunc} exceeds the degree bound {degree_bound()}")
         for k, dec in self.degrees.items():
@@ -342,16 +344,14 @@ class FBModuleData:
     @classmethod
     def from_json(cls, data: dict) -> "FBModuleData":
         trunc, F0_dim = data["trunc"], data["F0_dim"]
-        if not (isinstance(trunc, int) and isinstance(F0_dim, int)):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (trunc, F0_dim)):
             raise TypeError("trunc and F0_dim must be integers")
-        return cls(
-            trunc,
-            F0_dim,
-            {
-                int(k): IrrDecomposition.from_json(d)
-                for k, d in data.get("degrees", {}).items()
-            },
-        )
+        degrees: Dict[int, IrrDecomposition] = {}
+        for k, d in data.get("degrees", {}).items():
+            if int(k) in degrees:
+                raise ValueError(f"degree {int(k)} given twice")
+            degrees[int(k)] = IrrDecomposition.from_json(d)
+        return cls(trunc, F0_dim, degrees)
 
 
 def hom_projcover(F: FBModuleData) -> VirtualFB:

@@ -35,14 +35,15 @@ the value is made (SpanValue), and travels with it into every bound it
 enters: G(move)'s row bound times it for G(move) V, W's one exact max for
 both sides of W^T W, a running sum for the Gram; a constraint W that is
 zero adds nothing and is skipped.  The solve fills its NatHomResult in
-place, and the result keeps the span values made on its final P.  verify
-reads them as they stand: on every move key: s -> t it checks
-V_t Gamma_key = G(key) V_s, V_t the values on the span basis at size t,
-for every basis solution together.  The span vectors are a basis of
-F(s), so that is naturality on all of F(s); verify consults no skip set
-and assembles no W of the solve.  Other vectors are read out on integer
-arrays: a block of vectors of F(t) (generators acted on by the outer
-action, or solution_matrix's unit vectors) is expanded in the span
+place, and the result keeps the span values made on its final P.  One
+method, NatHomResult._constraint, builds the W of a move key: s -> t and
+a span vector b_j of F(s), for the solve and for verify alike.  verify
+evaluates it on the final P for every j of every move, the skipped
+constraints too, one span vector at a time: the span vectors are a basis
+of F(s), so that is naturality on all of F(s), and verify consults no
+skip set and no Gram kernel of the solve.  Other vectors are read out on
+integer arrays: a block of vectors of F(t) (generators acted on by the
+outer action, or solution_matrix's unit vectors) is expanded in the span
 basis, and one product with the values of the span vectors that the
 expansion needs applies every basis solution to the block.  coordinates
 reads a block of generator values off p independent rows of P, which
@@ -57,7 +58,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -327,61 +328,66 @@ class NatHomResult:
                 cache[(t, idx)] = SpanValue(arr, den)
         return cache[key]
 
-    def _values(self, t: int, indices: Sequence[int]) -> Tuple[np.ndarray, int, int]:
-        """(V, L, vmax) for the span vectors (t, i), i in indices: their
-        values over the common denominator L, V[n] / L the value on the
-        n-th as a len(indices) x G.dims[t] x p array, and vmax >= max|V|."""
-        values = [self._value((t, i)) for i in indices]
-        L = lcm(*(v[1] for v in values))
-        vmax = max((v.amax * (L // v[1]) for v in values), default=0)
-        V = np.empty((len(values), self.G.dims[t], self.dimension), dtype=linalg.int_dtype(vmax))
-        for n, v in enumerate(values):
-            V[n] = linalg.lincomb([(v[0], L // v[1])], [v.amax])
-        return V, L, vmax
-
     def _apply(self, t: int, X: np.ndarray, xden: int = 1) -> Tuple[np.ndarray, int]:
         """Every basis solution at size t applied to the columns of X / xden,
         X a dims[t] x c integer array of F(t): (Y, den) with Y a
         G.dims[t] x p x c integer array, Y[:, k, j] / den the k-th
         solution's value on the j-th column.  The columns are expanded in
-        the span basis, and only the span vectors they need are valued."""
+        the span basis, and only the span vectors they need are valued,
+        over the common denominator L of their values."""
         E = self.span.expansion(t)
         C = E.apply_dense(X)
         support = np.flatnonzero(C.any(axis=1)).tolist()
-        V, L, vmax = self._values(t, support)
-        shape = V.shape[1:]
-        Y = linalg.imatmul(V.reshape(len(support), shape[0] * shape[1]).T, C[support], vmax)
-        return Y.reshape(shape + (X.shape[1],)), L * E.den * xden
+        values = [self._value((t, i)) for i in support]
+        L = lcm(*(v[1] for v in values))
+        vmax = max((v.amax * (L // v[1]) for v in values), default=0)
+        V = np.empty((len(values), self.G.dims[t] * self.dimension), dtype=linalg.int_dtype(vmax))
+        for n, v in enumerate(values):
+            V[n] = linalg.lincomb([(v[0], L // v[1])], [v.amax]).ravel()
+        Y = linalg.imatmul(V.T, C[support], vmax)
+        return Y.reshape(self.G.dims[t], self.dimension, X.shape[1]), L * E.den * xden
 
     def solution_matrix(self, k: int, t: int) -> SpMat:
         """The t-component of the k-th basis solution, as an exact matrix."""
         Y, den = self._apply(t, np.eye(self.F.dims[t], dtype=np.int64))
         return SpMat.from_dense(Y[:, k], den)
 
+    def _constraint(self, key: GenKey, j: int) -> np.ndarray:
+        """W = L c(key, b_j) on the current P, for the move key: s -> t and
+        the span vector b_j of F(s): c(key, b_j) = eta_t(F(key) b_j) -
+        G(key) eta_s(b_j), with F(key) b_j = sum_i Gamma_key[i, j] b_i, as a
+        G.dims[t] x p integer array over the common denominator L of its
+        terms.  A solution is natural on b_j along key iff its column of W
+        is zero."""
+        s, t = TruncatedFunctor.gen_src_dst(key)
+        gamma, m = self.span.gamma(key), self.G.act[key]
+        sarr, sden = sval = self._value((s, j))
+        terms = [(c, self._value((t, i))) for i, c in gamma.column_index().get(j, ())]
+        L = lcm(m.den * sden, *(gamma.den * v[1] for _, v in terms))
+        # G(key)'s row bound bounds the first term
+        return linalg.lincomb(
+            [(m.apply_dense(sarr, sval.amax), -(L // (m.den * sden)))]
+            + [(v[0], c * (L // (gamma.den * v[1]))) for c, v in terms],
+            [m.row_bound * sval.amax] + [v.amax for _, v in terms],
+        )
+
     def verify(self) -> None:
         """Exact re-check that every basis solution is natural.  The span
         vectors b_j of F(s) are a basis, so a solution is natural on the
-        move key: s -> t iff eta_t F(key) b_j = G(key) eta_s b_j for every
-        j: V_t Gamma_key = G(key) V_s, with V_t the values on the span basis
-        at size t.  One apply_dense on each side per move, for all
-        solutions at once, denominators cross-multiplied.  It checks every
-        j, the skipped constraints too, and assembles no W of the solve."""
+        move key: s -> t iff c(key, b_j) = 0 for every j.  verify evaluates
+        _constraint on the final P for every j of every move whose target
+        is nonzero, the skipped constraints too: it reads neither the skip
+        sets nor the solve's Gram kernels, and holds one span vector's
+        constraint at a time."""
         if not self.dimension:
             return
         for key in self.F.gen_keys():
             s, t = TruncatedFunctor.gen_src_dst(key)
-            if not (self.F.dims[s] and self.G.dims[t]):
-                continue  # both sides are empty
-            Vt, Lt, mt = self._values(t, range(self.F.dims[t]))
-            Vs, Ls, ms = (Vt, Lt, mt) if s == t else self._values(s, range(self.F.dims[s]))
-            gamma, Gk = self.span.gamma(key), self.G.act[key]
-            gammaT = SpMat(gamma.n, gamma.m, gamma.cols, gamma.rows, gamma.vals)
-            # both sides as F.dims[s] x G.dims[t] x p arrays
-            lhs = gammaT.apply_dense(Vt, mt)
-            rhs = Gk.apply_dense(Vs.transpose(1, 0, 2), ms).transpose(1, 0, 2)
-            bounds = [gammaT.row_bound * mt, Gk.row_bound * ms]
-            if linalg.lincomb([(lhs, Gk.den * Ls), (rhs, -gamma.den * Lt)], bounds).any():
-                raise OracleError("solution fails naturality")
+            if not self.G.dims[t]:
+                continue
+            for j in range(self.F.dims[s]):
+                if self._constraint(key, j).any():
+                    raise OracleError("solution fails naturality")
 
     # -- outer characters ---------------------------------------------------
 
@@ -468,33 +474,22 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
     )
     for key in keys:
         s, t = TruncatedFunctor.gen_src_dst(key)
-        if len(span.paths[s]) == 0 or G.dims[t] == 0:
+        if not (F.dims[s] and G.dims[t]):
             continue
         p = res.dimension
         if p == 0:
             break
         # the Gram sum and an upper bound on its entries
         gram, gbound = np.zeros((p, p), dtype=np.int64), 0
-        gamma, m = span.gamma(key), G.act[key]
-        D, columns = gamma.den, gamma.column_index()
         skip = span.skips(key)
         accepted = len(span.accepted.get(key, ()))
         counts["accepted"] += accepted
         counts["implied"] += len(skip) - accepted
-        counts["kept"] += gamma.n - len(skip)
-        for j in range(gamma.n):
+        counts["kept"] += F.dims[s] - len(skip)
+        for j in range(F.dims[s]):
             if j in skip:
                 continue
-            column = columns.get(j, ())
-            sarr, sden = sval = res._value((s, j))
-            terms = [(c, res._value((t, i))) for i, c in column]
-            L = lcm(m.den * sden, *(D * v[1] for _, v in terms))
-            # G(key) V(s, j) - sum_i gamma_i V(t, i); G(key)'s row bound bounds its first term
-            W = linalg.lincomb(
-                [(m.apply_dense(sarr, sval.amax), -(L // (m.den * sden)))]
-                + [(v[0], c * (L // (D * v[1]))) for c, v in terms],
-                [m.row_bound * sval.amax] + [v.amax for _, v in terms],
-            )
+            W = res._constraint(key, j)
             wmax = int(np.abs(W).max(initial=0))
             if not wmax:
                 continue

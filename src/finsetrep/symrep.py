@@ -228,7 +228,10 @@ class IrrDecomposition:
             m = e["mult"]
             if not isinstance(m, int) or isinstance(m, bool):
                 raise TypeError(f"multiplicity {m!r} is not an integer")
-            mults[Partition(e["partition"])] = m
+            lam = Partition(e["partition"])
+            if lam in mults:
+                raise ValueError(f"partition {list(lam)} given twice")
+            mults[lam] = m
         return cls(data["n"], mults)
 
     @classmethod

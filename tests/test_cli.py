@@ -103,6 +103,7 @@ def test_invalid_inputs_exit_1(capsys):
         (["decompose-pfin", "60"], "degree 60 exceeds configured bound 12"),
         (["structure-kfi", "100"], "degree 100 exceeds configured bound 12"),
         (["simple-eval", "C", "2", "--t", "100"], "degree 100 exceeds configured bound 12"),
+        (["simple-eval", "k0", "junk", "--t", "1"], "label k0 takes no argument"),
     ],
 )
 def test_negative_or_vacuous_arguments_exit_1(capsys, argv, message):
@@ -180,6 +181,17 @@ def test_multiplicities_round_trip(tmp_path, capsys):
         # a truncation above the degree bound, though the data stays below it
         {"trunc": 13, "F0_dim": 1,
          "degrees": {"1": {"n": 1, "mults": [{"partition": [1], "mult": 1}]}}},
+        # a negative or boolean count, a partition twice in one degree, and
+        # two keys of one degree
+        {"trunc": 2, "F0_dim": -2, "degrees": {}},
+        {"trunc": True, "F0_dim": 1, "degrees": {}},
+        {"trunc": 2, "F0_dim": True, "degrees": {}},
+        {"trunc": 2, "F0_dim": 1,
+         "degrees": {"1": {"n": 1, "mults": [{"partition": [1], "mult": 1},
+                                             {"partition": [1], "mult": 2}]}}},
+        {"trunc": 2, "F0_dim": 1,
+         "degrees": {"1": {"n": 1, "mults": [{"partition": [1], "mult": 1}]},
+                     "01": {"n": 1, "mults": [{"partition": [1], "mult": 1}]}}},
     ],
 )
 def test_multiplicities_bad_input_types_exit_1(tmp_path, capsys, payload):

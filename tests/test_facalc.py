@@ -375,6 +375,17 @@ def test_fb_module_data_json_round_trip():
     assert again.degrees == data.degrees
 
 
+def test_fb_module_data_refuses_duplicate_entries():
+    one = {"n": 1, "mults": [{"partition": [1], "mult": 1}]}
+    # one partition twice in a degree's mults
+    twice = {"n": 1, "mults": [{"partition": [1], "mult": 1}, {"partition": [1], "mult": 2}]}
+    with pytest.raises(ValueError, match=r"partition \[1\] given twice"):
+        fc.FBModuleData.from_json({"trunc": 2, "F0_dim": 1, "degrees": {"1": twice}})
+    # two degree keys that parse to the same integer
+    with pytest.raises(ValueError, match="degree 1 given twice"):
+        fc.FBModuleData.from_json({"trunc": 2, "F0_dim": 1, "degrees": {"1": one, "01": one}})
+
+
 def test_report_json_turns_numpy_integers_into_ints():
     import json
 

@@ -672,11 +672,37 @@ def test_constraint_counts():
 
 def test_degree4_endomorphisms_verify():
     # an independent re-check of the degree-4 skips: verify() checks every
-    # move on every span basis vector, the skipped constraints too
-    F = build_pbar_tensor(4, 5)
-    r = nat_hom(F, F)
-    assert r.dimension == 24
+    # move on every span basis vector, the skipped constraints too; it holds
+    # one span vector's constraint at a time, so at N=6 it needs no more
+    # memory than the solve
+    for N in (5, 6):
+        F = build_pbar_tensor(4, N)
+        r = nat_hom(F, F)
+        assert r.dimension == 24
+        r.verify()
+
+
+def test_verify_evaluates_every_constraint(monkeypatch):
+    # verify() evaluates c(key, b_j) once for every span vector b_j of
+    # every move whose target is nonzero, never reading the solve's skips
+    from finsetrep.oracle.nathom import NatHomResult, SpanData
+
+    F, G = build_pfin(2, 4), build_kfi(2, 4)
+    r = nat_hom(F, G)
+    assert r.dimension > 0 and r.constraints["implied"] > 0
+    assert F.dims[2] > 0 and G.dims[1] == 0  # no constraint of fold: 2 -> 1
+    calls = []
+    constraint = NatHomResult._constraint
+
+    def counted(self, key, j):
+        calls.append((key, j))
+        return constraint(self, key, j)
+
+    monkeypatch.setattr(NatHomResult, "_constraint", counted)
+    monkeypatch.setattr(SpanData, "skips", lambda self, key: pytest.fail("verify() read a skip set"))
     r.verify()
+    moves = [TruncatedFunctor.gen_src_dst(key) for key in F.gen_keys()]
+    assert len(calls) == len(set(calls)) == sum(F.dims[s] for s, t in moves if G.dims[t] > 0)
 
 
 def test_truncation_mismatch_rejected():
