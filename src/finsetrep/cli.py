@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 from . import facalc as fc
 from . import fbgroth as fg
 from . import symrep as sr
-from .partitions import Partition, display, parse, partitions_of
+from .partitions import display, parse, partitions_of
 
 DEFAULT_TRUNC_ENV = "FINSETREP_TRUNC"
 
@@ -34,10 +34,6 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(message)
-
-
-def _partition_sort_key(lam: Partition):
-    return (lam.size, tuple(-p for p in lam.parts))
 
 
 def _emit_rows(rows: List[Tuple], fmt: str, json_key: str) -> str:
@@ -156,7 +152,7 @@ def cmd_simple_eval(args) -> str:
     dec = fc.simple_eval(label, t)
     rows = [
         (t, display(lam), m)
-        for lam, m in sorted(dec.mults.items(), key=lambda kv: _partition_sort_key(kv[0]))
+        for lam, m in sorted(dec.mults.items())
     ]
     return _emit_rows(rows, args.format, "values")
 

@@ -344,6 +344,9 @@ class FBModuleData:
     @classmethod
     def from_json(cls, data: dict) -> "FBModuleData":
         trunc, F0_dim = data["trunc"], data["F0_dim"]
+        unknown = set(data) - {"trunc", "F0_dim", "degrees"}
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)}")
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in (trunc, F0_dim)):
             raise TypeError("trunc and F0_dim must be integers")
         degrees: Dict[int, IrrDecomposition] = {}

@@ -755,14 +755,9 @@ def _induced_functor(
     )
 
 
-def direct_sum(
-    summands: List[TruncatedFunctor],
-    name: str,
-    outer_specs: Optional[List[str]] = None,
-    outer_n: int = 0,
-) -> TruncatedFunctor:
-    """Direct sum; outer_specs[i] is 'inherit' (use the summand's outer
-    action) or 'sign' (outer transpositions act by -1 on that summand)."""
+def direct_sum(summands: List[TruncatedFunctor], name: str, outer_n: int = 0) -> TruncatedFunctor:
+    """Direct sum, with each summand's own action of the outer
+    transpositions 1..outer_n - 1 on its block."""
     N = summands[0].N
     dims = [sum(F.dims[t] for F in summands) for t in range(N + 1)]
     act = {key: _block_diagonal([F.act[key] for F in summands]) for key in summands[0].gen_keys()}
@@ -776,14 +771,10 @@ def direct_sum(
             big[off : off + F.dims[d]] = col
             gens.append((d, big))
 
-    outer_act: Dict[Tuple[int, int], SpMat] = {}
-    if outer_specs is not None:
-        for i in range(1, outer_n):
-            for t in range(N + 1):
-                outer_act[(i, t)] = _block_diagonal([
-                    SpMat.identity(F.dims[t]).scale(-1) if spec == "sign" else F.outer_act[(i, t)]
-                    for F, spec in zip(summands, outer_specs)
-                ])
+    outer_act = {
+        (i, t): _block_diagonal([F.outer_act[(i, t)] for F in summands])
+        for i in range(1, outer_n) for t in range(N + 1)
+    }
     return TruncatedFunctor(
         N, dims, act, gens, name=name, outer_n=outer_n, outer_act=outer_act
     )
@@ -874,12 +865,12 @@ def build_proj_cover(n: int, N: int) -> TruncatedFunctor:
     quot = quotient_functor(
         pbar, lambda_pbar_embedding(n, N), name=f"pbar({n})/lambda"
     )
-    return direct_sum(
-        [lam_part, quot],
-        name=f"P_{n}",
-        outer_specs=["sign", "inherit"],
-        outer_n=n,
-    )
+    # the outer transpositions act on the exterior power by the sign
+    lam_part.outer_n = n
+    lam_part.outer_act = {
+        (i, t): SpMat.identity(lam_part.dims[t]).scale(-1) for i in range(1, n) for t in range(N + 1)
+    }
+    return direct_sum([lam_part, quot], name=f"P_{n}", outer_n=n)
 
 
 # ---------------------------------------------------------------------------

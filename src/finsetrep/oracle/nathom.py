@@ -35,21 +35,22 @@ the value is made (SpanValue), and travels with it into every bound it
 enters: G(move)'s row bound times it for G(move) V, W's one exact max for
 both sides of W^T W, a running sum for the Gram; a constraint W that is
 zero adds nothing and is skipped.  The solve fills its NatHomResult in
-place, and the result keeps the span values made on its final P.  One
-method, NatHomResult._constraint, builds the W of a move key: s -> t and
-a span vector b_j of F(s), for the solve and for verify alike.  verify
-evaluates it on the final P for every j of every move, the skipped
-constraints too, one span vector at a time: the span vectors are a basis
-of F(s), so that is naturality on all of F(s), and verify consults no
-skip set and no Gram kernel of the solve.  Other vectors are read out on
-integer arrays: a block of vectors of F(t) (generators acted on by the
-outer action, or solution_matrix's unit vectors) is expanded in the span
-basis, and one product with the values of the span vectors that the
-expansion needs applies every basis solution to the block.  coordinates
-reads a block of generator values off p independent rows of P, which
-the same certified engine picks, and checks the other rows exactly:
-outer characters take the acted-on solutions through it, and the checks
-the restricted Yoneda maps.
+place; a span value is made on its first read, from its parent's along the
+span path, and the result keeps those made on its final P.  One method,
+NatHomResult._evaluate, evaluates every basis solution at a vector given
+by its expansion in the span basis, as one lincomb of span values: the
+constraints, the generators acted on by the outer action and
+solution_matrix's unit vectors all read through it.  The constraints of
+a move key: s -> t come from NatHomResult._constraints, which evaluates
+c(key, b_j) for the span vectors b_j of F(s) it is given, for the solve
+(the kept ones) and for verify alike.  verify evaluates them on the final
+P for every j of every move, the skipped constraints too, one span vector
+at a time: the span vectors are a basis of F(s), so that is naturality
+on all of F(s), and verify consults no skip set and no Gram kernel of the
+solve.  coordinates reads a block of generator values off p independent
+rows of P, which the same certified engine picks, and checks the other
+rows exactly: outer characters take the acted-on solutions through it,
+and the checks the restricted Yoneda maps.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from math import gcd, lcm
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -85,7 +86,6 @@ class SpanData:
 
     F: TruncatedFunctor
     paths: List[List[Path]]
-    order: List[Tuple[int, int]]
     gen_used: List[bool]
     basis: List[SpMat]
     accepted: Dict[GenKey, Set[int]]
@@ -202,7 +202,6 @@ def _span_pass(F: TruncatedFunctor, p: int):
     paths: List[List[Path]] = [[] for _ in sizes]
     vecs: List[List[Tuple[Dict[int, int], int]]] = [[] for _ in sizes]
     bases = [linalg.ModColumnBasis(p) for _ in sizes]
-    order: List[Tuple[int, int]] = []
     accepted: Dict[GenKey, Set[int]] = {}
     moves_of: Dict[int, List[Tuple]] = {t: [] for t in sizes}
     for key in F.gen_keys():
@@ -233,7 +232,6 @@ def _span_pass(F: TruncatedFunctor, p: int):
         vecs[t].append((num, den))
         if path[0] == "step":
             accepted.setdefault(path[1], set()).add(path[3])
-        order.append((t, idx))
         for key, t2 in moves_of[t]:
             heapq.heappush(heap, (t2, next(counter), ("step", key, t, idx)))
     del bases  # the residues are done with: free them before the assembly
@@ -246,7 +244,7 @@ def _span_pass(F: TruncatedFunctor, p: int):
         rows, cols, vals = zip(*entries) if entries else ((), (), ())
         basis.append(SpMat(F.dims[t], len(vecs[t]), rows, cols, vals, D))
     used = {path[1] for t in sizes for path in paths[t] if path[0] == "gen"}
-    return SpanData(F, paths, order, [a in used for a in range(len(F.generators))], basis, accepted)
+    return SpanData(F, paths, [a in used for a in range(len(F.generators))], basis, accepted)
 
 
 def _spans_subfunctor(span: SpanData) -> bool:
@@ -292,7 +290,7 @@ class NatHomResult:
         # blocks: generator index -> (degree, offset), used generators only
         self.blocks = blocks
         self.constraints = constraints or {}
-        # the span values on P along a prefix of span.order; cleared when P is cut
+        # the span values on P made so far; cleared when P is cut
         self._vcache: Dict[Tuple[int, int], SpanValue] = {}
         self._maps = None
 
@@ -306,76 +304,80 @@ class NatHomResult:
 
     def _value(self, key: Tuple[int, int]) -> SpanValue:
         """Values on the span basis vector key = (size, index) of the
-        solutions given by P's columns: G of the vector's path applied to
-        the rows of P holding its generator's values, as (int array,
-        denominator) in lowest terms.  The cache is extended along
-        span.order to key."""
-        span, G, cache = self.span, self.G, self._vcache
-        while key not in cache:
-            t, idx = span.order[len(cache)]
-            path = span.paths[t][idx]
+        solutions given by P's columns, as (int array, denominator) in
+        lowest terms: the rows of P holding a generator's values, and
+        G(move) of the parent's value for a vector built along a move.  A
+        value is made on its first read, from its parent's, and cached."""
+        value = self._vcache.get(key)
+        if value is None:
+            t, idx = key
+            path = self.span.paths[t][idx]
             if path[0] == "gen":
                 d, off = self.blocks[path[1]]
-                cache[(t, idx)] = SpanValue(self.P[off : off + G.dims[d]].copy(), 1)
+                value = SpanValue(self.P[off : off + self.G.dims[d]].copy(), 1)
             else:
                 _, gkey, pt, pidx = path
-                parent = cache[(pt, pidx)]
-                m = G.act[gkey]
+                parent = self._value((pt, pidx))
+                m = self.G.act[gkey]
                 arr, den = m.apply_dense(parent[0], parent.amax), parent[1] * m.den
                 g = gcd(den, int(np.gcd.reduce(arr, axis=None))) if den > 1 else 1
                 if g > 1:
                     arr, den = arr // g, den // g
-                cache[(t, idx)] = SpanValue(arr, den)
-        return cache[key]
+                value = SpanValue(arr, den)
+            self._vcache[key] = value
+        return value
 
-    def _apply(self, t: int, X: np.ndarray, xden: int = 1) -> Tuple[np.ndarray, int]:
-        """Every basis solution at size t applied to the columns of X / xden,
-        X a dims[t] x c integer array of F(t): (Y, den) with Y a
-        G.dims[t] x p x c integer array, Y[:, k, j] / den the k-th
-        solution's value on the j-th column.  The columns are expanded in
-        the span basis, and only the span vectors they need are valued,
-        over the common denominator L of their values."""
-        E = self.span.expansion(t)
-        C = E.apply_dense(X)
-        support = np.flatnonzero(C.any(axis=1)).tolist()
-        values = [self._value((t, i)) for i in support]
-        L = lcm(*(v[1] for v in values))
-        vmax = max((v.amax * (L // v[1]) for v in values), default=0)
-        V = np.empty((len(values), self.G.dims[t] * self.dimension), dtype=linalg.int_dtype(vmax))
-        for n, v in enumerate(values):
-            V[n] = linalg.lincomb([(v[0], L // v[1])], [v.amax]).ravel()
-        Y = linalg.imatmul(V.T, C[support], vmax)
-        return Y.reshape(self.G.dims[t], self.dimension, X.shape[1]), L * E.den * xden
+    def _evaluate(
+        self, t: int, expansion: Iterable[Tuple[int, int]], den: int, less: Optional[Tuple] = None
+    ) -> Tuple[np.ndarray, int]:
+        """Every basis solution at the vector sum_i c b_i / den of F(t),
+        given its expansion [(i, c)] in the span basis, less arr / lden for
+        less = (arr, lden, amax) when given, amax >= max|arr|: (Y, D) with
+        Y / D the G.dims[t] x dimension array of values, D the common
+        denominator of the terms.  Y is one lincomb of the span values,
+        bounded by their amax; less leads it, so that the span values with
+        a unit coefficient add in place."""
+        # (coefficient, array, denominator, max|array|) of each term
+        terms = [] if less is None else [(-1, *less)]
+        for i, c in expansion:
+            v = self._value((t, i))
+            terms.append((c, v[0], den * v[1], v.amax))
+        D = lcm(*(d for _, _, d, _ in terms))
+        return linalg.lincomb([(arr, c * (D // d)) for c, arr, d, _ in terms], [mx for *_, mx in terms]), D
 
     def solution_matrix(self, k: int, t: int) -> SpMat:
-        """The t-component of the k-th basis solution, as an exact matrix."""
-        Y, den = self._apply(t, np.eye(self.F.dims[t], dtype=np.int64))
-        return SpMat.from_dense(Y[:, k], den)
+        """The t-component of the k-th basis solution, as an exact matrix,
+        evaluated on one unit vector of F(t) at a time."""
+        E = self.span.expansion(t)
+        cols = [self._evaluate(t, E.column_index()[c], E.den) for c in range(self.F.dims[t])]
+        D = lcm(*(den for _, den in cols))
+        Y = np.empty((self.G.dims[t], len(cols)), dtype=object)
+        for c, (col, den) in enumerate(cols):
+            Y[:, c] = col[:, k].astype(object) * (D // den)
+        return SpMat.from_dense(Y, D)
 
-    def _constraint(self, key: GenKey, j: int) -> np.ndarray:
-        """W = L c(key, b_j) on the current P, for the move key: s -> t and
-        the span vector b_j of F(s): c(key, b_j) = eta_t(F(key) b_j) -
-        G(key) eta_s(b_j), with F(key) b_j = sum_i Gamma_key[i, j] b_i, as a
-        G.dims[t] x p integer array over the common denominator L of its
-        terms.  A solution is natural on b_j along key iff its column of W
-        is zero."""
+    def _constraints(self, key: GenKey, js: Iterable[int]) -> Iterator[np.ndarray]:
+        """W = L c(key, b_j) on the current P for each j of js in turn, for
+        the move key: s -> t and the span vectors b_j of F(s):
+        c(key, b_j) = eta_t(F(key) b_j) - G(key) eta_s(b_j), with F(key) b_j
+        expanded by column j of Gamma_key, as a G.dims[t] x p integer array
+        over the common denominator L of its terms.  The move's data are
+        looked up once.  A solution is natural on b_j along key iff its
+        column of W is zero."""
         s, t = TruncatedFunctor.gen_src_dst(key)
         gamma, m = self.span.gamma(key), self.G.act[key]
-        sarr, sden = sval = self._value((s, j))
-        terms = [(c, self._value((t, i))) for i, c in gamma.column_index().get(j, ())]
-        L = lcm(m.den * sden, *(gamma.den * v[1] for _, v in terms))
-        # G(key)'s row bound bounds the first term
-        return linalg.lincomb(
-            [(m.apply_dense(sarr, sval.amax), -(L // (m.den * sden)))]
-            + [(v[0], c * (L // (gamma.den * v[1]))) for c, v in terms],
-            [m.row_bound * sval.amax] + [v.amax for _, v in terms],
-        )
+        columns = gamma.column_index()
+        for j in js:
+            sarr, sden = sval = self._value((s, j))
+            # G(key)'s row bound bounds G(key) eta_s(b_j)
+            yield self._evaluate(t, columns.get(j, ()), gamma.den, (
+                m.apply_dense(sarr, sval.amax), m.den * sden, m.row_bound * sval.amax))[0]
 
     def verify(self) -> None:
         """Exact re-check that every basis solution is natural.  The span
         vectors b_j of F(s) are a basis, so a solution is natural on the
         move key: s -> t iff c(key, b_j) = 0 for every j.  verify evaluates
-        _constraint on the final P for every j of every move whose target
+        _constraints on the final P for every j of every move whose target
         is nonzero, the skipped constraints too: it reads neither the skip
         sets nor the solve's Gram kernels, and holds one span vector's
         constraint at a time."""
@@ -385,9 +387,9 @@ class NatHomResult:
             s, t = TruncatedFunctor.gen_src_dst(key)
             if not self.G.dims[t]:
                 continue
-            for j in range(self.F.dims[s]):
-                if self._constraint(key, j).any():
-                    raise OracleError("solution fails naturality")
+            # map lets each W go before the next is made
+            if any(map(np.ndarray.any, self._constraints(key, range(self.F.dims[s])))):
+                raise OracleError("solution fails naturality")
 
     # -- outer characters ---------------------------------------------------
 
@@ -398,10 +400,10 @@ class NatHomResult:
         outer character computes it once per left cycle type."""
         acted = []
         for a, (d, _) in self.blocks.items():
-            gmat = self.F.outer_matrix(g, d)
-            w = gmat.apply_dense(self.F.generators[a][1].reshape(-1, 1))
-            Y, yden = self._apply(d, w, gmat.den)
-            acted.append((d, Y[:, :, 0], yden))
+            gmat, E = self.F.outer_matrix(g, d), self.span.expansion(d)
+            C = E.apply_dense(gmat.apply_dense(self.F.generators[a][1])).tolist()
+            Y, yden = self._evaluate(d, [(i, c) for i, c in enumerate(C) if c], E.den * gmat.den)
+            acted.append((d, Y, yden))
         return acted
 
     def _action_trace(
@@ -486,10 +488,7 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
         counts["accepted"] += accepted
         counts["implied"] += len(skip) - accepted
         counts["kept"] += F.dims[s] - len(skip)
-        for j in range(F.dims[s]):
-            if j in skip:
-                continue
-            W = res._constraint(key, j)
+        for W in res._constraints(key, [j for j in range(F.dims[s]) if j not in skip]):
             wmax = int(np.abs(W).max(initial=0))
             if not wmax:
                 continue

@@ -13,86 +13,73 @@ from functools import lru_cache
 from typing import Iterator, Sequence, Tuple
 
 
-class Partition:
-    """A partition in canonical form (weakly decreasing positive parts)."""
+class Partition(tuple):
+    """A partition in canonical form (weakly decreasing positive parts): a
+    tuple of its parts, ordered by size, then reverse lexicographically
+    ((3) < (2,1) < (1,1,1)), the enumeration order of partitions_of."""
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts: Sequence[int] = ()):
+    def __new__(cls, parts: Sequence[int] = ()):
         parts = tuple(int(p) for p in parts)
         if any(p <= 0 for p in parts):
             raise ValueError(f"parts must be positive: {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts must be weakly decreasing: {parts}")
-        object.__setattr__(self, "parts", parts)
+        return super().__new__(cls, parts)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
+    @property
+    def parts(self) -> Tuple[int, ...]:
+        return tuple(self)
 
     @property
     def size(self) -> int:
-        return sum(self.parts)
+        return sum(self)
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __getitem__(self, i: int) -> int:
-        return self.parts[i]
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        if isinstance(other, tuple):
-            return self.parts == other
-        return NotImplemented
+    def _key(self):
+        return (sum(self), tuple(-p for p in self))
 
     def __lt__(self, other: "Partition") -> bool:
-        # Sort key consistent with the enumeration order of partitions_of:
-        # larger size first is *not* imposed here; within equal size this is
-        # reverse lexicographic (so (3) < (2,1) < (1,1,1)).
-        return (self.size, tuple(-p for p in self.parts)) < (
-            other.size,
-            tuple(-p for p in other.parts),
-        )
+        return self._key() < other._key()
 
     def __le__(self, other: "Partition") -> bool:
-        return self == other or self < other
+        return self._key() <= other._key()
+
+    def __gt__(self, other: "Partition") -> bool:
+        return self._key() > other._key()
+
+    def __ge__(self, other: "Partition") -> bool:
+        return self._key() >= other._key()
 
     def __repr__(self) -> str:
-        return f"Partition({list(self.parts)})"
+        return f"Partition({list(self)})"
 
     def __str__(self) -> str:
         return serialize(self)
 
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram."""
-        if not self.parts:
+        if not self:
             return Partition(())
-        cols = [0] * self.parts[0]
-        for p in self.parts:
+        cols = [0] * self[0]
+        for p in self:
             for j in range(p):
                 cols[j] += 1
         return Partition(cols)
 
     def cells(self) -> Iterator[Tuple[int, int]]:
         """Yield (row, col) cells of the Young diagram, 0-indexed."""
-        for i, p in enumerate(self.parts):
+        for i, p in enumerate(self):
             for j in range(p):
                 yield (i, j)
 
     def to_json(self) -> list:
-        return list(self.parts)
+        return list(self)
 
 
 def serialize(lam: Partition) -> str:
     """Comma-joined decreasing parts; empty string for ()."""
-    return ",".join(str(p) for p in lam.parts)
+    return ",".join(str(p) for p in lam)
 
 
 def parse(text: str) -> Partition:

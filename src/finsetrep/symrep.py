@@ -72,7 +72,7 @@ def class_size(mu: Partition) -> int:
 @lru_cache(maxsize=None)
 def _mn_value(lam: Tuple[int, ...], mu: Tuple[int, ...]) -> int:
     """Murnaghan-Nakayama: chi_lam evaluated on cycle type mu, both given as
-    plain part tuples of equal size.
+    part tuples of equal size (a Partition is one).
 
     A border strip of length ell = mu[0] is removed by moving one bead of
     the beta-set beta_i = lam_i + k - 1 - i (k = len(lam), strictly
@@ -126,7 +126,7 @@ def _table(n: int) -> _Table:
         if table is None:
             parts = partitions_of(n)
             rows = {
-                lam: tuple(_mn_value(lam.parts, mu.parts) for mu in parts) for lam in parts
+                lam: tuple(_mn_value(lam, mu) for mu in parts) for lam in parts
             }
             table = _table_cache[n] = _Table(
                 {(lam, mu): v for lam, row in rows.items() for mu, v in zip(parts, row)},

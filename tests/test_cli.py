@@ -192,6 +192,9 @@ def test_multiplicities_round_trip(tmp_path, capsys):
         {"trunc": 2, "F0_dim": 1,
          "degrees": {"1": {"n": 1, "mults": [{"partition": [1], "mult": 1}]},
                      "01": {"n": 1, "mults": [{"partition": [1], "mult": 1}]}}},
+        # a misspelt key, which would otherwise drop the data under it
+        {"trunc": 2, "F0_dim": 0,
+         "degree": {"1": {"n": 1, "mults": [{"partition": [1], "mult": 1}]}}},
     ],
 )
 def test_multiplicities_bad_input_types_exit_1(tmp_path, capsys, payload):

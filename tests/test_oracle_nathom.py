@@ -230,12 +230,37 @@ def test_span_values_are_in_lowest_terms():
     # the generator, and on the solutions
     for P in (np.eye(r.n_v, dtype=np.int64), r.P):
         res = NatHomResult(r.F, r.G, r.span, P, r.blocks)
-        res._value(r.span.order[-1])
+        for t in range(N + 1):
+            for i in range(r.F.dims[t]):
+                res._value((t, i))
         cache = res._vcache
-        assert len(cache) == len(r.span.order)
+        assert len(cache) == sum(r.F.dims)
         assert max(den for _, den in cache.values()) > 1
         for arr, den in cache.values():
             assert gcd(den, *arr.ravel().tolist()) == 1
+
+
+def test_a_span_value_is_made_from_its_path_alone():
+    # reading one span value makes the values on its construction path and
+    # no other: each from its parent's, on first read
+    from finsetrep.oracle.nathom import NatHomResult
+
+    N = 5
+    r = nat_hom(build_pbar_tensor(2, N), build_pfin(2, N))
+    span = r.span
+    for P in (np.eye(r.n_v, dtype=np.int64), r.P):
+        for key in ((N, 0), (N, r.F.dims[N] - 1)):
+            res = NatHomResult(r.F, r.G, span, P, r.blocks)
+            value = res._value(key)
+            on_path, path = [key], span.paths[key[0]][key[1]]
+            while path[0] == "step":
+                on_path.append(path[2:])
+                path = span.paths[path[2]][path[3]]
+            assert len(on_path) > 2
+            assert sorted(res._vcache) == sorted(on_path)
+            # the cached value is served again, not remade
+            assert res._value(key) is value
+            assert len(res._vcache) == len(on_path)
 
 
 def test_verify_rejects_a_non_solution():
@@ -259,7 +284,7 @@ def test_verify_catches_a_single_non_solution_column():
     p = r.dimension
     assert p >= 2 and F.dims != G.dims
     # verify() cross-multiplies denominators other than 1
-    assert max(r._value(key)[1] for key in r.span.order) > 1
+    assert max(r._value((t, i))[1] for t in range(N + 1) for i in range(F.dims[t])) > 1
     # an invertible integer recombination of the basis is a basis too: a
     # product of two unitriangular factors, of determinant 1
     eye, ones = np.eye(p, dtype=np.int64), np.ones((p, p), dtype=np.int64)
@@ -329,13 +354,20 @@ def _replayed_span_vectors(span):
     """Every span basis vector, rebuilt by replaying its construction path."""
     F = span.F
     vecs = {}
-    for t, idx in span.order:
-        path = span.paths[t][idx]
-        if path[0] == "gen":
-            vecs[(t, idx)] = fraction_vector(F.generators[path[1]][1])
-        else:
-            _, key, s, j = path
-            vecs[(t, idx)] = apply_sparse(F.act[key], vecs[(s, j)])
+
+    def replay(t, idx):
+        if (t, idx) not in vecs:
+            path = span.paths[t][idx]
+            if path[0] == "gen":
+                vecs[(t, idx)] = fraction_vector(F.generators[path[1]][1])
+            else:
+                _, key, s, j = path
+                vecs[(t, idx)] = apply_sparse(F.act[key], replay(s, j))
+        return vecs[(t, idx)]
+
+    for t in range(F.N + 1):
+        for idx in range(len(span.paths[t])):
+            replay(t, idx)
     return vecs
 
 
@@ -433,7 +465,7 @@ def _span_answer(span):
     for key in span.F.gen_keys():
         g = span.gamma(key)
         gammas[key] = (g.shape, g.den, g.rows.tolist(), g.cols.tolist(), g.vals.tolist())
-    return span.paths, span.order, span.gen_used, gammas
+    return span.paths, span.gen_used, gammas
 
 
 def test_span_pass_survives_unlucky_primes(monkeypatch):
@@ -476,7 +508,7 @@ def test_span_pass_survives_unlucky_primes(monkeypatch):
         monkeypatch.undo()
         assert used == expected_primes, F.name
         if F is other:
-            assert answer[0] != ref[0] and answer[2] == [True, False, True]
+            assert answer[0] != ref[0] and answer[1] == [True, False, True]
         else:
             assert answer == ref, F.name
     for G in (build_pfin(1, N), build_pbar_tensor(1, N), build_pfin(2, N)):
@@ -692,13 +724,15 @@ def test_verify_evaluates_every_constraint(monkeypatch):
     assert r.dimension > 0 and r.constraints["implied"] > 0
     assert F.dims[2] > 0 and G.dims[1] == 0  # no constraint of fold: 2 -> 1
     calls = []
-    constraint = NatHomResult._constraint
+    constraints = NatHomResult._constraints
 
-    def counted(self, key, j):
-        calls.append((key, j))
-        return constraint(self, key, j)
+    def counted(self, key, js):
+        js = list(js)
+        for j, W in zip(js, constraints(self, key, js), strict=True):
+            calls.append((key, j))
+            yield W
 
-    monkeypatch.setattr(NatHomResult, "_constraint", counted)
+    monkeypatch.setattr(NatHomResult, "_constraints", counted)
     monkeypatch.setattr(SpanData, "skips", lambda self, key: pytest.fail("verify() read a skip set"))
     r.verify()
     moves = [TruncatedFunctor.gen_src_dst(key) for key in F.gen_keys()]
