@@ -105,7 +105,7 @@ def _largest_dim(head: str, n: Optional[int], N: int) -> int:
         "pfin": lambda: N ** n,
         "pbar": lambda: (N - 1) ** n,
         "kfi": lambda: perm(N, n),
-        "kfs": lambda: sum((-1) ** i * comb(n, i) * (n - i) ** N for i in range(n + 1)),
+        "kfs": lambda: fc.surjection_count(N, n),
         "lambda": lambda: comb(N, n),
         "lambdabar": lambda: comb(N - 1, n),
         # the exterior part plus the tensor power modulo its top exterior summand

@@ -2,10 +2,10 @@
 
 Implements the structural results at the level of Grothendieck classes:
 the surjection bimodule and its two computation routes, evaluation of the
-simple modules, decomposition of Schur-functor projectives, the hom-space
-formula out of the projective covers P_n and all of its specializations,
-and composition-factor multiplicities of a module from its underlying
-symmetric-sequence data.
+simple modules, decomposition of Schur-functor projectives, the one
+hom-space formula out of the projective covers P_n, fed with each target's
+own class, and composition-factor multiplicities of a module from its
+underlying symmetric-sequence data.
 
 Bimodule key convention (see fbgroth.VirtualFBBimod): the left slot is the
 FB^op variable.  For surjection/all-map bimodules that is the map's domain;
@@ -33,8 +33,10 @@ from .partitions import (
 from .symrep import (
     IrrDecomposition,
     check_degree,
+    check_json_keys,
     degree_bound,
     irr_dim,
+    is_json_int,
     joint_decompose,
     perm_character_maps,
     schur_dim,
@@ -48,6 +50,7 @@ from .fbgroth import (
     external_product,
     sgn_class,
     series_S,
+    unit,
 )
 
 
@@ -166,6 +169,11 @@ class ProjLabel:
 
 # ---------------------------------------------------------------------------
 # Bimodule classes of the three map categories
+
+
+def surjection_count(t: int, n: int) -> int:
+    """Number of surjections t -> n, by inclusion-exclusion."""
+    return sum((-1) ** k * comb(n, k) * (n - k) ** t for k in range(n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -344,10 +352,8 @@ class FBModuleData:
     @classmethod
     def from_json(cls, data: dict) -> "FBModuleData":
         trunc, F0_dim = data["trunc"], data["F0_dim"]
-        unknown = set(data) - {"trunc", "F0_dim", "degrees"}
-        if unknown:
-            raise ValueError(f"unknown keys {sorted(unknown)}")
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (trunc, F0_dim)):
+        check_json_keys(data, {"trunc", "F0_dim", "degrees"})
+        if not all(map(is_json_int, (trunc, F0_dim))):
             raise TypeError("trunc and F0_dim must be integers")
         degrees: Dict[int, IrrDecomposition] = {}
         for k, d in data.get("degrees", {}).items():
@@ -357,9 +363,22 @@ class FBModuleData:
         return cls(trunc, F0_dim, degrees)
 
 
+def _hom_out_of_covers(X: VirtualFBBimod, trunc: int) -> VirtualFBBimod:
+    """Class of hom(P_bullet, X) through bullet degree trunc, from the class
+    X of a module (left slot: its own symmetric action; right slot: the
+    evaluation set): the part of X on nonempty sets with S(0) convolved
+    into the evaluation variable, plus X's sign multiplicity at 1^k
+    boxtimes S(k - 1) for each 1 <= k <= min(X.trunc_right, trunc + 1).
+    Degree n of the result draws on X at evaluation degree n + 1."""
+    bar = {key: c for key, c in X.coeffs.items() if key[1].size}
+    total = bimod_convolve_right(VirtualFBBimod(X.trunc_left, X.trunc_right, bar), series_S(0, trunc))
+    for k in range(1, min(X.trunc_right, trunc + 1) + 1):
+        total = total + external_product(X.left_class(one_column(k)), series_S(k - 1, trunc))
+    return total
+
+
 def hom_projcover(F: FBModuleData) -> VirtualFB:
-    """Class of hom(P_bullet, F): the bar part convolved with S(0) plus
-    sign-coinvariant multiples of the shifted sign series.
+    """Class of hom(P_bullet, F), read off F's bar class.
 
     Degree n of the result is the class of hom(P_n, F) as an S_n-module.
     The result is truncated at trunc - 1: degree n draws on F at degree
@@ -367,33 +386,21 @@ def hom_projcover(F: FBModuleData) -> VirtualFB:
     """
     if F.trunc < 1:
         raise ValueError("needs trunc >= 1")
-    out_trunc = F.trunc - 1
-    total = day(F.bar_class().truncate(out_trunc), series_S(0, out_trunc))
-    for k in range(1, F.trunc + 1):
-        m_k = F.degree(k)[one_column(k)]
-        if m_k:
-            total = total + series_S(k - 1, out_trunc).scale(m_k)
-    return total
+    hom = _hom_out_of_covers(external_product(unit(0), F.bar_class()), F.trunc - 1)
+    return VirtualFB(F.trunc - 1, {mu: c for (_, mu), c in hom.coeffs.items()})
 
 
 def hom_projcover_pfin(n: int, trunc: int) -> VirtualFBBimod:
-    """Class of hom(P_bullet, standard projective of degree n): the
-    surjection row at n plus sign-contracted correction terms.
+    """Class of hom(P_bullet, standard projective of degree n), read off
+    the all-maps row at n.
 
     Left slot: partitions of n (the module's own symmetric-group action);
-    right slot: the bullet degree."""
-    fs = fs_class(max(trunc, n), cross_check=False)
-    coeffs: Dict[Tuple[Partition, Partition], int] = {}
-    for (lam, mu), c in fs.coeffs.items():
-        if lam.size != n:
-            continue
-        k = mu.size
-        if k <= trunc:
-            coeffs[(lam, mu)] = coeffs.get((lam, mu), 0) + c
-        if 1 <= k <= min(n, trunc + 1) and mu == one_column(k):
-            key = (lam, one_column(k - 1))  # the correction term
-            coeffs[key] = coeffs.get(key, 0) + c
-    return VirtualFBBimod(n, trunc, coeffs)
+    right slot: the bullet degree.  Bullet degree trunc reads the maps
+    n -> trunc + 1, which carry a sign part only when n >= trunc."""
+    T = trunc + 1 if n >= trunc else trunc
+    check_degree(max(n, T))
+    row = {key: c for k in range(T + 1) for key, c in _map_block(n, k, False)}
+    return _hom_out_of_covers(VirtualFBBimod(n, T, row), trunc)
 
 
 def pbar_tensor_class(trunc: int) -> VirtualFBBimod:
@@ -401,16 +408,7 @@ def pbar_tensor_class(trunc: int) -> VirtualFBBimod:
     bar part of the standard projectives with the trivial series inverted
     out of the exponent variable.  Left slot: the tensor exponent; right
     slot: the evaluation set."""
-    kfa = kfa_class(trunc)
-    bar = VirtualFBBimod(
-        trunc,
-        trunc,
-        {
-            key: c
-            for key, c in kfa.coeffs.items()
-            if not (key[0].size == 0 and key[1].size == 0)
-        },
-    )
+    bar = kfa_class(trunc) - external_product(unit(trunc), unit(trunc))
     return bimod_convolve_left(bar, series_S(0, trunc))
 
 
@@ -449,28 +447,11 @@ def pfin_lambda_class(trunc: int) -> VirtualFBBimod:
     return VirtualFBBimod(trunc, trunc, coeffs)
 
 
-def _hom_class(trunc_left: int, trunc_right: int, correction) -> VirtualFBBimod:
-    """The skeleton of the hom classes out of the tensor powers and the
-    projective covers: the surjection class with S(0) convolved into its
-    left slot, plus correction(fs, k, N) boxtimes sgn_{k-1} for each
-    k <= trunc_right + 1, cropped to the truncations."""
-    N = max(trunc_left, trunc_right)
-    fs = fs_class(N, cross_check=False)
-    total = bimod_convolve_left(fs, series_S(0, N))
-    for k in range(1, min(N, trunc_right + 1) + 1):
-        total = total + external_product(correction(fs, k, N), sgn_class(k - 1, N))
-    return _crop(total, trunc_left, trunc_right)
-
-
 def hom_projcover_pbar(trunc_left: int, trunc_right: int) -> VirtualFBBimod:
-    """Class of hom(P_bullet, tensor-power_star).  Left slot: star; right
-    slot: bullet.  The k-th correction is the sign contraction of the
-    surjection class's codomain at k, convolved with S(0)."""
-    return _hom_class(
-        trunc_left,
-        trunc_right,
-        lambda fs, k, N: day(fs.left_class(one_column(k)), series_S(0, N)),
-    )
+    """Class of hom(P_bullet, tensor-power_star), read off the tensor-power
+    class.  Left slot: star; right slot: bullet."""
+    X = _crop(pbar_tensor_class(max(trunc_left, trunc_right + 1)), trunc_left, trunc_right + 1)
+    return _hom_out_of_covers(X, trunc_right)
 
 
 def endo_projcover(trunc_left: int, trunc_right: int) -> VirtualFBBimod:
@@ -490,8 +471,12 @@ def hom_pbar_pbar(trunc_left: int, trunc_right: int) -> VirtualFBBimod:
     """Class of hom(tensor-power_bullet, tensor-power_star): entry at
     bullet = s, star = t is the class of the maps from the s-th to the
     t-th tensor power.  Left slot: star; right slot: bullet.  The k-th
-    correction is S(k)."""
-    return _hom_class(trunc_left, trunc_right, lambda fs, k, N: series_S(k, N))
+    correction is S(k) boxtimes sgn_{k-1}."""
+    N = max(trunc_left, trunc_right)
+    total = bimod_convolve_left(fs_class(N, cross_check=False), series_S(0, N))
+    for k in range(1, min(N, trunc_right + 1) + 1):
+        total = total + external_product(series_S(k, N), sgn_class(k - 1, N))
+    return _crop(total, trunc_left, trunc_right)
 
 
 def hom_lambdabar_pbar(s: int, trunc: int) -> VirtualFB:

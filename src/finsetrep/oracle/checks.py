@@ -19,7 +19,7 @@ import numpy as np
 
 from ..partitions import one_column, partitions_of
 from ..symrep import ClassFunction, decompose
-from ..facalc import Report, SimpleLabel
+from ..facalc import Report, SimpleLabel, surjection_count
 from . import linalg
 from .functors import (
     OracleError,
@@ -37,11 +37,6 @@ from .functors import (
     sgn_coinvariant_reduction,
 )
 from .nathom import nat_hom
-
-
-def surjection_count(t: int, n: int) -> int:
-    """Number of surjections t -> n, by inclusion-exclusion."""
-    return sum((-1) ** k * comb(n, k) * (n - k) ** t for k in range(n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -223,12 +223,20 @@ class IrrDecomposition:
 
     @classmethod
     def from_json(cls, data: dict) -> "IrrDecomposition":
+        """Reads {"n": n, "mults": [{"partition": [parts], "mult": m}, ...]},
+        refusing any other key and any n, part or m that is not a JSON integer."""
+        check_json_keys(data, {"n", "mults"})
+        if not is_json_int(data["n"]):
+            raise TypeError(f"n {data['n']!r} is not an integer")
         mults = {}
         for e in data["mults"]:
-            m = e["mult"]
-            if not isinstance(m, int) or isinstance(m, bool):
+            check_json_keys(e, {"partition", "mult"})
+            m, parts = e["mult"], e["partition"]
+            if not is_json_int(m):
                 raise TypeError(f"multiplicity {m!r} is not an integer")
-            lam = Partition(e["partition"])
+            if not isinstance(parts, list) or not all(map(is_json_int, parts)):
+                raise TypeError(f"partition {parts!r} is not a list of integers")
+            lam = Partition(parts)
             if lam in mults:
                 raise ValueError(f"partition {list(lam)} given twice")
             mults[lam] = m
@@ -237,6 +245,17 @@ class IrrDecomposition:
     @classmethod
     def irreducible(cls, lam: Partition) -> "IrrDecomposition":
         return cls(lam.size, {lam: 1})
+
+
+def is_json_int(x) -> bool:
+    """True for an int that is not a bool: what JSON reads as an integer."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def check_json_keys(data: dict, keys: set) -> None:
+    """Refuses a JSON object with a key outside keys."""
+    if set(data) - keys:
+        raise ValueError(f"unknown keys {sorted(set(data) - keys)}")
 
 
 def trivial_class(n: int) -> IrrDecomposition:

@@ -195,6 +195,23 @@ def test_multiplicities_round_trip(tmp_path, capsys):
         # a misspelt key, which would otherwise drop the data under it
         {"trunc": 2, "F0_dim": 0,
          "degree": {"1": {"n": 1, "mults": [{"partition": [1], "mult": 1}]}}},
+        # a part that is not a JSON integer, which Partition would coerce
+        {"trunc": 2, "F0_dim": 1,
+         "degrees": {"1": {"n": 1, "mults": [{"partition": [1.7], "mult": 1}]}}},
+        {"trunc": 2, "F0_dim": 1,
+         "degrees": {"1": {"n": 1, "mults": [{"partition": [True], "mult": 1}]}}},
+        {"trunc": 2, "F0_dim": 1,
+         "degrees": {"1": {"n": 1, "mults": [{"partition": ["1"], "mult": 1}]}}},
+        # a degree that is not a JSON integer
+        {"trunc": 2, "F0_dim": 1,
+         "degrees": {"1": {"n": 1.0, "mults": [{"partition": [1], "mult": 1}]}}},
+        {"trunc": 2, "F0_dim": 1,
+         "degrees": {"1": {"n": True, "mults": [{"partition": [1], "mult": 1}]}}},
+        # an unknown key in a degree object and in a mult entry
+        {"trunc": 2, "F0_dim": 1,
+         "degrees": {"1": {"n": 1, "mults": [{"partition": [1], "mult": 1}], "extra": 0}}},
+        {"trunc": 2, "F0_dim": 1,
+         "degrees": {"1": {"n": 1, "mults": [{"partition": [1], "mult": 1, "extra": 0}]}}},
     ],
 )
 def test_multiplicities_bad_input_types_exit_1(tmp_path, capsys, payload):

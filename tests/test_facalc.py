@@ -212,8 +212,42 @@ def test_hom_projcover_pfin_examples():
     assert hp0.coeffs == {(Partition(()), Partition(())): 1}
 
 
+def _surjection_row_hom(n, trunc):
+    """hom(P_bullet, pfin(n)) by the surjection-row formula: the row at n
+    of the surjection class plus, for each 1 <= k <= min(n, trunc + 1),
+    its sign column at 1^k moved to sgn_{k-1}."""
+    coeffs = {}
+    for (lam, mu), c in fc.fs_class(max(trunc, n), cross_check=False).coeffs.items():
+        k = mu.size
+        if lam.size != n:
+            continue
+        if k <= trunc:
+            coeffs[(lam, mu)] = coeffs.get((lam, mu), 0) + c
+        if 1 <= k <= min(n, trunc + 1) and mu == one_column(k):
+            key = (lam, one_column(k - 1))
+            coeffs[key] = coeffs.get(key, 0) + c
+    return fg.VirtualFBBimod(n, trunc, coeffs)
+
+
+def test_hom_projcover_pfin_matches_the_surjection_row():
+    for n in range(7):
+        for t in range(7):
+            assert fc.hom_projcover_pfin(n, t) == _surjection_row_hom(n, t), (n, t)
+
+
+def test_hom_projcover_pfin_refuses_the_degree_bound_before_any_block(monkeypatch):
+    def no_block(*args):
+        raise AssertionError(f"map block {args} built past the bound")
+
+    monkeypatch.setattr(fc, "_map_block", no_block)
+    bound = sr.degree_bound()
+    with pytest.raises(sr.DegreeBoundError):
+        fc.hom_projcover_pfin(bound, bound)
+
+
 def test_map_blocks_are_computed_once(monkeypatch):
     fc.fs_class(5, cross_check=False)
+    fc.kfa_class(5)
     calls, enumerate_maps = [], sr.enumerated_character
 
     def counted(*args):
@@ -271,6 +305,13 @@ def test_hom_lambdabar_pbar():
     for t in range(1, 5):
         cls = fc.hom_lambdabar_pbar(t, 4).degree(t)
         assert cls.mults == {one_column(t): 1}
+
+
+def test_hom_lambdabar_pbar_is_the_sign_column_of_hom_pbar_pbar():
+    for s_ in range(7):
+        for t in range(7):
+            column = fc.hom_pbar_pbar(t, s_).left_class(one_column(s_))
+            assert fc.hom_lambdabar_pbar(s_, t) == column, (s_, t)
 
 
 # ---------------------------------------------------------------------------
