@@ -38,6 +38,7 @@ from .symrep import (
     irr_dim,
     is_json_int,
     joint_decompose,
+    json_key_int,
     perm_character_maps,
     schur_dim,
 )
@@ -356,10 +357,11 @@ class FBModuleData:
         if not all(map(is_json_int, (trunc, F0_dim))):
             raise TypeError("trunc and F0_dim must be integers")
         degrees: Dict[int, IrrDecomposition] = {}
-        for k, d in data.get("degrees", {}).items():
-            if int(k) in degrees:
-                raise ValueError(f"degree {int(k)} given twice")
-            degrees[int(k)] = IrrDecomposition.from_json(d)
+        for key, d in data.get("degrees", {}).items():
+            k = json_key_int(key)
+            if k in degrees:
+                raise ValueError(f"degree {k} given twice")
+            degrees[k] = IrrDecomposition.from_json(d)
         return cls(trunc, F0_dim, degrees)
 
 

@@ -252,6 +252,15 @@ def is_json_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def json_key_int(key) -> int:
+    """The integer a JSON object key spells in ASCII decimal digits; refuses
+    any other key, which int() would read through a sign, spaces, an
+    underscore or non-ASCII digits."""
+    if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+        raise ValueError(f"key {key!r} is not a string of decimal digits")
+    return int(key)
+
+
 def check_json_keys(data: dict, keys: set) -> None:
     """Refuses a JSON object with a key outside keys."""
     if set(data) - keys:
@@ -324,22 +333,28 @@ def induction_product(a: IrrDecomposition, b: IrrDecomposition) -> IrrDecomposit
     (fa, den_a), (fb, den_b) = _class_values(a), _class_values(b)
     values = {}
     for gamma in partitions_of(m + n):
-        total = 0
-        for alpha_parts, ways in _split_multiset_all(gamma.parts).items():
-            if sum(alpha_parts) != m:
-                continue
-            alpha = Partition(tuple(sorted(alpha_parts, reverse=True)))
-            beta_list = list(gamma.parts)
-            for p in alpha_parts:
-                beta_list.remove(p)
-            beta = Partition(tuple(sorted(beta_list, reverse=True)))
-            # ways counts distinct cycle-subsets realizing alpha; converting
-            # to the z-weighted formula: sum over subsets equals
-            # z_gamma/(z_alpha*z_beta) summed over distinct (alpha, beta).
-            total += ways * fa[alpha] * fb[beta]
-        # ways-accounting above already equals z_gamma/(z_alpha z_beta):
+        splits = _young_splits(gamma, m)
+        total = sum(ways * fa[alpha] * fb[beta] for alpha, beta, ways in splits)
         values[gamma] = Fraction(total, den_a * den_b)
     return decompose(ClassFunction(m + n, values))
+
+
+@lru_cache(maxsize=None)
+def _young_splits(gamma: Partition, m: int) -> Tuple[Tuple[Partition, Partition, int], ...]:
+    """The splits of the cycles of gamma into cycle types alpha |- m and
+    beta |- |gamma| - m, each with the number of cycle subsets realizing it.
+
+    That number is z_gamma / (z_alpha z_beta), so the induced character at
+    gamma is the sum of ways * f(alpha) * g(beta) over this table.
+    """
+    splits = []
+    for alpha_parts, ways in _split_multiset_all(gamma).items():
+        if sum(alpha_parts) == m:
+            beta = list(gamma)
+            for p in alpha_parts:
+                beta.remove(p)
+            splits.append((Partition(alpha_parts), Partition(beta), ways))
+    return tuple(splits)
 
 
 def pointwise_product(a: IrrDecomposition, b: IrrDecomposition) -> IrrDecomposition:
@@ -412,17 +427,24 @@ def surjections_character(s: int, t: int) -> JointClassFunction:
     unions of cycles of tau; Moebius inversion over that boolean lattice
     turns all-map counts into surjection counts.
     """
+    # each invariant image (a union of cycles) with its signed subset
+    # count, once per beta
+    invariant_images = {
+        beta: [
+            (sub, ways * (-1) ** (len(beta) - len(sub)))
+            for sub, ways in _split_multiset_all(beta).items()
+        ]
+        for beta in partitions_of(t)
+    }
     values = {}
     for alpha in partitions_of(s):
         for beta in partitions_of(t):
             total = 0
-            n_cycles = len(beta)
-            for sub_parts, ways in _split_multiset_all(beta.parts).items():
-                sub = Partition(tuple(sorted(sub_parts, reverse=True)))
+            for sub, signed_ways in invariant_images[beta]:
                 v = 1
                 for c in alpha:
                     v *= _fix_count(c, sub)
-                total += ways * (-1) ** (n_cycles - len(sub_parts)) * v
+                total += signed_ways * v
             values[(alpha, beta)] = total
     return JointClassFunction(s, t, values)
 
@@ -442,13 +464,22 @@ def _split_multiset_all(parts: Tuple[int, ...]) -> Dict[Tuple[int, ...], int]:
     return result
 
 
+_ENUM_BLOCK = 1 << 13
+
+
 def enumerated_character(
     s: int, t: int, surjective_only: bool, injective_only: bool = False
 ) -> JointClassFunction:
     """Joint character by explicit enumeration of all maps s -> t.
 
     Independent of the counting formulas; intended as their oracle at
-    desk scale (t**s up to a few hundred thousand).
+    desk scale (t**s up to a few hundred thousand).  Each map f is encoded
+    by its lexicographic index, its images read as base-t digits (exact in
+    int64 below the refusal bound).  For each block of maps the codes of
+    f o sigma are computed once per alpha and those of tau o f once per
+    beta; f is fixed by (sigma, tau) iff f o sigma == tau o f, that is iff
+    the two codes are equal, so each value counts the equal entries of two
+    integer arrays.
     """
     if t**s > 500_000:
         raise ValueError(f"enumeration of {t}^{s} maps refused")
@@ -465,13 +496,21 @@ def enumerated_character(
         if injective_only:
             keep &= distinct == s
         images = images[:, keep]
-    values = {}
-    for alpha in partitions_of(s):
-        # fixed iff f o sigma == tau o f
-        lhs = images[np.array(representative(alpha), dtype=np.int64)]
-        for beta in partitions_of(t):
-            tau = np.array(representative(beta), dtype=np.int64)
-            values[(alpha, beta)] = int(np.all(lhs == tau[images], axis=0).sum())
+    weights = t ** np.arange(s - 1, -1, -1, dtype=np.int64)
+    alphas, betas = partitions_of(s), partitions_of(t)
+    sigmas = [np.array(representative(alpha), dtype=np.int64) for alpha in alphas]
+    taus = [np.array(representative(beta), dtype=np.int64) for beta in betas]
+    values = {(alpha, beta): 0 for alpha in alphas for beta in betas}
+    # a block of maps at a time keeps the codes held at once to p(t) arrays
+    # of one block (two while the next block's replace them); larger blocks
+    # measured no faster
+    for start in range(0, images.shape[1], _ENUM_BLOCK):
+        block = images[:, start : start + _ENUM_BLOCK]
+        right = [weights @ tau[block] for tau in taus]
+        for alpha, sigma in zip(alphas, sigmas):
+            left = weights @ block[sigma]
+            for beta, code in zip(betas, right):
+                values[(alpha, beta)] += int(np.count_nonzero(left == code))
     return JointClassFunction(s, t, values)
 
 

@@ -212,6 +212,16 @@ def test_multiplicities_round_trip(tmp_path, capsys):
          "degrees": {"1": {"n": 1, "mults": [{"partition": [1], "mult": 1}], "extra": 0}}},
         {"trunc": 2, "F0_dim": 1,
          "degrees": {"1": {"n": 1, "mults": [{"partition": [1], "mult": 1, "extra": 0}]}}},
+        # a degree key that int() reads but that is not ASCII digits: "1_0"
+        # as 10, a space, a sign or an Arabic-Indic digit as 1
+        {"trunc": 11, "F0_dim": 0,
+         "degrees": {"1_0": {"n": 10, "mults": [{"partition": [10], "mult": 1}]}}},
+        {"trunc": 2, "F0_dim": 1,
+         "degrees": {" 1": {"n": 1, "mults": [{"partition": [1], "mult": 1}]}}},
+        {"trunc": 2, "F0_dim": 1,
+         "degrees": {"+1": {"n": 1, "mults": [{"partition": [1], "mult": 1}]}}},
+        {"trunc": 2, "F0_dim": 1,
+         "degrees": {"\u0661": {"n": 1, "mults": [{"partition": [1], "mult": 1}]}}},
     ],
 )
 def test_multiplicities_bad_input_types_exit_1(tmp_path, capsys, payload):

@@ -2,7 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -265,6 +265,8 @@ def _count_fixed_maps(s, t, keep):
 def test_enumerated_character_against_brute_force():
     cases = [(0, t) for t in range(4)] + [(s, 0) for s in range(4)]
     cases += [(s, t) for s in range(1, 5) for t in range(1, 5)]
+    # lopsided shapes pin the digit weights and digit order of the map codes
+    cases += [(6, 2), (2, 6), (5, 3), (3, 5)]
     for s, t in cases:
         for surj, inj in [(False, False), (True, False), (False, True), (True, True)]:
             got = sr.enumerated_character(s, t, surjective_only=surj, injective_only=inj)
@@ -374,6 +376,17 @@ def test_induction_product_commutative_associative_random():
         lhs = sr.induction_product(sr.induction_product(a, b), c)
         rhs = sr.induction_product(a, sr.induction_product(b, c))
         assert lhs == rhs
+
+
+def test_induction_product_of_every_irreducible_pair():
+    # every split table (gamma, m) with |gamma| <= 7, read from both sides
+    for m in range(8):
+        for n in range(8 - m):
+            for a, b in itertools.product(partitions_of(m), partitions_of(n)):
+                ia, ib = sr.IrrDecomposition.irreducible(a), sr.IrrDecomposition.irreducible(b)
+                prod = sr.induction_product(ia, ib)
+                assert prod.dim() == comb(m + n, m) * sr.irr_dim(a) * sr.irr_dim(b), (a, b)
+                assert prod == sr.induction_product(ib, ia), (a, b)
 
 
 def test_induction_via_regular():
