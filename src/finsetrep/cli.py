@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 from . import facalc as fc
 from . import fbgroth as fg
 from . import symrep as sr
-from .partitions import display, parse, partitions_of
+from .partitions import decimal_int, display, parse, partitions_of
 
 DEFAULT_TRUNC_ENV = "FINSETREP_TRUNC"
 
@@ -50,7 +50,7 @@ def _simple_label_from_args(kind: str, arg: Optional[str]) -> fc.SimpleLabel:
         return fc.SimpleLabel.K0()
     if arg is None:
         raise CliError(f"label {kind} needs a {'partition' if kind == 'C' else 'degree'} argument")
-    return fc.SimpleLabel.C(parse(arg)) if kind == "C" else fc.SimpleLabel.L(int(arg))
+    return fc.SimpleLabel.C(parse(arg)) if kind == "C" else fc.SimpleLabel.L(decimal_int(arg))
 
 
 # The oracle builder of each functor family; k, k0 and kbar take no degree.
@@ -77,7 +77,7 @@ def _parse_descriptor(desc: str) -> Tuple[str, Optional[int]]:
         raise CliError(f"bad functor descriptor {desc!r}")
     head, _, num = desc.partition(":")
     try:
-        n = int(num)
+        n = decimal_int(num)
     except ValueError:
         raise CliError(f"bad functor descriptor {desc!r}")
     if n < 0:
@@ -355,20 +355,20 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="finsetrep", description=__doc__)
     env_trunc = os.environ.get(DEFAULT_TRUNC_ENV, "6")
     try:
-        default_trunc = int(env_trunc)
+        default_trunc = decimal_int(env_trunc)
     except ValueError:
         raise CliError(f"{DEFAULT_TRUNC_ENV} must be an integer, got {env_trunc!r}") from None
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--format", choices=["json", "tsv"], default="tsv")
-        p.add_argument("--trunc", type=int, default=default_trunc)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--trunc", type=decimal_int, default=default_trunc)
+        p.add_argument("--seed", type=decimal_int, default=0)
 
     p = sub.add_parser("simple-eval", help="evaluate a simple module on a t-set")
     p.add_argument("kind", choices=["C", "L", "k0"])
     p.add_argument("arg", nargs="?", default=None)
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=decimal_int, required=True)
     common(p)
     p.set_defaults(func=cmd_simple_eval)
 
@@ -378,7 +378,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_decompose_pfin)
 
     p = sub.add_parser("structure-kfi", help="summands of an injection module")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=decimal_int)
     common(p)
     p.set_defaults(func=cmd_structure_kfi)
 
@@ -395,13 +395,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("groth", help="check a Grothendieck-group identity")
     p.add_argument("--identity", required=True)
-    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--k", type=decimal_int, default=0)
     common(p)
     p.set_defaults(func=cmd_groth)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True)
-    p.add_argument("--max-size", type=int, default=default_trunc)
+    p.add_argument("--max-size", type=decimal_int, default=default_trunc)
     common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -134,10 +134,14 @@ class SpMat:
 
         The rows are taken in buckets of equal entry count k: a bucket's
         entries form an (r, k) block, so the bucket is one gather, multiply
-        and sum over its k axis (a plain gather and scale when k = 1)."""
+        and sum over its k axis (a plain gather and scale when k = 1).  A
+        matrix whose every row holds one entry equal to 1 (a permutation,
+        say) is one row gather X[cols], on X's dtype."""
         if not (self.nnz and X.size):
             return np.zeros((self.m,) + X.shape[1:], dtype=np.int64)
-        buckets, cols, vals, row_bound = self._buckets()
+        buckets, cols, vals, row_bound, gather = self._buckets()
+        if gather:
+            return X[cols]
         # max|X| counted as at least 1, so that int64 never takes vals past it
         xmax = int(np.abs(X).max()) if xmax is None else xmax
         dtype = linalg.int_dtype(row_bound * max(xmax, 1))
@@ -155,8 +159,9 @@ class SpMat:
 
     def _buckets(self):
         """The row buckets of apply_dense, built once per matrix: (buckets,
-        cols, vals, row_bound) with cols and vals one copy of the entries in
-        bucket order and each bucket (k, its rows, its slice lo:hi of them)."""
+        cols, vals, row_bound, gather) with cols and vals one copy of the
+        entries in bucket order, each bucket (k, its rows, its slice lo:hi
+        of them), and gather whether every row holds one entry equal to 1."""
         if self._bucketed is not None:
             return self._bucketed
         k_of = np.bincount(self.rows)[self.rows]  # each entry's row length
@@ -171,7 +176,9 @@ class SpMat:
         ]
         # |row sum| <= max|vals| * longest row * max|X|
         row_bound = int(np.abs(self.vals).max()) * int(k_of[-1])
-        self._bucketed = (buckets, self.cols[order], self.vals[order], row_bound)
+        # one entry per row, so the entries run in row order 0..m-1
+        gather = self.nnz == self.m and row_bound == 1 and bool((self.vals > 0).all())
+        self._bucketed = (buckets, self.cols[order], self.vals[order], row_bound, gather)
         return self._bucketed
 
     def column_index(self) -> Dict[int, List[Tuple[int, int]]]:
@@ -330,6 +337,12 @@ def _fold_map(t: int) -> Tuple[int, ...]:
     return tuple(list(range(t)) + [t - 1])
 
 
+@lru_cache(maxsize=None)
+def move_map(key: Tuple) -> Tuple[int, ...]:
+    """The set map of the generator move key, as an image tuple."""
+    return {"inc": _inc_map, "fold": _fold_map, "tau": _tau_map}[key[0]](*key[1:])
+
+
 # ---------------------------------------------------------------------------
 # Truncated functors
 
@@ -466,9 +479,8 @@ def _functor_from_action(
         return SpMat(dims[t], dims[s], rows, cols, vals)
 
     F = TruncatedFunctor(N, dims, {}, [], name=name, outer_n=outer_n)
-    gen_maps = {"inc": _inc_map, "fold": _fold_map, "tau": _tau_map}
     for key in F.gen_keys():
-        g = gen_maps[key[0]](*key[1:])
+        g = move_map(key)
         F.act[key] = matrix(*F.gen_src_dst(key), lambda tup: action(g, tup))
     for i in range(1, outer_n):
         for t in range(N + 1):

@@ -12,15 +12,21 @@ unit columns), and of any other vector are read off one exact inverse of
 the basis per size (functors.subspace_maps), on demand.
 Solving hom(F, G) is then linear algebra in the unknown generator values:
 each basis column corresponds to an explicit vector G(path)(v), and every
-generator move contributes exact linear constraints, except a move image
-that the span pass accepted: its value is G(move) of its parent's by
-construction, so its constraint is zero and is skipped.  The constraint
-c(a, b_j) of a move a on a vector b_j = F(m) b_j' that the pass built along
-m is skipped too when a relation a o m = m' o a' of FA writes it as
-c(m', F(a') b_j') + G(m') c(a', b_j'), a combination of constraints that
-come strictly earlier in the order (source size, span index, position in
-gen_keys()); by induction along that order every skipped constraint
-vanishes once the kept ones do, for any functors F and G.  Constraints are
+generator move contributes exact linear constraints, except those that
+G's functoriality makes zero.  The pass records each kept vector b_i as
+F(w_i) g_{a_i}: its generator and the set map its path composes.  When a
+move key sends the record (a_j, w_j) of b_j to the record (a_j, key o w_j)
+of a kept b_i, then F(key) b_j = b_i and eta(b_i) = G(key) eta(b_j) for any
+generator value, so c(key, b_j) is zero and is skipped (SpanData.matches):
+the images the pass accepted, and every span-tree edge that a relation of
+FA closes.  A pfin(n) source keeps no constraint at all, by Yoneda.  The
+constraint c(a, b_j) of a move a on a vector b_j = F(m) b_j' that the
+pass built along m is skipped too when a relation a o m = m' o a' of FA
+writes it as c(m', F(a') b_j') + G(m') c(a', b_j'), a combination of
+constraints that come strictly earlier in the order (source size, span
+index, position in gen_keys()) or are matches; by induction along that
+order every skipped constraint vanishes once the kept ones do, for any
+functors F and G.  Constraints are
 folded into integer Gram matrices (x is in the kernel of sum W_i^T W_i iff
 W_i x = 0 for all i, valid over the rationals), and the parameter space is
 cut batch by batch so the large top-degree data is only built on an
@@ -66,9 +72,10 @@ import numpy as np
 from ..partitions import Partition, partitions_of
 from ..symrep import JointClassFunction, joint_decompose, representative
 from . import linalg
-from .functors import GenKey, OracleError, SpMat, TruncatedFunctor, subspace_maps
+from .functors import GenKey, OracleError, SpMat, TruncatedFunctor, move_map, subspace_maps
 
 Path = Tuple  # ("gen", a) | ("step", genkey, parent_t, parent_idx)
+Record = Tuple[int, Tuple[int, ...]]  # (generator index a, set map w: d -> t)
 
 
 @dataclass
@@ -80,17 +87,20 @@ class SpanData:
     gen_used flags the declared generators that actually entered the
     basis; redundant generators (possible for kernel-style builders) are
     absorbed into the span of the others and carry no free unknowns.
-    accepted[key] holds the indices j at key's source size whose image
-    along key the pass accepted.  expansions, gammas and skip_sets cache
-    expansion()'s, gamma()'s and skips()'s values."""
+    records[t] maps the record (a, w) of each kept vector b_j = F(w) g_a at
+    size t to j, in index order: a is the generator its path starts from,
+    of size d, and w: d -> t the set map its moves compose.  expansions,
+    gammas, match_sets and skip_sets cache expansion()'s, gamma()'s,
+    matches()'s and skips()'s values."""
 
     F: TruncatedFunctor
     paths: List[List[Path]]
     gen_used: List[bool]
     basis: List[SpMat]
-    accepted: Dict[GenKey, Set[int]]
+    records: List[Dict[Record, int]]
     expansions: Dict[int, SpMat] = field(default_factory=dict)
     gammas: Dict[GenKey, SpMat] = field(default_factory=dict)
+    match_sets: Dict[GenKey, Set[int]] = field(default_factory=dict)
     skip_sets: Dict[GenKey, Set[int]] = field(default_factory=dict)
 
     def expansion(self, t: int) -> SpMat:
@@ -105,7 +115,7 @@ class SpanData:
     def gamma(self, key) -> SpMat:
         """Gamma_key = E_t F(key) basis[s] for the move key: s -> t, computed
         on first use: column j expands the image of basis vector j, a unit
-        column for an image the pass accepted, an empty one for a zero
+        column for an image that is a kept vector, an empty one for a zero
         image, F's relations otherwise.  It is exact, and unique because
         basis[t] is square."""
         if key not in self.gammas:
@@ -114,26 +124,44 @@ class SpanData:
             self.gammas[key] = E.compose(move.compose(self.basis[s]))
         return self.gammas[key]
 
+    def matches(self, key: GenKey) -> Set[int]:
+        """The indices j whose constraint c(key, b_j) is identically zero,
+        computed on first use: those whose record (a, w) moves along key to
+        the record (a, key o w) of a kept b_i.  Then F(key) b_j = b_i, and
+        eta(b_i) = G(key o w) eta(g_a) = G(key) eta(b_j) by G's
+        functoriality alone, whatever the generator value eta(g_a).  They
+        hold the images the pass accepted along key, and every span-tree
+        edge that a relation of FA closes (tau o tau = id, fold o inc = id,
+        two paths that compose one set map)."""
+        if key not in self.match_sets:
+            s, t = TruncatedFunctor.gen_src_dst(key)
+            f, found = move_map(key), self.records[t]
+            self.match_sets[key] = {
+                j for j, (a, w) in enumerate(self.records[s])
+                if (a, tuple(f[x] for x in w)) in found
+            }
+        return self.match_sets[key]
+
     def skips(self, key: GenKey) -> Set[int]:
         """The indices j whose constraint c(key, b_j) the solve skips,
-        computed on first use: the images the pass accepted along key, and
-        the b_j = F(m) b_j' whose constraint _implied(key, m) writes through
-        earlier ones.  Through tau_k o tau_l = tau_l o tau_k, c(tau_k, b_j)
-        needs c(tau_l, b_i) for every b_i in the expansion of F(tau_k) b_j'
-        (column j' of Gamma_key), so it is skipped only if each of those
-        comes earlier, (i, l) < (j, k) as gen_keys() lists the
-        transpositions of one size by index, or is an accepted image."""
+        computed on first use: the matches(key), which are zero on their
+        own, and the b_j = F(m) b_j' whose constraint _implied(key, m)
+        writes through earlier ones.  Through tau_k o tau_l = tau_l o tau_k,
+        c(tau_k, b_j) needs c(tau_l, b_i) for every b_i in the expansion of
+        F(tau_k) b_j' (column j' of Gamma_key), so it is skipped only if
+        each of those comes earlier, (i, l) < (j, k) as gen_keys() lists
+        the transpositions of one size by index, or is one of matches(m)."""
         if key not in self.skip_sets:
-            skip = set(self.accepted.get(key, ()))
+            skip = set(self.matches(key))
             s = TruncatedFunctor.gen_src_dst(key)[0]
             for j, path in enumerate(self.paths[s]):
-                if path[0] == "gen" or not _implied(key, path[1]):
+                if j in skip or path[0] == "gen" or not _implied(key, path[1]):
                     continue
                 m, jp = path[1], path[3]
                 if key[0] == m[0] == "tau":
-                    along_m = self.accepted.get(m, ())
+                    zero = self.matches(m)
                     column = self.gamma(key).column_index().get(jp, ())
-                    if not all((i, m[2]) < (j, key[2]) or i in along_m for i, _ in column):
+                    if not all((i, m[2]) < (j, key[2]) or i in zero for i, _ in column):
                         continue
                 skip.add(j)
             self.skip_sets[key] = skip
@@ -147,10 +175,11 @@ def _implied(a: GenKey, m: GenKey) -> bool:
     (source size, span index, position in gen_keys()), for a span vector v
     whose own image F(m) v the pass accepted.  Transpositions tau_k, tau_l
     with |k - l| >= 2 commute, and their expansion terms need the check in
-    SpanData.skips."""
+    SpanData.skips.  A relation a o m = id (fold o inc, tau o tau) needs no
+    rule: SpanData.matches finds its constraints."""
     if m[0] == "inc":
-        # fold o inc = id; tau_k o inc = inc o tau_k away from the new point
-        return a[0] == "fold" or (a[0] == "tau" and a[2] <= a[1] - 2)
+        # tau_k o inc = inc o tau_k away from the new point
+        return a[0] == "tau" and a[2] <= a[1] - 2
     if m[0] == "tau":
         if a[0] == "fold":
             # fold o tau = fold on the fold's fibre; they commute away from it
@@ -193,16 +222,19 @@ def build_span(F: TruncatedFunctor) -> SpanData:
 
 def _span_pass(F: TruncatedFunctor, p: int):
     """One span pass mod p: the SpanData, or None when p divides a move
-    denominator.  A popped path is built from its parent's kept column as
-    a sparse integer column num / den in lowest terms, and kept by its
-    residues num * den^-1 mod p."""
+    denominator.  A popped path whose record (generator, set map) a kept
+    vector already has builds that vector again, and is dropped unbuilt.
+    Any other is built from its parent's kept column as a sparse integer
+    column num / den in lowest terms, and kept by its residues
+    num * den^-1 mod p."""
     if any(m.den % p == 0 for m in F.act.values()):
         return None
     sizes = range(F.N + 1)
     paths: List[List[Path]] = [[] for _ in sizes]
     vecs: List[List[Tuple[Dict[int, int], int]]] = [[] for _ in sizes]
     bases = [linalg.ModColumnBasis(p) for _ in sizes]
-    accepted: Dict[GenKey, Set[int]] = {}
+    records: List[Dict[Record, int]] = [{} for _ in sizes]
+    words: List[List[Record]] = [[] for _ in sizes]  # records[t] in index order
     moves_of: Dict[int, List[Tuple]] = {t: [] for t in sizes}
     for key in F.gen_keys():
         s, t = TruncatedFunctor.gen_src_dst(key)
@@ -215,6 +247,15 @@ def _span_pass(F: TruncatedFunctor, p: int):
         t, _, path = heapq.heappop(heap)
         # a full size accepts nothing more
         if len(paths[t]) == F.dims[t]:
+            continue
+        if path[0] == "gen":
+            record = (path[1], tuple(range(t)))
+        else:
+            a, w = words[path[2]][path[3]]
+            f = move_map(path[1])
+            record = (a, tuple(f[x] for x in w))
+        # a path whose set map a kept one already composes builds its vector
+        if record in records[t]:
             continue
         if path[0] == "gen":
             col = F.generators[path[1]][1].tolist()
@@ -230,8 +271,8 @@ def _span_pass(F: TruncatedFunctor, p: int):
             continue
         paths[t].append(path)
         vecs[t].append((num, den))
-        if path[0] == "step":
-            accepted.setdefault(path[1], set()).add(path[3])
+        records[t][record] = idx
+        words[t].append(record)
         for key, t2 in moves_of[t]:
             heapq.heappush(heap, (t2, next(counter), ("step", key, t, idx)))
     del bases  # the residues are done with: free them before the assembly
@@ -244,7 +285,7 @@ def _span_pass(F: TruncatedFunctor, p: int):
         rows, cols, vals = zip(*entries) if entries else ((), (), ())
         basis.append(SpMat(F.dims[t], len(vecs[t]), rows, cols, vals, D))
     used = {path[1] for t in sizes for path in paths[t] if path[0] == "gen"}
-    return SpanData(F, paths, [a in used for a in range(len(F.generators))], basis, accepted)
+    return SpanData(F, paths, [a in used for a in range(len(F.generators))], basis, records)
 
 
 def _spans_subfunctor(span: SpanData) -> bool:
@@ -277,10 +318,10 @@ class NatHomResult:
     P is the parameter basis, an n_v x dimension integer array: its k-th
     column holds the values of the k-th basis solution on the used
     generators, block by block.  constraints counts the constraints of the
-    moves the solve reached: skipped as accepted images or as implied,
-    kept, and kept with a nonzero W.  The solve fills the result in place:
-    a result keeps the span values its solve made on the final P, and
-    makes the others on first use."""
+    moves the solve reached: skipped as matched (zero by G's functoriality)
+    or as implied, kept, and kept with a nonzero W.  The solve fills the
+    result in place: a result keeps the span values its solve made on the
+    final P, and makes the others on first use."""
 
     def __init__(self, F, G, span, P: np.ndarray, blocks,
                  constraints: Optional[Dict[str, int]] = None):
@@ -468,7 +509,7 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
         if span.gen_used[a]:
             blocks[a] = (d, off)
             off += G.dims[d]
-    counts = dict.fromkeys(("accepted", "implied", "kept", "nonzero"), 0)
+    counts = dict.fromkeys(("matched", "implied", "kept", "nonzero"), 0)
     res = NatHomResult(F, G, span, np.eye(off, dtype=np.int64), blocks, counts)
     keys = sorted(
         F.gen_keys(),
@@ -484,9 +525,9 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
         # the Gram sum and an upper bound on its entries
         gram, gbound = np.zeros((p, p), dtype=np.int64), 0
         skip = span.skips(key)
-        accepted = len(span.accepted.get(key, ()))
-        counts["accepted"] += accepted
-        counts["implied"] += len(skip) - accepted
+        matched = len(span.matches(key))
+        counts["matched"] += matched
+        counts["implied"] += len(skip) - matched
         counts["kept"] += F.dims[s] - len(skip)
         for W in res._constraints(key, [j for j in range(F.dims[s]) if j not in skip]):
             wmax = int(np.abs(W).max(initial=0))

@@ -82,14 +82,25 @@ def serialize(lam: Partition) -> str:
     return ",".join(str(p) for p in lam)
 
 
+def decimal_int(text: str) -> int:
+    """The integer text spells in ASCII decimal digits after at most one
+    minus sign; refuses what else int() reads: a plus sign, surrounding
+    spaces, an underscore, non-ASCII digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an integer in decimal digits")
+    return int(text)
+
+
 def parse(text: str) -> Partition:
-    """Inverse of serialize; also accepts '(2,1)'-style with parentheses."""
+    """Inverse of serialize; also accepts '(2,1)'-style with parentheses and
+    spaces around the parts."""
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1]
     if not text:
         return Partition(())
-    return Partition(tuple(int(p) for p in text.split(",")))
+    return Partition(tuple(decimal_int(p.strip()) for p in text.split(",")))
 
 
 def display(lam: Partition) -> str:

@@ -24,7 +24,7 @@ from math import comb, factorial, lcm
 from operator import mul
 from typing import Dict, NamedTuple, Tuple
 
-from .partitions import Partition, one_column, one_row, partitions_of
+from .partitions import Partition, decimal_int, one_column, one_row, partitions_of
 
 
 class _Table(NamedTuple):
@@ -256,9 +256,9 @@ def json_key_int(key) -> int:
     """The integer a JSON object key spells in ASCII decimal digits; refuses
     any other key, which int() would read through a sign, spaces, an
     underscore or non-ASCII digits."""
-    if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+    if not isinstance(key, str) or key.startswith("-"):
         raise ValueError(f"key {key!r} is not a string of decimal digits")
-    return int(key)
+    return decimal_int(key)
 
 
 def check_json_keys(data: dict, keys: set) -> None:

@@ -112,6 +112,62 @@ def test_negative_or_vacuous_arguments_exit_1(capsys, argv, message):
     assert message in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["structure-kfi", "1_0"], None),
+        (["structure-kfi", "+1"], None),
+        (["structure-kfi", " 2"], None),
+        (["groth", "--identity", "W", "--k", "1_0", "--trunc", "12"], None),
+        (["groth", "--identity", "W", "--k", "1", "--trunc", "٤"], None),
+        (["groth", "--identity", "W", "--k", "1", "--trunc", "4", "--seed", "+3"], None),
+        (["decompose-pfin", "1_0"], None),
+        (["decompose-pfin", "2,+1"], None),
+        (["decompose-pfin", "(2,١)"], None),
+        (["simple-eval", "L", "0_1", "--t", "3"], None),
+        (["simple-eval", "C", "2,1", "--t", "1_0"], None),
+        (["hom", "--from", "pfin:١", "--to", "k", "--trunc", "3"], None),
+        (["hom", "--from", "pbar:+1", "--to", "k", "--trunc", "3"], None),
+        (["hom", "--from", "pbar: 1", "--to", "k", "--trunc", "3"], None),
+        (["verify", "--suite", "groth", "--max-size", "٣"], None),
+        (["groth", "--identity", "W"], "1_0"),
+        (["groth", "--identity", "W"], " 5"),
+    ],
+)
+def test_integers_are_ascii_decimal_digits(capsys, monkeypatch, argv, env):
+    # int() reads an underscore, a sign, spaces and non-ASCII digits; every
+    # integer of the CLI is ASCII decimal digits after at most a minus sign
+    if env is not None:
+        monkeypatch.setenv("FINSETREP_TRUNC", env)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert list(json.loads(err)) == ["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["structure-kfi", "-1"], None, "needs n >= 1"),
+        (["decompose-pfin", "-1"], None, "parts must be positive: (-1,)"),
+        (["decompose-pfin", "2,-1"], None, "parts must be positive: (2, -1)"),
+        (["simple-eval", "L", "-1", "--t", "3"], None, "L(n) needs n >= 0"),
+        (["groth", "--identity", "W"], "-1", "--trunc must be non-negative"),
+    ],
+)
+def test_a_minus_sign_keeps_its_message(capsys, monkeypatch, argv, env, message):
+    if env is not None:
+        monkeypatch.setenv("FINSETREP_TRUNC", env)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": message}
+
+
+def test_partitions_may_hold_spaces(capsys):
+    assert run_cli(capsys, "decompose-pfin", "(2, 1)") == run_cli(capsys, "decompose-pfin", "2,1")
+    code, out, _ = run_cli(capsys, "simple-eval", "C", "( 2 , 1 )", "--t", "3")
+    assert code == 0 and out.splitlines() == ["3\t(2,1)\t1"]
+
+
 @pytest.mark.parametrize("identity", ["W", "H"])
 def test_groth_identities_hold_at_k_equal_to_trunc(capsys, identity):
     # S(k + 1) and H(k + 1) truncate to the zero class at k = trunc

@@ -156,6 +156,31 @@ def test_apply_dense_edge_cases():
     assert (z.apply_dense(X) == np.zeros((4, 2), dtype=np.int64)).all()
 
 
+def test_apply_dense_gathers_the_rows_of_a_one_entry_matrix():
+    # every row one entry equal to 1 (den ignored): a permutation, and a
+    # map whose rows share a column, are row gathers of X on X's dtype; a
+    # sign, a 2 or an empty row takes the bucketed product
+    cases = [
+        (SpMat(3, 3, [0, 1, 2], [2, 0, 1], [1, 1, 1], den=5), True),
+        (SpMat(4, 2, [0, 1, 2, 3], [1, 1, 0, 1], [1, 1, 1, 1]), True),
+        (SpMat(3, 3, [0, 1, 2], [2, 0, 1], [1, -1, 1]), False),
+        (SpMat(3, 3, [0, 1, 2], [2, 0, 1], [1, 2, 1]), False),
+        (SpMat(3, 3, [0, 2], [2, 1], [1, 1]), False),
+    ]
+    for A, gather in cases:
+        assert A._buckets()[4] is gather
+        dense = np.array(A.int_rows(), dtype=object)
+        for X in (np.arange(A.n, dtype=np.int64) - 1,
+                  np.arange(2 * A.n, dtype=np.int64).reshape(A.n, 2) * 7,
+                  np.array([[2**70 + i] for i in range(A.n)], dtype=object)):
+            out = A.apply_dense(X)
+            assert (out == np.tensordot(dense, X.astype(object), axes=1)).all()
+            if gather:
+                assert out.dtype == X.dtype
+                out[...] = 0  # a copy: X keeps its entries
+                assert X.any()
+
+
 def test_apply_dense_is_exact_past_int64():
     # 2**40 * 2**24 would wrap to 0 in int64: it runs on Python ints
     out = SpMat(1, 1, [0], [0], [2**40]).apply_dense(np.array([[2**24]]))

@@ -21,7 +21,7 @@ from finsetrep.oracle import (
     nat_hom,
     nat_hom_dense_dim,
 )
-from finsetrep.oracle.functors import SpMat, TruncatedFunctor, direct_sum
+from finsetrep.oracle.functors import SpMat, TruncatedFunctor, direct_sum, map_matrix
 from finsetrep.oracle.nathom import build_span
 from test_oracle_functors import apply_sparse, fraction_vector, rescaled
 
@@ -39,7 +39,11 @@ def test_yoneda():
     for n in range(0, 3):
         F = build_pfin(n, N)
         for G in targets:
-            assert nat_hom(F, G).dimension == G.dims[n], (n, G.name)
+            r = nat_hom(F, G)
+            assert r.dimension == G.dims[n], (n, G.name)
+            # every span vector of pfin(n) is F(w) of its generator for its
+            # own set map w: n -> t, so every constraint is a match
+            assert r.constraints["kept"] == r.constraints["implied"] == 0, (n, G.name)
 
 
 def test_against_dense_reference():
@@ -419,6 +423,15 @@ def test_span_pass_records_move_expansions():
                 assert gamma.column_index().get(j, []) == [
                     (i, c * gamma.den) for i, c in sorted(ref.items())
                 ], (F.name, key, j)
+        # each kept vector is F(w) of its generator, for the set map w of
+        # its record
+        assert [len(r) for r in span.records] == F.dims, F.name
+        for t, records in enumerate(span.records):
+            for (a, w), idx in records.items():
+                d, col = F.generators[a]
+                assert len(w) == d and all(0 <= x < t for x in w), (F.name, t, idx)
+                assert apply_sparse(map_matrix(F, w, d, t), fraction_vector(col)) == vecs[(t, idx)], (
+                    F.name, t, idx)
         # the declared generators, expanded in the basis of their size
         for d, col in F.generators:
             v = fraction_vector(col)
@@ -533,16 +546,21 @@ def test_span_pass_reports_a_shortfall():
 
 
 def test_skipped_constraints_are_zero():
+    # every constraint that SpanData.matches skips is zero on the identity P,
+    # whose columns give the used generators independent values: so it is
+    # zero for every P, by G's functoriality alone
     from math import lcm
 
     from finsetrep.oracle import linalg
     from finsetrep.oracle.nathom import NatHomResult
 
-    N = 4
     pairs = [
-        (build_pbar_tensor(2, N), build_pbar_tensor(2, N)),
-        (build_proj_cover(1, N), build_pfin(2, N)),
+        (build_pbar_tensor(2, 4), build_pbar_tensor(2, 4)),
+        (build_proj_cover(1, 4), build_pfin(2, 4)),
+        # two generators of one size: a match must tell them apart
+        (build_proj_cover(3, 5), build_kfi(3, 5)),
     ]
+    assert [d for d, _ in pairs[-1][0].generators] == [4, 4]
     for F, G in pairs:
         span = build_span(F)
         blocks, off = {}, 0
@@ -550,28 +568,29 @@ def test_skipped_constraints_are_zero():
             if span.gen_used[a]:
                 blocks[a], off = (d, off), off + G.dims[d]
         value = NatHomResult(F, G, span, np.eye(off, dtype=np.int64), blocks)._value
-        skipped = 0
-        # nat_hom skips the move images that the span pass accepted
-        for t in range(N + 1):
-            for idx, path in enumerate(span.paths[t]):
-                if path[0] != "step":
-                    continue
-                _, key, s, j = path
+        matched = 0
+        for key in F.gen_keys():
+            s, t = F.gen_src_dst(key)
+            for j in span.matches(key):
                 # the full constraint: G(key) V(s, j) - sum_i gamma_i V(t, i)
                 sarr, sden = value((s, j))
                 m = G.act[key]
                 gamma = _column(span.gamma(key), j)
                 terms = [(c, *value((t, i))) for i, c in gamma.items()]
-                assert gamma == {idx: Fraction(1)}
-                assert j in span.accepted[key] and j in span.skips(key)
+                # F(key) b_j is a kept vector
+                assert len(gamma) == 1 and list(gamma.values()) == [1], (F.name, key, j)
                 L = lcm(m.den * sden, *(c.denominator * d for c, _, d in terms))
                 W = linalg.lincomb([(m.apply_dense(sarr), -(L // (m.den * sden)))] + [
                     (arr, c.numerator * (L // (c.denominator * d))) for c, arr, d in terms
                 ])
                 assert not W.any(), (F.name, key, j)
-                skipped += 1
-        assert skipped == sum(F.dims) - sum(span.gen_used), F.name
-        assert skipped > 0
+            # the images the pass accepted along key are among the matches
+            accepted = {path[3] for path in span.paths[t] if path[0] == "step" and path[1] == key}
+            assert accepted <= span.matches(key) <= span.skips(key), (F.name, key)
+            matched += len(span.matches(key))
+        # every vector but the generators is an accepted image, and the
+        # matches hold more than those
+        assert matched > sum(F.dims) - sum(span.gen_used) > 0, F.name
 
 
 def test_python_int_path_matches_int64_path(monkeypatch):
@@ -634,15 +653,16 @@ def test_stabilization_degree4_full_size():
     assert nat_hom(pbar7(4), pbar7(4)).dimension == 24
     r = nat_hom(pbar7(4), build_pfin(4, 7))
     assert r.dimension == 24
-    assert (r.constraints["implied"], r.constraints["kept"]) == (9870, 3311)
+    assert (r.constraints["implied"], r.constraints["kept"]) == (2009, 487)
     for t in range(0, 4):
         assert nat_hom(pbar7(4), pbar7(t)).dimension == 0
 
 
 def test_relations_behind_the_skips_hold_as_set_maps():
-    # the relations of FA that nathom._implied reads, composed from the
-    # generator maps: inc_t: t -> t+1, fold_t: t+1 -> t merging t-1 with
-    # t, tau_{t,i} swapping i-1 and i
+    # the relations of FA that nathom._implied reads (and fold o inc = id,
+    # which SpanData.matches finds), composed from the generator maps:
+    # inc_t: t -> t+1, fold_t: t+1 -> t merging t-1 with t, tau_{t,i}
+    # swapping i-1 and i
     from finsetrep.oracle.functors import _fold_map, _inc_map, _tau_map
 
     def comp(g, f):  # g o f
@@ -687,16 +707,43 @@ def test_adjacent_transpositions_must_not_count_as_commuting(monkeypatch):
     r.verify()
 
 
+def test_a_match_must_keep_the_generator_apart(monkeypatch):
+    # P_3 has two generators of size 4.  A match keyed on the set map alone
+    # takes F(key) b_j for a kept vector that the other generator builds,
+    # and skips a constraint that is not zero: the solve then admits
+    # non-solutions, and verify() refuses them
+    from finsetrep.oracle import OracleError
+    from finsetrep.oracle.functors import move_map
+    from finsetrep.oracle.nathom import SpanData
+
+    def by_map_alone(self, key):
+        s, t = TruncatedFunctor.gen_src_dst(key)
+        f, found = move_map(key), {w for _, w in self.records[t]}
+        return {j for j, (_, w) in enumerate(self.records[s]) if tuple(f[x] for x in w) in found}
+
+    F, G = build_proj_cover(3, 5), build_pfin(3, 5)
+    monkeypatch.setattr(SpanData, "matches", by_map_alone)
+    r = nat_hom(F, G)
+    assert r.dimension == 33
+    with pytest.raises(OracleError, match="solution fails naturality"):
+        r.verify()
+    monkeypatch.undo()
+    F.span_cache = None
+    r = nat_hom(F, G)
+    assert r.dimension == 6
+    r.verify()
+
+
 def test_constraint_counts():
     F = build_pbar_tensor(4, 5)
     r = nat_hom(F, build_pfin(4, 5))
     assert r.dimension == 24
-    assert {k: r.constraints[k] for k in ("accepted", "implied", "kept")} == {
-        "accepted": 353, "implied": 809, "kept": 590}
+    assert {k: r.constraints[k] for k in ("matched", "implied", "kept")} == {
+        "matched": 1387, "implied": 185, "kept": 180}
     assert 0 < r.constraints["nonzero"] <= r.constraints["kept"]
     # every move's constraints are counted once: the degree-4 pair reaches
     # every move, and F(t) has dims[t] of them per move out of size t
-    assert sum(r.constraints[k] for k in ("accepted", "implied", "kept")) == sum(
+    assert sum(r.constraints[k] for k in ("matched", "implied", "kept")) == sum(
         F.dims[TruncatedFunctor.gen_src_dst(key)[0]] for key in F.gen_keys())
     # the skips changed this pair's P: re-check it on every constraint
     r.verify()
@@ -716,12 +763,13 @@ def test_degree4_endomorphisms_verify():
 
 def test_verify_evaluates_every_constraint(monkeypatch):
     # verify() evaluates c(key, b_j) once for every span vector b_j of
-    # every move whose target is nonzero, never reading the solve's skips
+    # every move whose target is nonzero, never reading the solve's skips:
+    # here the solve kept none of them
     from finsetrep.oracle.nathom import NatHomResult, SpanData
 
     F, G = build_pfin(2, 4), build_kfi(2, 4)
     r = nat_hom(F, G)
-    assert r.dimension > 0 and r.constraints["implied"] > 0
+    assert r.dimension > 0 and r.constraints["matched"] > 0 == r.constraints["kept"]
     assert F.dims[2] > 0 and G.dims[1] == 0  # no constraint of fold: 2 -> 1
     calls = []
     constraints = NatHomResult._constraints
@@ -734,6 +782,7 @@ def test_verify_evaluates_every_constraint(monkeypatch):
 
     monkeypatch.setattr(NatHomResult, "_constraints", counted)
     monkeypatch.setattr(SpanData, "skips", lambda self, key: pytest.fail("verify() read a skip set"))
+    monkeypatch.setattr(SpanData, "matches", lambda self, key: pytest.fail("verify() read a match set"))
     r.verify()
     moves = [TruncatedFunctor.gen_src_dst(key) for key in F.gen_keys()]
     assert len(calls) == len(set(calls)) == sum(F.dims[s] for s, t in moves if G.dims[t] > 0)
