@@ -371,21 +371,16 @@ class ModColumnBasis:
     maintained reduced echelon form, on residues in [0, p) (Python ints),
     each row scaled to 1 at its pivot."""
 
-    __slots__ = ("p", "rows", "pivots", "accepted")
+    __slots__ = ("p", "rows", "pivots")
 
     def __init__(self, p: int):
         self.p = p
         self.rows: List[Dict[int, int]] = []  # one sparse row per added column
         self.pivots: Dict[int, int] = {}  # pivot coordinate -> row index
-        self.accepted: Dict[frozenset, int] = {}  # added column -> its index
 
     def add(self, vec: Dict[int, int]) -> Optional[int]:
         """Add a column of residues: its index if it is independent mod p
-        of the columns added before (appended), else None.  A copy of an
-        added column is looked up, not reduced."""
-        key = frozenset(vec.items())
-        if key in self.accepted:
-            return None
+        of the columns added before (appended), else None."""
         p = self.p
         r = dict(vec)
         # every row is zero at every other row's pivot: one pass clears them
@@ -403,7 +398,6 @@ class ModColumnBasis:
                 _axpy(krow, -f, row, p)
         self.rows.append(row)
         self.pivots[piv] = idx
-        self.accepted[key] = idx
         return idx
 
 

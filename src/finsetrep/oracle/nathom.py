@@ -55,8 +55,9 @@ at a time: the span vectors are a basis of F(s), so that is naturality
 on all of F(s), and verify consults no skip set and no Gram kernel of the
 solve.  coordinates reads a block of generator values off p independent
 rows of P, which the same certified engine picks, and checks the other
-rows exactly: outer characters take the acted-on solutions through it,
-and the checks the restricted Yoneda maps.
+rows exactly: outer characters read the outer transpositions' matrices on
+the solutions through one call, off whose products every class's trace
+comes, and the checks the restricted Yoneda maps.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from functools import reduce
 from math import gcd, lcm
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -72,7 +74,7 @@ import numpy as np
 from ..partitions import Partition, partitions_of
 from ..symrep import JointClassFunction, joint_decompose, representative
 from . import linalg
-from .functors import GenKey, OracleError, SpMat, TruncatedFunctor, move_map, subspace_maps
+from .functors import GenKey, OracleError, SpMat, TruncatedFunctor, move_map, perm_word, subspace_maps
 
 Path = Tuple  # ("gen", a) | ("step", genkey, parent_t, parent_idx)
 Record = Tuple[int, Tuple[int, ...]]  # (generator index a, set map w: d -> t)
@@ -333,7 +335,6 @@ class NatHomResult:
         self.constraints = constraints or {}
         # the span values on P made so far; cleared when P is cut
         self._vcache: Dict[Tuple[int, int], SpanValue] = {}
-        self._maps = None
 
     @property
     def dimension(self) -> int:
@@ -434,64 +435,62 @@ class NatHomResult:
 
     # -- outer characters ---------------------------------------------------
 
-    def _acted_by(self, g: Tuple[int, ...]) -> List[Tuple[int, np.ndarray, int]]:
-        """eta(rho_F(g) w) for every basis solution eta and the generator w
-        of every used block, as (degree, Y, den): Y / den is a
-        G.dims[degree] x dimension array.  It depends on g alone, so the
-        outer character computes it once per left cycle type."""
-        acted = []
-        for a, (d, _) in self.blocks.items():
-            gmat, E = self.F.outer_matrix(g, d), self.span.expansion(d)
-            C = E.apply_dense(gmat.apply_dense(self.F.generators[a][1])).tolist()
-            Y, yden = self._evaluate(d, [(i, c) for i, c in enumerate(C) if c], E.den * gmat.den)
-            acted.append((d, Y, yden))
-        return acted
-
-    def _action_trace(
-        self, acted_g: List[Tuple[int, np.ndarray, int]], h: Tuple[int, ...]
-    ) -> int:
-        """Trace of (g, h) acting on the solution space by eta |->
-        rho_G(h) eta rho_F(g), read off the parameter basis; acted_g is
-        _acted_by(g)."""
-        # the generator values of every basis solution acted on, block by
-        # block: rows off.. of A / den are rho_G(h) eta(rho_F(g) w)
-        acted = []
-        for d, Y, yden in acted_g:
-            hmat = self.G.outer_matrix(h, d)
-            acted.append((hmat.apply_dense(Y), yden * hmat.den))
-        den = lcm(*(aden for _, aden in acted))
-        A = np.concatenate([linalg.lincomb([(arr, den // aden)]) for arr, aden in acted])
-        Y, D = self.coordinates(A)
-        num = int(np.trace(Y))
-        tr, rem = divmod(num, D * den)
-        if rem:
-            raise OracleError(f"non-integral outer character value {num}/{D * den}")
-        return tr
+    def _outer_matrices(self) -> Tuple[List[np.ndarray], List[np.ndarray], int]:
+        """(L, R, D): L[i - 1] / D is the p x p matrix over the basis solutions
+        of eta |-> eta rho_F(s_i), s_i an outer transposition of F, and
+        R[i - 1] / D that of eta |-> rho_G(s_i) eta.  One coordinates call reads
+        them all and checks col(P) stable under the outer action they generate."""
+        acted = []  # per transposition, (Y, den) per used block: its values Y / den
+        for i in range(1, self.F.outer_n):
+            acted.append([])
+            for a, (d, _) in self.blocks.items():
+                rho, E = self.F.outer_act[(i, d)], self.span.expansion(d)
+                C = E.apply_dense(rho.apply_dense(self.F.generators[a][1])).tolist()
+                acted[-1].append(self._evaluate(d, [(j, c) for j, c in enumerate(C) if c], E.den * rho.den))
+        m = len(acted)
+        for i in range(1, self.G.outer_n):
+            rhos = [(self.G.outer_act[(i, d)], off, d) for d, off in self.blocks.values()]
+            acted.append([(rho.apply_dense(self.P[off : off + self.G.dims[d]]), rho.den) for rho, off, d in rhos])
+        den = lcm(*(yden for blocks in acted for _, yden in blocks))
+        Y, D = self.coordinates(np.hstack([
+            np.concatenate([linalg.lincomb([(arr, den // yden)]) for arr, yden in blocks])
+            for blocks in acted])) if acted else (None, 1)
+        mats = np.hsplit(Y, len(acted)) if acted else []
+        return mats[:m], mats[m:], D * den
 
     def coordinates(self, A: np.ndarray) -> Tuple[np.ndarray, int]:
         """(Y, D) with P Y = D A, checked exactly, for an n_v x c integer
         array A of generator values: Y / D holds the coordinates of A's
         columns over the basis solutions.  They are read off the expansion
-        E of subspace_maps of P, computed once per result, and the residual
-        pi checks them: pi A = 0 iff A's columns lie in P's span.  Raises
-        OracleError if a column of A is no solution."""
-        if self._maps is None:
-            self._maps = subspace_maps(self.P)
-        E, pi, _ = self._maps
+        E of subspace_maps of P, and the residual pi checks them: pi A = 0
+        iff A's columns lie in P's span.  Raises OracleError if a column of
+        A is no solution."""
+        E, pi, _ = subspace_maps(self.P)
         if pi.apply_dense(A).any():
             raise OracleError("a column leaves the solution space")
         return E.apply_dense(A), E.den
 
     def outer_character(self) -> JointClassFunction:
-        s_deg = self.F.outer_n
-        t_deg = self.G.outer_n
-        values: Dict[Tuple[Partition, Partition], int] = {}
-        for alpha in partitions_of(s_deg):
-            acted_g = self._acted_by(representative(alpha)) if self.dimension else []
-            for beta in partitions_of(t_deg):
-                values[(alpha, beta)] = (
-                    self._action_trace(acted_g, representative(beta)) if self.dimension else 0
-                )
+        """The character of eta |-> rho_G(h) eta rho_F(g): the exact trace of
+        the L's along g's word times the R's along h's (_outer_matrices).
+        Either letter order gives the matrix of g or of g^-1, of one class."""
+        s_deg, t_deg = self.F.outer_n, self.G.outer_n
+        values = dict.fromkeys(itertools.product(partitions_of(s_deg), partitions_of(t_deg)), 0)
+        p = self.dimension
+        if not p:
+            return JointClassFunction(s_deg, t_deg, values)
+        L, R, D = self._outer_matrices()
+        products = []  # per side, (X, den) per class: X / den the product along its word
+        for mats, deg in ((L, s_deg), (R, t_deg)):
+            words = [perm_word(representative(lam)) for lam in partitions_of(deg)]
+            products.append([(reduce(linalg.imatmul, [mats[i - 1] for i in w], np.eye(p, dtype=np.int64)),
+                              D ** len(w)) for w in words])
+        for key, ((X, xden), (Z, zden)) in zip(values, itertools.product(*products)):
+            # tr(X Z) = vec(X) . vec(Z^T), one exact product
+            num = int(linalg.imatmul(X.reshape(1, -1), Z.T.reshape(-1, 1))[0, 0])
+            values[key], rem = divmod(num, xden * zden)
+            if rem:
+                raise OracleError(f"non-integral outer character value {num}/{xden * zden}")
         return JointClassFunction(s_deg, t_deg, values)
 
     def outer_bimodule(self) -> Dict[Tuple[Partition, Partition], int]:

@@ -798,9 +798,88 @@ def test_truncation_mismatch_rejected():
 def test_outer_character_refuses_a_non_integral_trace(monkeypatch):
     from finsetrep.oracle import OracleError
 
-    r = nat_hom(build_pbar_tensor(1, 4), build_pbar_tensor(1, 4))
-    assert r.dimension == 1
-    # coordinates of one half: the trace of the identity action is 1/2
+    # the target's outer transposition is the only one: its matrix is the
+    # whole coordinates call, here patched to one half
+    r = nat_hom(build_pbar_tensor(1, 4), build_pfin(2, 4))
+    assert r.dimension == 1 and (r.F.outer_n, r.G.outer_n) == (1, 2)
     monkeypatch.setattr(r, "coordinates", lambda A: (np.ones((1, 1), dtype=np.int64), 2))
     with pytest.raises(OracleError, match="non-integral outer character value 1/2"):
         r.outer_character()
+
+
+def _per_class_outer_character(r):
+    """The outer character evaluated one class pair (alpha, beta) at a time:
+    the used generators acted on by F's outer_matrix(g) along g's word,
+    evaluated on every basis solution, then G's outer_matrix(h), the
+    coordinates of the result over the basis and their exact trace."""
+    from math import lcm
+
+    from finsetrep.oracle import linalg
+    from finsetrep.symrep import representative
+
+    values = {}
+    for alpha, beta in itertools.product(partitions_of(r.F.outer_n), partitions_of(r.G.outer_n)):
+        if not r.dimension:
+            values[(alpha, beta)] = 0
+            continue
+        g, h = representative(alpha), representative(beta)
+        acted = []
+        for a, (d, _) in r.blocks.items():
+            gmat, E = r.F.outer_matrix(g, d), r.span.expansion(d)
+            C = E.apply_dense(gmat.apply_dense(r.F.generators[a][1])).tolist()
+            Y, yden = r._evaluate(d, [(i, c) for i, c in enumerate(C) if c], E.den * gmat.den)
+            hmat = r.G.outer_matrix(h, d)
+            acted.append((hmat.apply_dense(Y), yden * hmat.den))
+        den = lcm(*(aden for _, aden in acted))
+        Y, D = r.coordinates(np.concatenate([linalg.lincomb([(arr, den // aden)]) for arr, aden in acted]))
+        values[(alpha, beta)] = Fraction(int(np.trace(Y)), D * den)
+    return values
+
+
+def test_outer_character_matches_the_per_class_evaluation(monkeypatch):
+    # the traces read off the transpositions' matrices against the old
+    # route's evaluation per class pair, on outer degrees 0 to 4
+    from finsetrep.oracle.nathom import NatHomResult
+
+    N = 4
+    cases = [
+        (build_pbar_tensor(2, N), build_pbar_tensor(2, N)),
+        (build_pbar_tensor(2, N), build_pfin(3, N)),
+        (build_pbar_tensor(3, N), build_pbar_tensor(3, N)),
+        (build_proj_cover(2, N), build_pfin(2, N)),
+        (build_proj_cover(3, N), build_pfin(3, N)),
+        (build_proj_cover(2, N), build_pbar_tensor(3, N)),
+        (build_kfi(2, N), build_pfin(3, N)),
+        (build_pbar_tensor(4, 5), build_pfin(4, 5)),
+        # one side of outer degree 0 or 1
+        (build_pbar_tensor(1, N), build_pfin(3, N)),
+        (build_pfin(3, N), build_pfin(1, N)),
+        (build_pfin(2, N), build_kbar(N)),
+        (build_const_k(N), build_const_k(N)),
+        (build_pfin(1, N), build_pfin(1, N)),
+        # zero-dimensional
+        (build_pbar_tensor(3, N), build_pbar_tensor(2, N)),
+    ]
+    calls = {"coordinates": 0, "_evaluate": 0}
+    for name in calls:
+        method = getattr(NatHomResult, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(NatHomResult, name, counted)
+    for k, (F, G) in enumerate(cases):
+        r = nat_hom(F, G)
+        assert (r.dimension == 0) == (k == len(cases) - 1), (F.name, G.name)
+        for name in calls:
+            calls[name] = 0
+        got = r.outer_character().values
+        # one coordinates call, and one acted-generator evaluation per
+        # transposition of F and used block
+        transpositions = max(F.outer_n - 1, 0) + max(G.outer_n - 1, 0)
+        assert calls == {
+            "coordinates": int(r.dimension > 0 and transpositions > 0),
+            "_evaluate": max(F.outer_n - 1, 0) * len(r.blocks) if r.dimension else 0,
+        }, (F.name, G.name)
+        assert got == _per_class_outer_character(r), (F.name, G.name)
