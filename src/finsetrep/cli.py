@@ -90,8 +90,8 @@ def _parse_descriptor(desc: str) -> Tuple[str, Optional[int]]:
 # The budget of a call's functors: the largest dims[t] of each, and the
 # number of generator moves at the truncation.  As the source of a solve, a
 # functor with 2,401 dimensions at its top size (pbar:4 at truncation 8,
-# into kfi:4 or pbar:4) peaks at 0.81-0.91 GB of RSS; every family of
-# degree <= 4 fits up to truncation 7.
+# into kfi:4 or pbar:4) takes 1.6-2.2 s and peaks at 0.58-0.83 GB of RSS;
+# every family of degree <= 4 fits up to truncation 7.
 _BUDGET = 2500
 
 

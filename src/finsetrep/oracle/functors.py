@@ -8,20 +8,19 @@ skeleton objects factors as a word in these, so naturality need only be
 imposed on generators (with exhaustive small-size functoriality checks as
 a safety net).
 
-Matrices are exact sparse integer matrices with one denominator (SpMat),
-whose entries follow linalg.int_dtype like every other oracle array: int64
-where an a-priori bound allows, Python ints past it.  A product of two is
-a numpy join of their entries on the inner index.  Vectors of a value
-F(t), and blocks of them, are dense integer arrays: a rational one is an
-integer array x with a denominator den, standing for x / den.  apply_dense
-multiplies them through a matrix: it groups the matrix's rows by entry
-count once and then runs each group as one vectorized gather, multiply and
-sum.  Quotients and subfunctors are induced by sparse products: one
-function, subspace_maps, turns the linalg.row_inverse (I, Q, D) of the
-subspace's independent columns S into the expansion map E_t(v) =
-Q v[I] / D onto its basis and the residual projection pi_t(v) = v[free] -
-S[free] E_t(v) along it onto the rows outside I, each one SpMat, so that
-a move m: s -> t induces pi_t m on the quotient and E_t m Sub_s on the
+Matrices are linalg.SpMat: exact sparse integer matrices with one
+denominator, whose entries follow linalg.int_dtype like every other oracle
+array.  Vectors of a value F(t), and blocks of them, are dense integer
+arrays: a rational one is an integer array x with a denominator den,
+standing for x / den.  The basic builders hold the basis of each size as
+an integer array of tuples and build each move's matrix by array
+arithmetic on it (_functor_from_action).  Quotients and subfunctors are
+induced by sparse products: one function, subspace_maps, turns the
+linalg.row_inverse (I, X, C) of the subspace's independent columns S,
+X = S[I]^-1 and C = S[free] X, into the expansion map E_t(v) = X v[I]
+onto its basis and the residual projection pi_t(v) = v[free] - C v[I]
+along it onto the rows free outside I, each one SpMat, so that a move
+m: s -> t induces pi_t m on the quotient and E_t m Sub_s on the
 subfunctor, and pi_t m Sub_s = 0 certifies that the subspace is stable.
 
 Set elements are 0-indexed: the object of size t is {0, .., t-1}.
@@ -31,225 +30,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..partitions import Partition, partitions_of
 from ..symrep import ClassFunction, IrrDecomposition, character_table, decompose
 from . import linalg
+from .linalg import SpMat
 
 
 class OracleError(RuntimeError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Sparse exact matrices
-
-
-class SpMat:
-    """Sparse integer matrix with one global denominator."""
-
-    __slots__ = ("m", "n", "rows", "cols", "vals", "den", "_cidx", "_bucketed")
-
-    def __init__(self, m, n, rows, cols, vals, den=1):
-        self._cidx = self._bucketed = None
-        self.m, self.n = int(m), int(n)
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-        cols = np.asarray(cols, dtype=np.int64).reshape(-1)
-        entries, vals = vals, np.asarray(vals).reshape(-1)
-        if vals.dtype.kind == "f":
-            # numpy reads a list of ints past int64 beside negative ones (or
-            # an empty list) as floats: take its entries as Python ints
-            vals = np.array(entries, dtype=object).reshape(-1)
-        vals = linalg.int_array(vals)
-        den = int(den)
-        if len(vals):
-            keys = rows * (self.n + 1) + cols
-            order = np.argsort(keys, kind="stable")
-            keys, vals = keys[order], vals[order]
-            first = np.concatenate(([True], keys[1:] != keys[:-1]))
-            if not first.all():
-                starts = first.nonzero()[0]
-                # |sum of duplicates| <= max|vals| * the most entries at one
-                # (row, col), bounded before the sum is taken
-                most = int(np.diff(np.concatenate((starts, [len(keys)]))).max())
-                dtype = linalg.int_dtype(int(np.abs(vals).max()) * most)
-                vals = np.add.reduceat(vals.astype(dtype, copy=False), starts)
-                keys = keys[starts]
-            keep = vals != 0
-            keys, vals = keys[keep], vals[keep]
-            rows, cols = keys // (self.n + 1), keys % (self.n + 1)
-        if den < 0:
-            den, vals = -den, -vals
-        if not len(vals):
-            den = 1
-        elif den != 1:
-            g = gcd(int(np.gcd.reduce(np.abs(vals))), den)
-            vals, den = vals // g, den // g
-        self.rows, self.cols, self.vals, self.den = rows, cols, linalg.int_array(vals), den
-
-    @classmethod
-    def zeros(cls, m, n):
-        return cls(m, n, [], [], [])
-
-    @classmethod
-    def identity(cls, n):
-        return cls.unit_columns(n, range(n))
-
-    @classmethod
-    def unit_columns(cls, m, coords: Sequence[int]):
-        """The m x len(coords) matrix whose j-th column is the unit vector at
-        coords[j]: the inclusion of those coordinates."""
-        return cls(m, len(coords), coords, range(len(coords)), np.ones(len(coords), dtype=np.int64))
-
-    @classmethod
-    def from_dense(cls, A: np.ndarray, den: int = 1):
-        """The matrix A / den of a dense integer array A."""
-        rows, cols = np.nonzero(A)
-        return cls(A.shape[0], A.shape[1], rows, cols, A[rows, cols], den)
-
-    @property
-    def shape(self):
-        return (self.m, self.n)
-
-    @property
-    def nnz(self):
-        return len(self.vals)
-
-    @property
-    def row_bound(self) -> int:
-        """max|vals| times the longest row: max|(self * den) @ X| is at
-        most row_bound * max|X|."""
-        return self._buckets()[3] if self.nnz else 0
-
-    def apply_dense(self, X: np.ndarray, xmax: Optional[int] = None) -> np.ndarray:
-        """Exact (self * den) @ X for a dense integer array X (ignore
-        self.den); int64 where the bound row_bound * max|X| allows, Python
-        ints otherwise.  xmax, when given, bounds max|X| in place of a scan.
-
-        The rows are taken in buckets of equal entry count k: a bucket's
-        entries form an (r, k) block, so the bucket is one gather, multiply
-        and sum over its k axis (a plain gather and scale when k = 1).  A
-        matrix whose every row holds one entry equal to 1 (a permutation,
-        say) is one row gather X[cols], on X's dtype."""
-        if not (self.nnz and X.size):
-            return np.zeros((self.m,) + X.shape[1:], dtype=np.int64)
-        buckets, cols, vals, row_bound, gather = self._buckets()
-        if gather:
-            return X[cols]
-        # max|X| counted as at least 1, so that int64 never takes vals past it
-        xmax = int(np.abs(X).max()) if xmax is None else xmax
-        dtype = linalg.int_dtype(row_bound * max(xmax, 1))
-        X = X.astype(dtype, copy=False)
-        vals = vals.astype(dtype, copy=False)
-        out = np.zeros((self.m,) + X.shape[1:], dtype=dtype)
-        tail = (1,) * (X.ndim - 1)
-        for k, rows, lo, hi in buckets:
-            if k == 1:
-                out[rows] = vals[lo:hi].reshape((-1,) + tail) * X[cols[lo:hi]]
-            else:
-                v = vals[lo:hi].reshape((-1, k) + tail)
-                out[rows] = (v * X[cols[lo:hi].reshape(-1, k)]).sum(axis=1)
-        return out
-
-    def _buckets(self):
-        """The row buckets of apply_dense, built once per matrix: (buckets,
-        cols, vals, row_bound, gather) with cols and vals one copy of the
-        entries in bucket order, each bucket (k, its rows, its slice lo:hi
-        of them), and gather whether every row holds one entry equal to 1."""
-        if self._bucketed is not None:
-            return self._bucketed
-        k_of = np.bincount(self.rows)[self.rows]  # each entry's row length
-        # entries are sorted by row, so a stable sort by row length keeps
-        # each bucket's rows in order and each row's entries together
-        order = np.argsort(k_of, kind="stable")
-        k_of, rows = k_of[order], self.rows[order]
-        edges = [0] + (np.flatnonzero(np.diff(k_of)) + 1).tolist() + [self.nnz]
-        buckets = [
-            (int(k_of[lo]), rows[lo:hi:k_of[lo]].copy(), lo, hi)
-            for lo, hi in zip(edges[:-1], edges[1:])
-        ]
-        # |row sum| <= max|vals| * longest row * max|X|
-        row_bound = int(np.abs(self.vals).max()) * int(k_of[-1])
-        # one entry per row, so the entries run in row order 0..m-1
-        gather = self.nnz == self.m and row_bound == 1 and bool((self.vals > 0).all())
-        self._bucketed = (buckets, self.cols[order], self.vals[order], row_bound, gather)
-        return self._bucketed
-
-    def column_index(self) -> Dict[int, List[Tuple[int, int]]]:
-        """Column -> [(row, value)] over its nonzero entries, in row order;
-        built once per matrix."""
-        if self._cidx is None:
-            self._cidx = {}
-            for r, c, v in zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist()):
-                self._cidx.setdefault(c, []).append((r, v))
-        return self._cidx
-
-    def apply_int(self, col: Dict[int, int]) -> Dict[int, int]:
-        """Exact (self * den) @ col for a sparse integer column (ignore
-        self.den), without its zero entries."""
-        idx = self.column_index()
-        out: Dict[int, int] = {}
-        for c, cv in col.items():
-            for r, v in idx.get(c, ()):
-                out[r] = out.get(r, 0) + v * cv
-        return {r: v for r, v in out.items() if v}
-
-    def int_rows(self) -> np.ndarray:
-        """Dense integer rows of self * den, on the dtype of its entries."""
-        out = np.zeros(self.shape, dtype=self.vals.dtype)
-        out[self.rows, self.cols] = self.vals
-        return out
-
-    def compose(self, other: "SpMat") -> "SpMat":
-        """self @ other, as a join on the inner index: other's entries are
-        stored sorted by row, so each entry (r, k) of self pairs with the
-        run of them at row k, and the constructor sums the products that
-        share a (row, col)."""
-        assert self.n == other.m, (self.shape, other.shape)
-        if not (self.nnz and other.nnz):
-            return SpMat.zeros(self.m, other.n)
-        lo = np.searchsorted(other.rows, self.cols, side="left")
-        counts = np.searchsorted(other.rows, self.cols, side="right") - lo
-        i = np.repeat(np.arange(self.nnz), counts)
-        # the k-th pair of self's entry e takes other's entry lo[e] + k
-        j = np.arange(len(i)) + np.repeat(lo - np.cumsum(counts) + counts, counts)
-        dtype = linalg.int_dtype(int(np.abs(self.vals).max()) * int(np.abs(other.vals).max()))
-        vals = self.vals[i].astype(dtype, copy=False) * other.vals[j].astype(dtype, copy=False)
-        return SpMat(self.m, other.n, self.rows[i], other.cols[j], vals, self.den * other.den)
-
-    def __add__(self, other: "SpMat") -> "SpMat":
-        assert self.shape == other.shape
-        big = lcm(self.den, other.den)
-        rows = np.concatenate([self.rows, other.rows])
-        cols = np.concatenate([self.cols, other.cols])
-        vals = np.concatenate([
-            linalg.lincomb([(self.vals, big // self.den)]),
-            linalg.lincomb([(other.vals, big // other.den)]),
-        ])
-        return SpMat(self.m, self.n, rows, cols, vals, big)
-
-    def scale(self, num: int, den: int = 1) -> "SpMat":
-        return SpMat(
-            self.m, self.n, self.rows, self.cols, linalg.lincomb([(self.vals, num)]), self.den * den
-        )
-
-    def trace(self) -> Fraction:
-        mask = self.rows == self.cols
-        return Fraction(sum(self.vals[mask].tolist()), self.den)
-
-    def is_zero(self) -> bool:
-        return self.nnz == 0
-
-    def equals(self, other: "SpMat") -> bool:
-        # the constructor keeps one canonical form: sorted, no zeros, reduced
-        return (self.shape, self.den) == (other.shape, other.den) and all(
-            np.array_equal(getattr(self, f), getattr(other, f)) for f in ("rows", "cols", "vals"))
 
 
 # ---------------------------------------------------------------------------
@@ -448,78 +242,111 @@ def _check_truncation(N: int) -> None:
         raise OracleError("truncation below 2 leaves nothing to check")
 
 
-Terms = List[Tuple[Tuple[int, ...], int]]
+# the signed images of a block of basis tuples: (image tuples as rows, a
+# sign for all of them or one per row) per term
+Terms = List[Tuple[np.ndarray, object]]
 
 
 def _functor_from_action(
     N: int,
-    bases: List[List[Tuple[int, ...]]],
-    action: Callable[[Tuple[int, ...], Tuple[int, ...]], Terms],
+    bases: List[np.ndarray],
+    action: Callable[[np.ndarray, np.ndarray], Terms],
     gen: Optional[Tuple[int, Tuple[int, ...]]],
     name: str,
     outer_n: int = 0,
 ) -> TruncatedFunctor:
-    """The functor with basis bases[t] at size t, on which a set map g
-    sends the basis tuple tup to the signed tuples action(g, tup); tuples
-    outside the target basis count as zero.  With outer_n > 0 the basis
-    tuples are tensor positions, permuted by the outer transpositions.
-    gen is the generating basis tuple with its size, if any."""
-    index = [{tup: i for i, tup in enumerate(basis)} for basis in bases]
-    dims = [len(basis) for basis in bases]
+    """The functor with basis bases[t] at size t, an integer array with
+    one basis tuple per row, in lexicographic order, on which a set map g
+    (an index array) sends the rows of an array B of basis tuples to the
+    signed tuples of action(g, B); tuples outside the target basis count as
+    zero.  A tuple is looked up by its mixed-radix code, so each move's
+    matrix is a few array operations over the whole basis.  With
+    outer_n > 0 the basis tuples are tensor positions, permuted by the
+    outer transpositions.  gen is the generating basis tuple with its size,
+    if any."""
+    dims = [len(B) for B in bases]
+    # a tuple's entries at size t read as digits base t: codes that order
+    # the tuples lexicographically, so each basis's codes are sorted
+    width = bases[0].shape[1]
+    radices = [np.array([t ** e for e in range(width - 1, -1, -1)], dtype=linalg.int_dtype(t ** width))
+               for t in range(N + 1)]
+    codes = [B.astype(r.dtype, copy=False) @ r for B, r in zip(bases, radices)]
 
-    def matrix(s: int, t: int, images: Callable[[Tuple[int, ...]], Terms]) -> SpMat:
-        rows, cols, vals = [], [], []
-        for j, tup in enumerate(bases[s]):
-            for img, sign in images(tup):
-                i = index[t].get(img)
-                if i is not None:
-                    rows.append(i)
-                    cols.append(j)
-                    vals.append(sign)
-        return SpMat(dims[t], dims[s], rows, cols, vals)
+    def index(t: int, images: np.ndarray) -> np.ndarray:
+        """The basis index of each row of images at size t, -1 where none."""
+        code = images.astype(radices[t].dtype, copy=False) @ radices[t]
+        if not dims[t]:
+            return np.full(len(code), -1)
+        i = np.minimum(np.searchsorted(codes[t], code), dims[t] - 1)
+        return np.where(codes[t][i] == code, i, -1)
+
+    def matrix(s: int, t: int, terms: Terms) -> SpMat:
+        parts = []
+        for images, sign in terms:
+            i = index(t, images)
+            hit = np.flatnonzero(i >= 0)
+            parts.append((i[hit], hit, sign[hit] if isinstance(sign, np.ndarray) else np.full(len(hit), sign)))
+        return SpMat(dims[t], dims[s], *(np.concatenate(part) for part in zip(*parts)))
 
     F = TruncatedFunctor(N, dims, {}, [], name=name, outer_n=outer_n)
     for key in F.gen_keys():
-        g = move_map(key)
-        F.act[key] = matrix(*F.gen_src_dst(key), lambda tup: action(g, tup))
+        s, t = F.gen_src_dst(key)
+        F.act[key] = matrix(s, t, action(np.array(move_map(key), dtype=np.int64), bases[s]))
     for i in range(1, outer_n):
+        swap = list(range(outer_n))
+        swap[i - 1], swap[i] = i, i - 1
         for t in range(N + 1):
-            F.outer_act[(i, t)] = matrix(
-                t, t, lambda tup: [(tup[: i - 1] + (tup[i], tup[i - 1]) + tup[i + 1 :], 1)]
-            )
+            F.outer_act[(i, t)] = matrix(t, t, [(bases[t][:, swap], 1)])
     if gen is not None:
         d, tup = gen
         col = np.zeros(dims[d], dtype=np.int64)
-        col[index[d][tup]] = 1
+        col[index(d, _tuples([tup], len(tup)))] = 1
         F.generators.append((d, col))
     return F
 
 
-def _values(g: Tuple[int, ...], tup: Tuple[int, ...]) -> Terms:
+def _tuples(tuples, width: int) -> np.ndarray:
+    """The tuples of the given width, in order, as the rows of an integer array."""
+    tuples = list(tuples)
+    return np.array(tuples, dtype=np.int64).reshape(len(tuples), width)
+
+
+def _values(g: np.ndarray, B: np.ndarray) -> Terms:
     """A set map applied value by value."""
-    return [(tuple(g[v] for v in tup), 1)]
+    return [(g[B], 1)]
 
 
-def _differences(g: Tuple[int, ...], tup: Tuple[int, ...]) -> Terms:
-    """Expansion of the product over y in tup of ([g(y)] - [g(0)]), in the
-    difference basis with base point 0 (so [0] = 0)."""
-    terms: Terms = [((), 1)]
-    for y in tup:
-        image = [(p + (g[y],), sign) for p, sign in terms] if g[y] else []
-        base = [(p + (g[0],), -sign) for p, sign in terms] if g[0] else []
-        terms = image + base
+def _differences(g: np.ndarray, B: np.ndarray) -> Terms:
+    """Expansion of the product over the entries y of each row of
+    ([g(y)] - [g(0)]), in the difference basis with base point 0: one term
+    per set of positions that take [g(0)], signed by its size.  [0] = 0, so
+    a tuple holding 0 is no basis tuple, and the lookup drops it; when
+    g(0) = 0 only the empty set is left (also for the empty basis at 0)."""
+    images = g[B]
+    if not (len(B) and g[0]):
+        return [(images, 1)]
+    width = B.shape[1]
+    terms: Terms = []
+    for at in itertools.product((False, True), repeat=width):
+        terms.append((np.where(at, g[0], images), (-1) ** sum(at)))
     return terms
 
 
-def _wedge(terms: Terms) -> Terms:
-    """Tensor terms read in the exterior power: sorted with the sign of the
-    sorting permutation, zero on repeated entries."""
-    out = []
-    for tup, sign in terms:
-        sorted_tup, s = _sort_sign(tup)
-        if sorted_tup is not None:
-            out.append((sorted_tup, sign * s))
-    return out
+def _wedge(action: Callable[[np.ndarray, np.ndarray], Terms]) -> Callable[[np.ndarray, np.ndarray], Terms]:
+    """action read in the exterior power: each image tuple sorted, with the
+    sign of the sorting permutation.  A tuple with a repeated entry is no
+    basis tuple, and the lookup drops it."""
+
+    def wedged(g: np.ndarray, B: np.ndarray) -> Terms:
+        terms: Terms = []
+        for images, sign in action(g, B):
+            width = images.shape[1]
+            inversions = sum((images[:, i] > images[:, j]).astype(np.int64)
+                             for i in range(width) for j in range(i + 1, width))
+            terms.append((np.sort(images, axis=1), sign * (1 - 2 * (inversions % 2))))
+        return terms
+
+    return wedged
 
 
 def build_pfin(n: int, N: int) -> TruncatedFunctor:
@@ -529,7 +356,7 @@ def build_pfin(n: int, N: int) -> TruncatedFunctor:
     _check_truncation(N)
     if n > N:
         raise OracleError(f"pfin({n}) needs N >= {n}")
-    bases = [list(itertools.product(range(t), repeat=n)) for t in range(N + 1)]
+    bases = [_tuples(itertools.product(range(t), repeat=n), n) for t in range(N + 1)]
     return _functor_from_action(
         N, bases, _values, (n, tuple(range(n))), f"pfin({n})", outer_n=n
     )
@@ -538,25 +365,25 @@ def build_pfin(n: int, N: int) -> TruncatedFunctor:
 def build_k0(N: int) -> TruncatedFunctor:
     """The module supported on the empty set."""
     _check_truncation(N)
-    return _functor_from_action(N, [[()]] + [[]] * N, _values, (0, ()), "k0")
+    return _functor_from_action(N, [_tuples([()], 0)] + [_tuples([], 0)] * N, _values, (0, ()), "k0")
 
 
 def build_const_k(N: int) -> TruncatedFunctor:
     """The constant module k."""
     _check_truncation(N)
-    return _functor_from_action(N, [[()]] * (N + 1), _values, (0, ()), "k")
+    return _functor_from_action(N, [_tuples([()], 0)] * (N + 1), _values, (0, ()), "k")
 
 
 def build_kbar(N: int) -> TruncatedFunctor:
     """The constant module restricted to nonempty sets."""
     _check_truncation(N)
-    return _functor_from_action(N, [[]] + [[()]] * N, _values, (1, ()), "kbar")
+    return _functor_from_action(N, [_tuples([], 0)] + [_tuples([()], 0)] * N, _values, (1, ()), "kbar")
 
 
 def build_kfi(n: int, N: int) -> TruncatedFunctor:
     """Injection module of degree n; non-injective composites act by 0."""
     _check_truncation(N)
-    bases = [list(itertools.permutations(range(t), n)) for t in range(N + 1)]
+    bases = [_tuples(itertools.permutations(range(t), n), n) for t in range(N + 1)]
     gen = (n, tuple(range(n))) if n <= N else None
     return _functor_from_action(N, bases, _values, gen, f"kfi({n})", outer_n=n)
 
@@ -570,7 +397,7 @@ def build_pbar_tensor(n: int, N: int) -> TruncatedFunctor:
         return build_kbar(N)
     if n + 1 > N:
         raise OracleError(f"pbar_tensor({n}) needs N >= {n + 1}")
-    bases = [list(itertools.product(range(1, t), repeat=n)) for t in range(N + 1)]
+    bases = [_tuples(itertools.product(range(1, t), repeat=n), n) for t in range(N + 1)]
     gen = (n + 1, tuple(range(1, n + 1)))
     return _functor_from_action(N, bases, _differences, gen, f"pbar({n})", outer_n=n)
 
@@ -579,13 +406,9 @@ def build_pbar_tensor(n: int, N: int) -> TruncatedFunctor:
 # Exterior powers (direct wedge-basis constructions)
 
 
-def _sort_sign(tup: Tuple[int, ...]) -> Tuple[Optional[Tuple[int, ...]], int]:
-    """Sort a tuple, returning (sorted tuple, permutation sign); None on
-    repeated entries."""
-    if len(set(tup)) != len(tup):
-        return None, 0
-    order = sorted(range(len(tup)), key=lambda i: tup[i])
-    return tuple(sorted(tup)), (-1) ** (len(tup) - len(_cycle_type(order)))
+def _sign(perm: Tuple[int, ...]) -> int:
+    """The sign of a permutation, given as an image tuple."""
+    return (-1) ** (len(perm) - len(_cycle_type(perm)))
 
 
 def build_lambda_pfin(k: int, N: int) -> TruncatedFunctor:
@@ -598,9 +421,9 @@ def build_lambda_pfin(k: int, N: int) -> TruncatedFunctor:
         return build_const_k(N)
     if k > N:
         raise OracleError(f"lambda_pfin({k}) needs N >= {k}")
-    bases = [list(itertools.combinations(range(t), k)) for t in range(N + 1)]
+    bases = [_tuples(itertools.combinations(range(t), k), k) for t in range(N + 1)]
     return _functor_from_action(
-        N, bases, lambda g, S: _wedge(_values(g, S)), (k, tuple(range(k))),
+        N, bases, _wedge(_values), (k, tuple(range(k))),
         f"lambda_pfin({k})",
     )
 
@@ -614,9 +437,9 @@ def build_lambda_pbar(k: int, N: int) -> TruncatedFunctor:
         return build_kbar(N)
     if k + 1 > N:
         raise OracleError(f"lambda_pbar({k}) needs N >= {k + 1}")
-    bases = [list(itertools.combinations(range(1, t), k)) for t in range(N + 1)]
+    bases = [_tuples(itertools.combinations(range(1, t), k), k) for t in range(N + 1)]
     return _functor_from_action(
-        N, bases, lambda g, S: _wedge(_differences(g, S)),
+        N, bases, _wedge(_differences),
         (k + 1, tuple(range(1, k + 1))), f"lambda_pbar({k})",
     )
 
@@ -636,7 +459,7 @@ def lambda_pbar_embedding(n: int, N: int) -> List[np.ndarray]:
         A = np.zeros((len(index), len(subsets)), dtype=np.int64)
         for j, S in enumerate(subsets):
             for perm in itertools.permutations(range(n)):
-                A[index[tuple(S[p] for p in perm)], j] += _sort_sign(perm)[1]
+                A[index[tuple(S[p] for p in perm)], j] += _sign(perm)
         cols.append(A)
     return cols
 
@@ -659,8 +482,7 @@ def quotient_functor(
     generator, pi_t m Sub_s = 0, is verified exactly."""
     projs, incs, subs = [], [], []
     for t, cols in enumerate(sub_columns):
-        S = cols[:, linalg.pivot_columns(cols)]
-        _, proj, free = subspace_maps(S)
+        _, proj, free = subspace_maps(SpMat.from_dense(cols[:, linalg.pivot_columns(cols)]))
         projs.append(proj)
         incs.append(SpMat.unit_columns(parent.dims[t], free))
         subs.append(SpMat.from_dense(cols))
@@ -672,24 +494,21 @@ def quotient_functor(
     return _induced_functor(parent, projs, projs, incs, subs, gens, name)
 
 
-def subspace_maps(S: np.ndarray) -> Tuple[SpMat, SpMat, List[int]]:
-    """(E, pi, free) for an integer array S of full column rank, read off
-    its linalg.row_inverse (I, Q, D): the expansion E(v) = Q v[I] / D over
-    S's columns of a vector v of their span, with E.den = D; the rows free
-    outside I; and the residual pi(v) = v[free] - S[free] E(v), the
-    projection along S's column span onto them, zero exactly on the span."""
-    I, Q, D = linalg.row_inverse(S)
+def subspace_maps(S: SpMat) -> Tuple[SpMat, SpMat, List[int]]:
+    """(E, pi, free) for a SpMat S of full column rank, read off its
+    linalg.row_inverse (I, X, C): the expansion E(v) = X v[I] over S's
+    columns of a vector v of their span; the rows free outside I; and the
+    residual pi(v) = v[free] - C v[I], the projection along S's column span
+    onto them, zero exactly on the span."""
+    I, X, C = linalg.row_inverse(S)
     in_I = set(I)
-    free = [j for j in range(S.shape[0]) if j not in in_I]
+    free = [j for j in range(S.m) if j not in in_I]
     I = np.array(I, dtype=np.int64)
-    r, c = np.nonzero(Q)
-    E = SpMat(Q.shape[0], S.shape[0], r, I[c], Q[r, c], D)
-    R = linalg.imatmul(S[free], Q)
-    r, c = np.nonzero(R)
-    rows = np.concatenate([np.arange(len(free)), r])
-    cols = np.concatenate([np.array(free, dtype=np.int64), I[c]])
-    vals = np.concatenate([np.full(len(free), D, dtype=linalg.int_dtype(D)), -R[r, c]])
-    return E, SpMat(len(free), S.shape[0], rows, cols, vals, D), free
+    E = SpMat(X.m, S.m, X.rows, I[X.cols], X.vals, X.den)
+    rows = np.concatenate([np.arange(len(free)), C.rows])
+    cols = np.concatenate([np.array(free, dtype=np.int64), I[C.cols]])
+    vals = np.concatenate([np.full(len(free), C.den, dtype=linalg.int_dtype(C.den)), -C.vals])
+    return E, SpMat(len(free), S.m, rows, cols, vals, C.den), free
 
 
 def _cleared(x: np.ndarray, den: int) -> np.ndarray:
@@ -731,7 +550,7 @@ def _subfunctor(
     once the span is shown stable under F's generators and its outer
     action, and a generator v of size d is E_d v."""
     subs = [SpMat.from_dense(S) for S in columns]
-    lefts, projs, _ = zip(*map(subspace_maps, columns))
+    lefts, projs, _ = zip(*map(subspace_maps, subs))
     gens = [(d, _cleared(lefts[d].apply_dense(x), lefts[d].den * den)) for d, x, den in gens]
     return _induced_functor(F, lefts, projs, subs, subs, gens, name)
 
@@ -928,7 +747,7 @@ def sgn_coinvariant_reduction(F: TruncatedFunctor, t: int):
         relations = [F.act[("tau", t, i)] + SpMat.identity(F.dims[t]) for i in range(1, t)]
         S = np.hstack([m.int_rows() for m in relations])
     S = S[:, linalg.pivot_columns(S)]
-    _, proj, free = subspace_maps(S)
+    _, proj, free = subspace_maps(SpMat.from_dense(S))
     return S, proj, free
 
 

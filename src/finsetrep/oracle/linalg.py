@@ -1,29 +1,36 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Every matrix in and out is an integer array, int64 or Python ints
-(object dtype); a rational matrix is an integer one over a denominator
-that the caller keeps.  One engine answers every exact question about a
-matrix: its right kernel is computed modulo word primes (vectorized int64
-elimination), lifted by rational reconstruction and CRT, and returned with
-its pivot columns only after an exact check that certifies both.  Rank,
-the choice of independent columns and the integer inverse of a subspace's
-independent rows (row_inverse, from which every expansion, residual
-projection and coordinate read-out of the oracle is taken) come off it.
-One a-priori bound (int_dtype) decides where integer arrays, SpMat's
-entries included, run on int64 and where on Python ints; imatmul takes
-exact integer matrix products on float64 BLAS under a bound of its own.
-Both bounds rest on max|arr| of the operands: lincomb and imatmul (and
-SpMat.apply_dense) scan an array for it unless the caller passes it in,
-and a value passed in must be an upper bound on the true max|arr|, fixed
-before the operation it guards.  ModColumnBasis, an incrementally
-maintained column basis mod a word prime, picks the span pass's basis:
-columns independent mod p are independent over Q, so as many of them as
-the dimension are a basis over Q.  ColumnBasis is its exact Fraction
+Every matrix in and out is an integer array, int64 or Python ints (object
+dtype), over a denominator that the caller keeps, or a SpMat: a sparse
+integer matrix with one denominator, whose product with another is a numpy
+join of their entries on the inner index.  Two engines answer every exact
+question about a matrix.  The dense one computes an integer array's right
+kernel modulo word primes (vectorized int64 elimination), lifts it by
+rational reconstruction and CRT, and returns it with its pivot columns only
+after an exact check that certifies both; rank and the choice of
+independent columns come off it.  The sparse one, row_inverse, eliminates
+a SpMat's rows mod a word prime as sparse rows, each with its expression
+over the rows kept before it, lifts the inverse of its first independent
+rows the same way and certifies it by one exact sparse product; every
+expansion, residual projection and coordinate read-out of the oracle is
+taken from it.  One a-priori bound (int_dtype) decides where integer
+arrays, SpMat's entries included, run on int64 and where on Python ints;
+imatmul takes exact integer matrix products on float64 BLAS under a bound
+of its own.  Both bounds rest on max|arr| of the operands: lincomb and
+imatmul (and SpMat.apply_dense) scan an array for it unless the caller
+passes it in, and a value passed in must be an upper bound on the true
+max|arr|, fixed before the operation it guards.  ModColumnBasis, an
+incrementally maintained reduced echelon form mod a word prime whose
+column index names the rows that hold each coordinate, carries
+row_inverse's elimination and picks the span pass's basis: columns
+independent mod p are independent over Q, so as many of them as the
+dimension are a basis over Q.  ColumnBasis is its exact Fraction
 counterpart: the tests' reference, with no library caller.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -53,26 +60,88 @@ def kernel_basis(M: np.ndarray) -> np.ndarray:
     return int_array(_kernel(M)[1]).T
 
 
-def row_inverse(S: np.ndarray) -> Tuple[List[int], np.ndarray, int]:
-    """(I, Q, D) for an integer array S of full column rank k: I the first
-    k rows, top to bottom, independent of those above them (the pivot
-    columns of S^T), and the integer matrix Q = D * S[I]^-1 with the least
-    D > 0.  Then E(v) = Q v[I] / D expands a vector v of S's column span
-    over S's columns.  Raises ValueError if S's columns are dependent."""
+def row_inverse(S: "SpMat") -> Tuple[List[int], "SpMat", "SpMat"]:
+    """(I, X, C) for a SpMat S of full column rank k: I the first k rows,
+    top to bottom, independent of those above them, X = S[I]^-1 and
+    C = S[free] X, the coefficients over the rows I of the other rows,
+    free, in order.  Then X v[I] expands a vector v of S's column span over
+    S's columns.  Raises ValueError if S's columns are dependent.
+
+    S's columns are eliminated mod a word prime as sparse echelon rows,
+    each with its expression over them (_row_inverse_mod), which gives I
+    and X mod p.  X is lifted by rational reconstruction, over more primes
+    by CRT when that fails, and certified by one exact sparse product S X:
+    its rows I must be D times the identity, which shows X = S[I]^-1, and
+    its row f may be nonzero only at the columns j with I[j] < f, which
+    puts every other row in the span of the rows of I above it, so I is the
+    first independent rows.  A prime whose I differs from Q's fails the
+    check, and the next one is taken."""
     n, k = S.shape
     if k == 0:
-        return [], np.zeros((0, 0), dtype=np.int64), 1
-    # [S^T | Id] has the pivots I when S has full column rank; the kernel
-    # vector of its column n + c is d_c at n + c and -(d_c / D) Q^T e_c at I
-    pivots, K = _kernel(np.hstack([S.T, np.eye(k, dtype=S.dtype)]))
-    if pivots[-1] >= n:
-        raise ValueError("the columns are dependent")
-    d = [int(x) for x in K[n:, -k:].diagonal()]
-    D = lcm(*d)
-    scale = [D // x for x in d]
-    X = K[pivots, -k:]
-    dtype = int_dtype(int(np.abs(X).max()) * max(scale))
-    return pivots, -(X.astype(dtype) * np.array(scale, dtype=dtype)).T, D
+        return [], SpMat.zeros(0, 0), SpMat.zeros(n, 0)
+    # S's integer entries: S / den has the same independent rows
+    Sint = S if S.den == 1 else SpMat(n, k, S.rows, S.cols, S.vals)
+    best = None  # (I, X's entries as keys row * k + col, their residues, modulus)
+    for p in _primes():
+        kept = _row_inverse_mod(Sint, p)
+        if kept is None:
+            # the columns are dependent mod p: over Q too, or p is unlucky
+            if rank(Sint.int_rows()) < k:
+                raise ValueError("the columns are dependent")
+            continue
+        I, keys, residues = kept
+        if best is not None and best[0] == I:
+            keys, residues = _crt_sparse(best[1], best[2], best[3], keys, residues, p)
+            best = (I, keys, residues, best[3] * p)
+        else:
+            # other rows kept than the primes before: one side is unlucky, and
+            # the check rejects an unlucky prime, so start over from this one
+            best = (I, keys, residues, p)
+        lifted = _lift_denominator(best[2], best[3])
+        if lifted is None:
+            continue
+        b, D = lifted
+        X = SpMat(k, k, keys // k, keys % k, b)
+        SX = Sint.compose(X)
+        Iarr = np.array(I, dtype=np.int64)
+        pos = np.full(n, -1, dtype=np.int64)
+        pos[Iarr] = np.arange(k)
+        at_I = pos[SX.rows] >= 0
+        rest = ~at_I
+        if (np.array_equal(SX.rows[at_I], Iarr) and np.array_equal(SX.cols[at_I], np.arange(k))
+                and (SX.vals[at_I] == D).all() and (Iarr[SX.cols[rest]] < SX.rows[rest]).all()):
+            free_index = np.cumsum(pos < 0) - 1
+            C = SpMat(n - k, k, free_index[SX.rows[rest]], SX.cols[rest], SX.vals[rest], D)
+            return I, SpMat(k, k, X.rows, X.cols, X.vals, D).scale(S.den), C
+    raise ArithmeticError("the modular row inverse ran out of word primes")
+
+
+def _row_inverse_mod(S: "SpMat", p: int) -> Optional[Tuple[List[int], np.ndarray, np.ndarray]]:
+    """(I, keys, residues) for the integer SpMat S with k columns: I the
+    first k rows independent mod p, and the entries of S[I]^-1 mod p, the
+    one at (j, c) as the key j * k + c with its residue; None when S's
+    columns are dependent mod p.  S's columns go into a ModColumnBasis in
+    order, as the span pass's vectors do.  Each row's pivot is its least
+    coordinate, so rank S[:i] counts the pivots below i and the pivots are
+    I; the row with pivot I[c] is 1 there and 0 at the other rows of I, so
+    its expression is column c of S[I]^-1."""
+    n, k = S.shape
+    # S's entries by column, each column's in row order
+    order = np.argsort(S.cols, kind="stable")
+    bounds = np.searchsorted(S.cols[order], np.arange(k + 1)).tolist()
+    rows, res = S.rows[order].tolist(), (S.vals[order] % p).tolist()
+    basis = ModColumnBasis(p, expressions=True)
+    for j in range(k):
+        lo, hi = bounds[j], bounds[j + 1]
+        if basis.add({i: r for i, r in zip(rows[lo:hi], res[lo:hi]) if r}) is None:
+            return None
+    I = sorted(basis.pivots)
+    keys, residues = [], []
+    for c, i in enumerate(I):
+        for j, v in basis.exprs[basis.pivots[i]].items():
+            keys.append(j * k + c)
+            residues.append(v)
+    return I, np.array(keys, dtype=np.int64), np.array(residues, dtype=np.int64)
 
 
 def _kernel(M: np.ndarray) -> Tuple[List[int], np.ndarray]:
@@ -191,9 +260,9 @@ def _is_prime(n: int) -> bool:
 
 
 def _primes() -> Iterator[int]:
-    """The moduli of kernel_basis and the span pass: the primes below
-    2**31, largest first.  Below 2**31 every product of two residues fits
-    in int64."""
+    """The moduli of kernel_basis, row_inverse and the span pass: the
+    primes below 2**31, largest first.  Below 2**31 every product of two
+    residues fits in int64."""
     yield (1 << 31) - 1  # a Mersenne prime
     yield from (n for n in range((1 << 31) - 3, 2, -2) if _is_prime(n))
 
@@ -245,31 +314,251 @@ def _ratrecon(a: int, m: int) -> Optional[Tuple[int, int]]:
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _lift(pivots: List[int], residues: np.ndarray, m: int, ncols: int) -> Optional[np.ndarray]:
-    """The primitive integer kernel basis, as columns, whose entries at the
-    pivot rows are rationals with the given residues mod m; None when no
-    common denominator D <= sqrt(m/2) makes every entry times D a
-    symmetric residue of magnitude <= sqrt(m/2).  D grows by the
-    denominators that reconstruction finds."""
+def _lift_denominator(residues: np.ndarray, m: int) -> Optional[Tuple[np.ndarray, int]]:
+    """(b, D) for rationals x with the given residues mod m: D > 0 their
+    least common denominator and b = D x, each a symmetric residue; None
+    when D or some |b| exceeds sqrt(m/2).  D grows by the denominators
+    that reconstruction finds."""
     bound = isqrt(m // 2)
     D = 1
     while True:
         # residues times D stay below m * D
-        dtype = int_dtype(m * D)
-        b = residues.astype(dtype) * D % m
+        b = residues.astype(int_dtype(m * D)) * D % m
         b[2 * b > m] -= m
         large = np.flatnonzero(np.abs(b) > bound)
         if not large.size:
-            break
+            return b, D
         frac = _ratrecon(int(b.flat[large[0]]), m)
         if frac is None or D * frac[1] > bound:
             return None
         D *= frac[1]
+
+
+def _crt_sparse(keys_a: np.ndarray, a: np.ndarray, m: int, keys_b: np.ndarray, b: np.ndarray, p: int):
+    """(keys, residues mod m * p) of the sparse residue vectors a mod m and
+    b mod p, each given by its entries at distinct keys; a missing key
+    reads 0."""
+    keys = np.union1d(keys_a, keys_b)
+    full_a, full_b = np.zeros(len(keys), dtype=object), np.zeros(len(keys), dtype=object)
+    full_a[np.searchsorted(keys, keys_a)] = a
+    full_b[np.searchsorted(keys, keys_b)] = b
+    return keys, _crt(full_a, m, full_b, p)
+
+
+def _lift(pivots: List[int], residues: np.ndarray, m: int, ncols: int) -> Optional[np.ndarray]:
+    """The primitive integer kernel basis, as columns, whose entries at the
+    pivot rows are rationals with the given residues mod m; None when they
+    do not reconstruct (_lift_denominator)."""
+    lifted = _lift_denominator(residues, m)
+    if lifted is None:
+        return None
+    b, D = lifted
     nfree = residues.shape[1]
-    K = np.zeros((ncols, nfree), dtype=dtype)
+    K = np.zeros((ncols, nfree), dtype=b.dtype)
     K[pivots] = b
     K[_non_pivots(pivots, ncols), np.arange(nfree)] = D
     return K // np.gcd.reduce(K, axis=0)
+
+
+class SpMat:
+    """Sparse integer matrix with one global denominator."""
+
+    __slots__ = ("m", "n", "rows", "cols", "vals", "den", "_cidx", "_bucketed")
+
+    def __init__(self, m, n, rows, cols, vals, den=1):
+        self._cidx = self._bucketed = None
+        self.m, self.n = int(m), int(n)
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        cols = np.asarray(cols, dtype=np.int64).reshape(-1)
+        entries, vals = vals, np.asarray(vals).reshape(-1)
+        if vals.dtype.kind == "f":
+            # numpy reads a list of ints past int64 beside negative ones (or
+            # an empty list) as floats: take its entries as Python ints
+            vals = np.array(entries, dtype=object).reshape(-1)
+        vals = int_array(vals)
+        den = int(den)
+        if len(vals):
+            keys = rows * (self.n + 1) + cols
+            order = np.argsort(keys, kind="stable")
+            keys, vals = keys[order], vals[order]
+            first = np.concatenate(([True], keys[1:] != keys[:-1]))
+            if not first.all():
+                starts = first.nonzero()[0]
+                # |sum of duplicates| <= max|vals| * the most entries at one
+                # (row, col), bounded before the sum is taken
+                most = int(np.diff(np.concatenate((starts, [len(keys)]))).max())
+                dtype = int_dtype(int(np.abs(vals).max()) * most)
+                vals = np.add.reduceat(vals.astype(dtype, copy=False), starts)
+                keys = keys[starts]
+            keep = vals != 0
+            keys, vals = keys[keep], vals[keep]
+            rows, cols = keys // (self.n + 1), keys % (self.n + 1)
+        if den < 0:
+            den, vals = -den, -vals
+        if not len(vals):
+            den = 1
+        elif den != 1:
+            g = gcd(int(np.gcd.reduce(np.abs(vals))), den)
+            vals, den = vals // g, den // g
+        self.rows, self.cols, self.vals, self.den = rows, cols, int_array(vals), den
+
+    @classmethod
+    def zeros(cls, m, n):
+        return cls(m, n, [], [], [])
+
+    @classmethod
+    def identity(cls, n):
+        return cls.unit_columns(n, range(n))
+
+    @classmethod
+    def unit_columns(cls, m, coords: Sequence[int]):
+        """The m x len(coords) matrix whose j-th column is the unit vector at
+        coords[j]: the inclusion of those coordinates."""
+        return cls(m, len(coords), coords, range(len(coords)), np.ones(len(coords), dtype=np.int64))
+
+    @classmethod
+    def from_dense(cls, A: np.ndarray, den: int = 1):
+        """The matrix A / den of a dense integer array A."""
+        rows, cols = np.nonzero(A)
+        return cls(A.shape[0], A.shape[1], rows, cols, A[rows, cols], den)
+
+    @property
+    def shape(self):
+        return (self.m, self.n)
+
+    @property
+    def nnz(self):
+        return len(self.vals)
+
+    @property
+    def row_bound(self) -> int:
+        """max|vals| times the longest row: max|(self * den) @ X| is at
+        most row_bound * max|X|."""
+        return self._buckets()[3] if self.nnz else 0
+
+    def apply_dense(self, X: np.ndarray, xmax: Optional[int] = None) -> np.ndarray:
+        """Exact (self * den) @ X for a dense integer array X (ignore
+        self.den); int64 where the bound row_bound * max|X| allows, Python
+        ints otherwise.  xmax, when given, bounds max|X| in place of a scan.
+
+        The rows are taken in buckets of equal entry count k: a bucket's
+        entries form an (r, k) block, so the bucket is one gather, multiply
+        and sum over its k axis (a plain gather and scale when k = 1).  A
+        matrix whose every row holds one entry equal to 1 (a permutation,
+        say) is one row gather X[cols], on X's dtype."""
+        if not (self.nnz and X.size):
+            return np.zeros((self.m,) + X.shape[1:], dtype=np.int64)
+        buckets, cols, vals, row_bound, gather = self._buckets()
+        if gather:
+            return X[cols]
+        # max|X| counted as at least 1, so that int64 never takes vals past it
+        xmax = int(np.abs(X).max()) if xmax is None else xmax
+        dtype = int_dtype(row_bound * max(xmax, 1))
+        X = X.astype(dtype, copy=False)
+        vals = vals.astype(dtype, copy=False)
+        out = np.zeros((self.m,) + X.shape[1:], dtype=dtype)
+        tail = (1,) * (X.ndim - 1)
+        for k, rows, lo, hi in buckets:
+            if k == 1:
+                out[rows] = vals[lo:hi].reshape((-1,) + tail) * X[cols[lo:hi]]
+            else:
+                v = vals[lo:hi].reshape((-1, k) + tail)
+                out[rows] = (v * X[cols[lo:hi].reshape(-1, k)]).sum(axis=1)
+        return out
+
+    def _buckets(self):
+        """The row buckets of apply_dense, built once per matrix: (buckets,
+        cols, vals, row_bound, gather) with cols and vals one copy of the
+        entries in bucket order, each bucket (k, its rows, its slice lo:hi
+        of them), and gather whether every row holds one entry equal to 1."""
+        if self._bucketed is not None:
+            return self._bucketed
+        k_of = np.bincount(self.rows)[self.rows]  # each entry's row length
+        # entries are sorted by row, so a stable sort by row length keeps
+        # each bucket's rows in order and each row's entries together
+        order = np.argsort(k_of, kind="stable")
+        k_of, rows = k_of[order], self.rows[order]
+        edges = [0] + (np.flatnonzero(np.diff(k_of)) + 1).tolist() + [self.nnz]
+        buckets = [
+            (int(k_of[lo]), rows[lo:hi:k_of[lo]].copy(), lo, hi)
+            for lo, hi in zip(edges[:-1], edges[1:])
+        ]
+        # |row sum| <= max|vals| * longest row * max|X|
+        row_bound = int(np.abs(self.vals).max()) * int(k_of[-1])
+        # one entry per row, so the entries run in row order 0..m-1
+        gather = self.nnz == self.m and row_bound == 1 and bool((self.vals > 0).all())
+        self._bucketed = (buckets, self.cols[order], self.vals[order], row_bound, gather)
+        return self._bucketed
+
+    def column_index(self) -> Dict[int, List[Tuple[int, int]]]:
+        """Column -> [(row, value)] over its nonzero entries, in row order;
+        built once per matrix."""
+        if self._cidx is None:
+            self._cidx = {}
+            for r, c, v in zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist()):
+                self._cidx.setdefault(c, []).append((r, v))
+        return self._cidx
+
+    def apply_int(self, col: Dict[int, int]) -> Dict[int, int]:
+        """Exact (self * den) @ col for a sparse integer column (ignore
+        self.den), without its zero entries."""
+        idx = self.column_index()
+        out: Dict[int, int] = {}
+        for c, cv in col.items():
+            for r, v in idx.get(c, ()):
+                out[r] = out.get(r, 0) + v * cv
+        return {r: v for r, v in out.items() if v}
+
+    def int_rows(self) -> np.ndarray:
+        """Dense integer rows of self * den, on the dtype of its entries."""
+        out = np.zeros(self.shape, dtype=self.vals.dtype)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+    def compose(self, other: "SpMat") -> "SpMat":
+        """self @ other, as a join on the inner index: other's entries are
+        stored sorted by row, so each entry (r, k) of self pairs with the
+        run of them at row k, and the constructor sums the products that
+        share a (row, col)."""
+        assert self.n == other.m, (self.shape, other.shape)
+        if not (self.nnz and other.nnz):
+            return SpMat.zeros(self.m, other.n)
+        lo = np.searchsorted(other.rows, self.cols, side="left")
+        counts = np.searchsorted(other.rows, self.cols, side="right") - lo
+        i = np.repeat(np.arange(self.nnz), counts)
+        # the k-th pair of self's entry e takes other's entry lo[e] + k
+        j = np.arange(len(i)) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+        dtype = int_dtype(int(np.abs(self.vals).max()) * int(np.abs(other.vals).max()))
+        vals = self.vals[i].astype(dtype, copy=False) * other.vals[j].astype(dtype, copy=False)
+        return SpMat(self.m, other.n, self.rows[i], other.cols[j], vals, self.den * other.den)
+
+    def __add__(self, other: "SpMat") -> "SpMat":
+        assert self.shape == other.shape
+        big = lcm(self.den, other.den)
+        rows = np.concatenate([self.rows, other.rows])
+        cols = np.concatenate([self.cols, other.cols])
+        vals = np.concatenate([
+            lincomb([(self.vals, big // self.den)]),
+            lincomb([(other.vals, big // other.den)]),
+        ])
+        return SpMat(self.m, self.n, rows, cols, vals, big)
+
+    def scale(self, num: int, den: int = 1) -> "SpMat":
+        return SpMat(
+            self.m, self.n, self.rows, self.cols, lincomb([(self.vals, num)]), self.den * den
+        )
+
+    def trace(self) -> Fraction:
+        mask = self.rows == self.cols
+        return Fraction(sum(self.vals[mask].tolist()), self.den)
+
+    def is_zero(self) -> bool:
+        return self.nnz == 0
+
+    def equals(self, other: "SpMat") -> bool:
+        # the constructor keeps one canonical form: sorted, no zeros, reduced
+        return (self.shape, self.den) == (other.shape, other.den) and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in ("rows", "cols", "vals"))
 
 
 class ColumnBasis:
@@ -367,46 +656,74 @@ class ColumnBasis:
 
 
 class ModColumnBasis:
-    """ColumnBasis over GF(p), without expressions: the same incrementally
-    maintained reduced echelon form, on residues in [0, p) (Python ints),
-    each row scaled to 1 at its pivot."""
+    """ColumnBasis over GF(p): the same incrementally maintained reduced
+    echelon form, on residues in [0, p) (Python ints), each row scaled to 1
+    at its pivot.  holders[c] holds every row that is nonzero at the
+    coordinate c (and perhaps some that are zero there again), so that a
+    new pivot is cleared from those rows alone.  With expressions, exprs
+    holds each row's expression over the added columns, by index."""
 
-    __slots__ = ("p", "rows", "pivots")
+    __slots__ = ("p", "rows", "pivots", "holders", "exprs")
 
-    def __init__(self, p: int):
+    def __init__(self, p: int, expressions: bool = False):
         self.p = p
         self.rows: List[Dict[int, int]] = []  # one sparse row per added column
         self.pivots: Dict[int, int] = {}  # pivot coordinate -> row index
+        self.holders: Dict[int, set] = defaultdict(set)  # coordinate -> rows
+        self.exprs: Optional[List[Dict[int, int]]] = [] if expressions else None
 
     def add(self, vec: Dict[int, int]) -> Optional[int]:
         """Add a column of residues: its index if it is independent mod p
         of the columns added before (appended), else None."""
-        p = self.p
+        p, rows, exprs, holders = self.p, self.rows, self.exprs, self.holders
+        idx = len(rows)
         r = dict(vec)
         # every row is zero at every other row's pivot: one pass clears them
-        for coord in [c for c in r if c in self.pivots]:
-            _axpy(r, -r[coord], self.rows[self.pivots[coord]], p)
+        steps = [(self.pivots[c], p - r[c]) for c in r if c in self.pivots]
+        for k, f in steps:
+            _axpy(r, f, rows[k], p)
         if not r:
             return None
-        idx = len(self.rows)
         piv = min(r)
         inv = pow(r[piv], -1, p)
         row = {j: v * inv % p for j, v in r.items()}
-        for krow in self.rows:
-            f = krow.get(piv)
+        e = None
+        if exprs is not None:
+            # the expression of a column kept, from the same steps
+            e = {idx: 1}
+            for k, f in steps:
+                _axpy(e, f, exprs[k], p)
+            e = {j: v * inv % p for j, v in e.items()}
+        for k in holders.get(piv, ()):
+            f = rows[k].get(piv)
             if f:
-                _axpy(krow, -f, row, p)
-        self.rows.append(row)
+                _axpy(rows[k], p - f, row, p, holders, k)
+                if e is not None:
+                    _axpy(exprs[k], p - f, e, p)
+        for j in row:
+            holders[j].add(idx)
+        holders[piv] = {idx}
+        rows.append(row)
         self.pivots[piv] = idx
+        if e is not None:
+            exprs.append(e)
         return idx
 
 
-def _axpy(y: Dict[int, int], a: int, x: Dict[int, int], p: int) -> None:
-    """y += a * x mod p in place, for sparse residue vectors."""
+def _axpy(y: Dict[int, int], a: int, x: Dict[int, int], p: int,
+          holders: Optional[Dict[int, set]] = None, row: int = 0) -> None:
+    """y += a * x mod p in place, for sparse residue vectors and a unit a;
+    with holders, y is the row of that index, entered in holders at every
+    coordinate it newly holds."""
     for j, v in x.items():
-        nv = (y.get(j, 0) + a * v) % p
-        if nv:
-            y[j] = nv
+        if j in y:
+            nv = (y[j] + a * v) % p
+            if nv:
+                y[j] = nv
+            else:
+                del y[j]
         else:
-            y.pop(j, None)
-
+            # a and v are units mod p
+            y[j] = a * v % p
+            if holders is not None:
+                holders[j].add(row)

@@ -9,7 +9,9 @@ independent over Q, so dims[t] of them are a basis of F(t), with nothing
 to lift, replay or certify.  The expansions of the move images of each
 move key: s -> t, one rational matrix Gamma_key (F's relations, beside
 unit columns), and of any other vector are read off one exact inverse of
-the basis per size (functors.subspace_maps), on demand.
+the basis per size, on demand: functors.subspace_maps of the basis, whose
+linalg.row_inverse eliminates the basis's sparse columns mod p, as the
+pass did, and certifies the lifted inverse by one exact sparse product.
 Solving hom(F, G) is then linear algebra in the unknown generator values:
 each basis column corresponds to an explicit vector G(path)(v), and every
 generator move contributes exact linear constraints, except those that
@@ -109,9 +111,7 @@ class SpanData:
         """The map E_t, computed on first use, that takes a vector v of F(t)
         to its exact expansion E_t v in the basis at size t."""
         if t not in self.expansions:
-            # basis[t] is S / den, so a coefficient over it is den times S's
-            E = subspace_maps(self.basis[t].int_rows())[0]
-            self.expansions[t] = E.scale(self.basis[t].den)
+            self.expansions[t] = subspace_maps(self.basis[t])[0]
         return self.expansions[t]
 
     def gamma(self, key) -> SpMat:
@@ -465,7 +465,7 @@ class NatHomResult:
         E of subspace_maps of P, and the residual pi checks them: pi A = 0
         iff A's columns lie in P's span.  Raises OracleError if a column of
         A is no solution."""
-        E, pi, _ = subspace_maps(self.P)
+        E, pi, _ = subspace_maps(SpMat.from_dense(self.P))
         if pi.apply_dense(A).any():
             raise OracleError("a column leaves the solution space")
         return E.apply_dense(A), E.den

@@ -32,6 +32,7 @@ from finsetrep.oracle.functors import (
     _cleared,
     is_natural,
     lambda_pbar_embedding,
+    move_map,
     subspace_maps,
 )
 
@@ -305,9 +306,9 @@ def test_subspace_maps_expand_and_project():
             scales = np.array([int(rng.choice([1, -3])) << 63 | 1 for _ in range(n)], dtype=object)
             S, u = S.astype(object) * scales[:, None], u.astype(object) * scales[:, None]
             big += 1
-        E, pi, free = subspace_maps(S)
-        D = linalg.row_inverse(S)[2]
         Sub = SpMat.from_dense(S)
+        E, pi, free = subspace_maps(Sub)
+        D = linalg.row_inverse(Sub)[1].den
         assert E.den == D and E.shape == (k, n) and pi.shape == (n - k, n)
         assert E.compose(Sub).equals(SpMat.identity(k))
         assert (E.apply_dense(S) == D * np.eye(k, dtype=object)).all()
@@ -650,3 +651,131 @@ def test_quotients_and_subfunctors_match_per_column_references(monkeypatch):
     want = [_functor_fields(build()) for build in builds]
     for g, w in zip(got, want):
         assert g == w
+
+
+# -- the per-tuple builder skeleton: the reference for the array builders ----
+
+
+def _per_tuple_functor(N, bases, action, gen, outer_n=0):
+    """The builder skeleton one basis tuple at a time: bases[t] lists the
+    tuples, and action(g, tup) gives the signed image tuples of tup under
+    the set map g (an image tuple); tuples outside the target basis count
+    as zero."""
+    index = [{tup: i for i, tup in enumerate(basis)} for basis in bases]
+    dims = [len(basis) for basis in bases]
+
+    def matrix(s, t, images):
+        rows, cols, vals = [], [], []
+        for j, tup in enumerate(bases[s]):
+            for img, sign in images(tup):
+                i = index[t].get(img)
+                if i is not None:
+                    rows.append(i)
+                    cols.append(j)
+                    vals.append(sign)
+        return SpMat(dims[t], dims[s], rows, cols, vals)
+
+    F = TruncatedFunctor(N, dims, {}, [], outer_n=outer_n)
+    for key in F.gen_keys():
+        g = move_map(key)
+        F.act[key] = matrix(*F.gen_src_dst(key), lambda tup: action(g, tup))
+    for i in range(1, outer_n):
+        for t in range(N + 1):
+            F.outer_act[(i, t)] = matrix(
+                t, t, lambda tup: [(tup[: i - 1] + (tup[i], tup[i - 1]) + tup[i + 1:], 1)])
+    if gen is not None:
+        d, tup = gen
+        col = np.zeros(dims[d], dtype=np.int64)
+        col[index[d][tup]] = 1
+        F.generators.append((d, col))
+    return F
+
+
+def _per_tuple_values(g, tup):
+    return [(tuple(g[v] for v in tup), 1)]
+
+
+def _per_tuple_differences(g, tup):
+    """The product over y in tup of ([g(y)] - [g(0)]), [0] = 0."""
+    terms = [((), 1)]
+    for y in tup:
+        image = [(p + (g[y],), sign) for p, sign in terms] if g[y] else []
+        base = [(p + (g[0],), -sign) for p, sign in terms] if g[0] else []
+        terms = image + base
+    return terms
+
+
+def _per_tuple_wedge(action):
+    """Image tuples sorted with the sign of the sort, zero on a repeat."""
+
+    def wedged(g, tup):
+        out = []
+        for img, sign in action(g, tup):
+            if len(set(img)) == len(img):
+                inversions = sum(a > b for a, b in itertools.combinations(img, 2))
+                out.append((tuple(sorted(img)), sign * (-1) ** inversions))
+        return out
+
+    return wedged
+
+
+def _per_tuple_builders():
+    """Each builder's per-tuple reference, (degree, N) -> functor."""
+    ranges = lambda lo, N: [range(lo, t) for t in range(N + 1)]
+    unit = lambda N, where: [[()] if where(t) else [] for t in range(N + 1)]
+    kbar = lambda N: _per_tuple_functor(N, unit(N, lambda t: t >= 1), _per_tuple_values, (1, ()))
+    const_k = lambda N: _per_tuple_functor(N, unit(N, lambda t: True), _per_tuple_values, (0, ()))
+
+    def product(lo, n, N, action, gen, outer_n):
+        bases = [list(itertools.product(r, repeat=n)) for r in ranges(lo, N)]
+        return _per_tuple_functor(N, bases, action, gen, outer_n)
+
+    def subsets(lo, k, N, action, gen):
+        return _per_tuple_functor(N, [list(itertools.combinations(r, k)) for r in ranges(lo, N)], action, gen)
+
+    return {
+        "pfin": lambda n, N: product(0, n, N, _per_tuple_values, (n, tuple(range(n))), n),
+        "pbar_tensor": lambda n, N: kbar(N) if n == 0 else product(
+            1, n, N, _per_tuple_differences, (n + 1, tuple(range(1, n + 1))), n),
+        "kfi": lambda n, N: _per_tuple_functor(
+            N, [list(itertools.permutations(r, n)) for r in ranges(0, N)], _per_tuple_values,
+            (n, tuple(range(n))) if n <= N else None, n),
+        "lambda_pfin": lambda k, N: const_k(N) if k == 0 else subsets(
+            0, k, N, _per_tuple_wedge(_per_tuple_values), (k, tuple(range(k)))),
+        "lambda_pbar": lambda k, N: kbar(N) if k == 0 else subsets(
+            1, k, N, _per_tuple_wedge(_per_tuple_differences), (k + 1, tuple(range(1, k + 1)))),
+        "const_k": lambda N: const_k(N),
+        "kbar": lambda N: kbar(N),
+        "k0": lambda N: _per_tuple_functor(N, unit(N, lambda t: t == 0), _per_tuple_values, (0, ())),
+    }
+
+
+def _same_functor(F, R):
+    assert F.dims == R.dims and F.outer_n == R.outer_n
+    assert F.act.keys() == R.act.keys() and F.outer_act.keys() == R.outer_act.keys()
+    assert all(F.act[key].equals(R.act[key]) for key in R.act)
+    assert all(F.outer_act[key].equals(R.outer_act[key]) for key in R.outer_act)
+    assert [(d, col.tolist()) for d, col in F.generators] == [(d, col.tolist()) for d, col in R.generators]
+
+
+def test_array_builders_match_the_per_tuple_reference(monkeypatch):
+    from finsetrep.oracle import functors
+
+    refs = _per_tuple_builders()
+    for N in range(2, 7):
+        for name in ("const_k", "kbar", "k0"):
+            _same_functor(getattr(functors, f"build_{name}")(N), refs[name](N))
+        for n in range(5):
+            # the degrees each builder accepts at N
+            for name, top in (("pfin", N), ("kfi", N + 1), ("pbar_tensor", N - 1),
+                              ("lambda_pfin", N), ("lambda_pbar", N - 1)):
+                if n <= top:
+                    _same_functor(getattr(functors, f"build_{name}")(n, N), refs[name](n, N))
+    # proj_cover, from the reference exterior and tensor powers through the
+    # same quotient and direct sum
+    covers = [(n, N) for N in range(2, 7) for n in range(min(N - 1, 4) + 1)]
+    got = [build_proj_cover(n, N) for n, N in covers]
+    monkeypatch.setattr(functors, "build_lambda_pfin", refs["lambda_pfin"])
+    monkeypatch.setattr(functors, "build_pbar_tensor", refs["pbar_tensor"])
+    for F, (n, N) in zip(got, covers):
+        _same_functor(F, build_proj_cover(n, N))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from finsetrep.oracle import linalg
+from finsetrep.oracle.linalg import SpMat
 
 
 def _ref_rank(rows):
@@ -237,6 +238,18 @@ def test_lincomb_and_int_array_at_the_int64_bound():
         assert A.dtype == object and A.tolist() == rows
 
 
+def _assert_inverse(S, I, X, C):
+    """X = S[I]^-1 and C = S[free] X, exactly."""
+    k = len(S[0])
+    Xf = [[Fraction(x, X.den) for x in row] for row in X.int_rows().tolist()]
+    for r in range(k):
+        for c in range(k):
+            assert sum(Xf[r][j] * S[i][c] for j, i in enumerate(I)) == (r == c)
+    free = [i for i in range(len(S)) if i not in I]
+    want = [[sum(S[f][j] * Xf[j][c] for j in range(k)) for c in range(k)] for f in free]
+    assert [[Fraction(x, C.den) for x in row] for row in C.int_rows().tolist()] == want
+
+
 def test_row_inverse_matches_fraction_reference():
     rng = random.Random(4711)
     checked = big = 0
@@ -256,26 +269,54 @@ def test_row_inverse_matches_fraction_reference():
             c = rng.randrange(k)
             S = [[x << 66 if j == c else x for j, x in enumerate(row)] for row in S]
             big += 1
-        A = np.array(S, dtype=object if trial % 4 == 3 else np.int64)
+        A = SpMat.from_dense(np.array(S, dtype=object if trial % 4 == 3 else np.int64))
         if _ref_rank(S) < k:
             with pytest.raises(ValueError):
                 linalg.row_inverse(A)
             continue
-        I, Q, D = linalg.row_inverse(A)
+        I, X, C = linalg.row_inverse(A)
         # I: the rows, top to bottom, independent of those above them
         assert I == [i for i in range(n) if _ref_rank(S[: i + 1]) > _ref_rank(S[:i])]
-        Q = Q.tolist()
-        assert D > 0 and gcd(D, *(x for row in Q for x in row)) == 1
-        for r in range(k):
-            for c in range(k):
-                assert sum(Q[r][j] * S[i][c] for j, i in enumerate(I)) == (D if r == c else 0)
+        # X over its least denominator
+        assert X.den > 0 and gcd(X.den, *X.vals.tolist()) == 1
+        _assert_inverse(S, I, X, C)
         checked += 1
         # a column that is a combination of the others makes S rank-deficient
         if k > 1:
             dep = [row + [row[0] - 2 * row[-1]] for row in S]
             with pytest.raises(ValueError):
-                linalg.row_inverse(np.array(dep, dtype=object))
+                linalg.row_inverse(SpMat.from_dense(np.array(dep, dtype=object)))
     assert checked > 20 and big > 5
+
+
+def test_row_inverse_survives_unlucky_primes(monkeypatch):
+    p0 = 101
+    word = list(itertools.islice(linalg._primes(), 10))
+    # row 0 is independent over Q and vanishes mod p0, where row 1 takes its
+    # place: S[[1, 2]] is invertible, so only the pivot certificate (row 0's
+    # coefficient on the later row 1) rejects p0
+    S = [[p0, 0], [1, 0], [0, 1]]
+    assert linalg._row_inverse_mod(SpMat.from_dense(np.array(S)), p0)[0] == [1, 2]
+    used = _counting(monkeypatch, [p0] + word)
+    I, X, C = linalg.row_inverse(SpMat.from_dense(np.array(S)))
+    assert I == [0, 2] and used[:2] == [p0, word[0]]
+    _assert_inverse(S, I, X, C)
+    # the columns are dependent mod p0 only: the exact rank, which draws
+    # its own primes, sends it on
+    S = [[1, 2], [2, 4 + p0]]
+    used = _counting(monkeypatch, [p0] + word)
+    I, X, C = linalg.row_inverse(SpMat.from_dense(np.array(S)))
+    assert I == [0, 1] and used[0] == p0
+    _assert_inverse(S, I, X, C)
+    # entries past 2**64: S^-1 has the denominator 2**70, which takes the
+    # CRT of several word primes; an unlucky prime among them starts the
+    # lift over, and the lift past int64 comes back exact
+    S = [[(1 << 70) + 1, 1], [1, 1], [p0, 0]]
+    used = _counting(monkeypatch, word[:2] + [p0] + word[2:])
+    I, X, C = linalg.row_inverse(SpMat.from_dense(np.array(S, dtype=object)))
+    assert I == [0, 1] and X.den == 1 << 70 and X.vals.dtype == object
+    _assert_inverse(S, I, X, C)
+    assert used[:3] == word[:2] + [p0] and len(used) > 5
 
 
 def test_empty_and_zero_column_inputs():
