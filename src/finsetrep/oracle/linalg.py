@@ -16,13 +16,13 @@ expansion, residual projection and coordinate read-out of the oracle is
 taken from it.  One a-priori bound (int_dtype) decides where integer
 arrays, SpMat's entries included, run on int64 and where on Python ints;
 imatmul takes exact integer matrix products on float64 BLAS under a bound
-of its own.  Both bounds rest on max|arr| of the operands: lincomb and
-imatmul (and SpMat.apply_dense) scan an array for it unless the caller
-passes it in, and a value passed in must be an upper bound on the true
-max|arr|, fixed before the operation it guards.  ModColumnBasis, an
-incrementally maintained reduced echelon form mod a word prime whose
-column index names the rows that hold each coordinate, carries
-row_inverse's elimination and picks the span pass's basis: columns
+of its own.  Both bounds rest on max|arr| of the operands: imatmul scans
+both for it, and lincomb and SpMat.apply_dense scan an array for it
+unless the caller passes it in, a value that must be an upper bound on
+the true max|arr|, fixed before the operation it guards.
+ModColumnBasis, an incrementally maintained reduced echelon form mod a
+word prime whose column index names the rows that hold each coordinate,
+carries row_inverse's elimination and picks the span pass's basis: columns
 independent mod p are independent over Q, so as many of them as the
 dimension are a basis over Q.  ColumnBasis is its exact Fraction
 counterpart: the tests' reference, with no library caller.
@@ -202,7 +202,7 @@ def lincomb(
     terms = [(arr.astype(dtype, copy=False), sc) for arr, sc in terms]
     out = terms[0][0] * terms[0][1]
     for arr, sc in terms[1:]:
-        # a unit scale adds in place, with no temporary (the Gram sums)
+        # a unit scale adds in place, with no temporary (a span value in W)
         out += arr if sc == 1 else arr * sc
     return out
 
@@ -211,18 +211,14 @@ def lincomb(
 FLOAT_EXACT_BOUND = 1 << 53
 
 
-def imatmul(
-    A: np.ndarray, B: np.ndarray, amax: Optional[int] = None, bmax: Optional[int] = None
-) -> np.ndarray:
+def imatmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Exact product of two integer arrays (int64 or object dtype).
 
     It runs on float64 BLAS when max|A| * max|B| * inner < 2**53: every
     product and every partial sum, in any order, is then an integer below
     2**53, which float64 holds exactly.  Otherwise it runs on Python ints.
-    amax and bmax, when given, bound max|A| and max|B| in place of a scan.
     """
-    amax = int(np.abs(A).max(initial=0)) if amax is None else amax
-    bmax = int(np.abs(B).max(initial=0)) if bmax is None else bmax
+    amax, bmax = (int(np.abs(X).max(initial=0)) for X in (A, B))
     if amax == 0 or bmax == 0:
         return np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
     if amax * bmax * A.shape[1] < FLOAT_EXACT_BOUND:

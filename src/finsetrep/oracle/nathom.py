@@ -28,38 +28,39 @@ writes it as c(m', F(a') b_j') + G(m') c(a', b_j'), a combination of
 constraints that come strictly earlier in the order (source size, span
 index, position in gen_keys()) or are matches; by induction along that
 order every skipped constraint vanishes once the kept ones do, for any
-functors F and G.  Constraints are
-folded into integer Gram matrices (x is in the kernel of sum W_i^T W_i iff
-W_i x = 0 for all i, valid over the rationals), and the parameter space is
-cut batch by batch so the large top-degree data is only built on an
-already-small parameter space; after each cut the span values are rebuilt
-from the new parameter basis.  The Gram products and the cuts
-(linalg.imatmul) run on float64 BLAS under an exactness bound, and each
-Gram's kernel through the certified modular linalg.kernel_basis.  The
-span values (each kept in lowest terms), W, the Gram sums and the
-parameter basis P stay on int64 under linalg's a-priori bound and move to
-Python ints above it.  Each span value's max|arr| is computed once, when
-the value is made (SpanValue), and travels with it into every bound it
-enters: G(move)'s row bound times it for G(move) V, W's one exact max for
-both sides of W^T W, a running sum for the Gram; a constraint W that is
-zero adds nothing and is skipped.  The solve fills its NatHomResult in
-place; a span value is made on its first read, from its parent's along the
-span path, and the result keeps those made on its final P.  One method,
-NatHomResult._evaluate, evaluates every basis solution at a vector given
-by its expansion in the span basis, as one lincomb of span values: the
-constraints, the generators acted on by the outer action and
-solution_matrix's unit vectors all read through it.  The constraints of
-a move key: s -> t come from NatHomResult._constraints, which evaluates
-c(key, b_j) for the span vectors b_j of F(s) it is given, for the solve
-(the kept ones) and for verify alike.  verify evaluates them on the final
-P for every j of every move, the skipped constraints too, one span vector
-at a time: the span vectors are a basis of F(s), so that is naturality
-on all of F(s), and verify consults no skip set and no Gram kernel of the
-solve.  coordinates reads a block of generator values off p independent
-rows of P, which the same certified engine picks, and checks the other
-rows exactly: outer characters read the outer transpositions' matrices on
-the solutions through one call, off whose products every class's trace
-comes, and the checks the restricted Yoneda maps.
+functors F and G.  Each kept constraint W is evaluated on the current
+parameter basis P, and one that is nonzero cuts P at once: P <- P K^T for
+K the kernel basis of W from the certified modular linalg.kernel_basis,
+exact because that certifies W K = 0 over Q.  The move's later
+constraints are then evaluated on the smaller P, the span values are
+rebuilt from it on demand, and the solve stops once P has no column.  A
+constraint W that is zero on P cuts nothing and is skipped.  Once every
+kept constraint is imposed, col(P) is the space they cut out, whatever
+the order of the cuts; the moves are taken by target size, so the large
+top-degree data is only built on an already-small P.  The cuts
+(linalg.imatmul) run on float64 BLAS under an exactness bound.  The span
+values (each kept in lowest terms), W and P stay on int64 under linalg's
+a-priori bound and move to Python ints above it.  Each span value's
+max|arr| is computed once, when the value is made (SpanValue), and
+travels with it into every bound it enters: G(move)'s row bound times it
+for G(move) V, and the lincomb that makes W.  The solve fills its
+NatHomResult in place; a span value is made on its first read, from its
+parent's along the span path, and the result keeps those made on its
+final P.  One method, NatHomResult._evaluate, evaluates every basis
+solution at a vector given by its expansion in the span basis, as one
+lincomb of span values: the constraints, the generators acted on by the
+outer action and solution_matrix's unit vectors all read through it.  The
+constraints of a move key: s -> t come from NatHomResult._constraints,
+which evaluates c(key, b_j) for the span vectors b_j of F(s) it is given,
+for the solve (the kept ones) and for verify alike.  verify evaluates them
+on the final P for every j of every move, the skipped constraints too, one
+span vector at a time: the span vectors are a basis of F(s), so that is
+naturality on all of F(s), and verify consults no skip set and no cut of
+the solve.  coordinates reads a block of generator values off p
+independent rows of P, which the same certified engine picks, and checks
+the other rows exactly: outer characters read the outer transpositions'
+matrices on the solutions through one call, off whose products every
+class's trace comes, and the checks the restricted Yoneda maps.
 """
 
 from __future__ import annotations
@@ -321,8 +322,10 @@ class NatHomResult:
     column holds the values of the k-th basis solution on the used
     generators, block by block.  constraints counts the constraints of the
     moves the solve reached: skipped as matched (zero by G's functoriality)
-    or as implied, kept, and kept with a nonzero W.  The solve fills the
-    result in place: a result keeps the span values its solve made on the
+    or as implied, kept, and nonzero: the kept constraints that were nonzero
+    on the P they were evaluated on, each of which cut P, so a kept
+    constraint that an earlier cut already imposed counts as zero.  The
+    solve fills the result in place: a result keeps the span values its solve made on the
     final P, and makes the others on first use."""
 
     def __init__(self, F, G, span, P: np.ndarray, blocks,
@@ -421,7 +424,7 @@ class NatHomResult:
         move key: s -> t iff c(key, b_j) = 0 for every j.  verify evaluates
         _constraints on the final P for every j of every move whose target
         is nonzero, the skipped constraints too: it reads neither the skip
-        sets nor the solve's Gram kernels, and holds one span vector's
+        sets nor the kernels the solve cut P by, and holds one span vector's
         constraint at a time."""
         if not self.dimension:
             return
@@ -518,33 +521,24 @@ def nat_hom(F: TruncatedFunctor, G: TruncatedFunctor) -> NatHomResult:
         s, t = TruncatedFunctor.gen_src_dst(key)
         if not (F.dims[s] and G.dims[t]):
             continue
-        p = res.dimension
-        if p == 0:
+        if not res.dimension:
             break
-        # the Gram sum and an upper bound on its entries
-        gram, gbound = np.zeros((p, p), dtype=np.int64), 0
         skip = span.skips(key)
         matched = len(span.matches(key))
         counts["matched"] += matched
         counts["implied"] += len(skip) - matched
         counts["kept"] += F.dims[s] - len(skip)
+        # the generator evaluates each W on the P of its turn, so the
+        # constraints after a cut are evaluated on the smaller P
         for W in res._constraints(key, [j for j in range(F.dims[s]) if j not in skip]):
-            wmax = int(np.abs(W).max(initial=0))
-            if not wmax:
+            if not W.any():
                 continue
             counts["nonzero"] += 1
-            # each Gram entry sums W.shape[0] products of two entries of W
-            bound = W.shape[0] * wmax * wmax
-            block = linalg.imatmul(W.T, W, wmax, wmax)
-            gram = linalg.lincomb([(gram, 1), (block, 1)], [gbound, bound])
-            gbound += bound
-        if not gbound:
-            continue  # every constraint of the move is zero
-        ker = linalg.kernel_basis(gram)
-        if len(ker) < p:
-            # cut: the span values are rebuilt from the new P on demand
-            res.P = linalg.int_array(linalg.imatmul(res.P, ker.T))
+            # cut by W's own kernel: the span values are rebuilt from the new P on demand
+            res.P = linalg.int_array(linalg.imatmul(res.P, linalg.kernel_basis(W).T))
             res._vcache.clear()
+            if not res.dimension:
+                break
     return res
 
 

@@ -305,15 +305,15 @@ def test_verify_catches_a_single_non_solution_column():
 
 
 def test_precomputed_magnitude_bounds_hold(monkeypatch):
-    # every bound handed to lincomb, imatmul or apply_dense in place of a
-    # scan is at least the true max|arr| of its array
+    # every bound handed to lincomb or apply_dense in place of a scan is at
+    # least the true max|arr| of its array
     from finsetrep.oracle import linalg
 
     def true_max(arr):
         return int(np.abs(arr).max(initial=0))
 
-    lincomb, imatmul, apply_dense = linalg.lincomb, linalg.imatmul, SpMat.apply_dense
-    checked = {"lincomb": 0, "imatmul": 0, "apply_dense": 0}
+    lincomb, apply_dense = linalg.lincomb, SpMat.apply_dense
+    checked = {"lincomb": 0, "apply_dense": 0}
 
     def checked_lincomb(terms, maxes=None):
         if maxes is not None:
@@ -322,13 +322,6 @@ def test_precomputed_magnitude_bounds_hold(monkeypatch):
             checked["lincomb"] += 1
         return lincomb(terms, maxes)
 
-    def checked_imatmul(A, B, amax=None, bmax=None):
-        for arr, mx in ((A, amax), (B, bmax)):
-            if mx is not None:
-                assert mx >= true_max(arr)
-                checked["imatmul"] += 1
-        return imatmul(A, B, amax, bmax)
-
     def checked_apply_dense(self, X, xmax=None):
         if xmax is not None:
             assert xmax >= true_max(X)
@@ -336,7 +329,6 @@ def test_precomputed_magnitude_bounds_hold(monkeypatch):
         return apply_dense(self, X, xmax)
 
     monkeypatch.setattr(linalg, "lincomb", checked_lincomb)
-    monkeypatch.setattr(linalg, "imatmul", checked_imatmul)
     monkeypatch.setattr(SpMat, "apply_dense", checked_apply_dense)
     N = 4
     pbar2, pfin2 = build_pbar_tensor(2, N), build_pfin(2, N)
@@ -747,6 +739,77 @@ def test_constraint_counts():
         F.dims[TruncatedFunctor.gen_src_dst(key)[0]] for key in F.gen_keys())
     # the skips changed this pair's P: re-check it on every constraint
     r.verify()
+
+
+def _gram_sum_nat_hom(F, G):
+    """The reference solve with one Gram sum per move: every kept
+    constraint W of a move is evaluated on the P the move starts from and
+    folded into sum W^T W, whose kernel (x is in it iff W x = 0 for every
+    W) cuts P once per move.  Same blocks, move order and skips as
+    nat_hom."""
+    from finsetrep.oracle import linalg
+    from finsetrep.oracle.nathom import NatHomResult
+
+    span = build_span(F)
+    blocks, off = {}, 0
+    for a, (d, _) in enumerate(F.generators):
+        if span.gen_used[a]:
+            blocks[a] = (d, off)
+            off += G.dims[d]
+    counts = dict.fromkeys(("matched", "implied", "kept", "nonzero"), 0)
+    res = NatHomResult(F, G, span, np.eye(off, dtype=np.int64), blocks, counts)
+    for key in sorted(F.gen_keys(), key=lambda k: (max(TruncatedFunctor.gen_src_dst(k)), k[0] != "tau")):
+        s, t = TruncatedFunctor.gen_src_dst(key)
+        if not (F.dims[s] and G.dims[t]):
+            continue
+        if not res.dimension:
+            break
+        skip = span.skips(key)
+        counts["matched"] += len(span.matches(key))
+        counts["implied"] += len(skip) - len(span.matches(key))
+        counts["kept"] += F.dims[s] - len(skip)
+        gram = None
+        for W in res._constraints(key, [j for j in range(F.dims[s]) if j not in skip]):
+            if W.any():
+                counts["nonzero"] += 1
+                block = linalg.imatmul(W.T, W)
+                gram = block if gram is None else linalg.lincomb([(gram, 1), (block, 1)])
+        if gram is not None:
+            res.P = linalg.int_array(linalg.imatmul(res.P, linalg.kernel_basis(gram).T))
+            res._vcache.clear()
+    return res
+
+
+def test_constraint_cuts_match_the_gram_sum_reference():
+    # nat_hom cuts P at each nonzero constraint by that W's own kernel, and
+    # evaluates the move's later constraints on the smaller P; once every
+    # kept constraint is imposed, col(P) is the reference's
+    from finsetrep.cli import _functor_from_descriptor
+    from finsetrep.oracle import linalg
+
+    N = 5
+    pairs = [("pbar:4", "pbar:4"), ("proj:4", "pfin:3"), ("pbar:4", "pfin:3"), ("proj:3", "pfin:3")]
+    targets = [f"{f}:{d}" for f in ("pfin", "pbar", "kfi", "lambda") for d in range(3)] + ["k", "kbar"]
+    for src in (f"{f}:{d}" for f in ("pbar", "proj", "lambdabar") for d in range(3)):
+        pairs += [(src, tgt) for tgt in targets if src.startswith("proj") or tgt.split(":")[0] in ("pfin", "pbar")]
+    functors, cut_within = {}, []
+    for src, tgt in pairs:
+        for desc in (src, tgt):
+            if desc not in functors:
+                functors[desc] = _functor_from_descriptor(desc, N)
+        F, G = functors[src], functors[tgt]
+        r, ref = nat_hom(F, G), _gram_sum_nat_hom(F, G)
+        assert r.dimension == ref.dimension, (src, tgt)
+        for k in ("matched", "implied", "kept"):
+            assert r.constraints[k] == ref.constraints[k], (src, tgt, k)
+        # a constraint zero on the uncut P is zero on the cut one too
+        assert r.constraints["nonzero"] <= ref.constraints["nonzero"], (src, tgt)
+        cut_within.append(r.constraints["nonzero"] < ref.constraints["nonzero"])
+        if r.dimension:
+            assert linalg.rank(np.hstack([r.P, ref.P])) == r.dimension, (src, tgt)
+            r.verify()
+    # the degree-4 pairs cut within a move, so their later constraints vanish
+    assert any(cut_within[:3]), cut_within
 
 
 def test_degree4_endomorphisms_verify():
