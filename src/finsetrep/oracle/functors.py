@@ -16,10 +16,10 @@ standing for x / den.  The basic builders hold the basis of each size as
 an integer array of tuples and build each move's matrix by array
 arithmetic on it (_functor_from_action).  Quotients and subfunctors are
 induced by sparse products: one function, subspace_maps, turns the
-linalg.row_inverse (I, X, C) of the subspace's independent columns S,
-X = S[I]^-1 and C = S[free] X, into the expansion map E_t(v) = X v[I]
-onto its basis and the residual projection pi_t(v) = v[free] - C v[I]
-along it onto the rows free outside I, each one SpMat, so that a move
+linalg.row_inverse (J, I, X, C) of the subspace's columns S,
+X = S[I, J]^-1 and C = S[free, J] X, into the expansion map E_t(v) = X v[I]
+onto the basis S[:, J] and the residual projection pi_t(v) = v[free] -
+C v[I] along it onto the rows free outside I, each one SpMat, so that a move
 m: s -> t induces pi_t m on the quotient and E_t m Sub_s on the
 subfunctor, and pi_t m Sub_s = 0 certifies that the subspace is stable.
 
@@ -476,16 +476,16 @@ def quotient_functor(
     """Quotient of `parent` by the subfunctor spanned by the columns of the
     integer arrays sub_columns[t], one per set size, which may be
     dependent.  Its coordinates at size t are the rows free of
-    subspace_maps of the independent columns, and the residual map pi_t
-    projects onto them: a move m: s -> t induces pi_t m on the
-    quotient coordinates of size s.  Stability of the span under every
-    generator, pi_t m Sub_s = 0, is verified exactly."""
+    subspace_maps of the columns, and the residual map pi_t projects onto
+    them: a move m: s -> t induces pi_t m on the quotient coordinates of
+    size s.  Stability of the span under every generator,
+    pi_t m Sub_s = 0, is verified exactly."""
     projs, incs, subs = [], [], []
     for t, cols in enumerate(sub_columns):
-        _, proj, free = subspace_maps(SpMat.from_dense(cols[:, linalg.pivot_columns(cols)]))
+        subs.append(SpMat.from_dense(cols))
+        _, proj, free, _ = subspace_maps(subs[-1])
         projs.append(proj)
         incs.append(SpMat.unit_columns(parent.dims[t], free))
-        subs.append(SpMat.from_dense(cols))
     gens = []
     for d, col in parent.generators:
         pc = projs[d].apply_dense(col)
@@ -494,13 +494,13 @@ def quotient_functor(
     return _induced_functor(parent, projs, projs, incs, subs, gens, name)
 
 
-def subspace_maps(S: SpMat) -> Tuple[SpMat, SpMat, List[int]]:
-    """(E, pi, free) for a SpMat S of full column rank, read off its
-    linalg.row_inverse (I, X, C): the expansion E(v) = X v[I] over S's
-    columns of a vector v of their span; the rows free outside I; and the
+def subspace_maps(S: SpMat) -> Tuple[SpMat, SpMat, List[int], List[int]]:
+    """(E, pi, free, J) for a SpMat S, read off its linalg.row_inverse
+    (J, I, X, C): the expansion E(v) = X v[I] of a vector v of S's column
+    span over the independent columns J; the rows free outside I; the
     residual pi(v) = v[free] - C v[I], the projection along S's column span
-    onto them, zero exactly on the span."""
-    I, X, C = linalg.row_inverse(S)
+    onto them, zero exactly on the span; and J."""
+    J, I, X, C = linalg.row_inverse(S)
     in_I = set(I)
     free = [j for j in range(S.m) if j not in in_I]
     I = np.array(I, dtype=np.int64)
@@ -508,7 +508,7 @@ def subspace_maps(S: SpMat) -> Tuple[SpMat, SpMat, List[int]]:
     rows = np.concatenate([np.arange(len(free)), C.rows])
     cols = np.concatenate([np.array(free, dtype=np.int64), I[C.cols]])
     vals = np.concatenate([np.full(len(free), C.den, dtype=linalg.int_dtype(C.den)), -C.vals])
-    return E, SpMat(len(free), S.m, rows, cols, vals, C.den), free
+    return E, SpMat(len(free), S.m, rows, cols, vals, C.den), free, J
 
 
 def _cleared(x: np.ndarray, den: int) -> np.ndarray:
@@ -532,25 +532,25 @@ def kernel_functor(
         raise OracleError("truncations differ")
     if not is_natural(F, G, mats):
         raise OracleError(f"{name}: the given map family is not natural")
-    columns = [linalg.kernel_basis(mats[t].int_rows()).T for t in range(F.N + 1)]
-    gens = [(t, K[:, j], 1) for t, K in enumerate(columns) for j in range(K.shape[1])]
-    return _subfunctor(F, columns, gens, name)
+    kernels = [linalg.kernel_basis(mats[t].int_rows()) for t in range(F.N + 1)]
+    gens = [(t, x, 1) for t, K in enumerate(kernels) for x in K]
+    return _subfunctor(F, [SpMat.from_dense(K.T) for K in kernels], gens, name)
 
 
 def _subfunctor(
     F: TruncatedFunctor,
-    columns: List[np.ndarray],
+    columns: List[SpMat],
     gens: List[Tuple[int, np.ndarray, int]],
     name: str,
 ) -> TruncatedFunctor:
-    """The subfunctor of F with the independent columns of the integer
-    array columns[t] as its basis at size t, generated by the vectors
-    x / den of their span given as gens (d, x, den).  With E_t the
-    expansion map over columns[t], a move m: s -> t acts by E_t m Sub_s,
-    once the span is shown stable under F's generators and its outer
-    action, and a generator v of size d is E_d v."""
-    subs = [SpMat.from_dense(S) for S in columns]
-    lefts, projs, _ = zip(*map(subspace_maps, subs))
+    """The subfunctor of F with the independent columns Sub_t of the
+    integer SpMat columns[t] as its basis at size t, generated by the
+    vectors x / den of their span given as gens (d, x, den).  With E_t the
+    expansion map over Sub_t, a move m: s -> t acts by E_t m Sub_s, once
+    the span is shown stable under F's generators and its outer action,
+    and a generator v of size d is E_d v."""
+    lefts, projs, _, kept = zip(*map(subspace_maps, columns))
+    subs = [S.compose(SpMat.unit_columns(S.n, J)) for S, J in zip(columns, kept)]
     gens = [(d, _cleared(lefts[d].apply_dense(x), lefts[d].den * den)) for d, x, den in gens]
     return _induced_functor(F, lefts, projs, subs, subs, gens, name)
 
@@ -652,14 +652,11 @@ def isotypic_subfunctor(parent: TruncatedFunctor, lam: Partition) -> TruncatedFu
     if not is_natural(parent, parent, projs):
         raise OracleError("isotypic projector is not natural")
 
-    # the projector's independent columns, left to right, are the basis
-    columns = []
-    for proj in projs:
-        A = proj.int_rows()
-        columns.append(A[:, linalg.pivot_columns(A)])
+    # the independent integer columns of the projector, left to right, are the basis
+    columns = [SpMat(*P.shape, P.rows, P.cols, P.vals) for P in projs]
     gens = [(d, projs[d].apply_dense(col), projs[d].den) for d, col in parent.generators]
     gens = [gen for gen in gens if gen[1].any()]
-    if not gens and any(S.size for S in columns):
+    if not gens and any(S.nnz for S in columns):
         raise OracleError("isotypic piece has no generator")
     return _subfunctor(parent, columns, gens, f"{parent.name}[{','.join(map(str, lam))}]")
 
@@ -739,16 +736,18 @@ def fb_module_data(F: TruncatedFunctor):
 
 def sgn_coinvariant_reduction(F: TruncatedFunctor, t: int):
     """Sign-coinvariants of F(t), its quotient by the relations
-    F(tau) x + x: (R, pi, free) with R the independent relation columns,
-    as an integer array, free the quotient's coordinates and pi the
-    residual projection onto them."""
-    S = np.zeros((F.dims[t], 0), dtype=np.int64)
+    F(tau) x + x: (R, pi, free) with R the integer relation columns, one
+    SpMat, free the quotient's coordinates and pi the residual projection
+    onto them."""
+    n = F.dims[t]
+    R = SpMat.zeros(n, 0)
     if t > 1:
-        relations = [F.act[("tau", t, i)] + SpMat.identity(F.dims[t]) for i in range(1, t)]
-        S = np.hstack([m.int_rows() for m in relations])
-    S = S[:, linalg.pivot_columns(S)]
-    _, proj, free = subspace_maps(SpMat.from_dense(S))
-    return S, proj, free
+        relations = [F.act[("tau", t, i)] + SpMat.identity(n) for i in range(1, t)]
+        R = SpMat(n, n * (t - 1), np.concatenate([m.rows for m in relations]),
+                  np.concatenate([m.cols + n * i for i, m in enumerate(relations)]),
+                  np.concatenate([m.vals for m in relations]))
+    _, proj, free, _ = subspace_maps(R)
+    return R, proj, free
 
 
 def sgn_coinvariant_dim(F: TruncatedFunctor, t: int) -> int:

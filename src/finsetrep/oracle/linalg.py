@@ -4,22 +4,22 @@ Every matrix in and out is an integer array, int64 or Python ints (object
 dtype), over a denominator that the caller keeps, or a SpMat: a sparse
 integer matrix with one denominator, whose product with another is a numpy
 join of their entries on the inner index.  Two engines answer every exact
-question about a matrix.  The dense one computes an integer array's right
-kernel modulo word primes (vectorized int64 elimination), lifts it by
-rational reconstruction and CRT, and returns it with its pivot columns only
-after an exact check that certifies both; rank and the choice of
-independent columns come off it.  The sparse one, row_inverse, eliminates
-a SpMat's rows mod a word prime as sparse rows, each with its expression
-over the rows kept before it, lifts the inverse of its first independent
-rows the same way and certifies it by one exact sparse product; every
-expansion, residual projection and coordinate read-out of the oracle is
-taken from it.  One a-priori bound (int_dtype) decides where integer
-arrays, SpMat's entries included, run on int64 and where on Python ints;
-imatmul takes exact integer matrix products on float64 BLAS under a bound
-of its own.  Both bounds rest on max|arr| of the operands: imatmul scans
-both for it, and lincomb and SpMat.apply_dense scan an array for it
-unless the caller passes it in, a value that must be an upper bound on
-the true max|arr|, fixed before the operation it guards.
+question about a matrix.  The dense one, kernel_basis, computes only
+kernels: an integer array's right kernel modulo word primes (int64
+elimination), lifted by rational reconstruction and CRT and returned only
+after an exact check.  The sparse one, row_inverse, makes every choice of
+independent columns or rows: it eliminates a SpMat's columns mod a word
+prime as sparse rows, each with its expression, skipping a column
+dependent on those before it, lifts the inverse of the kept columns' first
+independent rows the same way and certifies both choices by exact sparse
+products; ranks, pivots, expansions, residual projections and coordinate
+read-outs all come off it.  One a-priori bound (int_dtype) decides where
+integer arrays, SpMat's entries included, run on int64 and where on Python
+ints; imatmul takes exact integer matrix products on float64 BLAS under a
+bound of its own.  Both bounds rest on max|arr| of the operands: imatmul
+scans both for it, and lincomb and SpMat.apply_dense scan an array for it
+unless the caller passes it in, a value that must be an upper bound on the
+true max|arr|, fixed before the operation it guards.
 ModColumnBasis, an incrementally maintained reduced echelon form mod a
 word prime whose column index names the rows that hold each coordinate,
 carries row_inverse's elimination and picks the span pass's basis: columns
@@ -38,128 +38,35 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 
-def pivot_columns(M: np.ndarray) -> List[int]:
-    """The pivot columns of the reduced echelon form of the integer array
-    M over the rationals: the first columns, left to right, independent of
-    those before them."""
-    return _kernel(M)[0]
+def pivot_columns(S: "SpMat") -> List[int]:
+    """The pivot columns of the SpMat S over the rationals, row_inverse's
+    J: the first columns, left to right, independent of those before them."""
+    return row_inverse(S)[0]
 
 
-def rank(M: np.ndarray) -> int:
-    return len(pivot_columns(M))
+def rank(S: "SpMat") -> int:
+    return len(pivot_columns(S))
 
 
 def kernel_basis(M: np.ndarray) -> np.ndarray:
     """Basis of the right kernel {x : M x = 0} of the integer array M, as
-    the rows of an integer array, each a primitive vector.
+    the rows of an integer array (int64 when its entries allow it), each a
+    primitive vector: the one read off the reduced echelon form of M over
+    the rationals, one vector per non-pivot column f, positive at f and
+    zero at every other non-pivot column.
 
-    The basis is the one read off the reduced echelon form of M over the
-    rationals: one vector per non-pivot column f, positive at f and zero at
-    every other non-pivot column.  A lift over several primes comes back on
-    int64 when its entries allow it."""
-    return int_array(_kernel(M)[1]).T
-
-
-def row_inverse(S: "SpMat") -> Tuple[List[int], "SpMat", "SpMat"]:
-    """(I, X, C) for a SpMat S of full column rank k: I the first k rows,
-    top to bottom, independent of those above them, X = S[I]^-1 and
-    C = S[free] X, the coefficients over the rows I of the other rows,
-    free, in order.  Then X v[I] expands a vector v of S's column span over
-    S's columns.  Raises ValueError if S's columns are dependent.
-
-    S's columns are eliminated mod a word prime as sparse echelon rows,
-    each with its expression over them (_row_inverse_mod), which gives I
-    and X mod p.  X is lifted by rational reconstruction, over more primes
-    by CRT when that fails, and certified by one exact sparse product S X:
-    its rows I must be D times the identity, which shows X = S[I]^-1, and
-    its row f may be nonzero only at the columns j with I[j] < f, which
-    puts every other row in the span of the rows of I above it, so I is the
-    first independent rows.  A prime whose I differs from Q's fails the
-    check, and the next one is taken."""
-    n, k = S.shape
-    if k == 0:
-        return [], SpMat.zeros(0, 0), SpMat.zeros(n, 0)
-    # S's integer entries: S / den has the same independent rows
-    Sint = S if S.den == 1 else SpMat(n, k, S.rows, S.cols, S.vals)
-    best = None  # (I, X's entries as keys row * k + col, their residues, modulus)
-    for p in _primes():
-        kept = _row_inverse_mod(Sint, p)
-        if kept is None:
-            # the columns are dependent mod p: over Q too, or p is unlucky
-            if rank(Sint.int_rows()) < k:
-                raise ValueError("the columns are dependent")
-            continue
-        I, keys, residues = kept
-        if best is not None and best[0] == I:
-            keys, residues = _crt_sparse(best[1], best[2], best[3], keys, residues, p)
-            best = (I, keys, residues, best[3] * p)
-        else:
-            # other rows kept than the primes before: one side is unlucky, and
-            # the check rejects an unlucky prime, so start over from this one
-            best = (I, keys, residues, p)
-        lifted = _lift_denominator(best[2], best[3])
-        if lifted is None:
-            continue
-        b, D = lifted
-        X = SpMat(k, k, keys // k, keys % k, b)
-        SX = Sint.compose(X)
-        Iarr = np.array(I, dtype=np.int64)
-        pos = np.full(n, -1, dtype=np.int64)
-        pos[Iarr] = np.arange(k)
-        at_I = pos[SX.rows] >= 0
-        rest = ~at_I
-        if (np.array_equal(SX.rows[at_I], Iarr) and np.array_equal(SX.cols[at_I], np.arange(k))
-                and (SX.vals[at_I] == D).all() and (Iarr[SX.cols[rest]] < SX.rows[rest]).all()):
-            free_index = np.cumsum(pos < 0) - 1
-            C = SpMat(n - k, k, free_index[SX.rows[rest]], SX.cols[rest], SX.vals[rest], D)
-            return I, SpMat(k, k, X.rows, X.cols, X.vals, D).scale(S.den), C
-    raise ArithmeticError("the modular row inverse ran out of word primes")
-
-
-def _row_inverse_mod(S: "SpMat", p: int) -> Optional[Tuple[List[int], np.ndarray, np.ndarray]]:
-    """(I, keys, residues) for the integer SpMat S with k columns: I the
-    first k rows independent mod p, and the entries of S[I]^-1 mod p, the
-    one at (j, c) as the key j * k + c with its residue; None when S's
-    columns are dependent mod p.  S's columns go into a ModColumnBasis in
-    order, as the span pass's vectors do.  Each row's pivot is its least
-    coordinate, so rank S[:i] counts the pivots below i and the pivots are
-    I; the row with pivot I[c] is 1 there and 0 at the other rows of I, so
-    its expression is column c of S[I]^-1."""
-    n, k = S.shape
-    # S's entries by column, each column's in row order
-    order = np.argsort(S.cols, kind="stable")
-    bounds = np.searchsorted(S.cols[order], np.arange(k + 1)).tolist()
-    rows, res = S.rows[order].tolist(), (S.vals[order] % p).tolist()
-    basis = ModColumnBasis(p, expressions=True)
-    for j in range(k):
-        lo, hi = bounds[j], bounds[j + 1]
-        if basis.add({i: r for i, r in zip(rows[lo:hi], res[lo:hi]) if r}) is None:
-            return None
-    I = sorted(basis.pivots)
-    keys, residues = [], []
-    for c, i in enumerate(I):
-        for j, v in basis.exprs[basis.pivots[i]].items():
-            keys.append(j * k + c)
-            residues.append(v)
-    return I, np.array(keys, dtype=np.int64), np.array(residues, dtype=np.int64)
-
-
-def _kernel(M: np.ndarray) -> Tuple[List[int], np.ndarray]:
-    """(pivots, K) for the integer matrix M: its pivot columns over Q and
-    its kernel basis as the columns of K.  They are computed mod word
-    primes, lifted by rational reconstruction (over more primes by CRT when
-    that fails) and returned only once the exact product M K is zero.
-
-    That check makes the answer exact.  A prime's rank is at most the rank
-    over Q, so its n - rank non-pivot columns bound the kernel dimension
-    from above; the lifted vectors are independent (each is nonzero at its
-    own non-pivot column, 0 at the others), so, once all lie in the kernel,
-    the prime's rank is the true rank.  Each vector is also zero at every
-    pivot column right of its own f, so every non-pivot column of M lies in
-    the span of the pivot columns left of it: the prime's pivots are those
-    over Q, and the vectors are the basis above.  A prime whose rank or
-    pivots differ from Q's fails the check, and the next one is taken.
-    """
+    It is computed mod word primes, lifted by rational reconstruction (over
+    more primes by CRT when that fails) and returned only once the exact
+    product M K is zero, K the vectors as columns.  That check makes the
+    answer exact.  A prime's rank is at most the rank over Q, so its
+    n - rank non-pivot columns bound the kernel dimension from above; the
+    lifted vectors are independent (each is nonzero at its own non-pivot
+    column, 0 at the others), so, once all lie in the kernel, the prime's
+    rank is the true rank.  Each vector is also zero at every pivot column
+    right of its own f, so every non-pivot column of M lies in the span of
+    the pivot columns left of it: the prime's pivots are those over Q, and
+    the vectors are the basis above.  A prime whose rank or pivots differ
+    from Q's fails the check, and the next one is taken."""
     ncols = M.shape[1]
     best = None  # (pivots, residues at the pivot rows, modulus)
     for p in _primes():
@@ -173,8 +80,100 @@ def _kernel(M: np.ndarray) -> Tuple[List[int], np.ndarray]:
             best = (pivots, residues, p)
         K = _lift(*best, ncols)
         if K is not None and not imatmul(M, K).any():
-            return pivots, K
+            return int_array(K).T
     raise ArithmeticError("the modular kernel ran out of word primes")
+
+
+def row_inverse(S: "SpMat") -> Tuple[List[int], List[int], "SpMat", "SpMat"]:
+    """(J, I, X, C) for a SpMat S of any rank r: J the first r columns, left
+    to right, independent of those before them (its pivot columns), I the
+    first r rows of S[:, J], top to bottom, independent of those above
+    them, X = S[I, J]^-1 and C = S[free, J] X, the coefficients over the
+    rows I of the other rows, free, in order.  Then X v[I] expands a
+    vector v of S's column span over the columns J.
+
+    S's columns are eliminated mod a word prime as sparse echelon rows,
+    each with its expression (_row_inverse_mod), which gives J, I and X
+    mod p.  X is lifted by rational reconstruction, over more primes by
+    CRT when that fails, and certified by one exact sparse product
+    S[:, J] X: its rows I must be D times the identity, which shows
+    X = S[I, J]^-1, and its row f may be nonzero only at the columns c
+    with I[c] < f, which puts every other row in the span of the rows of I
+    above it.  Only when a column was dropped, T = X S[I] and one more
+    sparse product, C S[I] = S[free], show that every dropped column f is
+    S[:, J] y / D, y = X S[I, f] nonzero only at the kept columns left of
+    f.  A prime whose J or I differs from Q's fails, and the next is taken."""
+    n, k = S.shape
+    # S's integer entries: S / den has the same independent rows and columns
+    Sint = S if S.den == 1 else SpMat(n, k, S.rows, S.cols, S.vals)
+    best = None  # (J, I, X's entries as keys row * len(J) + col, their residues, modulus)
+    for p in _primes():
+        J, I, keys, residues = _row_inverse_mod(Sint, p)
+        if best is not None and best[:2] == (J, I):
+            keys, residues = _crt_sparse(best[2], best[3], best[4], keys, residues, p)
+            best = (J, I, keys, residues, best[4] * p)
+        else:
+            # other columns or rows kept than the primes before: one side is
+            # unlucky, and the check rejects an unlucky prime, so start over
+            best = (J, I, keys, residues, p)
+        lifted = _lift_denominator(best[3], best[4])
+        if lifted is None:
+            continue
+        b, D = lifted
+        r = len(J)
+        Jarr, Iarr = np.array(J, dtype=np.int64), np.array(I, dtype=np.int64)
+        X = SpMat(r, r, keys // r, keys % r, b)
+        SX = Sint.compose(SpMat(k, r, Jarr[X.rows], X.cols, X.vals))
+        pos = np.full(n, -1, dtype=np.int64)
+        pos[Iarr] = np.arange(r)
+        at_I = pos[SX.rows] >= 0
+        rest = ~at_I
+        if not (np.array_equal(SX.rows[at_I], Iarr) and np.array_equal(SX.cols[at_I], np.arange(r))
+                and (SX.vals[at_I] == D).all() and (Iarr[SX.cols[rest]] < SX.rows[rest]).all()):
+            continue
+        free_index = np.cumsum(pos < 0) - 1
+        C = SpMat(n - r, r, free_index[SX.rows[rest]], SX.cols[rest], SX.vals[rest], D)
+        if r < k:
+            # column f of T is D e_c at the kept column J[c] = f, else y, and
+            # S[:, J] T = D S holds at the rows I, and at the others iff C S[I] = S[free]
+            on_I = pos[Sint.rows] >= 0
+            SI = SpMat(r, k, pos[Sint.rows[on_I]], Sint.cols[on_I], Sint.vals[on_I])
+            T = X.compose(SI)
+            Sfree = SpMat(n - r, k, free_index[Sint.rows[~on_I]], Sint.cols[~on_I], Sint.vals[~on_I])
+            if not ((Jarr[T.rows] <= T.cols).all() and C.compose(SI).equals(Sfree)):
+                continue
+        return J, I, SpMat(r, r, X.rows, X.cols, X.vals, D).scale(S.den), C
+    raise ArithmeticError("the modular row inverse ran out of word primes")
+
+
+def _row_inverse_mod(S: "SpMat", p: int) -> Tuple[List[int], List[int], np.ndarray, np.ndarray]:
+    """(J, I, keys, residues) for the integer SpMat S: J the columns
+    independent mod p of those before them, I the first len(J) rows of
+    S[:, J] independent mod p, and the entries of S[I, J]^-1 mod p, the one
+    at (j, c) as the key j * len(J) + c with its residue.  S's columns go
+    into a ModColumnBasis in order, as the span pass's vectors do, and one
+    that it does not append is skipped.  Each row's pivot is its least
+    coordinate, so rank S[:i, J] counts the pivots below i and the pivots
+    are I; the row with pivot I[c] is 1 there and 0 at the other rows of I,
+    so its expression is column c of S[I, J]^-1."""
+    n, k = S.shape
+    # S's entries by column, each column's in row order
+    order = np.argsort(S.cols, kind="stable")
+    bounds = np.searchsorted(S.cols[order], np.arange(k + 1)).tolist()
+    rows, res = S.rows[order].tolist(), (S.vals[order] % p).tolist()
+    basis = ModColumnBasis(p, expressions=True)
+    J = []
+    for j in range(k):
+        lo, hi = bounds[j], bounds[j + 1]
+        if basis.add({i: r for i, r in zip(rows[lo:hi], res[lo:hi]) if r}) is not None:
+            J.append(j)
+    I = sorted(basis.pivots)
+    keys, residues = [], []
+    for c, i in enumerate(I):
+        for j, v in basis.exprs[basis.pivots[i]].items():
+            keys.append(j * len(I) + c)
+            residues.append(v)
+    return J, I, np.array(keys, dtype=np.int64), np.array(residues, dtype=np.int64)
 
 
 # An int64 array operation is taken only when an a-priori bound on every

@@ -293,17 +293,16 @@ def _span_pass(F: TruncatedFunctor, p: int):
 
 def _spans_subfunctor(span: SpanData) -> bool:
     """Whether the basis vectors span a subfunctor that holds the declared
-    generators, by exact ranks: for every move key: s -> t, F(key)
-    basis[s] lies in the span of basis[t], and every declared generator of
-    size d in the span of basis[d].  The outer action is left out: a
+    generators, by the residual projections pi_t of subspace_maps along the
+    span of basis[t], the stability test of the induced functors: for every
+    move key: s -> t, pi_t F(key) basis[s] = 0, and pi_d g = 0 for every
+    declared generator g of size d.  The outer action is left out: a
     generated span need not be stable under it."""
     F = span.F
-    S = [B.int_rows() for B in span.basis]
-    images = [(d, col.reshape(-1, 1)) for d, col in F.generators]
-    for key in F.gen_keys():
-        s, t = TruncatedFunctor.gen_src_dst(key)
-        images.append((t, F.act[key].apply_dense(S[s])))
-    return all(linalg.rank(np.hstack([S[t], X])) == S[t].shape[1] for t, X in images)
+    projs = [subspace_maps(B)[1] for B in span.basis]
+    return not any(projs[d].apply_dense(g).any() for d, g in F.generators) and all(
+        projs[t].compose(F.act[key].compose(span.basis[s])).is_zero()
+        for key in F.gen_keys() for s, t in [TruncatedFunctor.gen_src_dst(key)])
 
 
 class SpanValue(tuple):
@@ -468,7 +467,7 @@ class NatHomResult:
         E of subspace_maps of P, and the residual pi checks them: pi A = 0
         iff A's columns lie in P's span.  Raises OracleError if a column of
         A is no solution."""
-        E, pi, _ = subspace_maps(SpMat.from_dense(self.P))
+        E, pi, _, _ = subspace_maps(SpMat.from_dense(self.P))
         if pi.apply_dense(A).any():
             raise OracleError("a column leaves the solution space")
         return E.apply_dense(A), E.den
@@ -560,4 +559,4 @@ def nat_hom_dense_dim(F: TruncatedFunctor, G: TruncatedFunctor) -> int:
         lhs[:, offsets[t] : offsets[t + 1]] = np.kron(np.eye(G.dims[t], dtype=np.int64), Fk.int_rows().T)
         rhs[:, offsets[s] : offsets[s + 1]] = np.kron(Gk.int_rows(), np.eye(F.dims[s], dtype=np.int64))
         rows.append(linalg.lincomb([(lhs, Gk.den), (rhs, -Fk.den)]))
-    return total - linalg.rank(np.concatenate(rows)) if rows else total
+    return total - linalg.rank(SpMat.from_dense(np.concatenate(rows))) if rows else total

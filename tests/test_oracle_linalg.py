@@ -4,7 +4,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import numpy as np
-import pytest
 
 from finsetrep.oracle import linalg
 from finsetrep.oracle.linalg import SpMat
@@ -56,9 +55,11 @@ def _cases():
 
 
 def test_rank_and_pivots_match_reference():
-    for M, A, _ in _cases():
-        pivots = linalg.pivot_columns(A)
-        assert len(pivots) == linalg.rank(A) == _ref_rank(M)
+    for M, A, rng in _cases():
+        # M over a denominator: the same rank and pivots
+        S = SpMat.from_dense(A, rng.choice([2, 6, (1 << 64) + 1]))
+        pivots = linalg.pivot_columns(S)
+        assert len(pivots) == linalg.rank(S) == _ref_rank(M)
         # each pivot column is independent of the columns before it, and
         # every other column is not
         for j in range(len(M[0])):
@@ -105,8 +106,8 @@ def _ref_kernel(rows, n):
 
 
 def _counting(monkeypatch, primes):
-    """Make kernel_basis draw its moduli from primes; the returned list
-    records the ones it took."""
+    """Make kernel_basis and row_inverse draw their moduli from primes;
+    the returned list records the ones they took."""
     used = []
 
     def source():
@@ -238,9 +239,10 @@ def test_lincomb_and_int_array_at_the_int64_bound():
         assert A.dtype == object and A.tolist() == rows
 
 
-def _assert_inverse(S, I, X, C):
-    """X = S[I]^-1 and C = S[free] X, exactly."""
-    k = len(S[0])
+def _assert_inverse(S, J, I, X, C):
+    """X = S[I, J]^-1 and C = S[free, J] X, exactly."""
+    S = [[row[j] for j in J] for row in S]
+    k = len(J)
     Xf = [[Fraction(x, X.den) for x in row] for row in X.int_rows().tolist()]
     for r in range(k):
         for c in range(k):
@@ -252,7 +254,7 @@ def _assert_inverse(S, I, X, C):
 
 def test_row_inverse_matches_fraction_reference():
     rng = random.Random(4711)
-    checked = big = 0
+    checked = deficient = big = 0
     for trial in range(40):
         k = rng.randint(1, 5)
         S = _random_matrix(rng, k, k, k, False)
@@ -270,23 +272,25 @@ def test_row_inverse_matches_fraction_reference():
             S = [[x << 66 if j == c else x for j, x in enumerate(row)] for row in S]
             big += 1
         A = SpMat.from_dense(np.array(S, dtype=object if trial % 4 == 3 else np.int64))
-        if _ref_rank(S) < k:
-            with pytest.raises(ValueError):
-                linalg.row_inverse(A)
-            continue
-        I, X, C = linalg.row_inverse(A)
-        # I: the rows, top to bottom, independent of those above them
-        assert I == [i for i in range(n) if _ref_rank(S[: i + 1]) > _ref_rank(S[:i])]
+        J, I, X, C = linalg.row_inverse(A)
+        # J: the columns, left to right, independent of those before them
+        grows = [_ref_rank([row[: j + 1] for row in S]) > _ref_rank([row[:j] for row in S])
+                 for j in range(k)]
+        assert J == [j for j in range(k) if grows[j]]
+        # I: the rows of S[:, J], top to bottom, independent of those above them
+        SJ = [[row[j] for j in J] for row in S]
+        assert I == [i for i in range(n) if _ref_rank(SJ[: i + 1]) > _ref_rank(SJ[:i])]
         # X over its least denominator
         assert X.den > 0 and gcd(X.den, *X.vals.tolist()) == 1
-        _assert_inverse(S, I, X, C)
+        _assert_inverse(S, J, I, X, C)
         checked += 1
-        # a column that is a combination of the others makes S rank-deficient
+        deficient += len(J) < k
+        # a column that is a combination of the others is dropped
         if k > 1:
             dep = [row + [row[0] - 2 * row[-1]] for row in S]
-            with pytest.raises(ValueError):
-                linalg.row_inverse(SpMat.from_dense(np.array(dep, dtype=object)))
-    assert checked > 20 and big > 5
+            J2, I2, X2, C2 = linalg.row_inverse(SpMat.from_dense(np.array(dep, dtype=object)))
+            assert (J2, I2) == (J, I) and X2.equals(X) and C2.equals(C)
+    assert checked == 40 and deficient > 2 and big > 5
 
 
 def test_row_inverse_survives_unlucky_primes(monkeypatch):
@@ -296,38 +300,67 @@ def test_row_inverse_survives_unlucky_primes(monkeypatch):
     # place: S[[1, 2]] is invertible, so only the pivot certificate (row 0's
     # coefficient on the later row 1) rejects p0
     S = [[p0, 0], [1, 0], [0, 1]]
-    assert linalg._row_inverse_mod(SpMat.from_dense(np.array(S)), p0)[0] == [1, 2]
+    assert linalg._row_inverse_mod(SpMat.from_dense(np.array(S)), p0)[1] == [1, 2]
     used = _counting(monkeypatch, [p0] + word)
-    I, X, C = linalg.row_inverse(SpMat.from_dense(np.array(S)))
+    J, I, X, C = linalg.row_inverse(SpMat.from_dense(np.array(S)))
     assert I == [0, 2] and used[:2] == [p0, word[0]]
-    _assert_inverse(S, I, X, C)
-    # the columns are dependent mod p0 only: the exact rank, which draws
-    # its own primes, sends it on
+    _assert_inverse(S, J, I, X, C)
+    # the columns are dependent mod p0 only: p0 drops the second, the
+    # certificate of the dropped columns rejects it, and the next prime
+    # keeps both
     S = [[1, 2], [2, 4 + p0]]
     used = _counting(monkeypatch, [p0] + word)
-    I, X, C = linalg.row_inverse(SpMat.from_dense(np.array(S)))
+    J, I, X, C = linalg.row_inverse(SpMat.from_dense(np.array(S)))
     assert I == [0, 1] and used[0] == p0
-    _assert_inverse(S, I, X, C)
+    _assert_inverse(S, J, I, X, C)
     # entries past 2**64: S^-1 has the denominator 2**70, which takes the
     # CRT of several word primes; an unlucky prime among them starts the
     # lift over, and the lift past int64 comes back exact
     S = [[(1 << 70) + 1, 1], [1, 1], [p0, 0]]
     used = _counting(monkeypatch, word[:2] + [p0] + word[2:])
-    I, X, C = linalg.row_inverse(SpMat.from_dense(np.array(S, dtype=object)))
+    J, I, X, C = linalg.row_inverse(SpMat.from_dense(np.array(S, dtype=object)))
     assert I == [0, 1] and X.den == 1 << 70 and X.vals.dtype == object
-    _assert_inverse(S, I, X, C)
+    _assert_inverse(S, J, I, X, C)
     assert used[:3] == word[:2] + [p0] and len(used) > 5
+
+
+def test_pivot_columns_survive_unlucky_primes(monkeypatch):
+    p0 = 101
+    word = list(itertools.islice(linalg._primes(), 10))
+    # the columns (1, 2) and (2, 4 + p0) are independent over Q and
+    # dependent mod p0, which drops the second: the dropped column is no
+    # combination of the kept one, so the certificate rejects p0
+    S = SpMat.from_dense(np.array([[1, 2], [2, 4 + p0]]))
+    assert linalg._row_inverse_mod(S, p0)[0] == [0]
+    used = _counting(monkeypatch, [p0] + word)
+    assert linalg.pivot_columns(S) == [0, 1] and linalg.rank(S) == 2
+    assert used[:2] == [p0, word[0]]
+    # the column (2, 4) is dependent over Q, and every prime drops it
+    S = [[1, 2, 0], [2, 4, 1]]
+    used = _counting(monkeypatch, [p0] + word)
+    J, I, X, C = linalg.row_inverse(SpMat.from_dense(np.array(S)))
+    assert J == [0, 2] and I == [0, 1] and used == [p0]
+    _assert_inverse(S, J, I, X, C)
+    # column 0 is p0 times the later column 1, so it is 0 mod p0, which
+    # keeps column 1 instead; column 0 is S[:, 1] y with y = p0, so only the
+    # support of y, at a kept column right of 0, rejects p0
+    S = SpMat.from_dense(np.array([[p0, 1], [2 * p0, 2]]))
+    assert linalg._row_inverse_mod(S, p0)[0] == [1]
+    used = _counting(monkeypatch, [p0] + word)
+    assert linalg.pivot_columns(S) == [0] and used[:2] == [p0, word[0]]
 
 
 def test_empty_and_zero_column_inputs():
     def zeros(m, n):
         return np.zeros((m, n), dtype=np.int64)
 
-    assert linalg.pivot_columns(zeros(0, 0)) == []
-    assert linalg.pivot_columns(np.array([[0, 0], [0, 3]])) == [1]
-    assert linalg.rank(zeros(0, 0)) == 0
-    assert linalg.rank(zeros(2, 0)) == 0
-    assert linalg.rank(zeros(2, 2)) == 0
+    assert linalg.pivot_columns(SpMat.zeros(0, 0)) == []
+    assert linalg.pivot_columns(SpMat.from_dense(np.array([[0, 0], [0, 3]]))) == [1]
+    assert linalg.rank(SpMat.zeros(0, 0)) == 0
+    assert linalg.rank(SpMat.zeros(2, 0)) == 0
+    assert linalg.rank(SpMat.zeros(2, 2)) == 0
+    J, I, X, C = linalg.row_inverse(SpMat.zeros(2, 2))
+    assert (J, I, X.shape, C.shape) == ([], [], (0, 0), (2, 0))
     assert linalg.kernel_basis(zeros(0, 0)).shape == (0, 0)
     assert linalg.kernel_basis(zeros(0, 3)).tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert linalg.kernel_basis(zeros(2, 0)).shape == (0, 0)
@@ -359,14 +392,16 @@ def test_rank_and_solve_match_fraction_references_on_int64_and_big_rows():
         B = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(3)]
         B.append([int(v) for v in _matvec(M, [rng.randint(-3, 3) for _ in range(n)])])
         dtype = object if trial % 2 else np.int64
-        assert linalg.rank(np.array(M, dtype=dtype)) == _ref_rank(M)
+        # the SpMat M / den: the same rank and pivots
+        den = rng.choice([3, (1 << 64) + 1])
+        assert linalg.rank(SpMat.from_dense(np.array(M, dtype=dtype), den)) == _ref_rank(M)
         for b in B:
             # M x = b is solvable iff column n of [M | b] is no pivot; then the
             # kernel vector of that column, v with v[n] > 0 and every other
             # free unknown 0, gives the solution x = -v[:n] / v[n]
             Mb = np.array([row + [v] for row, v in zip(M, b)], dtype=dtype)
             want = _ref_solve(M, b)
-            assert (n not in linalg.pivot_columns(Mb)) == (want is not None)
+            assert (n not in linalg.pivot_columns(SpMat.from_dense(Mb, den))) == (want is not None)
             if want is None:
                 checked += 1
                 continue

@@ -216,8 +216,9 @@ def test_coordinates_read_back_combinations_of_the_basis():
             Y, D = r.coordinates(linalg.imatmul(r.P, Xc))
             assert D > 0 and (Y == D * Xc).all(), (F.name, G.name)
         # a unit vector outside P's column span is no solution
+        units = np.eye(r.n_v, dtype=np.int64)
         i = next(i for i in range(r.n_v)
-                 if linalg.rank(np.hstack([r.P, np.eye(r.n_v, dtype=np.int64)[:, [i]]])) > p)
+                 if linalg.rank(SpMat.from_dense(np.hstack([r.P, units[:, [i]]]))) > p)
         A = np.hstack([linalg.imatmul(r.P, X), np.eye(r.n_v, dtype=np.int64)[:, [i]]])
         with pytest.raises(OracleError, match="leaves the solution space"):
             r.coordinates(A)
@@ -295,8 +296,9 @@ def test_verify_catches_a_single_non_solution_column():
     U = (eye + np.triu(ones, 1)) @ (eye + np.tril(ones, -1))
     NatHomResult(F, G, r.span, linalg.imatmul(r.P, U), r.blocks).verify()
     # a unit vector outside P's column span is no solution
+    units = np.eye(r.n_v, dtype=np.int64)
     i = next(i for i in range(r.n_v)
-             if linalg.rank(np.hstack([r.P, np.eye(r.n_v, dtype=np.int64)[:, [i]]])) > p)
+             if linalg.rank(SpMat.from_dense(np.hstack([r.P, units[:, [i]]]))) > p)
     for k in range(p):
         P = r.P.copy()
         P[:, k] = np.eye(r.n_v, dtype=np.int64)[:, i]
@@ -806,7 +808,8 @@ def test_constraint_cuts_match_the_gram_sum_reference():
         assert r.constraints["nonzero"] <= ref.constraints["nonzero"], (src, tgt)
         cut_within.append(r.constraints["nonzero"] < ref.constraints["nonzero"])
         if r.dimension:
-            assert linalg.rank(np.hstack([r.P, ref.P])) == r.dimension, (src, tgt)
+            both = SpMat.from_dense(np.hstack([r.P, ref.P]))
+            assert linalg.rank(both) == r.dimension, (src, tgt)
             r.verify()
     # the degree-4 pairs cut within a move, so their later constraints vanish
     assert any(cut_within[:3]), cut_within
