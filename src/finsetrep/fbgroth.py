@@ -16,18 +16,10 @@ sign; a sign (-1)^n by absolute degree n would not telescope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, Tuple
 
 from .partitions import Partition, hook, one_column, one_row
 from .symrep import IrrDecomposition, induction_product, irr_dim, pointwise_product
-
-
-@lru_cache(maxsize=None)
-def _induct_irr(lam: Partition, mu: Partition) -> IrrDecomposition:
-    return induction_product(
-        IrrDecomposition.irreducible(lam), IrrDecomposition.irreducible(mu)
-    )
 
 
 @dataclass
@@ -119,11 +111,13 @@ def _convolve(terms, b: VirtualFB, t: int) -> Dict[Tuple[Partition, object], int
     each (nu, d) of b with |lam| + |nu| <= t, c d times the induction
     product lam . nu, each constituent rho keyed (rho, rest)."""
     out: Dict[Tuple[Partition, object], int] = {}
+    b_irr = [(IrrDecomposition.irreducible(nu), d) for nu, d in b.coeffs.items()]
     for (lam, rest), c in terms:
-        for nu, d in b.coeffs.items():
-            if lam.size + nu.size > t:
+        a_irr = IrrDecomposition.irreducible(lam)
+        for b_nu, d in b_irr:
+            if lam.size + b_nu.n > t:
                 continue
-            for rho, m in _induct_irr(lam, nu).mults.items():
+            for rho, m in induction_product(a_irr, b_nu).mults.items():
                 key = (rho, rest)
                 out[key] = out.get(key, 0) + c * d * m
     return out

@@ -3,10 +3,12 @@
 Everything is computed exactly, in Python integers over one common
 denominator where values are rational: character tables by the
 Murnaghan-Nakayama recursion, inner products and decompositions into
-irreducibles, induction products over Young subgroups (the degreewise Day
-convolution), pointwise (Kronecker) products, sign twists, and the joint
+irreducibles, pointwise (Kronecker) products, sign twists, and the joint
 characters of symmetric-group pairs acting on sets of maps between finite
-sets.  Convention: the partition (1^n) indexes the sign representation.
+sets.  Induction products (the degreewise Day convolution) are counted by
+the Littlewood-Richardson rule and evaluate no character, so a Day
+convolution builds no character table.  Convention: the partition (1^n)
+indexes the sign representation.
 
 The module is plain Python; numpy is imported only by
 `enumerated_character`, which `perm_character_maps` runs as a check where
@@ -275,22 +277,18 @@ def sign_class(n: int) -> IrrDecomposition:
     return IrrDecomposition.irreducible(one_column(n))
 
 
-def _class_values(dec: IrrDecomposition) -> Tuple[Dict[Partition, int], int]:
-    """The class function sum_lam m_lam chi_lam of dec as integer numerators
-    by cycle type, over the common denominator of the m_lam."""
+def reconstruct(dec: IrrDecomposition) -> ClassFunction:
+    """Class function of a virtual decomposition: sum_lam m_lam chi_lam,
+    summed in integer numerators over the common denominator of the m_lam."""
     table = _table(dec.n)
     den = lcm(*(m.denominator for m in dec.mults.values()))
     acc = [0] * len(table.sizes)
     for lam, m in dec.mults.items():
         a = m.numerator * (den // m.denominator)
         acc = [x + a * chi for x, chi in zip(acc, table.rows[lam])]
-    return dict(zip(partitions_of(dec.n), acc)), den
-
-
-def reconstruct(dec: IrrDecomposition) -> ClassFunction:
-    """Class function of a virtual decomposition."""
-    values, den = _class_values(dec)
-    return ClassFunction(dec.n, {mu: Fraction(x, den) for mu, x in values.items()})
+    return ClassFunction(
+        dec.n, {mu: Fraction(x, den) for mu, x in zip(partitions_of(dec.n), acc)}
+    )
 
 
 def decompose(f: ClassFunction) -> IrrDecomposition:
@@ -323,38 +321,83 @@ def decompose(f: ClassFunction) -> IrrDecomposition:
 
 
 def induction_product(a: IrrDecomposition, b: IrrDecomposition) -> IrrDecomposition:
-    """Induced character of the external product over S_m x S_n <= S_{m+n}.
+    """Induced character of the external product over S_m x S_n <= S_{m+n}:
+    the degreewise Day convolution of FB-module classes.
 
-    Bilinear over virtual inputs; this is the degreewise Day convolution of
-    FB-module classes, and agrees with the Littlewood-Richardson rule.
+    Each pair of irreducibles is expanded by the Littlewood-Richardson rule
+    (`_lr_product`), whose memo is read only after the degree bound has
+    passed, and the product is extended bilinearly over virtual inputs.  No
+    character is evaluated; an integral multiplicity is an int, any other a
+    Fraction, as decompose returns them.
     """
-    m, n = a.n, b.n
-    check_degree(m + n)
-    (fa, den_a), (fb, den_b) = _class_values(a), _class_values(b)
-    values = {}
-    for gamma in partitions_of(m + n):
-        splits = _young_splits(gamma, m)
-        total = sum(ways * fa[alpha] * fb[beta] for alpha, beta, ways in splits)
-        values[gamma] = Fraction(total, den_a * den_b)
-    return decompose(ClassFunction(m + n, values))
+    n = a.n + b.n
+    check_degree(n)
+    out: Dict[Partition, object] = {}
+    for lam, x in a.mults.items():
+        for nu, y in b.mults.items():
+            for rho, c in _lr_product(lam, nu):
+                out[rho] = out.get(rho, 0) + x * y * c
+    return IrrDecomposition(
+        n, {rho: m.numerator if m.denominator == 1 else m for rho, m in out.items()}
+    )
 
 
 @lru_cache(maxsize=None)
-def _young_splits(gamma: Partition, m: int) -> Tuple[Tuple[Partition, Partition, int], ...]:
-    """The splits of the cycles of gamma into cycle types alpha |- m and
-    beta |- |gamma| - m, each with the number of cycle subsets realizing it.
+def _lr_product(lam: Partition, nu: Partition) -> Tuple[Tuple[Partition, int], ...]:
+    """The Littlewood-Richardson coefficients c^rho_{lam nu} that are nonzero,
+    as (rho, c) pairs.
 
-    That number is z_gamma / (z_alpha z_beta), so the induced character at
-    gamma is the sum of ways * f(alpha) * g(beta) over this table.
+    c^rho_{lam nu} counts the LR tableaux of shape rho/lam and content nu:
+    semistandard fillings whose reverse reading word is a lattice word.  They
+    are built as successive horizontal strips of nu_1 1s, nu_2 2s, ... on
+    lam.  A strip of label i+1 is kept when every row r has at most as many
+    i+1s in rows <= r as i's in rows < r: read right to left, a row's i+1s
+    come before its i's.  With nu one row or one column this is Pieri's rule.
     """
-    splits = []
-    for alpha_parts, ways in _split_multiset_all(gamma).items():
-        if sum(alpha_parts) == m:
-            beta = list(gamma)
-            for p in alpha_parts:
-                beta.remove(p)
-            splits.append((Partition(alpha_parts), Partition(beta), ways))
-    return tuple(splits)
+    if len(nu) > len(lam):
+        lam, nu = nu, lam  # c^rho_{lam nu} = c^rho_{nu lam}; fewer strips
+    counts: Dict[Tuple[int, ...], int] = {}
+
+    def fill(i: int, shape: Tuple[int, ...], prev: Tuple[int, ...]) -> None:
+        # shape holds labels < i; prev[r] counts the label i-1 boxes in row r
+        if i == len(nu):
+            counts[shape] = counts.get(shape, 0) + 1
+            return
+        for added in _strips(shape, nu[i], prev, nu[i] if i == 0 else 0):
+            new = tuple(p + q for p, q in zip(shape + (0,), added))
+            k = len(new) - (new[-1] == 0)
+            fill(i + 1, new[:k], added[:k])
+
+    fill(0, tuple(lam), (0,) * len(lam))
+    return tuple(sorted((Partition(rho), c) for rho, c in counts.items()))
+
+
+def _strips(shape: Tuple[int, ...], size: int, prev: Tuple[int, ...], room: int):
+    """The horizontal strips of size boxes on shape, as the boxes added to
+    each of its rows and one new row.  A strip has at most room plus
+    sum(prev[:r]) boxes in rows <= r, for every r; a first label passes
+    room = size, which bounds nothing.  Only row 0 and the rows shorter
+    than the row above can take boxes."""
+    old = shape + (0,)
+    rows = [r for r in range(len(old)) if r == 0 or old[r - 1] > old[r]]
+    caps = [old[r - 1] - old[r] if r else size for r in rows]
+    bounds = [room + sum(prev[:r]) for r in rows]
+    out = []
+
+    def place(j: int, left: int, placed: int, added: list) -> None:
+        if not left:
+            out.append(tuple(added))
+            return
+        if j == len(rows):
+            return
+        r = rows[j]
+        for a in range(min(left, caps[j], bounds[j] - placed), -1, -1):
+            added[r] = a
+            place(j + 1, left - a, placed + a, added)
+        added[r] = 0
+
+    place(0, size, 0, [0] * len(old))
+    return out
 
 
 def pointwise_product(a: IrrDecomposition, b: IrrDecomposition) -> IrrDecomposition:

@@ -6,8 +6,16 @@ from math import comb, factorial
 
 import pytest
 
-from finsetrep.partitions import Partition, one_column, one_row, partitions_of
+from finsetrep.partitions import (
+    Partition,
+    contains,
+    is_horizontal_strip,
+    one_column,
+    one_row,
+    partitions_of,
+)
 from finsetrep import facalc as fc
+from finsetrep import fbgroth as fg
 from finsetrep import symrep as sr
 
 
@@ -127,6 +135,10 @@ def test_degree_bound_holds_for_cached_tables():
     sr.decompose(f)  # the table of degree n is now cached
     fc.kfa_class(n)  # and so are the map blocks through bidegree n
     fc.fs_class(n, cross_check=False)
+    S0 = fg.series_S(0, n)
+    fg.day(fg.triv_class(n), S0)  # and so are the induction products to degree n
+    bimod = fg.external_product(fg.triv_class(n), fg.triv_class(n))
+    fg.bimod_convolve_right(bimod, S0)
     old = sr.degree_bound()
     try:
         sr.set_degree_bound(n - 1)
@@ -140,6 +152,10 @@ def test_degree_bound_holds_for_cached_tables():
             fc.kfa_class(n)
         with pytest.raises(sr.DegreeBoundError):
             fc.fs_class(n, cross_check=False)
+        with pytest.raises(sr.DegreeBoundError):
+            fg.day(fg.triv_class(n), S0)
+        with pytest.raises(sr.DegreeBoundError):
+            fg.bimod_convolve_right(bimod, S0)
     finally:
         sr.set_degree_bound(old)
 
@@ -378,15 +394,75 @@ def test_induction_product_commutative_associative_random():
         assert lhs == rhs
 
 
+def _induction_by_characters(a, b):
+    """The induced character over the Young subgroup S_m x S_n at each cycle
+    type gamma, summed over the splits of gamma's cycles into alpha |- m and
+    beta |- n (z_gamma / (z_alpha z_beta) cycle subsets each), then
+    decomposed: the reference for the Littlewood-Richardson route."""
+    m, n = a.n, b.n
+    fa, fb = sr.reconstruct(a), sr.reconstruct(b)
+    values = {}
+    for gamma in partitions_of(m + n):
+        total = Fraction(0)
+        for alpha, ways in sr._split_multiset_all(gamma).items():
+            if sum(alpha) == m:
+                beta = list(gamma)
+                for p in alpha:
+                    beta.remove(p)
+                total += ways * fa(Partition(alpha)) * fb(Partition(beta))
+        values[gamma] = total
+    return sr.decompose(sr.ClassFunction(m + n, values))
+
+
 def test_induction_product_of_every_irreducible_pair():
-    # every split table (gamma, m) with |gamma| <= 7, read from both sides
-    for m in range(8):
-        for n in range(8 - m):
+    # every pair with |lam| + |nu| <= 10, in both orders, against the
+    # induced characters
+    for m in range(11):
+        for n in range(11 - m):
             for a, b in itertools.product(partitions_of(m), partitions_of(n)):
                 ia, ib = sr.IrrDecomposition.irreducible(a), sr.IrrDecomposition.irreducible(b)
                 prod = sr.induction_product(ia, ib)
+                assert prod == _induction_by_characters(ia, ib), (a, b)
                 assert prod.dim() == comb(m + n, m) * sr.irr_dim(a) * sr.irr_dim(b), (a, b)
-                assert prod == sr.induction_product(ib, ia), (a, b)
+
+
+def test_induction_product_pieri_rows_and_columns():
+    # lam . (k) is the sum of the rho with rho/lam a horizontal strip, and
+    # lam . (1^k) of those with rho/lam a vertical strip, through size 12
+    for size in range(13):
+        for lam in (lam for m in range(size + 1) for lam in partitions_of(m)):
+            k = size - lam.size
+            ia = sr.IrrDecomposition.irreducible(lam)
+            strips = [rho for rho in partitions_of(size) if contains(rho, lam)]
+            row = sr.induction_product(ia, sr.trivial_class(k))
+            assert row.mults == {rho: 1 for rho in strips if is_horizontal_strip(rho, lam)}
+            column = sr.induction_product(ia, sr.sign_class(k))
+            assert column.mults == {
+                rho: 1
+                for rho in strips
+                if is_horizontal_strip(rho.conjugate(), lam.conjugate())
+            }
+
+
+def test_induction_product_of_fractional_classes_keeps_types():
+    a = sr.IrrDecomposition(
+        2, {Partition((2,)): Fraction(1, 3), Partition((1, 1)): Fraction(2, 3)}
+    )
+    b = sr.IrrDecomposition(2, {Partition((2,)): Fraction(3, 2), Partition((1, 1)): 1})
+    prod = sr.induction_product(a, b)
+    # (2,1,1) gets 1/3 + 1 + 2/3 = 2, an int; the others are Fractions
+    want = _induction_by_characters(a, b)
+    assert prod == want
+    assert {rho: type(m) for rho, m in prod.mults.items()} == {
+        rho: type(m) for rho, m in want.mults.items()
+    }
+    assert {type(m) for m in prod.mults.values()} == {int, Fraction}
+
+
+def test_day_convolution_builds_no_character_table(monkeypatch):
+    monkeypatch.setattr(sr, "_table_cache", {})
+    assert fg.invert_triv(fg.series_H(3, 12)) == fg.series_S(3, 12)
+    assert sr._table_cache == {}
 
 
 def test_induction_via_regular():
