@@ -53,25 +53,30 @@ def _simple_label_from_args(kind: str, arg: Optional[str]) -> fc.SimpleLabel:
     return fc.SimpleLabel.C(parse(arg)) if kind == "C" else fc.SimpleLabel.L(decimal_int(arg))
 
 
-# The oracle builder of each functor family; k, k0 and kbar take no degree.
-_BUILDERS = {
-    "k": "build_const_k",
-    "k0": "build_k0",
-    "kbar": "build_kbar",
-    "pfin": "build_pfin",
-    "pbar": "build_pbar_tensor",
-    "kfi": "build_kfi",
-    "lambda": "build_lambda_pfin",
-    "lambdabar": "build_lambda_pbar",
-    "proj": "build_proj_cover",
+# Each functor family: its oracle builder, and dims[N] of family:n at
+# truncation N >= 1 from closed forms, with nothing built.  That is the
+# largest dims[t], as every family grows with t.  k, k0 and kbar take no
+# degree and have one dimension; kfs, the surjection module of the norm-map
+# suite, has no builder that `hom` reaches.
+_FAMILIES = {
+    "k": ("build_const_k", None),
+    "k0": ("build_k0", None),
+    "kbar": ("build_kbar", None),
+    "pfin": ("build_pfin", lambda n, N: N ** n),
+    "pbar": ("build_pbar_tensor", lambda n, N: (N - 1) ** n),
+    "kfi": ("build_kfi", lambda n, N: perm(N, n)),
+    "kfs": (None, lambda n, N: fc.surjection_count(N, n)),
+    "lambda": ("build_lambda_pfin", lambda n, N: comb(N, n)),
+    "lambdabar": ("build_lambda_pbar", lambda n, N: comb(N - 1, n)),
+    # the exterior part plus the tensor power modulo its top exterior summand
+    "proj": ("build_proj_cover", lambda n, N: comb(N, n + 1) + (N - 1) ** n - comb(N - 1, n)),
 }
-_UNGRADED = ("k", "k0", "kbar")
 
 
 def _parse_descriptor(desc: str) -> Tuple[str, Optional[int]]:
     """(family, degree) of a functor descriptor such as 'pbar:2' or 'k';
     checks family and degree without loading the oracle."""
-    if desc in _UNGRADED:
+    if desc in _FAMILIES and _FAMILIES[desc][1] is None:
         return desc, None
     if ":" not in desc:
         raise CliError(f"bad functor descriptor {desc!r}")
@@ -82,7 +87,7 @@ def _parse_descriptor(desc: str) -> Tuple[str, Optional[int]]:
         raise CliError(f"bad functor descriptor {desc!r}")
     if n < 0:
         raise CliError(f"bad functor descriptor {desc!r}: the degree must be non-negative")
-    if head not in _BUILDERS or head in _UNGRADED:
+    if None in _FAMILIES.get(head, (None,)):
         raise CliError(f"unknown functor family {head!r}")
     return head, n
 
@@ -95,39 +100,21 @@ def _parse_descriptor(desc: str) -> Tuple[str, Optional[int]]:
 _BUDGET = 2500
 
 
-def _largest_dim(head: str, n: Optional[int], N: int) -> int:
-    """dims[N] of the functor family:n at truncation N >= 1, from closed
-    forms, with nothing built: the largest dims[t], as every family grows
-    with t.  kfs is the surjection module of the norm-map suite."""
-    if n is None:
-        return 1
-    return {
-        "pfin": lambda: N ** n,
-        "pbar": lambda: (N - 1) ** n,
-        "kfi": lambda: perm(N, n),
-        "kfs": lambda: fc.surjection_count(N, n),
-        "lambda": lambda: comb(N, n),
-        "lambdabar": lambda: comb(N - 1, n),
-        # the exterior part plus the tensor power modulo its top exterior summand
-        "proj": lambda: comb(N, n + 1) + (N - 1) ** n - comb(N - 1, n),
-    }[head]()
-
-
 def _admit(flag: str, N: int, functors: List[Tuple[str, Optional[int]]]) -> None:
     """Refuses, before anything is built, a truncation N with more than
     _BUDGET generator moves, or a functor with more than _BUDGET dimensions
     at size N.  Below 2, and for a degree above N, the builders refuse or
-    build nothing large."""
+    build nothing large; an ungraded family has one dimension."""
     if N < 2 or not functors:
         return
     moves = N * (N - 1) // 2 + 2 * N - 1
     if moves > _BUDGET:
         raise CliError(f"{flag} {N}: {moves} generator moves, above the budget of {_BUDGET}")
     for head, n in functors:
-        if n is not None and n > N:
+        if n is None or n > N:
             continue
-        d = _largest_dim(head, n, N)
-        if d > _BUDGET:  # never an ungraded family: they have one dimension
+        d = _FAMILIES[head][1](n, N)
+        if d > _BUDGET:
             raise CliError(f"{flag} {N}: {head}:{n} has {d} dimensions at size {N}, "
                            f"above the budget of {_BUDGET}")
 
@@ -136,7 +123,7 @@ def _functor_from_descriptor(desc: str, N: int):
     head, n = _parse_descriptor(desc)
     from . import oracle
 
-    build = getattr(oracle, _BUILDERS[head])
+    build = getattr(oracle, _FAMILIES[head][0])
     return build(N) if n is None else build(n, N)
 
 
@@ -242,90 +229,95 @@ def cmd_groth(args) -> str:
     )
 
 
-# The functors each oracle suite builds at --max-size N, as (family, degree)
-_ORACLE_SUITES = {
-    "idempotent": lambda N: [],
-    "lambda-complex": lambda N: [("lambda", k) for k in range(N + 1)],
-    "norm-map": lambda N: [(f, n) for n in range(1, min(3, N - 1) + 1) for f in ("kfi", "kfs")],
-    "right-aug": lambda N: [(f, n) for n in range(min(3, N - 2) + 1) for f in ("pbar", "pfin")],
-    "pbar-hom": lambda N: [("pbar", s) for s in range(min(3, N - 2) + 1)],
+def _pbar_hom(oracle, N: int, ns, seed: int) -> List:
+    reports = []
+    for s in ns:
+        for t in range(0, s + 1):
+            d = oracle.nat_hom(
+                oracle.build_pbar_tensor(s, N), oracle.build_pbar_tensor(t, N)
+            ).dimension
+            expected = factorial(s) if s == t else 0
+            reports.append(
+                fc.Report("hom_tensor_vanishing", {"s": s, "t": t, "N": N}, expected, d, d == expected)
+            )
+    return reports
+
+
+def _groth(oracle, N: int, ns, seed: int) -> List:
+    if N < 1:
+        raise CliError(f"suite 'groth' checks no identity at --max-size {N}")
+    _check_degree_bound("--max-size", N)
+    reports = []
+    for k in ns:
+        ok = all(
+            lhs == rhs
+            for lhs, rhs in (_IDENTITIES[name](k, N) for name in ("W", "H", "hook-inversion"))
+        )
+        reports.append(fc.Report("groth_identities", {"k": k, "N": N}, True, ok, ok))
+    # randomized round trip
+    rng = random.Random(seed)
+    for trial in range(3):
+        coeffs = {}
+        for _ in range(4):
+            n = rng.randint(0, max(0, N - 2))
+            lam = rng.choice(list(partitions_of(n)))
+            coeffs[lam] = coeffs.get(lam, 0) + rng.randint(-3, 3)
+        a = fg.VirtualFB(max(0, N - 2), coeffs)
+        ok = fg.invert_triv(fg.day(a, fg.triv_class(a.trunc))) == a
+        reports.append(fc.Report("invert_round_trip", {"trial": trial, "seed": seed}, True, ok, ok))
+    return reports
+
+
+def _kfs_cross(oracle, N: int, ns, seed: int) -> List:
+    reports = []
+    for n in ns:
+        try:
+            fc.fs_class(n, cross_check=True)
+            reports.append(fc.Report("kfs_cross", {"N": n}, True, True, True))
+        except fc.VerificationError as exc:
+            reports.append(fc.Report("kfs_cross", {"N": n}, True, str(exc), False))
+    return reports
+
+
+# Each verify suite at --max-size N as (degrees, families, checks): the
+# degrees ns it checks; the functor families it builds in each of them,
+# which _admit sizes before anything is built, or None for a symbolic suite,
+# which loads no oracle; and checks(oracle, N, ns, seed), its reports.  The
+# checks look up the oracle's functions when they run.
+_SUITES = {
+    "idempotent": (lambda N: range(N + 1), (), lambda oracle, N, ns, seed: [
+        oracle.pi_idempotent_check(n, image_sizes=[2, 3] if n <= 2 else None) for n in ns
+    ]),
+    "lambda-complex": (lambda N: range(N + 1), ("lambda",), lambda oracle, N, ns, seed: [
+        oracle.verify_lambda_complex(N)
+    ]),
+    "norm-map": (lambda N: range(1, min(3, N - 1) + 1), ("kfi", "kfs"), lambda oracle, N, ns, seed: [
+        oracle.verify_norm_map(n, N) for n in ns
+    ]),
+    "right-aug": (lambda N: range(min(3, N - 2) + 1), ("pbar", "pfin"), lambda oracle, N, ns, seed: [
+        oracle.verify_right_aug(n, t, N) for n in ns for t in ns
+    ]),
+    "pbar-hom": (lambda N: range(min(3, N - 2) + 1), ("pbar",), _pbar_hom),
+    "groth": (lambda N: range(min(8, N - 1) + 1), None, _groth),
+    # one size, capped at 6; a negative size runs no check
+    "kfs-cross": (lambda N: [min(N, 6)] if N >= 0 else [], None, _kfs_cross),
 }
-_SYMBOLIC_SUITES = ("groth", "kfs-cross")
 
 
 def _verify_suite(args) -> Tuple[List, int]:
     """Returns (reports, exit_code).  Only the oracle suites load the oracle."""
-    suite = args.suite
-    if suite not in (*_ORACLE_SUITES, *_SYMBOLIC_SUITES):
-        raise CliError(f"unknown suite {suite!r}")
+    if args.suite not in _SUITES:
+        raise CliError(f"unknown suite {args.suite!r}")
+    degrees, families, checks = _SUITES[args.suite]
     N = args.max_size
-    if suite in _ORACLE_SUITES:
-        _admit("--max-size", N, _ORACLE_SUITES[suite](N))
+    ns, oracle = degrees(N), None
+    if families is not None:
+        _admit("--max-size", N, [(f, n) for n in ns for f in families])
         from . import oracle
-    rng = random.Random(args.seed)
-    reports: List = []
-
-    if suite == "idempotent":
-        for n in range(0, N + 1):
-            reports.append(oracle.pi_idempotent_check(n, image_sizes=[2, 3] if n <= 2 else None))
-    elif suite == "lambda-complex":
-        reports.append(oracle.verify_lambda_complex(N))
-    elif suite == "norm-map":
-        for n in range(1, min(3, N - 1) + 1):
-            reports.append(oracle.verify_norm_map(n, N))
-    elif suite == "right-aug":
-        for n in range(0, min(3, N - 2) + 1):
-            for t in range(0, min(3, N - 2) + 1):
-                reports.append(oracle.verify_right_aug(n, t, N))
-    elif suite == "pbar-hom":
-        for s in range(0, min(3, N - 2) + 1):
-            for t in range(0, s + 1):
-                d = oracle.nat_hom(
-                    oracle.build_pbar_tensor(s, N), oracle.build_pbar_tensor(t, N)
-                ).dimension
-                expected = factorial(s) if s == t else 0
-                reports.append(
-                    fc.Report(
-                        "hom_tensor_vanishing",
-                        {"s": s, "t": t, "N": N},
-                        expected,
-                        d,
-                        d == expected,
-                    )
-                )
-    elif suite == "groth":
-        if N < 1:
-            raise CliError(f"suite 'groth' checks no identity at --max-size {N}")
-        _check_degree_bound("--max-size", N)
-        for k in range(0, min(8, N - 1) + 1):
-            ok = all(
-                lhs == rhs
-                for lhs, rhs in (_IDENTITIES[name](k, N) for name in ("W", "H", "hook-inversion"))
-            )
-            reports.append(fc.Report("groth_identities", {"k": k, "N": N}, True, ok, ok))
-        # randomized round trip
-        for trial in range(3):
-            coeffs = {}
-            for _ in range(4):
-                n = rng.randint(0, max(0, N - 2))
-                lam = rng.choice(list(partitions_of(n)))
-                coeffs[lam] = coeffs.get(lam, 0) + rng.randint(-3, 3)
-            a = fg.VirtualFB(max(0, N - 2), coeffs)
-            ok = fg.invert_triv(fg.day(a, fg.triv_class(a.trunc))) == a
-            reports.append(
-                fc.Report("invert_round_trip", {"trial": trial, "seed": args.seed}, True, ok, ok)
-            )
-    elif N >= 0:  # kfs-cross; a negative size runs no check
-        try:
-            fc.fs_class(min(N, 6), cross_check=True)
-            reports.append(fc.Report("kfs_cross", {"N": min(N, 6)}, True, True, True))
-        except fc.VerificationError as exc:
-            reports.append(fc.Report("kfs_cross", {"N": min(N, 6)}, True, str(exc), False))
+    reports = checks(oracle, N, ns, args.seed)
     if not reports:
-        raise CliError(f"suite {suite!r} runs no check at --max-size {N}")
-
-    failed = [r for r in reports if not r.passed]
-    return reports, (2 if failed else 0)
+        raise CliError(f"suite {args.suite!r} runs no check at --max-size {N}")
+    return reports, (2 if any(not r.passed for r in reports) else 0)
 
 
 def cmd_verify(args) -> Tuple[str, int]:
@@ -358,52 +350,43 @@ def build_parser() -> _Parser:
         default_trunc = decimal_int(env_trunc)
     except ValueError:
         raise CliError(f"{DEFAULT_TRUNC_ENV} must be an integer, got {env_trunc!r}") from None
+    formats = _Parser(add_help=False)
+    formats.add_argument("--format", choices=["json", "tsv"], default="tsv")
+    truncs = _Parser(add_help=False)
+    truncs.add_argument("--trunc", type=decimal_int, default=default_trunc)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=["json", "tsv"], default="tsv")
-        p.add_argument("--trunc", type=decimal_int, default=default_trunc)
-        p.add_argument("--seed", type=decimal_int, default=0)
+    def command(name, func, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=[formats, *parents])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("simple-eval", help="evaluate a simple module on a t-set")
+    p = command("simple-eval", cmd_simple_eval, "evaluate a simple module on a t-set")
     p.add_argument("kind", choices=["C", "L", "k0"])
     p.add_argument("arg", nargs="?", default=None)
     p.add_argument("--t", type=decimal_int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_simple_eval)
 
-    p = sub.add_parser("decompose-pfin", help="split a Schur-projective")
+    p = command("decompose-pfin", cmd_decompose_pfin, "split a Schur-projective")
     p.add_argument("partition")
-    common(p)
-    p.set_defaults(func=cmd_decompose_pfin)
 
-    p = sub.add_parser("structure-kfi", help="summands of an injection module")
+    p = command("structure-kfi", cmd_structure_kfi, "summands of an injection module")
     p.add_argument("n", type=decimal_int)
-    common(p)
-    p.set_defaults(func=cmd_structure_kfi)
 
-    p = sub.add_parser("multiplicities", help="composition factors from data")
+    p = command("multiplicities", cmd_multiplicities, "composition factors from data")
     p.add_argument("--input", required=True)
-    common(p)
-    p.set_defaults(func=cmd_multiplicities)
 
-    p = sub.add_parser("hom", help="oracle hom-space dimension")
+    p = command("hom", cmd_hom, "oracle hom-space dimension", truncs)
     p.add_argument("--from", dest="from", required=True)
     p.add_argument("--to", required=True)
-    common(p)
-    p.set_defaults(func=cmd_hom)
 
-    p = sub.add_parser("groth", help="check a Grothendieck-group identity")
+    p = command("groth", cmd_groth, "check a Grothendieck-group identity", truncs)
     p.add_argument("--identity", required=True)
     p.add_argument("--k", type=decimal_int, default=0)
-    common(p)
-    p.set_defaults(func=cmd_groth)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+    p = command("verify", cmd_verify, "run a verification suite")
     p.add_argument("--suite", required=True)
     p.add_argument("--max-size", type=decimal_int, default=default_trunc)
-    common(p)
-    p.set_defaults(func=cmd_verify)
+    p.add_argument("--seed", type=decimal_int, default=0)
 
     return parser
 

@@ -70,26 +70,6 @@ class VirtualFB:
     def dim_at(self, n: int) -> int:
         return self.degree(n).dim()
 
-    def to_json(self) -> dict:
-        return {
-            "trunc": self.trunc,
-            "coeffs": [
-                {"partition": lam.to_json(), "coeff": c}
-                for lam, c in sorted(self.coeffs.items())
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "VirtualFB":
-        return cls(
-            data["trunc"],
-            {Partition(e["partition"]): e["coeff"] for e in data["coeffs"]},
-        )
-
-    @classmethod
-    def from_decomposition(cls, dec: IrrDecomposition, trunc: int) -> "VirtualFB":
-        return cls(trunc, dict(dec.mults))
-
 
 def unit(trunc: int) -> VirtualFB:
     """[k_0] = [triv_0], the unit of Day convolution."""
@@ -226,27 +206,6 @@ class VirtualFBBimod:
         return VirtualFB(
             self.trunc_left,
             {lam: c for (lam, mu), c in self.coeffs.items() if mu == b_partition},
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "trunc_left": self.trunc_left,
-            "trunc_right": self.trunc_right,
-            "coeffs": [
-                {"left": lam.to_json(), "right": mu.to_json(), "coeff": c}
-                for (lam, mu), c in sorted(self.coeffs.items())
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "VirtualFBBimod":
-        return cls(
-            data["trunc_left"],
-            data["trunc_right"],
-            {
-                (Partition(e["left"]), Partition(e["right"])): e["coeff"]
-                for e in data["coeffs"]
-            },
         )
 
 

@@ -748,7 +748,3 @@ def sgn_coinvariant_reduction(F: TruncatedFunctor, t: int):
                   np.concatenate([m.vals for m in relations]))
     _, proj, free, _ = subspace_maps(R)
     return R, proj, free
-
-
-def sgn_coinvariant_dim(F: TruncatedFunctor, t: int) -> int:
-    return len(sgn_coinvariant_reduction(F, t)[2])

@@ -510,9 +510,7 @@ def _split_multiset_all(parts: Tuple[int, ...]) -> Dict[Tuple[int, ...], int]:
 _ENUM_BLOCK = 1 << 13
 
 
-def enumerated_character(
-    s: int, t: int, surjective_only: bool, injective_only: bool = False
-) -> JointClassFunction:
+def enumerated_character(s: int, t: int, surjective_only: bool) -> JointClassFunction:
     """Joint character by explicit enumeration of all maps s -> t.
 
     Independent of the counting formulas; intended as their oracle at
@@ -530,15 +528,10 @@ def enumerated_character(
 
     # column j holds the images of map j, the maps in lexicographic order
     images = np.indices((t,) * s, dtype=np.int64).reshape(s, t**s)
-    if surjective_only or injective_only:
+    if surjective_only:
         ordered = np.sort(images, axis=0)
         distinct = (ordered[1:] != ordered[:-1]).sum(axis=0) + (s > 0)
-        keep = np.ones(images.shape[1], dtype=bool)
-        if surjective_only:
-            keep &= distinct == t
-        if injective_only:
-            keep &= distinct == s
-        images = images[:, keep]
+        images = images[:, distinct == t]
     weights = t ** np.arange(s - 1, -1, -1, dtype=np.int64)
     alphas, betas = partitions_of(s), partitions_of(t)
     sigmas = [np.array(representative(alpha), dtype=np.int64) for alpha in alphas]

@@ -120,7 +120,7 @@ def test_negative_or_vacuous_arguments_exit_1(capsys, argv, message):
         (["structure-kfi", " 2"], None),
         (["groth", "--identity", "W", "--k", "1_0", "--trunc", "12"], None),
         (["groth", "--identity", "W", "--k", "1", "--trunc", "٤"], None),
-        (["groth", "--identity", "W", "--k", "1", "--trunc", "4", "--seed", "+3"], None),
+        (["verify", "--suite", "groth", "--max-size", "4", "--seed", "+3"], None),
         (["decompose-pfin", "1_0"], None),
         (["decompose-pfin", "2,+1"], None),
         (["decompose-pfin", "(2,١)"], None),
@@ -467,12 +467,13 @@ def test_size_estimates_match_the_builders():
                 except OracleError as exc:  # a degree the builder refuses
                     assert "needs N >=" in str(exc), (head, n, N)
                     continue
-                assert max(F.dims) == F.dims[N] == cli._largest_dim(head, n, N), (head, n, N)
+                assert max(F.dims) == F.dims[N] == cli._FAMILIES[head][1](n, N), (head, n, N)
                 assert len(F.gen_keys()) == N * (N - 1) // 2 + 2 * N - 1
-        for head in cli._UNGRADED:
-            assert max(cli._functor_from_descriptor(head, N).dims) == cli._largest_dim(head, None, N)
+        for head in ("k", "k0", "kbar"):
+            assert cli._FAMILIES[head][1] is None
+            assert max(cli._functor_from_descriptor(head, N).dims) == 1
         for n in range(1, 4):
-            assert cli._largest_dim("kfs", n, N) == surjection_count(N, n)
+            assert cli._FAMILIES["kfs"][1](n, N) == surjection_count(N, n)
 
 
 @pytest.mark.parametrize(
@@ -506,11 +507,72 @@ def test_sizes_above_the_budget_exit_1_before_any_build(capsys, monkeypatch, arg
     assert message in json.loads(err)["error"]
 
 
-def test_the_budget_admits_the_runs_in_use():
+def _admitted(capsys, suite, N):
+    """The functors that `verify --suite suite --max-size N` passes to _admit,
+    recorded before any check runs."""
+    from finsetrep import cli
+
+    seen = []
+
+    def record(flag, size, functors):
+        seen.append((flag, size, functors))
+        raise cli.CliError("recorded")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_admit", record)
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-size", str(N))
+    assert (code, out, json.loads(err)) == (1, "", {"error": "recorded"})
+    [(flag, size, functors)] = seen
+    assert (flag, size) == ("--max-size", N)
+    return functors
+
+
+def test_the_budget_admits_the_runs_in_use(capsys):
     from finsetrep import cli
 
     for source, target, N in (("pbar", "pbar", 7), ("pbar", "pfin", 7), ("pbar", "pfin", 6)):
         cli._admit("--trunc", N, [(source, 4), (target, 4)])
     for suite, N in (("right-aug", 5), ("lambda-complex", 13), ("norm-map", 7), ("pbar-hom", 13),
                      ("idempotent", 1000)):
-        cli._admit("--max-size", N, cli._ORACLE_SUITES[suite](N))
+        cli._admit("--max-size", N, _admitted(capsys, suite, N))
+
+
+def test_oracle_suites_admit_the_functors_they_build(capsys):
+    # the (family, degree) list of each oracle suite as stated before the
+    # suites' degrees became one table
+    expected = {
+        "idempotent": lambda N: [],
+        "lambda-complex": lambda N: [("lambda", k) for k in range(N + 1)],
+        "norm-map": lambda N: [(f, n) for n in range(1, min(3, N - 1) + 1) for f in ("kfi", "kfs")],
+        "right-aug": lambda N: [(f, n) for n in range(min(3, N - 2) + 1) for f in ("pbar", "pfin")],
+        "pbar-hom": lambda N: [("pbar", s) for s in range(min(3, N - 2) + 1)],
+    }
+    for suite, functors in expected.items():
+        for N in range(2, 9):
+            assert _admitted(capsys, suite, N) == functors(N), (suite, N)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *([*argv, "--trunc", "3"] for argv in (
+            ["simple-eval", "C", "2", "--t", "3"],
+            ["decompose-pfin", "2,1"],
+            ["structure-kfi", "2"],
+            ["multiplicities", "--input", "module.json"],
+            ["verify", "--suite", "groth", "--max-size", "4"],
+        )),
+        *([*argv, "--seed", "1"] for argv in (
+            ["simple-eval", "C", "2", "--t", "3"],
+            ["decompose-pfin", "2,1"],
+            ["structure-kfi", "2"],
+            ["multiplicities", "--input", "module.json"],
+            ["hom", "--from", "pbar:1", "--to", "pfin:1", "--trunc", "3"],
+            ["groth", "--identity", "W", "--k", "1", "--trunc", "4"],
+        )),
+    ],
+)
+def test_each_command_refuses_the_flags_it_does_not_read(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": f"unrecognized arguments: {' '.join(argv[-2:])}"}

@@ -4,7 +4,6 @@ import pytest
 
 from finsetrep.partitions import Partition, one_column, partitions_of
 from finsetrep import fbgroth as fg
-from finsetrep.symrep import IrrDecomposition
 
 
 def random_class(rng, trunc):
@@ -114,13 +113,6 @@ def test_effectivity_flag():
     assert not fg.series_S(0, 4).is_effective()
 
 
-def test_json_round_trip():
-    a = fg.VirtualFB(5, {Partition((2, 1)): -2, Partition(()): 3})
-    assert fg.VirtualFB.from_json(a.to_json()) == a
-    bm = fg.external_product(a, fg.sgn_class(2, 5))
-    assert fg.VirtualFBBimod.from_json(bm.to_json()) == bm
-
-
 def test_bimod_convolutions():
     unit = fg.unit(3)
     bm = fg.external_product(
@@ -153,9 +145,3 @@ def test_bimod_bidegree_and_dims():
     assert bm.dim_at(2, 0) == 1
     assert bm.dim_at(2, 3) == 1
     assert bm.bidegree(1, 1) == {}
-
-
-def test_from_decomposition():
-    dec = IrrDecomposition(2, {Partition((2,)): 3})
-    v = fg.VirtualFB.from_decomposition(dec, 4)
-    assert v.degree(2) == dec

@@ -23,7 +23,6 @@ from finsetrep.oracle import (
     isotypic_subfunctor,
     map_matrix,
     quotient_functor,
-    sgn_coinvariant_dim,
 )
 from finsetrep.oracle.functors import (
     SpMat,
@@ -33,6 +32,7 @@ from finsetrep.oracle.functors import (
     is_natural,
     lambda_pbar_embedding,
     move_map,
+    sgn_coinvariant_reduction,
     subspace_maps,
 )
 
@@ -433,7 +433,7 @@ def test_sgn_coinvariant_dims():
     F = build_pfin(2, 5)
     for t in range(1, 6):
         dec = inner_class(F, t)
-        assert sgn_coinvariant_dim(F, t) == dec[one_column(t)]
+        assert len(sgn_coinvariant_reduction(F, t)[2]) == dec[one_column(t)]
 
 
 def test_fb_module_data_extraction():

@@ -284,19 +284,14 @@ def test_enumerated_character_against_brute_force():
     # lopsided shapes pin the digit weights and digit order of the map codes
     cases += [(6, 2), (2, 6), (5, 3), (3, 5)]
     for s, t in cases:
-        for surj, inj in [(False, False), (True, False), (False, True), (True, True)]:
-            got = sr.enumerated_character(s, t, surjective_only=surj, injective_only=inj)
-            want = _count_fixed_maps(
-                s,
-                t,
-                lambda f: (not surj or len(set(f)) == t) and (not inj or len(set(f)) == s),
-            )
-            assert got.values == want, (s, t, surj, inj)
+        for surj in (False, True):
+            got = sr.enumerated_character(s, t, surjective_only=surj)
+            want = _count_fixed_maps(s, t, lambda f: not surj or len(set(f)) == t)
+            assert got.values == want, (s, t, surj)
     assert sr.enumerated_character(0, 0, True).total() == 1
     assert sr.enumerated_character(0, 3, False).total() == 1
     assert sr.enumerated_character(0, 3, True).total() == 0
     assert sr.enumerated_character(3, 0, False).total() == 0
-    assert sr.enumerated_character(3, 4, False, injective_only=True).total() == 24
 
 
 def test_decompose_reconstruct_round_trip():
