@@ -279,13 +279,20 @@ def _kfs_cross(oracle, N: int, ns, seed: int) -> List:
     return reports
 
 
+def _idempotent_degrees(N: int) -> range:
+    """pi_n's square has 4^n terms: past n = 8, refused before the oracle loads."""
+    if N > 8:
+        raise CliError(f"suite 'idempotent' expands pi_n only up to --max-size 8, got {N}")
+    return range(N + 1)
+
+
 # Each verify suite at --max-size N as (degrees, families, checks): the
 # degrees ns it checks; the functor families it builds in each of them,
 # which _admit sizes before anything is built, or None for a symbolic suite,
 # which loads no oracle; and checks(oracle, N, ns, seed), its reports.  The
 # checks look up the oracle's functions when they run.
 _SUITES = {
-    "idempotent": (lambda N: range(N + 1), (), lambda oracle, N, ns, seed: [
+    "idempotent": (_idempotent_degrees, (), lambda oracle, N, ns, seed: [
         oracle.pi_idempotent_check(n, image_sizes=[2, 3] if n <= 2 else None) for n in ns
     ]),
     "lambda-complex": (lambda N: range(N + 1), ("lambda",), lambda oracle, N, ns, seed: [

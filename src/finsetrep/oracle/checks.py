@@ -5,7 +5,9 @@ arithmetic: the explicit idempotent and its image, the identification of
 maps out of reduced tensor powers with surjection spaces, hom-spaces out
 of exterior powers via the signed-inclusion complex, exactness of the
 exterior-power complex, the norm-like map's kernel, and composition-factor
-multiplicities read off from hom-spaces out of projective covers.
+multiplicities read off from hom-spaces out of projective covers.  Every
+matrix on a basis of tuples is one functors._TupleBasis lookup of the
+tuples' signed images, which counts a tuple outside the basis as zero.
 """
 
 from __future__ import annotations
@@ -25,7 +27,10 @@ from .functors import (
     OracleError,
     SpMat,
     TruncatedFunctor,
+    _TupleBasis,
     _check_truncation,
+    _difference_terms,
+    _tuples,
     build_lambda_pbar,
     build_lambda_pfin,
     build_pbar_tensor,
@@ -78,13 +83,18 @@ def pi_idempotent_check(n: int, image_sizes: Optional[List[int]] = None) -> Repo
     details = {"terms": len(pi)}
     if ok and image_sizes:
         for t in image_sizes:
-            M, expected_rank = _pi_action_and_rank(n, t)
-            r = linalg.rank(SpMat.from_dense(M))
-            idem = bool((linalg.imatmul(M, M) == M).all())
+            # pi_n acting on the tuples of length n+1 over t points, by
+            # precomposition, and its expected image dimension t*(t-1)^n
+            tuples = _tuples(itertools.product(range(t), repeat=n + 1), n + 1)
+            target = _TupleBasis(tuples, t)
+            M = target.matrix(len(tuples), [(tuples[:, list(f)], c) for f, c in pi.items()])
+            expected_rank = t * (t - 1) ** n if t >= 1 else 0
+            r = linalg.rank(M)
+            idem = M.compose(M).equals(M)
             # the image of the idempotent is the span of E, of the expected rank
-            E = _split_summand_columns(n, t)
-            span_ok = (linalg.rank(SpMat.from_dense(E)) == expected_rank
-                       == linalg.rank(SpMat.from_dense(np.hstack([E, M]))))
+            E = _split_summand(n, t, target)
+            EM = SpMat.from_dense(np.hstack([E.int_rows(), M.int_rows()]))
+            span_ok = linalg.rank(E) == expected_rank == linalg.rank(EM)
             details[f"size_{t}"] = {
                 "rank": r,
                 "expected_rank": expected_rank,
@@ -97,50 +107,16 @@ def pi_idempotent_check(n: int, image_sizes: Optional[List[int]] = None) -> Repo
     )
 
 
-def _tuple_index(t: int, length: int) -> Dict[Tuple[int, ...], int]:
-    """The position of every tuple of the given length over t points in
-    the basis of tuples, in lexicographic order."""
-    return {tup: i for i, tup in enumerate(itertools.product(range(t), repeat=length))}
-
-
-def _pi_action_and_rank(n: int, t: int) -> Tuple[np.ndarray, int]:
-    """Matrix of pi_n acting on tuples of length n+1 over t points, by
-    precomposition, with the expected image dimension t*(t-1)^n."""
-    pi = pi_element(n)
-    index = _tuple_index(t, n + 1)
-    M = np.zeros((len(index), len(index)), dtype=np.int64)
-    for f, c in pi.items():
-        for x, j in index.items():
-            M[index[tuple(x[f[i]] for i in range(n + 1))], j] += c
-    return M, t * (t - 1) ** n if t >= 1 else 0
-
-
-def _split_summand_columns(n: int, t: int) -> np.ndarray:
+def _split_summand(n: int, t: int, target: _TupleBasis) -> SpMat:
     """The vectors [x0] (x) prod([y_i] - [x0]) of tuples of length n+1 over
     t points, for every x0 and every y in the other points^n, as the
-    columns of an int64 array."""
-    index = _tuple_index(t, n + 1)
-    E = np.zeros((len(index), t * (t - 1) ** n), dtype=np.int64)
-    j = 0
-    for x0 in range(t):
-        for y in itertools.product([v for v in range(t) if v != x0], repeat=n):
-            for tup, c in _difference_product(x0, y).items():
-                E[index[(x0,) + tup], j] += c
-            j += 1
-    return E
-
-
-def _difference_product(x0: int, y: Tuple[int, ...]) -> Dict[Tuple[int, ...], int]:
-    """Expansion of the tensor product over i of ([y_i] - [x0]) in the
-    basis of tuples, as tuple -> coefficient."""
-    out: Dict[Tuple[int, ...], int] = {(): 1}
-    for v in y:
-        nxt: Dict[Tuple[int, ...], int] = {}
-        for tup, c in out.items():
-            for w, sign in ((v, c), (x0, -c)):
-                nxt[tup + (w,)] = nxt.get(tup + (w,), 0) + sign
-        out = nxt
-    return out
+    columns of a SpMat over the target basis, which drops the tuples
+    outside it."""
+    rows = _tuples(((x0,) + y for x0 in range(t)
+                    for y in itertools.product([v for v in range(t) if v != x0], repeat=n)), n + 1)
+    x0 = rows[:, :1]
+    return target.matrix(len(rows), [(np.hstack([x0, images]), sign)
+                                     for images, sign in _difference_terms(rows[:, 1:], x0)])
 
 
 # ---------------------------------------------------------------------------
@@ -162,19 +138,16 @@ def verify_right_aug(n: int, t: int, N: int) -> Report:
         # the coordinates of each Yoneda morphism, restricted to the
         # subfunctor, over the solution basis: the generator of the reduced
         # tensor power inside tuples over {0..n}, sent along alpha
-        w_expansion = _difference_product(0, tuple(range(1, n + 1)))
-        index = _tuple_index(n + 1, t)
-        alphas = list(itertools.product(range(n), repeat=t))
-        A = np.zeros((len(index), len(alphas)), dtype=np.int64)
-        for j, alpha in enumerate(alphas):
-            for tup, sign in w_expansion.items():
-                A[index[tuple(tup[a] for a in alpha)], j] += sign
+        w = _difference_terms(np.arange(1, n + 1)[None], 0)
+        alphas = _tuples(itertools.product(range(n), repeat=t), t)
+        tuples = _tuples(itertools.product(range(n + 1), repeat=t), t)
+        A = _TupleBasis(tuples, n + 1).matrix(len(alphas), [(tup[0, alphas], sign) for tup, sign in w]).int_rows()
         try:
             Y, _ = res.coordinates(A)
         except OracleError:
             return Report("realize_right_aug", {"n": n, "t": t, "N": N}, expected,
                           "a restricted Yoneda morphism is no natural transformation", False)
-        nonsurjective = np.array([len(set(alpha)) < n for alpha in alphas], dtype=bool)
+        nonsurjective = np.array([len(set(alpha)) < n for alpha in alphas.tolist()], dtype=bool)
         rank = linalg.rank(SpMat.from_dense(Y))
         ker_dim = len(alphas) - rank
         n_nonsurj = int(nonsurjective.sum())
@@ -236,17 +209,9 @@ def lambda_boundary(N: int, t: int) -> List[SpMat]:
     the standard projective, one matrix per set size <= N."""
     mats = []
     for m in range(N + 1):
-        subsets_top = list(itertools.combinations(range(m), t))
-        subsets_bot = list(itertools.combinations(range(m), t - 1))
-        idx = {S: i for i, S in enumerate(subsets_bot)}
-        rows, cols, vals = [], [], []
-        for j, S in enumerate(subsets_top):
-            for pos in range(t):
-                rest = S[:pos] + S[pos + 1 :]
-                rows.append(idx[rest])
-                cols.append(j)
-                vals.append((-1) ** pos)
-        mats.append(SpMat(len(subsets_bot), len(subsets_top), rows, cols, vals))
+        top = _tuples(itertools.combinations(range(m), t), t)
+        bottom = _TupleBasis(_tuples(itertools.combinations(range(m), t - 1), t - 1), m)
+        mats.append(bottom.matrix(len(top), [(np.delete(top, pos, 1), (-1) ** pos) for pos in range(t)]))
     return mats
 
 
@@ -330,13 +295,6 @@ def verify_norm_map(n: int, N: int) -> Report:
 # Surjectivity refinements
 
 
-def _injective_rows(n: int, t: int) -> List[int]:
-    """The positions of the injective tuples of length n over t points in
-    the basis of tuples: the rows that the projection onto the injection
-    module keeps, sending the others to zero."""
-    return [i for tup, i in _tuple_index(t, n).items() if len(set(tup)) == n]
-
-
 def verify_refine_surjection(n: int, N: int) -> Report:
     """The split summand generated by [x0] (x) prod([y_i]-[x0]) surjects
     onto the injection module at every size <= N."""
@@ -348,7 +306,9 @@ def verify_refine_surjection(n: int, N: int) -> Report:
         inj_dim = perm(t, n)
         if inj_dim == 0:
             continue
-        r = linalg.rank(SpMat.from_dense(_split_summand_columns(n - 1, t)[_injective_rows(n, t)]))
+        # a lookup in the injection module's basis drops the other tuples
+        injections = _TupleBasis(_tuples(itertools.permutations(range(t), n), n), t)
+        r = linalg.rank(_split_summand(n - 1, t, injections))
         details[f"t={t}"] = {"rank": r, "target_dim": inj_dim}
         ok = ok and r == inj_dim
     return Report("refine_surject_to_kfi", {"n": n, "N": N}, "surjective", details, ok)
@@ -365,14 +325,11 @@ def verify_almost_surjectivity(n: int, N: int) -> Report:
         inj_dim = perm(t, n)
         if inj_dim == 0:
             continue
-        # the columns prod([y_i] - [0]) that span the reduced tensor power
-        index = _tuple_index(t, n)
-        ys = list(itertools.product(range(1, t), repeat=n))
-        C = np.zeros((len(index), len(ys)), dtype=np.int64)
-        for j, y in enumerate(ys):
-            for tup, c in _difference_product(0, y).items():
-                C[index[tup], j] += c
-        coker = inj_dim - linalg.rank(SpMat.from_dense(C[_injective_rows(n, t)]))
+        # the columns prod([y_i] - [0]) that span the reduced tensor power,
+        # projected onto the injection module by a lookup in its basis
+        ys = _tuples(itertools.product(range(1, t), repeat=n), n)
+        injections = _TupleBasis(_tuples(itertools.permutations(range(t), n), n), t)
+        coker = inj_dim - linalg.rank(injections.matrix(len(ys), _difference_terms(ys, 0)))
         expected = comb(t - 1, n - 1)
         details[f"t={t}"] = {"coker": coker, "expected": expected}
         ok = ok and coker == expected

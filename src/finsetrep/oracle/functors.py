@@ -13,8 +13,10 @@ denominator, whose entries follow linalg.int_dtype like every other oracle
 array.  Vectors of a value F(t), and blocks of them, are dense integer
 arrays: a rational one is an integer array x with a denominator den,
 standing for x / den.  The basic builders hold the basis of each size as
-an integer array of tuples and build each move's matrix by array
-arithmetic on it (_functor_from_action).  Quotients and subfunctors are
+an integer array of tuples.  One lookup, _TupleBasis, finds tuples in such
+a basis by mixed-radix code and builds every matrix on one from signed
+image tuples: each move's (_functor_from_action), the exterior-power
+embedding and those of the oracle checks.  Quotients and subfunctors are
 induced by sparse products: one function, subspace_maps, turns the
 linalg.row_inverse (J, I, X, C) of the subspace's columns S,
 X = S[I, J]^-1 and C = S[free, J] X, into the expansion map E_t(v) = X v[I]
@@ -247,6 +249,36 @@ def _check_truncation(N: int) -> None:
 Terms = List[Tuple[np.ndarray, object]]
 
 
+class _TupleBasis:
+    """A basis of tuples with entries below base, the rows of an integer
+    array B in lexicographic order, looked up by mixed-radix code: a tuple's
+    entries read as digits base `base`, so the codes of B's rows are sorted."""
+
+    def __init__(self, B: np.ndarray, base: int):
+        self.dim, width = B.shape
+        self.radix = np.array([base ** e for e in range(width - 1, -1, -1)],
+                              dtype=linalg.int_dtype(base ** width))
+        self.codes = B.astype(self.radix.dtype, copy=False) @ self.radix
+
+    def index(self, images: np.ndarray) -> np.ndarray:
+        """The basis index of each row of images, -1 where none."""
+        code = images.astype(self.radix.dtype, copy=False) @ self.radix
+        if not self.dim:
+            return np.full(len(code), -1)
+        i = np.minimum(np.searchsorted(self.codes, code), self.dim - 1)
+        return np.where(self.codes[i] == code, i, -1)
+
+    def matrix(self, ncols: int, terms: Terms) -> SpMat:
+        """The matrix whose column j is the signed sum of the j-th rows of
+        the terms' images; an image outside the basis counts as zero."""
+        parts = []
+        for images, sign in terms:
+            i = self.index(images)
+            hit = np.flatnonzero(i >= 0)
+            parts.append((i[hit], hit, sign[hit] if isinstance(sign, np.ndarray) else np.full(len(hit), sign)))
+        return SpMat(self.dim, ncols, *(np.concatenate(part) for part in zip(*parts)))
+
+
 def _functor_from_action(
     N: int,
     bases: List[np.ndarray],
@@ -259,48 +291,26 @@ def _functor_from_action(
     one basis tuple per row, in lexicographic order, on which a set map g
     (an index array) sends the rows of an array B of basis tuples to the
     signed tuples of action(g, B); tuples outside the target basis count as
-    zero.  A tuple is looked up by its mixed-radix code, so each move's
-    matrix is a few array operations over the whole basis.  With
+    zero.  Each size's tuples are looked up by one _TupleBasis, so each
+    move's matrix is a few array operations over the whole basis.  With
     outer_n > 0 the basis tuples are tensor positions, permuted by the
     outer transpositions.  gen is the generating basis tuple with its size,
     if any."""
-    dims = [len(B) for B in bases]
-    # a tuple's entries at size t read as digits base t: codes that order
-    # the tuples lexicographically, so each basis's codes are sorted
-    width = bases[0].shape[1]
-    radices = [np.array([t ** e for e in range(width - 1, -1, -1)], dtype=linalg.int_dtype(t ** width))
-               for t in range(N + 1)]
-    codes = [B.astype(r.dtype, copy=False) @ r for B, r in zip(bases, radices)]
-
-    def index(t: int, images: np.ndarray) -> np.ndarray:
-        """The basis index of each row of images at size t, -1 where none."""
-        code = images.astype(radices[t].dtype, copy=False) @ radices[t]
-        if not dims[t]:
-            return np.full(len(code), -1)
-        i = np.minimum(np.searchsorted(codes[t], code), dims[t] - 1)
-        return np.where(codes[t][i] == code, i, -1)
-
-    def matrix(s: int, t: int, terms: Terms) -> SpMat:
-        parts = []
-        for images, sign in terms:
-            i = index(t, images)
-            hit = np.flatnonzero(i >= 0)
-            parts.append((i[hit], hit, sign[hit] if isinstance(sign, np.ndarray) else np.full(len(hit), sign)))
-        return SpMat(dims[t], dims[s], *(np.concatenate(part) for part in zip(*parts)))
-
+    lookups = [_TupleBasis(B, t) for t, B in enumerate(bases)]
+    dims = [L.dim for L in lookups]
     F = TruncatedFunctor(N, dims, {}, [], name=name, outer_n=outer_n)
     for key in F.gen_keys():
         s, t = F.gen_src_dst(key)
-        F.act[key] = matrix(s, t, action(np.array(move_map(key), dtype=np.int64), bases[s]))
+        F.act[key] = lookups[t].matrix(dims[s], action(np.array(move_map(key), dtype=np.int64), bases[s]))
     for i in range(1, outer_n):
         swap = list(range(outer_n))
         swap[i - 1], swap[i] = i, i - 1
         for t in range(N + 1):
-            F.outer_act[(i, t)] = matrix(t, t, [(bases[t][:, swap], 1)])
+            F.outer_act[(i, t)] = lookups[t].matrix(dims[t], [(bases[t][:, swap], 1)])
     if gen is not None:
         d, tup = gen
         col = np.zeros(dims[d], dtype=np.int64)
-        col[index(d, _tuples([tup], len(tup)))] = 1
+        col[lookups[d].index(_tuples([tup], len(tup)))] = 1
         F.generators.append((d, col))
     return F
 
@@ -317,19 +327,22 @@ def _values(g: np.ndarray, B: np.ndarray) -> Terms:
 
 
 def _differences(g: np.ndarray, B: np.ndarray) -> Terms:
-    """Expansion of the product over the entries y of each row of
-    ([g(y)] - [g(0)]), in the difference basis with base point 0: one term
-    per set of positions that take [g(0)], signed by its size.  [0] = 0, so
-    a tuple holding 0 is no basis tuple, and the lookup drops it; when
-    g(0) = 0 only the empty set is left (also for the empty basis at 0)."""
+    """The product over the entries y of each row of ([g(y)] - [g(0)]), in
+    the difference basis with base point 0.  [0] = 0, so a tuple holding 0
+    is no basis tuple, and the lookup drops it; when g(0) = 0 only the
+    term without [g(0)] is left (also for the empty basis at 0)."""
     images = g[B]
     if not (len(B) and g[0]):
         return [(images, 1)]
-    width = B.shape[1]
-    terms: Terms = []
-    for at in itertools.product((False, True), repeat=width):
-        terms.append((np.where(at, g[0], images), (-1) ** sum(at)))
-    return terms
+    return _difference_terms(images, g[0])
+
+
+def _difference_terms(images: np.ndarray, base) -> Terms:
+    """Expansion of the product over the entries y of each row of images
+    of ([y] - [base]), base one point or a column of one point per row: one
+    term per set of positions that take [base], signed by its size."""
+    return [(np.where(at, base, images), (-1) ** sum(at))
+            for at in itertools.product((False, True), repeat=images.shape[1])]
 
 
 def _wedge(action: Callable[[np.ndarray, np.ndarray], Terms]) -> Callable[[np.ndarray, np.ndarray], Terms]:
@@ -452,15 +465,13 @@ def lambda_pbar_embedding(n: int, N: int) -> List[np.ndarray]:
         # Lambda^0(Pbar) = kbar = pbar_tensor(0): the whole thing
         return [np.ones((1, 1), dtype=np.int64) if t >= 1 else np.zeros((0, 0), dtype=np.int64)
                 for t in range(N + 1)]
+    # each subset's column: its entries in every order, signed by the order
+    orders = [(list(p), _sign(p)) for p in itertools.permutations(range(n))]
     cols: List[np.ndarray] = []
     for t in range(N + 1):
-        index = {y: i for i, y in enumerate(itertools.product(range(1, t), repeat=n))}
-        subsets = list(itertools.combinations(range(1, t), n))
-        A = np.zeros((len(index), len(subsets)), dtype=np.int64)
-        for j, S in enumerate(subsets):
-            for perm in itertools.permutations(range(n)):
-                A[index[tuple(S[p] for p in perm)], j] += _sign(perm)
-        cols.append(A)
+        subsets = _tuples(itertools.combinations(range(1, t), n), n)
+        basis = _TupleBasis(_tuples(itertools.product(range(1, t), repeat=n), n), t)
+        cols.append(basis.matrix(len(subsets), [(subsets[:, p], sign) for p, sign in orders]).int_rows())
     return cols
 
 

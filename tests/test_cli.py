@@ -392,6 +392,7 @@ def test_symbolic_commands_load_neither_numpy_nor_the_oracle(tmp_path):
         (["multiplicities", "--input", str(tmp_path / "missing.json")], {}, 1),
         (["groth", "--identity", "W"], {"FINSETREP_TRUNC": "abc"}, 1),
         (["verify", "--suite", "nope"], {}, 1),
+        (["verify", "--suite", "idempotent", "--max-size", "9"], {}, 1),
         (["hom", "--from", "bogus:1", "--to", "pfin:1"], {}, 1),
         (["hom", "--from", "pfin:1", "--to", "bogus:1"], {}, 1),
         (["hom", "--from", "pfin:1", "--to", "pbar:-1"], {}, 1),
@@ -434,6 +435,27 @@ def test_verify_json_output_is_unchanged(capsys, suite):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_JSON_SHA256[suite]
+
+
+def test_idempotent_refuses_sizes_above_8_before_any_check(capsys, monkeypatch):
+    import hashlib
+
+    import finsetrep.oracle
+    from finsetrep import cli
+
+    # pi_n's symbolic expansion stops at n = 8: --max-size 8 runs as before
+    code, out, _ = run_cli(capsys, "verify", "--suite", "idempotent", "--max-size", "8",
+                           "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6f4051fa61dd3406347f1f4263a25261998693ed688c471b6afd665f47261b43")
+    monkeypatch.setattr(finsetrep.oracle, "pi_idempotent_check",
+                        lambda *args, **kwargs: pytest.fail("a check ran"))
+    monkeypatch.setattr(cli, "_admit", lambda *args: pytest.fail("the suite was admitted"))
+    code, out, err = run_cli(capsys, "verify", "--suite", "idempotent", "--max-size", "9")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "suite 'idempotent' expands pi_n only up to --max-size 8, got 9"}
 
 
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -533,7 +555,7 @@ def test_the_budget_admits_the_runs_in_use(capsys):
     for source, target, N in (("pbar", "pbar", 7), ("pbar", "pfin", 7), ("pbar", "pfin", 6)):
         cli._admit("--trunc", N, [(source, 4), (target, 4)])
     for suite, N in (("right-aug", 5), ("lambda-complex", 13), ("norm-map", 7), ("pbar-hom", 13),
-                     ("idempotent", 1000)):
+                     ("idempotent", 8)):
         cli._admit("--max-size", N, _admitted(capsys, suite, N))
 
 

@@ -1,10 +1,12 @@
-from math import comb, factorial
+from math import comb, factorial, perm
 
+import numpy as np
 import pytest
 
 from finsetrep.partitions import Partition, one_column
 from finsetrep import facalc as fc
 from finsetrep.oracle import (
+    SpMat,
     build_const_k,
     build_kfi,
     build_lambda_pfin,
@@ -183,3 +185,99 @@ def test_oracle_vs_symbolic_multiplicities():
         for t in range(0, N):
             total = sum(v * fc.simple_dim(k, t) for k, v in sym.items())
             assert total == F.dims[t], (F.name, t)
+
+
+# -- each check can fail: a builder mutated so that a rank it reads changes --
+
+
+def _cut_to_first_term(images, base):
+    from finsetrep.oracle.functors import _difference_terms
+
+    return _difference_terms(images, base)[:1]
+
+
+def test_pi_idempotent_image_fails_on_a_wrong_split_summand(monkeypatch):
+    from finsetrep.oracle import checks
+
+    # the columns [x0] (x) [y] span a space of the expected rank, but not
+    # pi_n's image: [E M] gains rank, and pi_n's own matrix is untouched
+    monkeypatch.setattr(checks, "_difference_terms", _cut_to_first_term)
+    rep = pi_idempotent_check(2, image_sizes=[2, 3])
+    assert rep.passed is False
+    for t, rank in ((2, 2), (3, 12)):
+        assert rep.computed[f"size_{t}"] == {"rank": rank, "expected_rank": rank,
+                                             "matrix_idempotent": True, "span_matches": False}
+
+
+def test_refine_surjection_fails_on_a_wrong_base_point(monkeypatch):
+    from finsetrep.oracle import checks, functors
+
+    # prod([y_i] - [0]) in place of prod([y_i] - [x0]): for x0 != 0 the
+    # column at y = 0 vanishes and the rank drops by t - 1
+    monkeypatch.setattr(checks, "_difference_terms",
+                        lambda images, base: functors._difference_terms(images, 0))
+    rep = verify_refine_surjection(2, 4)
+    assert rep.passed is False
+    assert rep.computed == {f"t={t}": {"rank": perm(t, 2) - (t - 1), "target_dim": perm(t, 2)}
+                            for t in (2, 3, 4)}
+
+
+def test_almost_surjectivity_fails_on_cut_difference_terms(monkeypatch):
+    from finsetrep.oracle import checks
+
+    # the columns [y] alone: the injective ones of {1..t-1}^2, rank (t-1)(t-2)
+    monkeypatch.setattr(checks, "_difference_terms", _cut_to_first_term)
+    rep = verify_almost_surjectivity(2, 4)
+    assert rep.passed is False
+    assert rep.computed == {f"t={t}": {"coker": perm(t, 2) - perm(t - 1, 2), "expected": comb(t - 1, 1)}
+                            for t in (2, 3, 4)}
+
+
+def test_right_augmentation_fails_on_a_lost_column_or_a_wrong_generator(monkeypatch):
+    from finsetrep.oracle import checks, functors
+
+    # the column of the surjective alpha = (0, 1) lost: the image rank
+    # drops to 1, and the kernel gains it
+    class LosesColumn1(functors._TupleBasis):
+        def matrix(self, ncols, terms):
+            M = super().matrix(ncols, terms)
+            keep = M.cols != 1
+            return SpMat(M.m, M.n, M.rows[keep], M.cols[keep], M.vals[keep])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(checks, "_TupleBasis", LosesColumn1)
+        rep = verify_right_aug(2, 2, 4)
+    assert rep.passed is False
+    assert rep.computed == {"dim": 2, "expected_dim": 2, "kernel_dim": 3, "nonsurjective": 2,
+                            "kernel_is_nonsurjective_span": False, "image_rank_matches": False}
+    # [1] (x) [2] in place of the generator: its images are no solutions
+    monkeypatch.setattr(checks, "_difference_terms", _cut_to_first_term)
+    rep = verify_right_aug(2, 2, 4)
+    assert rep.passed is False
+    assert rep.computed == "a restricted Yoneda morphism is no natural transformation"
+
+
+def test_lambda_complex_fails_on_a_zero_boundary(monkeypatch):
+    from finsetrep.oracle import checks
+
+    # d_1 = 0 is natural, and leaves a cokernel at every size and no image
+    # for d_2's kernel; every natural Lambda^(t+1) -> Lambda^t is a multiple
+    # of d_(t+1), so a mutant that passes is_natural keeps d^2 = 0
+    boundary = checks.lambda_boundary
+    monkeypatch.setattr(checks, "lambda_boundary",
+                        lambda N, t: [d.scale(0) if t == 1 else d for d in boundary(N, t)])
+    rep = verify_lambda_complex(4)
+    assert rep.passed is False
+    assert rep.computed == {key: value for m in range(1, 5) for key, value in (
+        (f"exactness_1_{m}", {"kernel": m, "image": m - 1}), (f"coker_{m}", 1))}
+    # one sign flipped: no longer natural
+    def flipped(N, t):
+        mats = boundary(N, t)
+        d = mats[N]
+        mats[N] = SpMat(d.m, d.n, d.rows, d.cols, np.concatenate([-d.vals[:1], d.vals[1:]]))
+        return mats
+
+    monkeypatch.setattr(checks, "lambda_boundary", flipped)
+    rep = verify_lambda_complex(4)
+    assert rep.passed is False
+    assert rep.computed == "boundary not natural at degree 1"
