@@ -452,21 +452,15 @@ def pfin_lambda_class(trunc: int) -> VirtualFBBimod:
 def hom_projcover_pbar(trunc_left: int, trunc_right: int) -> VirtualFBBimod:
     """Class of hom(P_bullet, tensor-power_star), read off the tensor-power
     class.  Left slot: star; right slot: bullet."""
-    X = _crop(pbar_tensor_class(max(trunc_left, trunc_right + 1)), trunc_left, trunc_right + 1)
+    X = pbar_tensor_class(max(trunc_left, trunc_right + 1)).crop(trunc_left, trunc_right + 1)
     return _hom_out_of_covers(X, trunc_right)
 
 
 def endo_projcover(trunc_left: int, trunc_right: int) -> VirtualFBBimod:
     """Class of hom(P_bullet, P_star): the tensor-power homs plus one
     extra sign box-product per degree."""
-    total = hom_projcover_pbar(trunc_left, trunc_right)
-    coeffs = dict(total.coeffs)
-    for l in range(trunc_left + 1):
-        if l + 1 > trunc_right:
-            break
-        key = (one_column(l), one_column(l + 1))
-        coeffs[key] = coeffs.get(key, 0) + 1
-    return VirtualFBBimod(trunc_left, trunc_right, coeffs)
+    signs = {(one_column(l), one_column(l + 1)): 1 for l in range(min(trunc_left, trunc_right - 1) + 1)}
+    return hom_projcover_pbar(trunc_left, trunc_right) + VirtualFBBimod(trunc_left, trunc_right, signs)
 
 
 def hom_pbar_pbar(trunc_left: int, trunc_right: int) -> VirtualFBBimod:
@@ -478,26 +472,14 @@ def hom_pbar_pbar(trunc_left: int, trunc_right: int) -> VirtualFBBimod:
     total = bimod_convolve_left(fs_class(N, cross_check=False), series_S(0, N))
     for k in range(1, min(N, trunc_right + 1) + 1):
         total = total + external_product(series_S(k, N), sgn_class(k - 1, N))
-    return _crop(total, trunc_left, trunc_right)
+    return total.crop(trunc_left, trunc_right)
 
 
 def hom_lambdabar_pbar(s: int, trunc: int) -> VirtualFB:
     """Class of hom(Lambda^s of the reduced projective, tensor-power_star)
     in the star variable."""
     fs = fs_class(max(trunc, s), cross_check=False)
-    return day(fs.left_class(one_column(s)).truncate(trunc), series_S(0, trunc)) + series_S(s + 1, trunc)
-
-
-def _crop(b: VirtualFBBimod, tl: int, tr: int) -> VirtualFBBimod:
-    return VirtualFBBimod(
-        tl,
-        tr,
-        {
-            key: c
-            for key, c in b.coeffs.items()
-            if key[0].size <= tl and key[1].size <= tr
-        },
-    )
+    return day(fs.left_class(one_column(s)), series_S(0, trunc)) + series_S(s + 1, trunc)
 
 
 def hom_entry(b: VirtualFBBimod, bullet: int, star: int) -> Dict[Tuple[Partition, Partition], int]:

@@ -15,6 +15,7 @@ sign; a sign (-1)^n by absolute degree n would not telescope.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -22,50 +23,66 @@ from .partitions import Partition, hook, one_column, one_row
 from .symrep import IrrDecomposition, induction_product, irr_dim, pointwise_product
 
 
+class _TruncatedClass:
+    """The one truncation rule of the sparse integer classes: the integer
+    coefficients, without zeros, of keys whose slots each hold a partition of
+    size (the sum of its parts) at most that slot's truncation.  A subclass
+    names its truncations (`truncs`) and the partition in each slot of a key
+    (`slots`)."""
+
+    def __post_init__(self):
+        self.coeffs = {key: int(c) for key, c in self.coeffs.items() if c}
+        for column, t in zip(zip(*map(self.slots, self.coeffs)), self.truncs):
+            if max(map(sum, column)) > t:
+                raise ValueError(f"a partition of size {max(map(sum, column))} exceeds truncation {t}")
+
+    def crop(self, *truncs):
+        """The class truncated in each slot at the lesser of its own and the
+        given truncation: the coefficients of the keys within both."""
+        truncs = tuple(map(min, self.truncs, truncs))
+        if truncs == self.truncs:
+            return self
+        return type(self)(*truncs, {
+            key: c for key, c in self.coeffs.items() if all(map(operator.le, map(sum, self.slots(key)), truncs))
+        })
+
+    def __add__(self, other):
+        """The sum, truncated in each slot at the lesser truncation."""
+        a, b = self.crop(*other.truncs), other.crop(*self.truncs)
+        merged = dict(a.coeffs)
+        for key, c in b.coeffs.items():
+            merged[key] = merged.get(key, 0) + c
+        return type(self)(*a.truncs, merged)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c: int):
+        return type(self)(*self.truncs, {key: c * v for key, v in self.coeffs.items()})
+
+
 @dataclass
-class VirtualFB:
+class VirtualFB(_TruncatedClass):
     """Sparse integer combination of partitions of size <= trunc."""
 
     trunc: int
     coeffs: Dict[Partition, int] = field(default_factory=dict)
 
-    def __post_init__(self):
-        self.coeffs = {lam: int(c) for lam, c in self.coeffs.items() if c}
-        for lam in self.coeffs:
-            if lam.size > self.trunc:
-                raise ValueError(f"{lam} exceeds truncation {self.trunc}")
+    @property
+    def truncs(self) -> Tuple[int]:
+        return (self.trunc,)
 
-    def __getitem__(self, lam: Partition) -> int:
-        return self.coeffs.get(lam, 0)
+    @staticmethod
+    def slots(lam: Partition) -> Tuple[Partition]:
+        return (lam,)
 
     def degree(self, n: int) -> IrrDecomposition:
         return IrrDecomposition(
             n, {lam: c for lam, c in self.coeffs.items() if lam.size == n}
         )
 
-    def truncate(self, new_trunc: int) -> "VirtualFB":
-        return VirtualFB(
-            new_trunc,
-            {lam: c for lam, c in self.coeffs.items() if lam.size <= new_trunc},
-        )
-
     def is_effective(self) -> bool:
         return all(c >= 0 for c in self.coeffs.values())
-
-    def __add__(self, other: "VirtualFB") -> "VirtualFB":
-        t = min(self.trunc, other.trunc)
-        merged: Dict[Partition, int] = {}
-        for src in (self.coeffs, other.coeffs):
-            for lam, c in src.items():
-                if lam.size <= t:
-                    merged[lam] = merged.get(lam, 0) + c
-        return VirtualFB(t, merged)
-
-    def __sub__(self, other: "VirtualFB") -> "VirtualFB":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "VirtualFB":
-        return VirtualFB(self.trunc, {lam: c * v for lam, v in self.coeffs.items()})
 
     def dim_at(self, n: int) -> int:
         return self.degree(n).dim()
@@ -146,7 +163,7 @@ def invert_triv(a: VirtualFB) -> VirtualFB:
 
 
 @dataclass
-class VirtualFBBimod:
+class VirtualFBBimod(_TruncatedClass):
     """Sparse integer combination of partition pairs.
 
     Key convention: coefficient keys are (left, right) where `left` indexes
@@ -160,33 +177,13 @@ class VirtualFBBimod:
     trunc_right: int
     coeffs: Dict[Tuple[Partition, Partition], int] = field(default_factory=dict)
 
-    def __post_init__(self):
-        self.coeffs = {k: int(c) for k, c in self.coeffs.items() if c}
-        for lam, mu in self.coeffs:
-            if lam.size > self.trunc_left or mu.size > self.trunc_right:
-                raise ValueError(f"({lam},{mu}) exceeds truncations")
+    @property
+    def truncs(self) -> Tuple[int, int]:
+        return (self.trunc_left, self.trunc_right)
 
-    def __getitem__(self, key: Tuple[Partition, Partition]) -> int:
-        return self.coeffs.get(key, 0)
-
-    def __add__(self, other: "VirtualFBBimod") -> "VirtualFBBimod":
-        tl = min(self.trunc_left, other.trunc_left)
-        tr = min(self.trunc_right, other.trunc_right)
-        merged: Dict[Tuple[Partition, Partition], int] = {}
-        for src in (self.coeffs, other.coeffs):
-            for (lam, mu), c in src.items():
-                if lam.size <= tl and mu.size <= tr:
-                    key = (lam, mu)
-                    merged[key] = merged.get(key, 0) + c
-        return VirtualFBBimod(tl, tr, merged)
-
-    def __sub__(self, other: "VirtualFBBimod") -> "VirtualFBBimod":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "VirtualFBBimod":
-        return VirtualFBBimod(
-            self.trunc_left, self.trunc_right, {k: c * v for k, v in self.coeffs.items()}
-        )
+    @staticmethod
+    def slots(key: Tuple[Partition, Partition]) -> Tuple[Partition, Partition]:
+        return key
 
     def bidegree(self, a: int, b: int) -> Dict[Tuple[Partition, Partition], int]:
         """Coefficients with left size a and right size b."""

@@ -457,21 +457,20 @@ def build_lambda_pbar(k: int, N: int) -> TruncatedFunctor:
     )
 
 
-def lambda_pbar_embedding(n: int, N: int) -> List[np.ndarray]:
+def lambda_pbar_embedding(n: int, N: int) -> List[SpMat]:
     """The top exterior power inside the n-th tensor power of the reduced
     projective (difference-tuple coordinates): per set size t, a
-    dims[t] x c integer array whose columns span it."""
+    dims[t] x c integer SpMat whose columns span it."""
     if n == 0:
         # Lambda^0(Pbar) = kbar = pbar_tensor(0): the whole thing
-        return [np.ones((1, 1), dtype=np.int64) if t >= 1 else np.zeros((0, 0), dtype=np.int64)
-                for t in range(N + 1)]
+        return [SpMat.identity(1) if t >= 1 else SpMat.zeros(0, 0) for t in range(N + 1)]
     # each subset's column: its entries in every order, signed by the order
     orders = [(list(p), _sign(p)) for p in itertools.permutations(range(n))]
-    cols: List[np.ndarray] = []
+    cols: List[SpMat] = []
     for t in range(N + 1):
         subsets = _tuples(itertools.combinations(range(1, t), n), n)
         basis = _TupleBasis(_tuples(itertools.product(range(1, t), repeat=n), n), t)
-        cols.append(basis.matrix(len(subsets), [(subsets[:, p], sign) for p, sign in orders]).int_rows())
+        cols.append(basis.matrix(len(subsets), [(subsets[:, p], sign) for p, sign in orders]))
     return cols
 
 
@@ -481,20 +480,19 @@ def lambda_pbar_embedding(n: int, N: int) -> List[np.ndarray]:
 
 def quotient_functor(
     parent: TruncatedFunctor,
-    sub_columns: List[np.ndarray],
+    sub_columns: List[SpMat],
     name: str,
 ) -> TruncatedFunctor:
     """Quotient of `parent` by the subfunctor spanned by the columns of the
-    integer arrays sub_columns[t], one per set size, which may be
+    integer SpMats sub_columns[t], one per set size, which may be
     dependent.  Its coordinates at size t are the rows free of
     subspace_maps of the columns, and the residual map pi_t projects onto
     them: a move m: s -> t induces pi_t m on the quotient coordinates of
     size s.  Stability of the span under every generator,
     pi_t m Sub_s = 0, is verified exactly."""
-    projs, incs, subs = [], [], []
+    projs, incs = [], []
     for t, cols in enumerate(sub_columns):
-        subs.append(SpMat.from_dense(cols))
-        _, proj, free, _ = subspace_maps(subs[-1])
+        _, proj, free, _ = subspace_maps(cols)
         projs.append(proj)
         incs.append(SpMat.unit_columns(parent.dims[t], free))
     gens = []
@@ -502,7 +500,7 @@ def quotient_functor(
         pc = projs[d].apply_dense(col)
         if pc.any():
             gens.append((d, _cleared(pc, projs[d].den)))
-    return _induced_functor(parent, projs, projs, incs, subs, gens, name)
+    return _induced_functor(parent, projs, projs, incs, sub_columns, gens, name)
 
 
 def subspace_maps(S: SpMat) -> Tuple[SpMat, SpMat, List[int], List[int]]:

@@ -166,15 +166,12 @@ class ClassFunction:
     def __call__(self, mu: Partition) -> Fraction:
         return self.values[mu]
 
-    def __mul__(self, other):
-        if isinstance(other, ClassFunction):
-            assert self.n == other.n
-            return ClassFunction(
-                self.n, {mu: self.values[mu] * other.values[mu] for mu in self.values}
-            )
-        return ClassFunction(self.n, {mu: v * other for mu, v in self.values.items()})
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "ClassFunction") -> "ClassFunction":
+        """The pointwise product of two class functions of one S_n."""
+        assert self.n == other.n
+        return ClassFunction(
+            self.n, {mu: self.values[mu] * other.values[mu] for mu in self.values}
+        )
 
 
 @dataclass

@@ -104,6 +104,10 @@ def test_invalid_inputs_exit_1(capsys):
         (["structure-kfi", "100"], "degree 100 exceeds configured bound 12"),
         (["simple-eval", "C", "2", "--t", "100"], "degree 100 exceeds configured bound 12"),
         (["simple-eval", "k0", "junk", "--t", "1"], "label k0 takes no argument"),
+        (["simple-eval", "C", "--t", "3"], "label C needs a partition argument"),
+        # a functor descriptor without its colon
+        (["hom", "--from", "pfin", "--to", "k"], "bad functor descriptor 'pfin'"),
+        (["groth", "--identity", "nope"], "unknown identity 'nope'"),
     ],
 )
 def test_negative_or_vacuous_arguments_exit_1(capsys, argv, message):
@@ -278,6 +282,16 @@ def test_multiplicities_round_trip(tmp_path, capsys):
          "degrees": {"+1": {"n": 1, "mults": [{"partition": [1], "mult": 1}]}}},
         {"trunc": 2, "F0_dim": 1,
          "degrees": {"\u0661": {"n": 1, "mults": [{"partition": [1], "mult": 1}]}}},
+        # data of no module: a degree outside 1..trunc, above it and at the
+        # empty set, an S_1-class under degree 2, and a virtual class
+        {"trunc": 2, "F0_dim": 1,
+         "degrees": {"3": {"n": 3, "mults": [{"partition": [3], "mult": 1}]}}},
+        {"trunc": 2, "F0_dim": 1,
+         "degrees": {"0": {"n": 0, "mults": [{"partition": [], "mult": 1}]}}},
+        {"trunc": 2, "F0_dim": 1,
+         "degrees": {"2": {"n": 1, "mults": [{"partition": [1], "mult": 1}]}}},
+        {"trunc": 2, "F0_dim": 1,
+         "degrees": {"1": {"n": 1, "mults": [{"partition": [1], "mult": -1}]}}},
     ],
 )
 def test_multiplicities_bad_input_types_exit_1(tmp_path, capsys, payload):
@@ -287,6 +301,20 @@ def test_multiplicities_bad_input_types_exit_1(tmp_path, capsys, payload):
     assert code == 1
     assert out == ""
     assert "bad input file" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["simple-eval", "k0", "--t", "0"], "0\t()\t1\n"),
+        (["hom", "--from", "pbar:2", "--to", "pbar:2", "--trunc", "4", "--format", "json"],
+         '{"dimension": 2}\n'),
+        (["groth", "--identity", "hook-inversion", "--k", "3", "--trunc", "6"],
+         "identity\thook-inversion\tpass\n"),
+    ],
+)
+def test_stdout_of_each_call(capsys, argv, out):
+    assert run_cli(capsys, *argv) == (0, out, "")
 
 
 def test_output_is_deterministic(capsys):

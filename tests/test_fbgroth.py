@@ -106,6 +106,24 @@ def test_truncation_semantics():
     assert Partition((5,)) not in s.coeffs
     with pytest.raises(ValueError):
         fg.VirtualFB(2, {Partition((3,)): 1})
+    # crop keeps the lesser truncation
+    assert fg.series_S(0, 6).crop(3) == fg.series_S(0, 3)
+    assert fg.series_S(0, 3).crop(6) == fg.series_S(0, 3)
+
+
+def test_bimod_truncation_semantics():
+    one, two, three = (Partition((n,)) for n in (1, 2, 3))
+    # a key past either truncation is refused
+    for key in ((three, one), (one, three)):
+        with pytest.raises(ValueError):
+            fg.VirtualFBBimod(2, 2, {key: 1})
+    # a sum or difference is truncated at the lesser truncation of each slot
+    a = fg.VirtualFBBimod(3, 2, {(one, two): 1, (three, one): 2})
+    b = fg.VirtualFBBimod(2, 3, {(one, two): -1, (two, three): 5})
+    assert a + b == fg.VirtualFBBimod(2, 2, {})
+    assert a - b == fg.VirtualFBBimod(2, 2, {(one, two): 2})
+    assert b.scale(2) == fg.VirtualFBBimod(2, 3, {(one, two): -2, (two, three): 10})
+    assert a.crop(5, 1) == fg.VirtualFBBimod(3, 1, {(three, one): 2})
 
 
 def test_effectivity_flag():

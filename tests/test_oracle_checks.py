@@ -281,3 +281,19 @@ def test_lambda_complex_fails_on_a_zero_boundary(monkeypatch):
     rep = verify_lambda_complex(4)
     assert rep.passed is False
     assert rep.computed == "boundary not natural at degree 1"
+
+
+def test_lambda_complex_fails_on_a_nonzero_square(monkeypatch):
+    from finsetrep.oracle import checks
+
+    # the unsigned contraction, let past is_natural: d_t d_(t+1) sends each
+    # (t+1)-subset to twice the sum of its (t-1)-subsets, nonzero at every
+    # size m >= t + 1, and equal kernel and image dimensions there would not
+    # show exactness
+    boundary = checks.lambda_boundary
+    monkeypatch.setattr(checks, "is_natural", lambda F, G, mats: True)
+    monkeypatch.setattr(checks, "lambda_boundary", lambda N, t: [
+        SpMat(d.m, d.n, d.rows, d.cols, abs(d.vals)) for d in boundary(N, t)])
+    rep = verify_lambda_complex(4)
+    assert rep.passed is False
+    assert rep.computed == {f"d2_{t}_{m}": "nonzero composite" for m in range(5) for t in range(1, min(m, 4))}

@@ -329,8 +329,8 @@ def test_quotient_rejects_unstable_span():
     # a random non-stable subspace of the standard projective must be
     # rejected by the stability check
     F = build_pfin(1, 3)
-    cols = [np.zeros((d, 0), dtype=np.int64) for d in F.dims]
-    cols[1] = np.ones((1, 1), dtype=np.int64)
+    cols = [SpMat.zeros(d, 0) for d in F.dims]
+    cols[1] = SpMat.identity(1)
     with pytest.raises(OracleError):
         quotient_functor(F, cols, name="bogus")
 
@@ -339,6 +339,10 @@ def test_lambda_embedding_matches_wedge_dims():
     cols = lambda_pbar_embedding(2, 5)
     for t in range(6):
         assert cols[t].shape == (max(t - 1, 0) ** 2, comb(max(t - 1, 0), 2))
+    # Lambda^0(Pbar) is all of pbar(0): the quotient by it is zero
+    cols = lambda_pbar_embedding(0, 4)
+    assert [c.int_rows().tolist() for c in cols] == [[]] + [[[1]]] * 4
+    assert quotient_functor(build_pbar_tensor(0, 4), cols, name="pbar(0)/lambda").dims == [0] * 5
 
 
 def test_isotypic_subfunctor_dims_and_sum():
@@ -523,6 +527,7 @@ def _reference_quotient(parent, sub_columns, name):
     from finsetrep.oracle import linalg
     from finsetrep.oracle.functors import TruncatedFunctor
 
+    sub_columns = [S.int_rows() for S in sub_columns]
     reducers, quot_coords = [], []
     for t in range(parent.N + 1):
         cb = linalg.ColumnBasis(parent.dims[t])
@@ -613,8 +618,9 @@ def test_quotients_and_subfunctors_match_per_column_references(monkeypatch):
     # of the first two where there are two
     dependent = []
     for cols in lambda_pbar_embedding(2, 5):
-        if cols.shape[1] > 1:
-            cols = np.hstack([cols, cols[:, :1] + cols[:, 1:2]])
+        if cols.n > 1:
+            dense = cols.int_rows()
+            cols = SpMat.from_dense(np.hstack([dense, dense[:, :1] + dense[:, 1:2]]))
         dependent.append(cols)
     builds = [lambda n=n: build_proj_cover(n, N) for n in range(1, 4)]
     builds.append(lambda: build_proj_cover(4, 5))
@@ -640,7 +646,7 @@ def test_quotients_and_subfunctors_match_per_column_references(monkeypatch):
     assert [(d, v.tolist()) for d, v in sym.generators] == [(2, [0, 1, 0])]
     # the image of Lambda^2 in scaled_pbar2's basis, cleared to integers
     scaled_wedge = [
-        cols * (lcm(*decreasing(len(cols))) // np.array(decreasing(len(cols))))[:, None]
+        SpMat.from_dense(cols.int_rows() * (lcm(*decreasing(cols.m)) // np.array(decreasing(cols.m)))[:, None])
         for cols in lambda_pbar_embedding(2, 4)
     ]
     builds.append(lambda: functors.quotient_functor(scaled_pbar2, scaled_wedge, "scaled quotient"))

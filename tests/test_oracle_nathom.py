@@ -107,7 +107,7 @@ def test_against_dense_reference_on_random_derived_functors():
         derived += [
             direct_sum([A, B], f"{A.name}+{B.name}"),
             kernel_functor(A, B, mats, f"ker({A.name}->{B.name})"),
-            quotient_functor(B, [m.int_rows() for m in mats], f"coker({A.name}->{B.name})"),
+            quotient_functor(B, mats, f"coker({A.name}->{B.name})"),
         ]
     for F in derived:
         for G in (base[i] for i in rng.choice(len(base), 3, replace=False)):
