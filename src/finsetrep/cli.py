@@ -87,8 +87,13 @@ def _parse_descriptor(desc: str) -> Tuple[str, Optional[int]]:
         raise CliError(f"bad functor descriptor {desc!r}")
     if n < 0:
         raise CliError(f"bad functor descriptor {desc!r}: the degree must be non-negative")
-    if None in _FAMILIES.get(head, (None,)):
+    if head not in _FAMILIES:
         raise CliError(f"unknown functor family {head!r}")
+    build, dims = _FAMILIES[head]
+    if dims is None:
+        raise CliError(f"functor family {head!r} takes no degree")
+    if build is None:
+        raise CliError(f"functor family {head!r} has no oracle builder")
     return head, n
 
 
@@ -410,7 +415,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         result = args.func(args)
-    except (CliError, ValueError, sr.DegreeBoundError, fc.VerificationError, *_oracle_errors()) as exc:
+    except (CliError, ValueError, fc.VerificationError, *_oracle_errors()) as exc:
         error = str(exc)
     except MemoryError:
         error = "out of memory: lower --trunc or --max-size"

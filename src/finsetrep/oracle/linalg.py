@@ -4,22 +4,23 @@ Every matrix in and out is an integer array, int64 or Python ints (object
 dtype), over a denominator that the caller keeps, or a SpMat: a sparse
 integer matrix with one denominator, whose product with another is a numpy
 join of their entries on the inner index.  Two engines answer every exact
-question about a matrix.  The dense one, kernel_basis, computes only
-kernels: an integer array's right kernel modulo word primes (int64
-elimination), lifted by rational reconstruction and CRT and returned only
-after an exact check.  The sparse one, row_inverse, makes every choice of
-independent columns or rows: it eliminates a SpMat's columns mod a word
-prime as sparse rows, each with its expression, skipping a column
-dependent on those before it, lifts the inverse of the kept columns' first
-independent rows the same way and certifies both choices by exact sparse
-products; ranks, pivots, expansions, residual projections and coordinate
-read-outs all come off it.  One a-priori bound (int_dtype) decides where
-integer arrays, SpMat's entries included, run on int64 and where on Python
-ints; imatmul takes exact integer matrix products on float64 BLAS under a
-bound of its own.  Both bounds rest on max|arr| of the operands: imatmul
-scans both for it, and lincomb and SpMat.apply_dense scan an array for it
-unless the caller passes it in, a value that must be an upper bound on the
-true max|arr|, fixed before the operation it guards.
+question about a matrix.  Each solves it modulo word primes, and both share
+one lift (_lifts): residues of primes that make the same choice are
+combined by CRT and rationally reconstructed, and the engine returns the
+answer only after an exact check of its own.  The dense one, kernel_basis,
+computes only kernels: an integer array's right kernel, by int64
+elimination.  The sparse one, row_inverse, makes every choice of
+independent columns or rows: it eliminates a SpMat's columns as sparse
+rows, each with its expression, skipping a column dependent on those before
+it, inverts the kept columns' first independent rows and certifies both
+choices by exact sparse products; ranks, pivots, expansions, residual
+projections and coordinate read-outs all come off it.  One a-priori bound
+(int_dtype) decides where integer arrays, SpMat's entries included, run on
+int64 and where on Python ints; imatmul takes exact integer matrix products
+on float64 BLAS under a bound of its own.  Both bounds rest on max|arr| of
+the operands: imatmul scans both for it, and lincomb and SpMat.apply_dense
+scan an array for it unless the caller passes it in, a value that must be
+an upper bound on the true max|arr|, fixed before the operation it guards.
 ModColumnBasis, an incrementally maintained reduced echelon form mod a
 word prime whose column index names the rows that hold each coordinate,
 carries row_inverse's elimination and picks the span pass's basis: columns
@@ -33,7 +34,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,33 +56,33 @@ def kernel_basis(M: np.ndarray) -> np.ndarray:
     the rationals, one vector per non-pivot column f, positive at f and
     zero at every other non-pivot column.
 
-    It is computed mod word primes, lifted by rational reconstruction (over
-    more primes by CRT when that fails) and returned only once the exact
-    product M K is zero, K the vectors as columns.  That check makes the
-    answer exact.  A prime's rank is at most the rank over Q, so its
-    n - rank non-pivot columns bound the kernel dimension from above; the
-    lifted vectors are independent (each is nonzero at its own non-pivot
-    column, 0 at the others), so, once all lie in the kernel, the prime's
-    rank is the true rank.  Each vector is also zero at every pivot column
-    right of its own f, so every non-pivot column of M lies in the span of
-    the pivot columns left of it: the prime's pivots are those over Q, and
-    the vectors are the basis above.  A prime whose rank or pivots differ
-    from Q's fails the check, and the next one is taken."""
+    Each prime's reduced echelon form gives its pivots (the choice) and the
+    entries of the vectors at the pivot rows (the residues), lifted by
+    _lifts; the vectors are returned only once the exact product M K is
+    zero, K the vectors as columns.  That check makes the answer exact.  A
+    prime's rank is at most the rank over Q, so its n - rank non-pivot
+    columns bound the kernel dimension from above; the lifted vectors are
+    independent (each is nonzero at its own non-pivot column, 0 at the
+    others), so, once all lie in the kernel, the prime's rank is the true
+    rank.  Each vector is also zero at every pivot column right of its own
+    f, so every non-pivot column of M lies in the span of the pivot columns
+    left of it: the prime's pivots are those over Q, and the vectors are
+    the basis above.  A prime whose rank or pivots differ from Q's fails
+    the check, and the next one is taken."""
     ncols = M.shape[1]
-    best = None  # (pivots, residues at the pivot rows, modulus)
-    for p in _primes():
+
+    def solve_mod(p):
         R, pivots = _rref_mod((M % p).astype(np.int64), p)
-        residues = -R[:, _non_pivots(pivots, ncols)] % p
-        if best is not None and best[0] == pivots:
-            best = (pivots, _crt(best[1], best[2], residues, p), best[2] * p)
-        else:
-            # other pivots than the primes before: one side is unlucky, and
-            # the check rejects an unlucky prime, so start over from this one
-            best = (pivots, residues, p)
-        K = _lift(*best, ncols)
-        if K is not None and not imatmul(M, K).any():
+        free = sorted(set(range(ncols)).difference(pivots))
+        return pivots, free, np.arange(R.shape[0] * len(free)), (-R[:, free] % p).ravel()
+
+    for pivots, free, _, b, D in _lifts(solve_mod):
+        K = np.zeros((ncols, len(free)), dtype=b.dtype)
+        K[pivots] = b.reshape(len(pivots), len(free))
+        K[free, np.arange(len(free))] = D
+        K = K // np.gcd.reduce(K, axis=0)
+        if not imatmul(M, K).any():
             return int_array(K).T
-    raise ArithmeticError("the modular kernel ran out of word primes")
 
 
 def row_inverse(S: "SpMat") -> Tuple[List[int], List[int], "SpMat", "SpMat"]:
@@ -93,33 +94,20 @@ def row_inverse(S: "SpMat") -> Tuple[List[int], List[int], "SpMat", "SpMat"]:
     vector v of S's column span over the columns J.
 
     S's columns are eliminated mod a word prime as sparse echelon rows,
-    each with its expression (_row_inverse_mod), which gives J, I and X
-    mod p.  X is lifted by rational reconstruction, over more primes by
-    CRT when that fails, and certified by one exact sparse product
-    S[:, J] X: its rows I must be D times the identity, which shows
-    X = S[I, J]^-1, and its row f may be nonzero only at the columns c
-    with I[c] < f, which puts every other row in the span of the rows of I
-    above it.  Only when a column was dropped, T = X S[I] and one more
-    sparse product, C S[I] = S[free], show that every dropped column f is
-    S[:, J] y / D, y = X S[I, f] nonzero only at the kept columns left of
-    f.  A prime whose J or I differs from Q's fails, and the next is taken."""
+    each with its expression (_row_inverse_mod), which gives J, I (the
+    choice) and X mod p.  X is lifted by _lifts and certified by one exact
+    sparse product S[:, J] X: its rows I must be D times the identity,
+    which shows X = S[I, J]^-1, and its row f may be nonzero only at the
+    columns c with I[c] < f, which puts every other row in the span of the
+    rows of I above it.  Only when a column was dropped, T = X S[I] and one
+    more sparse product, C S[I] = S[free], show that every dropped column f
+    is S[:, J] y / D, y = X S[I, f] nonzero only at the kept columns left
+    of f.  A prime whose J or I differs from Q's fails, and the next is
+    taken."""
     n, k = S.shape
     # S's integer entries: S / den has the same independent rows and columns
     Sint = S if S.den == 1 else SpMat(n, k, S.rows, S.cols, S.vals)
-    best = None  # (J, I, X's entries as keys row * len(J) + col, their residues, modulus)
-    for p in _primes():
-        J, I, keys, residues = _row_inverse_mod(Sint, p)
-        if best is not None and best[:2] == (J, I):
-            keys, residues = _crt_sparse(best[2], best[3], best[4], keys, residues, p)
-            best = (J, I, keys, residues, best[4] * p)
-        else:
-            # other columns or rows kept than the primes before: one side is
-            # unlucky, and the check rejects an unlucky prime, so start over
-            best = (J, I, keys, residues, p)
-        lifted = _lift_denominator(best[3], best[4])
-        if lifted is None:
-            continue
-        b, D = lifted
+    for J, I, keys, b, D in _lifts(lambda p: _row_inverse_mod(Sint, p)):
         r = len(J)
         Jarr, Iarr = np.array(J, dtype=np.int64), np.array(I, dtype=np.int64)
         X = SpMat(r, r, keys // r, keys % r, b)
@@ -143,7 +131,6 @@ def row_inverse(S: "SpMat") -> Tuple[List[int], List[int], "SpMat", "SpMat"]:
             if not ((Jarr[T.rows] <= T.cols).all() and C.compose(SI).equals(Sfree)):
                 continue
         return J, I, SpMat(r, r, X.rows, X.cols, X.vals, D).scale(S.den), C
-    raise ArithmeticError("the modular row inverse ran out of word primes")
 
 
 def _row_inverse_mod(S: "SpMat", p: int) -> Tuple[List[int], List[int], np.ndarray, np.ndarray]:
@@ -285,17 +272,6 @@ def _rref_mod(A: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
     return A[: len(pivots)], pivots
 
 
-def _non_pivots(pivots: List[int], ncols: int) -> List[int]:
-    pivot_set = set(pivots)
-    return [j for j in range(ncols) if j not in pivot_set]
-
-
-def _crt(a: np.ndarray, m: int, b: np.ndarray, p: int) -> np.ndarray:
-    """The residues mod m * p that are a mod m and b mod p."""
-    a = a.astype(object)
-    return a + m * ((b.astype(object) - a) % p * pow(m, -1, p) % p)
-
-
 def _ratrecon(a: int, m: int) -> Optional[Tuple[int, int]]:
     """(num, den) with num/den = a mod m, |num| and 0 < den at most
     sqrt(m/2) (Wang's rational reconstruction), or None."""
@@ -337,22 +313,32 @@ def _crt_sparse(keys_a: np.ndarray, a: np.ndarray, m: int, keys_b: np.ndarray, b
     full_a, full_b = np.zeros(len(keys), dtype=object), np.zeros(len(keys), dtype=object)
     full_a[np.searchsorted(keys, keys_a)] = a
     full_b[np.searchsorted(keys, keys_b)] = b
-    return keys, _crt(full_a, m, full_b, p)
+    return keys, full_a + m * ((full_b - full_a) % p * pow(m, -1, p) % p)
 
 
-def _lift(pivots: List[int], residues: np.ndarray, m: int, ncols: int) -> Optional[np.ndarray]:
-    """The primitive integer kernel basis, as columns, whose entries at the
-    pivot rows are rationals with the given residues mod m; None when they
-    do not reconstruct (_lift_denominator)."""
-    lifted = _lift_denominator(residues, m)
-    if lifted is None:
-        return None
-    b, D = lifted
-    nfree = residues.shape[1]
-    K = np.zeros((ncols, nfree), dtype=b.dtype)
-    K[pivots] = b
-    K[_non_pivots(pivots, ncols), np.arange(nfree)] = D
-    return K // np.gcd.reduce(K, axis=0)
+def _lifts(solve_mod: Callable[[int], Tuple]) -> Iterator[Tuple]:
+    """The modular lift of both exact engines.  For each word prime p,
+    solve_mod(p) returns (*choice, keys, residues): the choice it made mod
+    p (the columns or rows it kept) and residues at distinct integer keys.
+    While a prime makes the same choice as the primes before it, its
+    residues are combined with theirs by CRT; otherwise one side is
+    unlucky, and the caller's exact check rejects an unlucky prime, so the
+    lift starts over from this prime.  Whenever the residues lift
+    (_lift_denominator), this yields (*choice, keys, b, D), b / D the
+    rationals at the keys, for the caller to check; it raises
+    ArithmeticError once the primes run out."""
+    best = None  # (choice, keys, residues, modulus)
+    for p in _primes():
+        *choice, keys, residues = solve_mod(p)
+        if best is not None and best[0] == choice:
+            keys, residues = _crt_sparse(best[1], best[2], best[3], keys, residues, p)
+            best = (choice, keys, residues, best[3] * p)
+        else:
+            best = (choice, keys, residues, p)
+        lifted = _lift_denominator(residues, best[3])
+        if lifted is not None:
+            yield (*choice, keys, *lifted)
+    raise ArithmeticError("the modular lift ran out of word primes")
 
 
 class SpMat:

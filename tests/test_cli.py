@@ -117,6 +117,21 @@ def test_negative_or_vacuous_arguments_exit_1(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "desc, message",
+    [
+        # a known family that takes no degree
+        ("k:3", "functor family 'k' takes no degree"),
+        # a known family that hom cannot build
+        ("kfs:1", "functor family 'kfs' has no oracle builder"),
+        ("bogus:1", "unknown functor family 'bogus'"),
+    ],
+)
+def test_each_bad_functor_family_has_its_own_message(capsys, desc, message):
+    code, out, err = run_cli(capsys, "hom", "--from", desc, "--to", "k")
+    assert (code, out, err) == (1, "", json.dumps({"error": message}) + "\n")
+
+
+@pytest.mark.parametrize(
     "argv, env",
     [
         (["structure-kfi", "1_0"], None),

@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import numpy as np
+import pytest
 
 from finsetrep.oracle import linalg
 from finsetrep.oracle.linalg import SpMat
@@ -348,6 +349,48 @@ def test_pivot_columns_survive_unlucky_primes(monkeypatch):
     assert linalg._row_inverse_mod(S, p0)[0] == [1]
     used = _counting(monkeypatch, [p0] + word)
     assert linalg.pivot_columns(S) == [0] and used[:2] == [p0, word[0]]
+
+
+def test_engines_raise_once_the_primes_run_out(monkeypatch):
+    p0 = 101
+    # both inputs are independent over Q and dependent mod p0, so the exact
+    # check rejects p0, the only prime there is
+    used = _counting(monkeypatch, [p0])
+    with pytest.raises(ArithmeticError, match="ran out of word primes"):
+        linalg.kernel_basis(np.array([[1, 2, 3], [2, 4, 6 + p0]]))
+    assert used == [p0]
+    used = _counting(monkeypatch, [p0])
+    with pytest.raises(ArithmeticError, match="ran out of word primes"):
+        linalg.row_inverse(SpMat.from_dense(np.array([[1, 2], [2, 4 + p0]])))
+    assert used == [p0]
+
+
+def test_lifts_combines_primes_of_one_choice_and_restarts_on_another(monkeypatch):
+    def residues(x, p):
+        # the sparse residues of the rationals x mod p, without the zeros
+        keys = sorted(k for k, v in x.items() if v.numerator % p)
+        return np.array(keys), np.array([x[k].numerator * pow(x[k].denominator, -1, p) % p for k in keys])
+
+    x = {0: Fraction(1, 3), 2: Fraction(-5, 7), 5: Fraction(103, 3)}
+    # rationals of another choice, which must not enter the CRT
+    other = {0: Fraction(2), 1: Fraction(5, 11), 5: Fraction(-1, 4)}
+
+    def solve_mod(p):
+        # choice "a" at 101 does not reconstruct from one prime; choice "b"
+        # from 103 on, which omits key 5 (103/3 is 0 mod 103)
+        return ("a", *residues(other, p)) if p == 101 else ("b", *residues(x, p))
+
+    used = _counting(monkeypatch, [101, 103, 107, 109])
+    lifts = linalg._lifts(solve_mod)
+    # 103 alone and 103 * 107 are too small for b = 721 at key 5; over
+    # 103 * 107 * 109 the lift holds, and 101's residues are not in it
+    choice, keys, b, D = next(lifts)
+    assert used == [101, 103, 107, 109]
+    assert (choice, keys.tolist(), b.tolist(), D) == ("b", [0, 2, 5], [7, -15, 721], 21)
+    assert {k: Fraction(v, D) for k, v in zip(keys.tolist(), b.tolist())} == x
+    # the caller's check rejected it: the primes have run out
+    with pytest.raises(ArithmeticError, match="ran out of word primes"):
+        next(lifts)
 
 
 def test_empty_and_zero_column_inputs():

@@ -467,6 +467,18 @@ def test_span_pass_tells_a_shortfall_from_an_unlucky_prime():
         assert not _spans_subfunctor(dataclasses.replace(span, basis=basis)), t
 
 
+def test_span_pass_raises_once_the_primes_run_out(monkeypatch):
+    from finsetrep.oracle import linalg
+
+    N, p0 = 4, 101
+    # a move with denominator p0, which p0 cannot invert, and no other prime
+    scaled = build_pfin(2, N)
+    scaled.act[("inc", 1)] = scaled.act[("inc", 1)].scale(1, p0)
+    monkeypatch.setattr(linalg, "_primes", lambda: iter([p0]))
+    with pytest.raises(ArithmeticError, match="the modular span pass ran out of word primes"):
+        build_span(scaled)
+
+
 def _span_answer(span):
     gammas = {}
     for key in span.F.gen_keys():
