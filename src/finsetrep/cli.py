@@ -235,12 +235,11 @@ def cmd_groth(args) -> str:
 
 
 def _pbar_hom(oracle, N: int, ns, seed: int) -> List:
+    pbar = [oracle.build_pbar_tensor(n, N) for n in ns]
     reports = []
     for s in ns:
         for t in range(0, s + 1):
-            d = oracle.nat_hom(
-                oracle.build_pbar_tensor(s, N), oracle.build_pbar_tensor(t, N)
-            ).dimension
+            d = oracle.nat_hom(pbar[s], pbar[t]).dimension
             expected = factorial(s) if s == t else 0
             reports.append(
                 fc.Report("hom_tensor_vanishing", {"s": s, "t": t, "N": N}, expected, d, d == expected)

@@ -27,7 +27,6 @@ from .partitions import (
     is_hook,
     is_horizontal_strip,
     one_column,
-    one_row,
     partitions_of,
 )
 from .symrep import (
@@ -228,9 +227,6 @@ def simple_eval(label: SimpleLabel, t: int) -> IrrDecomposition:
         return IrrDecomposition(t, {Partition(()): 1} if t == 0 else {})
     if label.kind == "L":
         n = label.n
-        if n == 0:
-            # constant module on nonempty sets
-            return IrrDecomposition(t, {one_row(t): 1} if t >= 1 else {})
         if t <= n:
             return IrrDecomposition(t, {})
         return IrrDecomposition(t, {Partition((t - n,) + (1,) * n): 1})

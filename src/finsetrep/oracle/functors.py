@@ -1,12 +1,14 @@
 """Explicit matrix realizations of modules over the finite-set category.
 
 A TruncatedFunctor stores dimensions and generator-action matrices on all
-set sizes <= N.  The category is presented by the adjacent transpositions
-within each automorphism group, the order-preserving inclusion t -> t+1,
-and the surjection t+1 -> t folding the top two points; every map between
-skeleton objects factors as a word in these, so naturality need only be
-imposed on generators (with exhaustive small-size functoriality checks as
-a safety net).
+set sizes <= N.  The category is presented by three moves, whose set maps
+move_map alone defines: the adjacent transpositions within each
+automorphism group, the order-preserving inclusion t -> t+1 and the fold
+t+1 -> t of the top two points.  Every map between skeleton objects is a
+word in these (factor_map), and every outer permutation a word in the
+outer transpositions (perm_word); one product, _word_matrix, folds either
+word into its matrix.  So naturality need only be imposed on generators
+(with exhaustive small-size functoriality checks as a safety net).
 
 Matrices are linalg.SpMat: exact sparse integer matrices with one
 denominator, whose entries follow linalg.int_dtype like every other oracle
@@ -72,7 +74,8 @@ def perm_word(g: Tuple[int, ...]) -> List[int]:
     return swaps[::-1]
 
 
-def _transport_perm(t: int, a: int, b: int) -> Tuple[int, ...]:
+def _swap(t: int, a: int, b: int) -> Tuple[int, ...]:
+    """The permutation of t points exchanging a and b, as an image tuple."""
     p = list(range(t))
     p[a], p[b] = p[b], p[a]
     return tuple(p)
@@ -95,12 +98,9 @@ def factor_map(f: Tuple[int, ...], s: int, t: int) -> Tuple[Tuple, ...]:
     image = set(f)
     if len(image) < t:
         missing = next(c for c in range(t - 1, -1, -1) if c not in image)
-        p = _transport_perm(t, missing, t - 1)
+        p = _swap(t, missing, t - 1)
         pf = tuple(p[x] for x in f)
-        inner = factor_map(pf, s, t - 1)
-        return inner + (("inc", t - 1),) + tuple(
-            ("tau", t, i) for i in reversed(perm_word(p))
-        )
+        return factor_map(pf, s, t - 1) + (("inc", t - 1),) + factor_map(p, t, t)
     # surjective with s > t: merge a doubled pair through the fold
     seen: Dict[int, int] = {}
     x = y = -1
@@ -112,31 +112,18 @@ def factor_map(f: Tuple[int, ...], s: int, t: int) -> Tuple[Tuple, ...]:
     rho = _transport_pair_perm(s, x, y)
     rho_inv = tuple(rho.index(i) for i in range(s))
     f2 = tuple(f[rho_inv[i]] for i in range(s - 1))
-    inner = factor_map(f2, s - 1, t)
-    return tuple(("tau", s, i) for i in reversed(perm_word(rho))) + (
-        ("fold", s - 1),
-    ) + inner
-
-
-def _tau_map(t: int, i: int) -> Tuple[int, ...]:
-    g = list(range(t))
-    g[i - 1], g[i] = g[i], g[i - 1]
-    return tuple(g)
-
-
-def _inc_map(t: int) -> Tuple[int, ...]:
-    return tuple(range(t))
-
-
-def _fold_map(t: int) -> Tuple[int, ...]:
-    """The fold t+1 -> t sending t to t-1."""
-    return tuple(list(range(t)) + [t - 1])
+    return factor_map(rho, s, s) + (("fold", s - 1),) + factor_map(f2, s - 1, t)
 
 
 @lru_cache(maxsize=None)
 def move_map(key: Tuple) -> Tuple[int, ...]:
-    """The set map of the generator move key, as an image tuple."""
-    return {"inc": _inc_map, "fold": _fold_map, "tau": _tau_map}[key[0]](*key[1:])
+    """The set map of the generator move key, as an image tuple: ("inc", t)
+    is the inclusion t -> t+1, ("fold", t) the fold t+1 -> t sending t to
+    t-1, and ("tau", t, i) swaps i-1 and i in t."""
+    kind, t = key[0], key[1]
+    if kind == "tau":
+        return _swap(t, key[2] - 1, key[2])
+    return tuple(range(t)) + ((t - 1,) if kind == "fold" else ())
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +165,7 @@ class TruncatedFunctor:
         """The outer action of g at size t, a right action:
         outer_matrix(g) outer_matrix(h) = outer_matrix(h o g).  The outer
         transpositions are applied along g's word, first letter first."""
-        mat = SpMat.identity(self.dims[t])
-        for i in perm_word(g):
-            mat = self.outer_act[(i, t)].compose(mat)
-        return mat
+        return _word_matrix([self.outer_act[(i, t)] for i in perm_word(g)], self.dims[t])
 
     def check_functoriality(self, max_size: int = 4) -> None:
         top = min(max_size, self.N)
@@ -229,9 +213,15 @@ def map_matrix(F: TruncatedFunctor, f: Tuple[int, ...], s: int, t: int) -> SpMat
     """Matrix of F on an arbitrary set map f: s -> t (image tuple)."""
     if s > F.N or t > F.N:
         raise OracleError("map exceeds truncation")
-    mat = SpMat.identity(F.dims[s])
-    for step in factor_map(tuple(f), s, t):
-        mat = F.act[(step[0],) + tuple(step[1:])].compose(mat)
+    return _word_matrix([F.act[step] for step in factor_map(tuple(f), s, t)], F.dims[s])
+
+
+def _word_matrix(mats: List[SpMat], dim: int) -> SpMat:
+    """The product of a word of matrices on a space of dimension dim, the
+    first letter applied first."""
+    mat = SpMat.identity(dim)
+    for m in mats:
+        mat = m.compose(mat)
     return mat
 
 
@@ -303,8 +293,7 @@ def _functor_from_action(
         s, t = F.gen_src_dst(key)
         F.act[key] = lookups[t].matrix(dims[s], action(np.array(move_map(key), dtype=np.int64), bases[s]))
     for i in range(1, outer_n):
-        swap = list(range(outer_n))
-        swap[i - 1], swap[i] = i, i - 1
+        swap = list(move_map(("tau", outer_n, i)))
         for t in range(N + 1):
             F.outer_act[(i, t)] = lookups[t].matrix(dims[t], [(bases[t][:, swap], 1)])
     if gen is not None:
@@ -419,11 +408,6 @@ def build_pbar_tensor(n: int, N: int) -> TruncatedFunctor:
 # Exterior powers (direct wedge-basis constructions)
 
 
-def _sign(perm: Tuple[int, ...]) -> int:
-    """The sign of a permutation, given as an image tuple."""
-    return (-1) ** (len(perm) - len(_cycle_type(perm)))
-
-
 def build_lambda_pfin(k: int, N: int) -> TruncatedFunctor:
     """k-th exterior power of the standard degree-one projective.
 
@@ -464,8 +448,9 @@ def lambda_pbar_embedding(n: int, N: int) -> List[SpMat]:
     if n == 0:
         # Lambda^0(Pbar) = kbar = pbar_tensor(0): the whole thing
         return [SpMat.identity(1) if t >= 1 else SpMat.zeros(0, 0) for t in range(N + 1)]
-    # each subset's column: its entries in every order, signed by the order
-    orders = [(list(p), _sign(p)) for p in itertools.permutations(range(n))]
+    # each subset's column: its entries in every order, signed by the
+    # order's parity, the length of its word (the number of its inversions)
+    orders = [(list(p), (-1) ** len(perm_word(p))) for p in itertools.permutations(range(n))]
     cols: List[SpMat] = []
     for t in range(N + 1):
         subsets = _tuples(itertools.combinations(range(1, t), n), n)

@@ -562,9 +562,6 @@ class ColumnBasis:
         self.pivots: Dict[int, int] = {}  # pivot coordinate -> row index
         self.ncols = 0
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
     def reduce(self, vec: Dict[int, Fraction]):
         """Return (residual sparse dict, combo dict over added columns)."""
         r = {j: v for j, v in vec.items() if v}

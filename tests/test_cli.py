@@ -641,3 +641,26 @@ def test_each_command_refuses_the_flags_it_does_not_read(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": f"unrecognized arguments: {' '.join(argv[-2:])}"}
+
+
+def test_a_negative_degree_key_exits_1_with_one_json_error(tmp_path, capsys):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"trunc": 2, "F0_dim": 1,
+                                "degrees": {"-1": {"n": 1, "mults": [{"partition": [1], "mult": 1}]}}}))
+    code, out, err = run_cli(capsys, "multiplicities", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "bad input file: key '-1' is not a string of decimal digits"}
+
+
+def test_kfs_cross_reports_a_failed_cross_check_and_exits_2(capsys, monkeypatch):
+    # the surjection blocks read as all-maps blocks; the blocks are memoized,
+    # so the memo starts and ends empty
+    real = fc.perm_character_maps
+    monkeypatch.setattr(fc, "perm_character_maps", lambda s, t, surjective_only: real(s, t, False))
+    fc._map_block.cache_clear()
+    try:
+        code, out, err = run_cli(capsys, "verify", "--suite", "kfs-cross", "--max-size", "3")
+    finally:
+        fc._map_block.cache_clear()
+    assert (code, err) == (2, "")
+    assert out.splitlines() == ['kfs_cross\t{"N": 3}\tFAIL', 'counterexample: kfs_cross {"N": 3}']

@@ -453,3 +453,34 @@ def test_report_json_turns_numpy_integers_into_ints():
     assert all(type(x) is int for x in ints)
     assert doc["computed"]["c"] is True
     json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: fc.ProjLabel.schur_pbar(Partition((1, 1))), ValueError, "no schur-projective for 1,1"),
+        (lambda: fc.decompose_schur_pfin(Partition(())), ValueError, "needs a partition of a positive integer"),
+        (lambda: fc.hom_projcover(fc.FBModuleData(0, 1)), ValueError, "needs trunc >= 1"),
+        # the constant module k without its L0 factor: dim k(0) = 1, but no
+        # simple accounts for it
+        (lambda: fc.check_multiplicity_dimensions(fc.FBModuleData(2, 1), {}), fc.VerificationError,
+         "dimension bookkeeping fails at t=0: 0 != 1"),
+    ],
+)
+def test_refusals_name_what_they_refuse(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_fs_class_refuses_a_surjection_class_off_the_convolution_route(monkeypatch):
+    # the surjection blocks read as all-maps blocks; the blocks are memoized,
+    # so the memo starts and ends empty
+    real = fc.perm_character_maps
+    monkeypatch.setattr(fc, "perm_character_maps", lambda s, t, surjective_only: real(s, t, False))
+    fc._map_block.cache_clear()
+    try:
+        with pytest.raises(fc.VerificationError, match=r"^surjection class disagrees with the convolution route$"):
+            fc.fs_class(2, cross_check=True)
+    finally:
+        fc._map_block.cache_clear()

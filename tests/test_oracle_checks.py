@@ -297,3 +297,12 @@ def test_lambda_complex_fails_on_a_nonzero_square(monkeypatch):
     rep = verify_lambda_complex(4)
     assert rep.passed is False
     assert rep.computed == {f"d2_{t}_{m}": "nonzero composite" for m in range(5) for t in range(1, min(m, 4))}
+
+
+def test_refusals_name_what_they_refuse():
+    from finsetrep.oracle import OracleError
+
+    with pytest.raises(ValueError, match=r"^n <= 8 for the symbolic expansion$"):
+        pi_idempotent_check(9)
+    with pytest.raises(OracleError, match=r"^needs truncation >= s\+2$"):
+        hom_from_lambda_bar(build_pfin(1, 3), 2)

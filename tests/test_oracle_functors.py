@@ -786,3 +786,17 @@ def test_array_builders_match_the_per_tuple_reference(monkeypatch):
     monkeypatch.setattr(functors, "build_pbar_tensor", refs["pbar_tensor"])
     for F, (n, N) in zip(got, covers):
         _same_functor(F, build_proj_cover(n, N))
+
+
+def test_refusals_name_what_they_refuse():
+    from finsetrep.oracle import kernel_functor
+
+    F = build_pfin(1, 3)
+    with pytest.raises(OracleError, match=r"^map exceeds truncation$"):
+        map_matrix(F, (0,), 1, 4)
+    with pytest.raises(OracleError, match=r"^pfin\(4\) needs N >= 4$"):
+        build_pfin(4, 3)
+    with pytest.raises(OracleError, match=r"^truncations differ$"):
+        kernel_functor(F, build_pfin(1, 4), [], "K")
+    with pytest.raises(ValueError, match=r"^3 is not a partition of the outer degree 2$"):
+        isotypic_subfunctor(build_pfin(2, 3), Partition((3,)))

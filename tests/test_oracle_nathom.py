@@ -669,7 +669,16 @@ def test_relations_behind_the_skips_hold_as_set_maps():
     # which SpanData.matches finds), composed from the generator maps:
     # inc_t: t -> t+1, fold_t: t+1 -> t merging t-1 with t, tau_{t,i}
     # swapping i-1 and i
-    from finsetrep.oracle.functors import _fold_map, _inc_map, _tau_map
+    from finsetrep.oracle.functors import move_map
+
+    def _inc_map(t):
+        return move_map(("inc", t))
+
+    def _fold_map(t):
+        return move_map(("fold", t))
+
+    def _tau_map(t, i):
+        return move_map(("tau", t, i))
 
     def comp(g, f):  # g o f
         return tuple(g[v] for v in f)

@@ -133,3 +133,8 @@ def test_serialization_round_trip():
 def test_one_column_edge():
     assert one_column(0) == Partition(())
     assert one_column(3) == Partition((1, 1, 1))
+
+
+def test_partitions_of_refuses_a_negative_size():
+    with pytest.raises(ValueError, match=r"^n must be nonnegative$"):
+        partitions_of(-1)

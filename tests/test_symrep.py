@@ -553,3 +553,28 @@ def test_schur_dims():
     assert sr.schur_dim(Partition((1, 1)), 4) == 6
     assert sr.schur_dim(Partition((2,)), 4) == 10
     assert sr.schur_dim(Partition(()), 5) == 1
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sr.character_table(-1), "n must be nonnegative"),
+        (lambda: sr.ClassFunction(2, {Partition((3,)): 1}), "unexpected cycle types: {Partition([3])}"),
+        (lambda: sr.IrrDecomposition(2, {Partition((3,)): 1}), "3 is not a partition of 2"),
+        (lambda: sr.json_key_int("-1"), "key '-1' is not a string of decimal digits"),
+        # 2^20 maps, above the 500,000 that enumeration accepts
+        (lambda: sr.enumerated_character(20, 2, False), "enumeration of 2^20 maps refused"),
+    ],
+)
+def test_refusals_name_what_they_refuse(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert type(exc.value) is ValueError and str(exc.value) == message
+
+
+def test_map_characters_refuse_an_enumeration_that_disagrees(monkeypatch):
+    # the enumeration reads all maps where surjections were asked for
+    real = sr.enumerated_character
+    monkeypatch.setattr(sr, "enumerated_character", lambda s, t, surjective_only: real(s, t, False))
+    with pytest.raises(AssertionError, match=r"^map-character mismatch at s=2, t=2, surj=True$"):
+        sr.perm_character_maps(2, 2, True)
