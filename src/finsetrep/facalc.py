@@ -153,7 +153,9 @@ class ProjLabel:
 
     @classmethod
     def schur_pbar(cls, lam: Partition) -> "ProjLabel":
-        if lam.size == 0 or lam == one_column(lam.size):
+        if lam.size == 0:
+            raise ValueError("schur-projectives need a nonempty partition")
+        if lam == one_column(lam.size):
             raise ValueError(f"no schur-projective for {lam}")
         return cls("schur", lam=lam)
 
@@ -473,9 +475,12 @@ def hom_pbar_pbar(trunc_left: int, trunc_right: int) -> VirtualFBBimod:
 
 def hom_lambdabar_pbar(s: int, trunc: int) -> VirtualFB:
     """Class of hom(Lambda^s of the reduced projective, tensor-power_star)
-    in the star variable."""
-    fs = fs_class(max(trunc, s), cross_check=False)
-    return day(fs.left_class(one_column(s)), series_S(0, trunc)) + series_S(s + 1, trunc)
+    in the star variable, from the sign column of the surjection class: the
+    blocks of the surjections n -> s, s <= n <= max(trunc, s)."""
+    top, sgn = max(trunc, s), one_column(s)
+    check_degree(top)
+    column = {lam: c for n in range(s, top + 1) for (lam, mu), c in _map_block(n, s, True) if mu == sgn}
+    return day(VirtualFB(top, column), series_S(0, trunc)) + series_S(s + 1, trunc)
 
 
 def hom_entry(b: VirtualFBBimod, bullet: int, star: int) -> Dict[Tuple[Partition, Partition], int]:

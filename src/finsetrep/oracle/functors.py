@@ -15,10 +15,13 @@ denominator, whose entries follow linalg.int_dtype like every other oracle
 array.  Vectors of a value F(t), and blocks of them, are dense integer
 arrays: a rational one is an integer array x with a denominator den,
 standing for x / den.  The basic builders hold the basis of each size as
-an integer array of tuples.  One lookup, _TupleBasis, finds tuples in such
-a basis by mixed-radix code and builds every matrix on one from signed
-image tuples: each move's (_functor_from_action), the exterior-power
-embedding and those of the oracle checks.  Quotients and subfunctors are
+an integer array of tuples, all through one skeleton, _functor_from_action:
+it refuses a truncation below 2, or a generator above N, before it makes
+any tuple, and degree 0 is its general case (a difference basis has no
+tuple at size 0, which has no base point).  One lookup, _TupleBasis,
+finds tuples in such a basis by mixed-radix code and builds every matrix
+on one from signed image tuples: each move's, the exterior-power embedding
+and those of the oracle checks.  Quotients and subfunctors are
 induced by sparse products: one function, subspace_maps, turns the
 linalg.row_inverse (J, I, X, C) of the subspace's columns S,
 X = S[I, J]^-1 and C = S[free, J] X, into the expansion map E_t(v) = X v[I]
@@ -36,7 +39,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -271,21 +274,27 @@ class _TupleBasis:
 
 def _functor_from_action(
     N: int,
-    bases: List[np.ndarray],
+    width: int,
+    tuples: Callable[[int], Iterable[Tuple[int, ...]]],
     action: Callable[[np.ndarray, np.ndarray], Terms],
     gen: Optional[Tuple[int, Tuple[int, ...]]],
     name: str,
     outer_n: int = 0,
 ) -> TruncatedFunctor:
-    """The functor with basis bases[t] at size t, an integer array with
-    one basis tuple per row, in lexicographic order, on which a set map g
-    (an index array) sends the rows of an array B of basis tuples to the
-    signed tuples of action(g, B); tuples outside the target basis count as
-    zero.  Each size's tuples are looked up by one _TupleBasis, so each
-    move's matrix is a few array operations over the whole basis.  With
-    outer_n > 0 the basis tuples are tensor positions, permuted by the
-    outer transpositions.  gen is the generating basis tuple with its size,
-    if any."""
+    """The functor with basis tuples(t) at size t, tuples of the given
+    width in lexicographic order, on which a set map g (an index array)
+    sends the rows of an array B of basis tuples to the signed tuples of
+    action(g, B); tuples outside the target basis count as zero.  Each
+    size's tuples are looked up by one _TupleBasis, so each move's matrix
+    is a few array operations over the whole basis.  With outer_n > 0 the
+    basis tuples are tensor positions, permuted by the outer
+    transpositions.  gen is the generating basis tuple with its size, if
+    any.  A truncation below 2, or a generator above N, is refused before
+    any tuple is made; degree 0 needs no case of its own."""
+    _check_truncation(N)
+    if gen is not None and gen[0] > N:
+        raise OracleError(f"{name} needs N >= {gen[0]}")
+    bases = [_tuples(tuples(t), width) for t in range(N + 1)]
     lookups = [_TupleBasis(B, t) for t, B in enumerate(bases)]
     dims = [L.dim for L in lookups]
     F = TruncatedFunctor(N, dims, {}, [], name=name, outer_n=outer_n)
@@ -355,53 +364,40 @@ def build_pfin(n: int, N: int) -> TruncatedFunctor:
     """Standard projective of degree n: X |-> k[X]^{(x)n}, basis = tuples.
 
     Outer action: place permutations of the n tensor positions."""
-    _check_truncation(N)
-    if n > N:
-        raise OracleError(f"pfin({n}) needs N >= {n}")
-    bases = [_tuples(itertools.product(range(t), repeat=n), n) for t in range(N + 1)]
-    return _functor_from_action(
-        N, bases, _values, (n, tuple(range(n))), f"pfin({n})", outer_n=n
-    )
+    return _functor_from_action(N, n, lambda t: itertools.product(range(t), repeat=n), _values,
+                                (n, tuple(range(n))), f"pfin({n})", outer_n=n)
 
 
 def build_k0(N: int) -> TruncatedFunctor:
     """The module supported on the empty set."""
-    _check_truncation(N)
-    return _functor_from_action(N, [_tuples([()], 0)] + [_tuples([], 0)] * N, _values, (0, ()), "k0")
+    return _functor_from_action(N, 0, lambda t: [()] if t == 0 else [], _values, (0, ()), "k0")
 
 
 def build_const_k(N: int) -> TruncatedFunctor:
     """The constant module k."""
-    _check_truncation(N)
-    return _functor_from_action(N, [_tuples([()], 0)] * (N + 1), _values, (0, ()), "k")
+    return _functor_from_action(N, 0, lambda t: [()], _values, (0, ()), "k")
 
 
 def build_kbar(N: int) -> TruncatedFunctor:
     """The constant module restricted to nonempty sets."""
-    _check_truncation(N)
-    return _functor_from_action(N, [_tuples([], 0)] + [_tuples([()], 0)] * N, _values, (1, ()), "kbar")
+    return _functor_from_action(N, 0, lambda t: [()] if t else [], _values, (1, ()), "kbar")
 
 
 def build_kfi(n: int, N: int) -> TruncatedFunctor:
-    """Injection module of degree n; non-injective composites act by 0."""
-    _check_truncation(N)
-    bases = [_tuples(itertools.permutations(range(t), n), n) for t in range(N + 1)]
+    """Injection module of degree n; non-injective composites act by 0.
+    Above N it has no generator and is zero."""
     gen = (n, tuple(range(n))) if n <= N else None
-    return _functor_from_action(N, bases, _values, gen, f"kfi({n})", outer_n=n)
+    return _functor_from_action(N, n, lambda t: itertools.permutations(range(t), n), _values,
+                                gen, f"kfi({n})", outer_n=n)
 
 
 def build_pbar_tensor(n: int, N: int) -> TruncatedFunctor:
     """Tensor power of the reduced standard projective, in the difference
     basis with base point 0: value at t >= 1 has basis {1..t-1}^n, the
-    tuple y standing for the product of ([y_i] - [0])."""
-    _check_truncation(N)
-    if n == 0:
-        return build_kbar(N)
-    if n + 1 > N:
-        raise OracleError(f"pbar_tensor({n}) needs N >= {n + 1}")
-    bases = [_tuples(itertools.product(range(1, t), repeat=n), n) for t in range(N + 1)]
-    gen = (n + 1, tuple(range(1, n + 1)))
-    return _functor_from_action(N, bases, _differences, gen, f"pbar({n})", outer_n=n)
+    tuple y standing for the product of ([y_i] - [0]); none at t = 0,
+    which has no base point (so degree 0 is kbar)."""
+    return _functor_from_action(N, n, lambda t: itertools.product(range(1, t), repeat=n) if t else [],
+                                _differences, (n + 1, tuple(range(1, n + 1))), f"pbar({n})", outer_n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -413,48 +409,31 @@ def build_lambda_pfin(k: int, N: int) -> TruncatedFunctor:
 
     Basis at t: k-subsets of {0..t-1}; a set map acts by the wedge of its
     values (zero on collisions)."""
-    _check_truncation(N)
-    if k == 0:
-        return build_const_k(N)
-    if k > N:
-        raise OracleError(f"lambda_pfin({k}) needs N >= {k}")
-    bases = [_tuples(itertools.combinations(range(t), k), k) for t in range(N + 1)]
-    return _functor_from_action(
-        N, bases, _wedge(_values), (k, tuple(range(k))),
-        f"lambda_pfin({k})",
-    )
+    return _functor_from_action(N, k, lambda t: itertools.combinations(range(t), k), _wedge(_values),
+                                (k, tuple(range(k))), f"lambda_pfin({k})")
 
 
 def build_lambda_pbar(k: int, N: int) -> TruncatedFunctor:
     """k-th exterior power of the reduced projective, in wedge-difference
-    coordinates: basis at t is the k-subsets of {1..t-1}, on which a set
-    map acts by the wedge over y in S of (e_{g(y)} - e_{g(0)}), e_0 = 0."""
-    _check_truncation(N)
-    if k == 0:
-        return build_kbar(N)
-    if k + 1 > N:
-        raise OracleError(f"lambda_pbar({k}) needs N >= {k + 1}")
-    bases = [_tuples(itertools.combinations(range(1, t), k), k) for t in range(N + 1)]
-    return _functor_from_action(
-        N, bases, _wedge(_differences),
-        (k + 1, tuple(range(1, k + 1))), f"lambda_pbar({k})",
-    )
+    coordinates: basis at t >= 1 is the k-subsets of {1..t-1}, on which a
+    set map acts by the wedge over y in S of (e_{g(y)} - e_{g(0)}), e_0 =
+    0; none at t = 0, which has no base point (so degree 0 is kbar)."""
+    return _functor_from_action(N, k, lambda t: itertools.combinations(range(1, t), k) if t else [],
+                                _wedge(_differences), (k + 1, tuple(range(1, k + 1))), f"lambda_pbar({k})")
 
 
 def lambda_pbar_embedding(n: int, N: int) -> List[SpMat]:
     """The top exterior power inside the n-th tensor power of the reduced
     projective (difference-tuple coordinates): per set size t, a
     dims[t] x c integer SpMat whose columns span it."""
-    if n == 0:
-        # Lambda^0(Pbar) = kbar = pbar_tensor(0): the whole thing
-        return [SpMat.identity(1) if t >= 1 else SpMat.zeros(0, 0) for t in range(N + 1)]
     # each subset's column: its entries in every order, signed by the
     # order's parity, the length of its word (the number of its inversions)
     orders = [(list(p), (-1) ** len(perm_word(p))) for p in itertools.permutations(range(n))]
     cols: List[SpMat] = []
     for t in range(N + 1):
-        subsets = _tuples(itertools.combinations(range(1, t), n), n)
-        basis = _TupleBasis(_tuples(itertools.product(range(1, t), repeat=n), n), t)
+        # no tuple at t = 0, which has no base point
+        subsets = _tuples(itertools.combinations(range(1, t), n) if t else [], n)
+        basis = _TupleBasis(_tuples(itertools.product(range(1, t), repeat=n) if t else [], n), t)
         cols.append(basis.matrix(len(subsets), [(subsets[:, p], sign) for p, sign in orders]))
     return cols
 
@@ -677,9 +656,9 @@ def build_proj_cover(n: int, N: int) -> TruncatedFunctor:
     projective: the (n+1)-st exterior power of the standard projective
     (outer transpositions acting by the sign) plus the tensor power modulo
     its top exterior summand."""
-    _check_truncation(N)
     lam_part = build_lambda_pfin(n + 1, N)
     if n == 0:
+        # the quotient below is zero here; skipping it saves most of the build
         F = lam_part
         F.name = "P_0"
         return F

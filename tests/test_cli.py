@@ -572,6 +572,18 @@ def test_sizes_above_the_budget_exit_1_before_any_build(capsys, monkeypatch, arg
     assert message in json.loads(err)["error"]
 
 
+def test_a_degree_above_the_truncation_exits_1_before_any_tuple(capsys, monkeypatch):
+    # the size admission skips a degree above N: the builder refuses it
+    from finsetrep.oracle import functors
+
+    def no_tuples(*args):
+        raise AssertionError("a basis tuple was made before the refusal")
+
+    monkeypatch.setattr(functors, "_tuples", no_tuples)
+    code, out, err = run_cli(capsys, "hom", "--from", "pbar:30", "--to", "pfin:1", "--trunc", "3")
+    assert (code, out, json.loads(err)) == (1, "", {"error": "pbar(30) needs N >= 31"})
+
+
 def _admitted(capsys, suite, N):
     """The functors that `verify --suite suite --max-size N` passes to _admit,
     recorded before any check runs."""

@@ -307,6 +307,30 @@ def test_hom_lambdabar_pbar():
         assert cls.mults == {one_column(t): 1}
 
 
+def test_hom_lambdabar_pbar_reads_only_the_surjection_blocks_onto_s(monkeypatch):
+    # the sign column (1^s) of the surjection class comes from the maps n -> s
+    # alone; the blocks are memoized, so the memo starts and ends empty
+    calls, real = [], fc.perm_character_maps
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fc, "perm_character_maps", recorded)
+    fc._map_block.cache_clear()
+    try:
+        fc.hom_lambdabar_pbar(3, 8)
+        assert calls == [(n, 3, True) for n in range(3, 9)]
+        assert fc._map_block.cache_info().currsize == 6
+        fc._map_block.cache_clear()
+        bound = sr.degree_bound()
+        with pytest.raises(sr.DegreeBoundError, match=rf"^degree {bound + 1} exceeds configured bound {bound}$"):
+            fc.hom_lambdabar_pbar(2, bound + 1)
+        assert fc._map_block.cache_info().misses == 0
+    finally:
+        fc._map_block.cache_clear()
+
+
 def test_hom_lambdabar_pbar_is_the_sign_column_of_hom_pbar_pbar():
     for s_ in range(7):
         for t in range(7):
@@ -459,6 +483,7 @@ def test_report_json_turns_numpy_integers_into_ints():
     "call, error, message",
     [
         (lambda: fc.ProjLabel.schur_pbar(Partition((1, 1))), ValueError, "no schur-projective for 1,1"),
+        (lambda: fc.ProjLabel.schur_pbar(Partition(())), ValueError, "schur-projectives need a nonempty partition"),
         (lambda: fc.decompose_schur_pfin(Partition(())), ValueError, "needs a partition of a positive integer"),
         (lambda: fc.hom_projcover(fc.FBModuleData(0, 1)), ValueError, "needs trunc >= 1"),
         # the constant module k without its L0 factor: dim k(0) = 1, but no

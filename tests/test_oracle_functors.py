@@ -800,3 +800,29 @@ def test_refusals_name_what_they_refuse():
         kernel_functor(F, build_pfin(1, 4), [], "K")
     with pytest.raises(ValueError, match=r"^3 is not a partition of the outer degree 2$"):
         isotypic_subfunctor(build_pfin(2, 3), Partition((3,)))
+
+
+def test_basic_builders_refuse_before_any_tuple_is_made(monkeypatch):
+    from finsetrep.oracle import functors
+
+    def no_tuples(*args):
+        raise AssertionError("a basis tuple was made before the refusal")
+
+    monkeypatch.setattr(functors, "_tuples", no_tuples)
+    for build, message in (
+        (lambda: build_pfin(4, 3), r"^pfin\(4\) needs N >= 4$"),
+        (lambda: build_pbar_tensor(3, 3), r"^pbar\(3\) needs N >= 4$"),
+        (lambda: build_lambda_pfin(4, 3), r"^lambda_pfin\(4\) needs N >= 4$"),
+        (lambda: build_lambda_pbar(3, 3), r"^lambda_pbar\(3\) needs N >= 4$"),
+        (lambda: build_const_k(1), r"^truncation below 2 leaves nothing to check$"),
+        (lambda: build_k0(1), r"^truncation below 2 leaves nothing to check$"),
+        (lambda: build_kbar(1), r"^truncation below 2 leaves nothing to check$"),
+        (lambda: build_kfi(1, 1), r"^truncation below 2 leaves nothing to check$"),
+    ):
+        with pytest.raises(OracleError, match=message):
+            build()
+    monkeypatch.undo()
+    # above N the injection module has no generator and is zero
+    F = build_kfi(5, 3)
+    assert F.dims == [0, 0, 0, 0] and F.generators == []
+
