@@ -164,11 +164,16 @@ class TruncatedFunctor:
             return key[1] + 1, key[1]
         return key[1], key[1]
 
+    def outer_transposition(self, i: int, t: int) -> SpMat:
+        """The outer transposition of i-1 and i at size t.  outer_act need
+        not hold it at a size of dimension 0, where it is the 0 x 0 matrix."""
+        return self.outer_act[(i, t)] if self.dims[t] else SpMat.zeros(0, 0)
+
     def outer_matrix(self, g: Tuple[int, ...], t: int) -> SpMat:
         """The outer action of g at size t, a right action:
         outer_matrix(g) outer_matrix(h) = outer_matrix(h o g).  The outer
         transpositions are applied along g's word, first letter first."""
-        return _word_matrix([self.outer_act[(i, t)] for i in perm_word(g)], self.dims[t])
+        return _word_matrix([self.outer_transposition(i, t) for i in perm_word(g)], self.dims[t])
 
     def check_functoriality(self, max_size: int = 4) -> None:
         top = min(max_size, self.N)
@@ -249,15 +254,19 @@ class _TupleBasis:
 
     def __init__(self, B: np.ndarray, base: int):
         self.dim, width = B.shape
+        if not self.dim:
+            # an empty basis finds nothing, so it forms no radix: the
+            # zero module kfi(n), n > N, has width n at every size
+            return
         self.radix = np.array([base ** e for e in range(width - 1, -1, -1)],
                               dtype=linalg.int_dtype(base ** width))
         self.codes = B.astype(self.radix.dtype, copy=False) @ self.radix
 
     def index(self, images: np.ndarray) -> np.ndarray:
         """The basis index of each row of images, -1 where none."""
-        code = images.astype(self.radix.dtype, copy=False) @ self.radix
         if not self.dim:
-            return np.full(len(code), -1)
+            return np.full(len(images), -1)
+        code = images.astype(self.radix.dtype, copy=False) @ self.radix
         i = np.minimum(np.searchsorted(self.codes, code), self.dim - 1)
         return np.where(self.codes[i] == code, i, -1)
 
@@ -301,9 +310,12 @@ def _functor_from_action(
     for key in F.gen_keys():
         s, t = F.gen_src_dst(key)
         F.act[key] = lookups[t].matrix(dims[s], action(np.array(move_map(key), dtype=np.int64), bases[s]))
-    for i in range(1, outer_n):
+    # a size with no tuple needs no outer matrix (outer_transposition), so
+    # the zero module makes no swap
+    sizes = [t for t in range(N + 1) if dims[t]]
+    for i in range(1, outer_n if sizes else 0):
         swap = list(move_map(("tau", outer_n, i)))
-        for t in range(N + 1):
+        for t in sizes:
             F.outer_act[(i, t)] = lookups[t].matrix(dims[t], [(bases[t][:, swap], 1)])
     if gen is not None:
         d, tup = gen
@@ -576,7 +588,7 @@ def direct_sum(summands: List[TruncatedFunctor], name: str, outer_n: int = 0) ->
             gens.append((d, big))
 
     outer_act = {
-        (i, t): _block_diagonal([F.outer_act[(i, t)] for F in summands])
+        (i, t): _block_diagonal([F.outer_transposition(i, t) for F in summands])
         for i in range(1, outer_n) for t in range(N + 1)
     }
     return TruncatedFunctor(

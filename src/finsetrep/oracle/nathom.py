@@ -446,12 +446,12 @@ class NatHomResult:
         for i in range(1, self.F.outer_n):
             acted.append([])
             for a, (d, _) in self.blocks.items():
-                rho, E = self.F.outer_act[(i, d)], self.span.expansion(d)
+                rho, E = self.F.outer_transposition(i, d), self.span.expansion(d)
                 C = E.apply_dense(rho.apply_dense(self.F.generators[a][1])).tolist()
                 acted[-1].append(self._evaluate(d, [(j, c) for j, c in enumerate(C) if c], E.den * rho.den))
         m = len(acted)
         for i in range(1, self.G.outer_n):
-            rhos = [(self.G.outer_act[(i, d)], off, d) for d, off in self.blocks.values()]
+            rhos = [(self.G.outer_transposition(i, d), off, d) for d, off in self.blocks.values()]
             acted.append([(rho.apply_dense(self.P[off : off + self.G.dims[d]]), rho.den) for rho, off, d in rhos])
         den = lcm(*(yden for blocks in acted for _, yden in blocks))
         Y, D = self.coordinates(np.hstack([

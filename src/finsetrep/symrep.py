@@ -511,39 +511,70 @@ def enumerated_character(s: int, t: int, surjective_only: bool) -> JointClassFun
     """Joint character by explicit enumeration of all maps s -> t.
 
     Independent of the counting formulas; intended as their oracle at
-    desk scale (t**s up to a few hundred thousand).  Each map f is encoded
-    by its lexicographic index, its images read as base-t digits (exact in
-    int64 below the refusal bound).  For each block of maps the codes of
-    f o sigma are computed once per alpha and those of tau o f once per
-    beta; f is fixed by (sigma, tau) iff f o sigma == tau o f, that is iff
-    the two codes are equal, so each value counts the equal entries of two
-    integer arrays.
+    desk scale (t**s up to a few hundred thousand).  A map f with images
+    d_0, ..., d_{s-1} is encoded by its lexicographic index, the sum of
+    w_i d_i with w_i = t**(s-1-i); f is fixed by (sigma, tau) iff
+    f o sigma == tau o f, that is iff their codes are equal, so each value
+    counts the maps whose two codes are equal.  Both codes are digit sums:
+    tau o f has the code sum w_i tau(d_i), and f o sigma the code
+    sum w'_j d_j with w'[sigma(i)] = w_i.  Over all maps in lexicographic
+    order a code array is therefore the outer sum of one vector of length
+    t per digit, and the surjections are the maps where the outer OR of
+    the vectors 1 << d is 2**t - 1.
+
+    The leading digits pick a block of maps and the trailing k digits vary
+    inside it, k the largest with t**k <= `_ENUM_BLOCK`.  Per alpha and per
+    beta the outer sum over the trailing digits (the tail, t**k codes) and
+    over the leading ones (the head, one scalar per block) are held, and
+    one block's codes at a time are the tails plus the block's head
+    scalars, compared all alpha against all beta at once.  So memory grows
+    with p(s) p(t) t**k, not with t**s; no s x t**s array of images is made.
     """
     if t**s > 500_000:
         raise ValueError(f"enumeration of {t}^{s} maps refused")
     import numpy as np
 
-    # column j holds the images of map j, the maps in lexicographic order
-    images = np.indices((t,) * s, dtype=np.int64).reshape(s, t**s)
-    if surjective_only:
-        ordered = np.sort(images, axis=0)
-        distinct = (ordered[1:] != ordered[:-1]).sum(axis=0) + (s > 0)
-        images = images[:, distinct == t]
-    weights = t ** np.arange(s - 1, -1, -1, dtype=np.int64)
+    # the leading h digits pick a block, the trailing s - h vary inside it
+    h = s - next(k for k in range(s, -1, -1) if t**k <= _ENUM_BLOCK)
+
+    def head_tail(op, vectors):
+        """Row r over every string of the leading h digits (head) and of the
+        trailing ones (tail), in lexicographic order: the op-sum of
+        vectors[i, r, d_i] over the digits i of the string."""
+        rows, parts = vectors.shape[1], []
+        for part in (vectors[:h], vectors[h:]):
+            out = np.zeros((rows, 1), dtype=np.int32)
+            for v in part:
+                out = op(out[:, :, None], v[:, None, :]).reshape(rows, -1)
+            parts.append(out)
+        return parts
+
     alphas, betas = partitions_of(s), partitions_of(t)
-    sigmas = [np.array(representative(alpha), dtype=np.int64) for alpha in alphas]
-    taus = [np.array(representative(beta), dtype=np.int64) for beta in betas]
-    values = {(alpha, beta): 0 for alpha in alphas for beta in betas}
-    # a block of maps at a time keeps the codes held at once to p(t) arrays
-    # of one block (two while the next block's replace them); larger blocks
-    # measured no faster
-    for start in range(0, images.shape[1], _ENUM_BLOCK):
-        block = images[:, start : start + _ENUM_BLOCK]
-        right = [weights @ tau[block] for tau in taus]
-        for alpha, sigma in zip(alphas, sigmas):
-            left = weights @ block[sigma]
-            for beta, code in zip(betas, right):
-                values[(alpha, beta)] += int(np.count_nonzero(left == code))
+    # every code is below t**s <= 500,000, so int32 holds it exactly
+    digits = np.arange(t, dtype=np.int32)
+    weights = t ** np.arange(s - 1, -1, -1, dtype=np.int32)
+    # moved[a, sigma(i)] = w_i for the representative sigma of alphas[a]
+    moved = np.zeros((len(alphas), s), dtype=np.int32)
+    for a, alpha in enumerate(alphas):
+        moved[a, list(representative(alpha))] = weights
+    taus = np.array([representative(beta) for beta in betas], dtype=np.int32)
+    # digit j of f o sigma adds w'_j d_j, digit i of tau o f adds w_i tau(d_i)
+    left_head, left_tail = head_tail(np.add, moved.T[:, :, None] * digits)
+    right_head, right_tail = head_tail(np.add, weights[:, None, None] * taus)
+    if surjective_only:
+        bits = np.broadcast_to(1 << np.arange(t, dtype=np.int64), (s, 1, t))
+        (mask_head,), (mask_tail,) = head_tail(np.bitwise_or, bits)
+    counts = np.zeros((len(alphas), len(betas)), dtype=np.int64)
+    keep = slice(None)
+    for b in range(t**h):
+        if surjective_only:
+            keep = np.flatnonzero((mask_tail | mask_head[b]) == (1 << t) - 1)
+            if not len(keep):
+                continue
+        codes_left = left_tail[:, keep] + left_head[:, b, None]
+        codes_right = right_tail[:, keep] + right_head[:, b, None]
+        counts += np.count_nonzero(codes_left[:, None, :] == codes_right[None, :, :], axis=2)
+    values = {(alpha, beta): int(c) for alpha, row in zip(alphas, counts) for beta, c in zip(betas, row)}
     return JointClassFunction(s, t, values)
 
 

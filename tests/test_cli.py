@@ -584,6 +584,35 @@ def test_a_degree_above_the_truncation_exits_1_before_any_tuple(capsys, monkeypa
     assert (code, out, json.loads(err)) == (1, "", {"error": "pbar(30) needs N >= 31"})
 
 
+def test_the_zero_injection_module_costs_nothing_of_its_degree(capsys, monkeypatch):
+    # kfi(n) above N is zero at every size, and the size admission lets it
+    # through: its build makes no outer swap (an n-tuple each) and no radix
+    # of n powers, so its cost does not grow with n.  The guards run at a
+    # small n first, so that a build that grows with n fails fast here
+    import tracemalloc
+
+    from finsetrep.oracle import build_kfi, functors
+
+    real = functors.move_map
+
+    def bounded(key):
+        assert key[1] <= 3, f"move {key} made above the truncation"
+        return real(key)
+
+    monkeypatch.setattr(functors, "move_map", bounded)
+    tracemalloc.start()
+    try:
+        F = build_kfi(3000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 << 10, f"{peak} bytes traced"
+    assert (F.dims, F.generators, F.outer_act) == ([0] * 4, [], {})
+    assert F.outer_transposition(2999, 3).shape == (0, 0)
+    code, out, _ = run_cli(capsys, "hom", "--from", "kfi:100000", "--to", "k", "--trunc", "3")
+    assert (code, out) == (0, "dimension\t0\n")
+
+
 def _admitted(capsys, suite, N):
     """The functors that `verify --suite suite --max-size N` passes to _admit,
     recorded before any check runs."""

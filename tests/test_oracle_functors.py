@@ -453,7 +453,7 @@ def test_outer_action_is_natural():
     # outer transpositions commute with every generator action
     for F in [build_pfin(2, 4), build_pbar_tensor(2, 4), build_kfi(2, 4)]:
         for i in range(1, F.outer_n):
-            assert is_natural(F, F, [F.outer_act[(i, t)] for t in range(F.N + 1)])
+            assert is_natural(F, F, [F.outer_transposition(i, t) for t in range(F.N + 1)])
 
 
 def test_bucketed_apply_dense_matches_the_dense_product():
@@ -759,9 +759,11 @@ def _per_tuple_builders():
 
 def _same_functor(F, R):
     assert F.dims == R.dims and F.outer_n == R.outer_n
-    assert F.act.keys() == R.act.keys() and F.outer_act.keys() == R.outer_act.keys()
+    assert F.act.keys() == R.act.keys()
     assert all(F.act[key].equals(R.act[key]) for key in R.act)
-    assert all(F.outer_act[key].equals(R.outer_act[key]) for key in R.outer_act)
+    # every outer transposition at every size, the 0 x 0 ones included
+    outer = [(i, t) for i in range(1, R.outer_n) for t in range(R.N + 1)]
+    assert all(F.outer_transposition(i, t).equals(R.outer_transposition(i, t)) for i, t in outer)
     assert [(d, col.tolist()) for d, col in F.generators] == [(d, col.tolist()) for d, col in R.generators]
 
 

@@ -278,12 +278,14 @@ def _count_fixed_maps(s, t, keep):
     return values
 
 
+_ENUM_CASES = [(0, t) for t in range(4)] + [(s, 0) for s in range(4)]
+_ENUM_CASES += [(s, t) for s in range(1, 5) for t in range(1, 5)]
+# lopsided shapes pin the digit weights and digit order of the map codes
+_ENUM_CASES += [(6, 2), (2, 6), (5, 3), (3, 5)]
+
+
 def test_enumerated_character_against_brute_force():
-    cases = [(0, t) for t in range(4)] + [(s, 0) for s in range(4)]
-    cases += [(s, t) for s in range(1, 5) for t in range(1, 5)]
-    # lopsided shapes pin the digit weights and digit order of the map codes
-    cases += [(6, 2), (2, 6), (5, 3), (3, 5)]
-    for s, t in cases:
+    for s, t in _ENUM_CASES:
         for surj in (False, True):
             got = sr.enumerated_character(s, t, surjective_only=surj)
             want = _count_fixed_maps(s, t, lambda f: not surj or len(set(f)) == t)
@@ -292,6 +294,21 @@ def test_enumerated_character_against_brute_force():
     assert sr.enumerated_character(0, 3, False).total() == 1
     assert sr.enumerated_character(0, 3, True).total() == 0
     assert sr.enumerated_character(3, 0, False).total() == 0
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_enumerated_character_split_into_blocks_against_brute_force(monkeypatch, block):
+    # every case above fits in one block of the default size; here the
+    # leading digits pick one of many blocks, down to one map per block at
+    # size 1.  At size 5 the maps 4 -> 3 vary only their last digit inside
+    # a block, so a block such as 000* holds no surjection and is skipped,
+    # and the s = 0 and t = 0 edges keep their one block
+    monkeypatch.setattr(sr, "_ENUM_BLOCK", block)
+    for s, t in _ENUM_CASES:
+        for surj in (False, True):
+            got = sr.enumerated_character(s, t, surjective_only=surj)
+            want = _count_fixed_maps(s, t, lambda f: not surj or len(set(f)) == t)
+            assert got.values == want, (s, t, surj, block)
 
 
 def test_decompose_reconstruct_round_trip():
